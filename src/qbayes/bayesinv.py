@@ -24,6 +24,7 @@ from .linalg import (
     ABS_FLOOR,
     DEFAULT_TOL,
     Tolerances,
+    _sq_frobenius,
     dagger,
     frobenius,
     matrix_sqrt,
@@ -162,18 +163,24 @@ def battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> BayesA
             res["adjoint_sandwich_symmetry"],
             float(np.abs(lhs4 - rhs4).max(initial=0.0)),
         )
-        # (v) F(sigma B) rho = rho F(B sigma) for B in the xi-support corner
-        for k in range(n):
-            for l in range(n):
-                E = np.zeros((n, n), dtype=complex)
-                E[k, l] = 1.0
-                B = pd.P_xi @ E @ pd.P_xi
-                lhs = np.einsum("iajb,ij->ab", pd.T, pd.sig_w @ B) @ pd.rho_w
-                rhs = pd.rho_w @ np.einsum("iajb,ij->ab", pd.T, B @ pd.sig_w)
-                res["density_intertwining"] = max(
-                    res["density_intertwining"], frobenius(lhs - rhs)
-                )
-                scale = max(scale, frobenius(lhs), frobenius(rhs))
+        # (v) F(sigma B) rho = rho F(B sigma) for B = P E_kl P in the xi-support
+        # corner, all k, l at once: sigma B = (sigma P)[:, k] P[l, :] and
+        # B sigma = P[:, k] (P sigma)[l, :]
+        lhs5 = np.einsum(
+            "lv,kavb->klab", pd.P_xi,
+            np.einsum("uk,uavb->kavb", pd.sig_w @ pd.P_xi, pd.T @ pd.rho_w),
+        )
+        rhs5 = np.einsum(
+            "lv,kavb->klab", pd.P_xi @ pd.sig_w,
+            np.einsum("uk,uavb->kavb", pd.P_xi, np.einsum("ac,ucvb->uavb", pd.rho_w, pd.T)),
+        )
+        largest = max(_sq_frobenius(lhs5).max(), _sq_frobenius(rhs5).max())
+        scale = max(scale, float(np.sqrt(largest)))
+        lhs5 -= rhs5
+        res["density_intertwining"] = max(
+            res["density_intertwining"], float(np.sqrt(_sq_frobenius(lhs5).max()))
+        )
+        del lhs5, rhs5  # full-size arrays; the rest of the pass does not need them
         # (vi) part 1: forced rows vanish against the omega co-support,
         # shat_w F*(rho_w E_ij P_om-perp) P_xi = 0
         Pop = np.eye(m) - pd.P_om
@@ -422,13 +429,10 @@ def existence(
     tensors = [[None] * F.target.n_blocks for _ in range(F.source.n_blocks)]
     for y, n_y in enumerate(src_dims):
         if xi.weights[y] <= 0.0:
-            # no pairing constraint: spread the normalized trace uniformly
+            # no pairing constraint: spread the normalized trace uniformly,
+            # E_ij |-> delta_ij (w_x / m_x) 1
             for x, m_x in enumerate(tgt_dims):
-                S = np.zeros((m_x, n_y, m_x, n_y), dtype=complex)
-                for i in range(m_x):
-                    for a in range(n_y):
-                        S[i, a, i, a] = w_x[x] / m_x
-                tensors[y][x] = S
+                tensors[y][x] = np.einsum("ij,ab->iajb", np.eye(m_x), np.eye(n_y)) * (w_x[x] / m_x)
             continue
         P_xi = by_pair[(0, y)].P_xi
         Pxp = np.eye(n_y) - P_xi

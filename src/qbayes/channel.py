@@ -14,6 +14,12 @@ the source units on the left:
 reshaped from the tensor with row index (i, a) and column index (j, b). The
 map is completely positive iff every Choi block is PSD, and unital iff
 sum_y F_xy(1_{n_y}) = 1_{m_x} for every x.
+
+Maps are built in Kraus form (`from_kraus`, which also backs `from_hom` and
+the identity) or by placing tensors directly, and tests over matrix units
+are contractions of the stored tensors. `LinearMap.from_block_fn`, which
+evaluates a callback on one matrix unit at a time, is the per-unit reference
+constructor that the tests compare against.
 """
 
 from __future__ import annotations
@@ -23,12 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import (
-    AlgebraElement,
-    HomSpec,
-    MultiMatrixAlgebra,
-    apply_hom,
-)
+from .algebra import AlgebraElement, HomSpec, MultiMatrixAlgebra
 from .errors import (
     InternalInconsistency,
     NotCP,
@@ -39,6 +40,7 @@ from .linalg import (
     ABS_FLOOR,
     DEFAULT_TOL,
     Tolerances,
+    _sq_frobenius,
     dagger,
     frobenius,
     hermitian_eigen,
@@ -98,12 +100,7 @@ class LinearMap:
 
     @classmethod
     def identity(cls, alg: MultiMatrixAlgebra) -> "LinearMap":
-        def fn(x, y, E):
-            if x == y:
-                return E
-            return np.zeros((alg.block_dims[x], alg.block_dims[x]))
-
-        return cls.from_block_fn(alg, alg, fn)
+        return cls(alg, alg, identity_channel(alg).tensors)
 
     # -- basic operations --------------------------------------------------
 
@@ -226,22 +223,27 @@ class Channel(LinearMap):
 
 
 def identity_channel(alg: MultiMatrixAlgebra) -> Channel:
-    lm = LinearMap.identity(alg)
-    return Channel(alg, alg, lm.tensors)
+    """The identity channel: one identity Kraus operator per diagonal block."""
+    kraus = [
+        [[np.eye(d)] if x == y else [] for y in range(alg.n_blocks)]
+        for x, d in enumerate(alg.block_dims)
+    ]
+    return from_kraus(alg, alg, kraus)
 
 
 def from_hom(h: HomSpec) -> Channel:
-    """The channel of a standard-form unital *-homomorphism."""
-
-    def fn(x, y, E):
-        src = [
-            np.zeros((d, d), dtype=complex) for d in h.source.block_dims
-        ]
-        src[y] = E
-        return apply_hom(h, AlgebraElement(h.source, tuple(src))).blocks[x]
-
-    lm = LinearMap.from_block_fn(h.source, h.target, fn)
-    return Channel(h.source, h.target, lm.tensors)
+    """The channel of a standard-form unital *-homomorphism. Its Kraus
+    operators are the slot isometries: copy r of source block j fills rows
+    offset + r * n_j onwards of target block i, offset that of j in i."""
+    kraus = [[[] for _ in h.source.block_dims] for _ in h.target.block_dims]
+    for i, m_i in enumerate(h.target.block_dims):
+        for j, offset, _ in h.sub_block_layout(i):
+            n_j = h.source.block_dims[j]
+            kraus[i][j] = [
+                np.eye(m_i, n_j, -(offset + r * n_j))
+                for r in range(h.multiplicities[i][j])
+            ]
+    return from_kraus(h.source, h.target, kraus)
 
 
 def from_kraus(
@@ -340,15 +342,10 @@ def is_ucp(F: LinearMap, tol: Tolerances = DEFAULT_TOL) -> UcpVerdict:
 
 def _map_scale(D: LinearMap) -> float:
     """Largest image norm over matrix units; reference scale for residuals."""
-    worst = 0.0
-    for x in range(D.target.n_blocks):
-        for y in range(D.source.n_blocks):
-            T = D.tensors[x][y]
-            n_y = D.source.block_dims[y]
-            for i in range(n_y):
-                for j in range(n_y):
-                    worst = max(worst, frobenius(T[i, :, j, :]))
-    return max(worst, 1.0)
+    worst = max(
+        float(_sq_frobenius(T.transpose(0, 2, 1, 3)).max()) for row in D.tensors for T in row
+    )
+    return max(float(np.sqrt(worst)), 1.0)
 
 
 def ae_equal(
@@ -416,38 +413,28 @@ def ae_deterministic(
 
     Checked in the support-projection form: F(B1 B2) P = F(B1) F(B2) P over
     all matrix-unit pairs, including cross-block pairs whose product is zero.
+    The first unit of a pair is looped over; the second runs over a whole
+    source block at once, with E_ij E_kl = delta_jk E_il.
     """
     if omega.algebra.block_dims != F.target.block_dims:
         raise ShapeMismatch("state does not live on the map's target algebra")
     P = support(omega, tol).projection
     scale = _map_scale(F)
     worst = 0.0
-    src = F.source
-    units = [
-        (y, i, j)
-        for y, n_y in enumerate(src.block_dims)
-        for i in range(n_y)
-        for j in range(n_y)
-    ]
-    images = {
-        (y, i, j): AlgebraElement(
-            F.target,
-            tuple(F.tensors[x][y][i, :, j, :] for x in range(F.target.n_blocks)),
-        )
-        for (y, i, j) in units
-    }
-    for (y1, i1, j1) in units:
-        for (y2, i2, j2) in units:
-            left = images[(y1, i1, j1)] @ images[(y2, i2, j2)]
-            if y1 == y2 and j1 == i2:
-                diff = images[(y1, i1, j2)] - left
-            else:
-                diff = (-1.0) * left  # cross-block product of units vanishes
-            for x in range(F.target.n_blocks):
-                worst = max(
-                    worst, frobenius(diff.blocks[x] @ P.blocks[x])
-                )
-    return worst <= tol.eps_eq * scale * scale
+    for x, m_x in enumerate(F.target.block_dims):
+        # images[y][i, j] = F_xy(E_ij), and imagesP[y][i, j] = F_xy(E_ij) P
+        images = [T.transpose(0, 2, 1, 3) for T in F.tensors[x]]
+        imagesP = [img @ P.blocks[x] for img in images]
+        for y1, n1 in enumerate(F.source.block_dims):
+            for a, left in enumerate(images[y1].reshape(n1 * n1, m_x, m_x)):
+                i1, j1 = divmod(a, n1)
+                for y2 in range(F.source.n_blocks):
+                    # F(E1) F(E2) P - F(E1 E2) P for every unit E2 of block y2
+                    diff = left @ imagesP[y2]
+                    if y1 == y2:
+                        diff[j1] -= imagesP[y1][i1]
+                    worst = max(worst, float(_sq_frobenius(diff).max()))
+    return bool(np.sqrt(worst) <= tol.eps_eq * scale * scale)
 
 
 @dataclass(frozen=True)
@@ -518,15 +505,13 @@ def stinespring(F: LinearMap, tol: Tolerances = DEFAULT_TOL) -> StinespringData:
                 kraus=tuple(tuple(ops) for ops in kraus_per_y),
             )
         )
-        # reconstruction on source matrix units
+        # reconstruction on all source matrix units: pi(E_ij) = 1_r (x) E_ij in
+        # the slot of block y, so V* pi(E_ij) V = sum_k Vy[k, i]^* Vy[k, j]
+        offset = 0
         for y, n_y in enumerate(F.source.block_dims):
-            for i in range(n_y):
-                for j in range(n_y):
-                    E = np.zeros((n_y, n_y), dtype=complex)
-                    E[i, j] = 1.0
-                    src = [np.zeros((d, d), dtype=complex) for d in F.source.block_dims]
-                    src[y] = E
-                    pi_E = apply_hom(rep, AlgebraElement(F.source, tuple(src))).blocks[0]
-                    recon = dagger(V) @ pi_E @ V
-                    worst = max(worst, frobenius(recon - F.tensors[x][y][i, :, j, :]))
+            Vy = V[offset : offset + ranks[y] * n_y].reshape(ranks[y], n_y, m_x)
+            offset += ranks[y] * n_y
+            recon = np.einsum("kia,kjb->ijab", Vy.conj(), Vy)
+            recon -= F.tensors[x][y].transpose(0, 2, 1, 3)
+            worst = max(worst, float(np.sqrt(_sq_frobenius(recon).max())))
     return StinespringData(factors=tuple(factors), reconstruction_residual=worst)

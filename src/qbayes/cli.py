@@ -11,6 +11,7 @@ alarm, distinct from a mathematical "no").
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -34,11 +35,12 @@ from .generators import (
     random_state,
 )
 from .jsonio import (
-    ALL_ANALYSES,
     PROBLEM_SCHEMA,
     REPORT_SCHEMA,
+    _check_analyses,
     canonical_dumps,
     channel_to_json,
+    hom_to_json,
     loads,
     problem_from_json,
     state_to_json,
@@ -52,21 +54,27 @@ EXIT_INCONSISTENT = 3
 
 
 def _tolerances(args, overrides: dict) -> Tolerances:
-    eps_eq = overrides.get("eps_eq")
-    eps_rank = overrides.get("eps_rank")
-    env_eq = os.environ.get("QBAYES_EPS_EQ")
-    if env_eq is not None and eps_eq is None:
-        eps_eq = float(env_eq)
-    if getattr(args, "eps_eq", None) is not None:
-        eps_eq = args.eps_eq
-    if getattr(args, "eps_rank", None) is not None:
-        eps_rank = args.eps_rank
-    base = Tolerances()
-    return Tolerances(
-        eps_rank=base.eps_rank if eps_rank is None else float(eps_rank),
-        eps_eq=base.eps_eq if eps_eq is None else float(eps_eq),
-        eps_recon=base.eps_recon,
-    )
+    """eps_eq and eps_rank from the flags, else the problem file, else (eps_eq
+    only) QBAYES_EPS_EQ; a value outside (0, 1) raises SchemaError naming it."""
+    values = {}
+    for name, flag, env in (
+        ("eps_eq", "--eps-eq", "QBAYES_EPS_EQ"),
+        ("eps_rank", "--eps-rank", None),
+    ):
+        sources = (
+            (flag, getattr(args, name, None)),
+            (f"problem.tolerances.{name}", overrides.get(name)),
+            (env, os.environ.get(env) if env else None),
+        )
+        for source, raw in sources:
+            if raw is not None:
+                try:
+                    values[name] = float(raw)
+                    Tolerances(**values)
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise SchemaError(f"{source}: {exc}") from exc
+                break
+    return Tolerances(**values)
 
 
 def _run_analyses(problem: dict, tol: Tolerances) -> dict:
@@ -76,8 +84,9 @@ def _run_analyses(problem: dict, tol: Tolerances) -> dict:
     out: dict = {}
     for name in problem["analyses"]:
         if name == "ac":
-            algebraic = ac_condition_algebraic(channel, state, tol)
+            # the two tests share the corner map (an input), not a verdict
             sampled = ac_condition_sampled(channel, state, tol=tol)
+            algebraic = ac_condition_algebraic(channel, state, tol, corner=sampled.corner)
             out["ac"] = {
                 "verdict": bool(algebraic.ok),
                 "max_residual": algebraic.max_residual,
@@ -184,11 +193,7 @@ def cmd_check(args) -> int:
     problem = problem_from_json(data)
     if args.analyses:
         requested = [a.strip() for a in args.analyses.split(",") if a.strip()]
-        for a in requested:
-            if a not in ALL_ANALYSES:
-                raise SchemaError(f"--analyses: unknown analysis '{a}'")
-            if a in ("takesaki", "disintegrate", "condexp") and problem["hom"] is None:
-                raise SchemaError(f"--analyses: '{a}' needs a channel of kind 'hom'")
+        _check_analyses(requested, problem["hom"] is not None, "--analyses")
         problem["analyses"] = requested
     tol = _tolerances(args, problem["tolerances"])
     start = time.perf_counter()
@@ -263,13 +268,15 @@ def cmd_random(args) -> int:
             )
         else:
             state = random_state(rng, h.target)
-        channel_json = hom_problem_channel(h)
+        channel_json = hom_to_json(h)
     elif kind == "kraus":
         from .algebra import MultiMatrixAlgebra
 
         source = MultiMatrixAlgebra(src)
         target = MultiMatrixAlgebra(tgt)
-        F = random_kraus_channel(rng, source, target, n_kraus=2)
+        # enough Kraus operators for sum_k K_k K_k^* to be invertible
+        n_kraus = max(2, math.ceil(max(tgt) / sum(src)))
+        F = random_kraus_channel(rng, source, target, n_kraus=n_kraus)
         state = random_state(rng, target)
         channel_json = channel_to_json(F)
     else:
@@ -288,12 +295,6 @@ def cmd_random(args) -> int:
     else:
         sys.stdout.write(text)
     return EXIT_OK
-
-
-def hom_problem_channel(h) -> dict:
-    data = h.to_dict()
-    data["kind"] = "hom"
-    return data
 
 
 def build_parser() -> argparse.ArgumentParser:

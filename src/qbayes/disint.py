@@ -18,11 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .algebra import (
-    HomSpec,
-    MultiMatrixAlgebra,
-    matrix_units,
-)
+from .algebra import HomSpec, MultiMatrixAlgebra
 from .bayesinv import battery, bayes_inverse
 from .channel import (
     Channel,
@@ -38,6 +34,7 @@ from .errors import InternalInconsistency, InvalidCertificate, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _sq_frobenius,
     frobenius,
     kron,
     partial_trace_left,
@@ -68,10 +65,6 @@ class FactorizationCertificate:
     ok: bool
 
 
-def _weighted_block(omega: State, i: int) -> np.ndarray:
-    return omega.weighted_density(i)
-
-
 def factorize(
     h: HomSpec, omega: State, tol: Tolerances = DEFAULT_TOL
 ) -> FactorizationCertificate:
@@ -91,7 +84,7 @@ def factorize(
     res = {"off_diagonal": 0.0, "reconstruction": 0.0, "trace_sum": 0.0, "mixing": 0.0}
 
     for i, m_i in enumerate(h.target.block_dims):
-        W = _weighted_block(omega, i)
+        W = omega.weighted_density(i)
         layout = h.sub_block_layout(i)
         # cross sub-block mass must vanish
         for a, (ja, oa, sa) in enumerate(layout):
@@ -157,45 +150,30 @@ def build_disintegration(
             f"certificate residuals {cert.residuals} exceed tolerance"
         )
     h = cert.hom if h is None else h
-    omega = cert.omega if omega is None else omega
-    xi = cert.xi
     s = h.target.n_blocks
-    missed = [
-        j
-        for j in range(h.source.n_blocks)
-        if all(h.multiplicities[i][j] == 0 for i in range(s))
+    # tensors[j][i][p, a, q, b] = G_ji(E_pq)_ab
+    tensors = [
+        [np.zeros((m_i, n_j, m_i, n_j), dtype=complex) for m_i in h.target.block_dims]
+        for n_j in h.source.block_dims
     ]
-
-    # effective tau: certificate values, with uniform fill-in where q_j = 0
-    tau_eff: dict[tuple[int, int], np.ndarray] = {}
     for j, n_j in enumerate(h.source.block_dims):
-        if j in missed:
-            continue
         stack = sum(h.multiplicities[i][j] for i in range(s))
-        for i in range(s):
+        for i, m_i in enumerate(h.target.block_dims):
             c = h.multiplicities[i][j]
-            if c == 0:
-                continue
-            if xi.weights[j] > 0.0:
-                tau_eff[(i, j)] = cert.tau[(i, j)]
-            else:
-                tau_eff[(i, j)] = np.eye(c, dtype=complex) / stack
-
-    def fn(j, i, E):
-        n_j = h.source.block_dims[j]
-        m_i = h.target.block_dims[i]
-        if j in missed:
-            return np.trace(E) * np.eye(n_j, dtype=complex) / (s * m_i)
-        c = h.multiplicities[i][j]
-        if c == 0:
-            return np.zeros((n_j, n_j), dtype=complex)
-        offset = next(o for jj, o, _ in h.sub_block_layout(i) if jj == j)
-        size = c * n_j
-        X = E[offset : offset + size, offset : offset + size].reshape(c, n_j, c, n_j)
-        return np.einsum("uw,wsut->st", tau_eff[(i, j)], X)
-
-    lm = LinearMap.from_block_fn(h.target, h.source, fn)
-    return Channel(h.target, h.source, lm.tensors, tol=tol)
+            if stack == 0:
+                # block j is missed by the embedding: E |-> tr(E) 1 / (s m_i)
+                tensors[j][i] = np.einsum("pq,ab->paqb", np.eye(m_i), np.eye(n_j)) / (s * m_i)
+            elif c > 0:
+                # the tau-weighted partial trace E_{(w, a), (u, b)} |-> tau[u, w] E_ab
+                # on the (i, j) sub-block, with a uniform tau where q_j = 0
+                tau = cert.tau[(i, j)] if cert.xi.weights[j] > 0.0 else np.eye(c) / stack
+                offset = next(o for jj, o, _ in h.sub_block_layout(i) if jj == j)
+                size = c * n_j
+                slot = np.einsum("uw,ac,bd->wacubd", tau, np.eye(n_j), np.eye(n_j))
+                tensors[j][i][offset : offset + size, :, offset : offset + size, :] = (
+                    slot.reshape(size, n_j, size, n_j)
+                )
+    return Channel(h.target, h.source, tensors, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -275,7 +253,7 @@ def condexp_characterize(
     lambdas: dict[tuple[int, int], float] = {}
 
     for i in range(h.target.n_blocks):
-        W = _weighted_block(omega, i)
+        W = omega.weighted_density(i)
         layout = h.sub_block_layout(i)
         for a, (ja, oa, sa) in enumerate(layout):
             for b, (jb, ob, sb) in enumerate(layout):
@@ -405,16 +383,26 @@ def takesaki_battery(
     chan = cm.channel
 
     # (a) is the corner map multiplicative (hence a unital *-homomorphism)?
+    # With E_ij E_kl = delta_jk E_il, the first unit of each pair is looped
+    # over and the second runs over a whole corner block at once.
+    # images[x][y][i, j] = chan_xy(E_ij)
+    images = [[T.transpose(0, 2, 1, 3) for T in row] for row in chan.tensors]
+    # the largest ||chan(E_a)|| ||chan(E_b)|| is the largest squared image norm
+    sq_norms = [sum(_sq_frobenius(row[y]) for row in images) for y in range(chan.source.n_blocks)]
+    scale = max(1.0, max(float(q.max()) for q in sq_norms))
     worst = 0.0
-    scale = 1.0
-    units = list(matrix_units(chan.source))
-    images = [chan.apply(E) for E in units]
-    for a, Ea in enumerate(units):
-        for b, Eb in enumerate(units):
-            prod = Ea @ Eb
-            diff = chan.apply(prod) - images[a] @ images[b]
-            worst = max(worst, diff.norm())
-            scale = max(scale, images[a].norm() * images[b].norm())
+    for y1, n1 in enumerate(chan.source.block_dims):
+        for a in range(n1 * n1):
+            i1, j1 = divmod(a, n1)
+            for y2, n2 in enumerate(chan.source.block_dims):
+                # ||chan(E1 E2) - chan(E1) chan(E2)||^2 over every unit E2 of block y2
+                sq = np.zeros((n2, n2))
+                for row in images:
+                    diff = row[y1][i1, j1] @ row[y2]
+                    if y1 == y2:
+                        diff[j1] -= row[y1][i1]
+                    sq += _sq_frobenius(diff)
+                worst = max(worst, float(np.sqrt(sq.max())))
     corner_hom = worst <= tol.eps_eq * scale
 
     # (b) corner intertwining condition

@@ -67,7 +67,10 @@ def random_kraus_channel(
     n_kraus: int = 2,
 ) -> Channel:
     """Haar-ish random UCP channel: Gaussian Kraus grid, renormalized to be
-    unital by conjugating with the inverse square root of the unit image."""
+    unital by conjugating with the inverse square root of the unit image,
+    which is singular unless n_kraus * sum_y n_y >= m_x for every x."""
+    if n_kraus * sum(source.block_dims) < max(target.block_dims):
+        raise ShapeMismatch(f"{n_kraus} Kraus operators per block pair are too few")
     grids = []
     for x, m_x in enumerate(target.block_dims):
         row = []

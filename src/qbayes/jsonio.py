@@ -99,7 +99,8 @@ def state_from_json(data, alg: MultiMatrixAlgebra, field: str) -> State:
 
 
 def hom_to_json(h: HomSpec) -> dict:
-    return h.to_dict()
+    """The channel of kind 'hom' given by a standard-form embedding."""
+    return {**h.to_dict(), "kind": "hom"}
 
 
 def hom_from_json(data, field: str) -> HomSpec:
@@ -180,6 +181,15 @@ def channel_from_json(data, field: str) -> tuple[Channel, Optional[HomSpec]]:
             raise SchemaError(f"{field}: {exc}") from exc
 
 
+def _check_analyses(analyses, has_hom: bool, field: str) -> None:
+    """Every name is a known analysis, and hom-only ones come with a hom."""
+    for a in analyses:
+        if a not in ALL_ANALYSES:
+            raise SchemaError(f"{field}: unknown analysis '{a}'")
+        if a in HOM_ONLY_ANALYSES and not has_hom:
+            raise SchemaError(f"{field}: '{a}' needs a channel of kind 'hom'")
+
+
 def problem_from_json(data) -> dict:
     """Validated problem dict: channel, optional hom, state, analyses, tolerances."""
     if not isinstance(data, dict):
@@ -198,13 +208,7 @@ def problem_from_json(data) -> dict:
             for a in ALL_ANALYSES
             if hom is not None or a not in HOM_ONLY_ANALYSES
         ]
-    for a in analyses:
-        if a not in ALL_ANALYSES:
-            raise SchemaError(f"problem.analyses: unknown analysis '{a}'")
-        if a in HOM_ONLY_ANALYSES and hom is None:
-            raise SchemaError(
-                f"problem.analyses: '{a}' needs a channel of kind 'hom'"
-            )
+    _check_analyses(analyses, hom is not None, "problem.analyses")
     tolerances = data.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise SchemaError("problem.tolerances: expected an object")

@@ -58,6 +58,14 @@ def frobenius(A: np.ndarray) -> float:
     return float(np.linalg.norm(A))
 
 
+def _sq_frobenius(X: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms of the matrices X[..., :, :], summed from the
+    real and imaginary views so that no temporary the size of X is made."""
+    return np.einsum("...ab,...ab->...", X.real, X.real) + np.einsum(
+        "...ab,...ab->...", X.imag, X.imag
+    )
+
+
 def mats_close(A: np.ndarray, B: np.ndarray, eps: float) -> bool:
     """Relative Frobenius equality with an absolute fallback near zero."""
     diff = frobenius(A - B)

@@ -77,16 +77,6 @@ class State:
             return np.zeros((d, d), dtype=complex)
         return self.weights[x] * self.densities[x]
 
-    def to_dict(self) -> dict:
-        from .jsonio import matrix_to_json
-
-        return {
-            "weights": list(self.weights),
-            "densities": [
-                None if rho is None else matrix_to_json(rho) for rho in self.densities
-            ],
-        }
-
 
 def evaluate(omega: State, A: AlgebraElement) -> complex:
     """omega(A) = sum_x p_x tr(rho_x A_x)."""

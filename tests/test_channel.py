@@ -22,7 +22,7 @@ from qbayes.channel import (
     is_ucp,
     stinespring,
 )
-from qbayes.errors import NotCP, NotHermitian
+from qbayes.errors import NotCP, NotHermitian, ShapeMismatch
 from qbayes.generators import (
     inclusion_hom,
     nonsubalgebra_deterministic_instance,
@@ -39,22 +39,59 @@ def random_element(rng, alg):
     return AlgebraElement(alg, tuple(random_complex(rng, d, d) for d in alg.block_dims))
 
 
+def assert_same_map(F, G, atol):
+    assert F.source == G.source and F.target == G.target
+    for row_f, row_g in zip(F.tensors, G.tensors):
+        for T_f, T_g in zip(row_f, row_g):
+            if atol == 0.0:
+                assert np.array_equal(T_f, T_g)
+            else:
+                np.testing.assert_allclose(T_f, T_g, rtol=0.0, atol=atol)
+
+
 def test_identity_channel():
-    alg = MultiMatrixAlgebra((2, 3))
     rng = np.random.default_rng(0)
-    F = identity_channel(alg)
-    A = random_element(rng, alg)
-    assert (F.apply(A) - A).norm() < 1e-14
-    assert is_ucp(F)
+    for dims in ((3,), (2, 3), (2, 3, 1)):
+        alg = MultiMatrixAlgebra(dims)
+        F = identity_channel(alg)
+        A = random_element(rng, alg)
+        assert (F.apply(A) - A).norm() < 1e-14
+        assert is_ucp(F)
+        # reference: the identity evaluated one matrix unit at a time
+        reference = LinearMap.from_block_fn(
+            alg, alg, lambda x, y, E: E if x == y else np.zeros((dims[x], dims[x]))
+        )
+        assert_same_map(LinearMap.identity(alg), reference, atol=1e-12)
+        assert_same_map(F, reference, atol=1e-12)
+
+
+HOMS = {
+    "single-block": inclusion_hom(3, 2),
+    "multi-block": HomSpec(
+        MultiMatrixAlgebra((2, 3)), MultiMatrixAlgebra((7, 4)), ((2, 1), (2, 0))
+    ),
+    "missed-source-block": HomSpec(
+        MultiMatrixAlgebra((2, 3)), MultiMatrixAlgebra((2,)), ((1, 0),)
+    ),
+    "random": random_hom(np.random.default_rng(1), (2, 3), max_mult=2),
+}
 
 
 def test_from_hom_matches_apply_hom():
-    rng = np.random.default_rng(1)
-    h = random_hom(rng, (2, 3), max_mult=2)
-    F = from_hom(h)
-    for E in matrix_units(h.source):
-        assert (F.apply(E) - apply_hom(h, E)).norm() < 1e-13
-    assert is_ucp(F)
+    for h in HOMS.values():
+        F = from_hom(h)
+        for E in matrix_units(h.source):
+            assert (F.apply(E) - apply_hom(h, E)).norm() < 1e-13
+        assert is_ucp(F)
+
+        # the slot-isometry Kraus form is exact: bit-identical to the hom
+        # evaluated on one matrix unit at a time
+        def fn(x, y, E, h=h):
+            src = [np.zeros((d, d), dtype=complex) for d in h.source.block_dims]
+            src[y] = E
+            return apply_hom(h, AlgebraElement(h.source, tuple(src))).blocks[x]
+
+        assert_same_map(F, LinearMap.from_block_fn(h.source, h.target, fn), atol=0.0)
 
 
 def test_from_hom_multiplicity_embedding():
@@ -177,6 +214,15 @@ def test_is_ucp_transpose_witness():
 def test_is_ucp_random_kraus():
     rng = np.random.default_rng(9)
     F = random_kraus_channel(rng, MultiMatrixAlgebra((2, 2)), MultiMatrixAlgebra((3,)), 3)
+    assert is_ucp(F)
+
+
+def test_random_kraus_needs_enough_operators():
+    # sum_k K_k K_k^* has rank at most n_kraus * 3 < 12: it cannot be made unital
+    rng = np.random.default_rng(9)
+    with pytest.raises(ShapeMismatch):
+        random_kraus_channel(rng, MultiMatrixAlgebra((3,)), MultiMatrixAlgebra((12,)), 2)
+    F = random_kraus_channel(rng, MultiMatrixAlgebra((3,)), MultiMatrixAlgebra((12,)), 4)
     assert is_ucp(F)
 
 

@@ -227,6 +227,52 @@ def test_random_check_pipeline(tmp_path, capsys):
     assert json.loads(out)["analyses"]["disintegrate"]["exists"] is True
 
 
+def test_random_kraus_more_outputs_than_operators(tmp_path, capsys):
+    # 3 -> 12 needs four Kraus operators for sum_k K_k K_k^* to be invertible
+    path = tmp_path / "kraus.json"
+    code, _, _ = run_cli(["random", "--dims", "3->12", "--kind", "kraus", "--seed", "1",
+                          "--out", str(path)], capsys)
+    assert code == 0
+    text = path.read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    problem = problem_from_json(loads(text))
+    from qbayes.channel import is_ucp
+
+    assert is_ucp(problem["channel"])
+
+
+@pytest.mark.parametrize(
+    "tolerances, flags, env, code, named",
+    [
+        ({"eps_eq": 5}, [], None, 2, "problem.tolerances.eps_eq"),
+        ({"eps_rank": "abc"}, [], None, 2, "problem.tolerances.eps_rank"),
+        ({"eps_eq": [1e-9]}, [], None, 2, "problem.tolerances.eps_eq"),
+        ({}, ["--eps-eq", "5"], None, 2, "--eps-eq"),
+        ({}, ["--eps-rank", "0"], None, 2, "--eps-rank"),
+        ({}, [], "abc", 2, "QBAYES_EPS_EQ"),
+        ({}, [], "5", 2, "QBAYES_EPS_EQ"),
+        ({"eps_eq": 5}, ["--eps-eq", "1e-9"], None, 0, None),
+        ({"eps_eq": 1e-9}, [], "abc", 0, None),
+    ],
+)
+def test_tolerances_fail_closed(
+    tmp_path, capsys, monkeypatch, tolerances, flags, env, code, named
+):
+    # the flag wins over the problem file, which wins over QBAYES_EPS_EQ
+    data = json.loads((FIXTURES / "product.json").read_text())
+    data["tolerances"] = tolerances
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    if env is None:
+        monkeypatch.delenv("QBAYES_EPS_EQ", raising=False)
+    else:
+        monkeypatch.setenv("QBAYES_EPS_EQ", env)
+    got, _, err = run_cli(["check", str(path), "--analyses", "ac"] + flags, capsys)
+    assert got == code
+    if named is not None:
+        assert err.startswith(f"error: {named}: ")
+
+
 def test_eps_env_override(capsys, monkeypatch):
     monkeypatch.setenv("QBAYES_EPS_EQ", "1e-6")
     code, out, _ = run_cli(["check", str(FIXTURES / "product.json"),

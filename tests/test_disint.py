@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qbayes.algebra import HomSpec, MultiMatrixAlgebra, matrix_units, unit
-from qbayes.channel import compose, from_hom, identity_channel, is_ucp
+from qbayes.channel import LinearMap, compose, from_hom, identity_channel, is_ucp
 from qbayes.disint import (
     bayes_disint_bridge,
     build_disintegration,
@@ -13,8 +13,10 @@ from qbayes.disint import (
     verify_disintegration,
 )
 from qbayes.errors import InvalidCertificate
+from qbayes.modular import corner_map
 from qbayes.generators import (
     epr_instance,
+    inclusion_hom,
     nonproduct_faithful_instance,
     nonsubalgebra_deterministic_instance,
     product_instance,
@@ -76,6 +78,62 @@ def test_build_disintegration_product_is_weighted_partial_trace():
     report = verify_disintegration(from_hom(h), G, omega)
     assert report.ok
     assert report.exact_left_inverse
+
+
+def _zero_weight_column_instance():
+    h = HomSpec(MultiMatrixAlgebra((2, 1)), MultiMatrixAlgebra((3,)), ((1, 1),))
+    rho = np.zeros((3, 3), dtype=complex)
+    rho[:2, :2] = np.diag([0.6, 0.4])
+    return h, State(h.target, (1.0,), (rho,))
+
+
+def _seeded(h, seed, **ranks):
+    return lambda: (h, product_state_for_hom(np.random.default_rng(seed), h, **ranks))
+
+
+DISINT_CASES = {
+    "single-block": product_instance,
+    "multi-block": _seeded(
+        HomSpec(MultiMatrixAlgebra((2, 1)), MultiMatrixAlgebra((5, 2)), ((2, 1), (1, 0))), 30
+    ),
+    "rank-deficient": _seeded(
+        inclusion_hom(3, 2), 31, tau_ranks={(0, 0): 2}, sigma_ranks=[1]
+    ),
+    "zero-weight": _zero_weight_column_instance,
+    "missed-source-block": _seeded(
+        HomSpec(MultiMatrixAlgebra((2, 3)), MultiMatrixAlgebra((2,)), ((1, 0),)), 6
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DISINT_CASES.values(), ids=DISINT_CASES.keys())
+def test_build_disintegration_matches_unit_reference(case):
+    h, omega = case()
+    cert = factorize(h, omega)
+    assert cert.ok
+    s = h.target.n_blocks
+
+    # reference: the recovery evaluated on one target matrix unit at a time
+    def fn(j, i, E):
+        n_j = h.source.block_dims[j]
+        stack = sum(h.multiplicities[k][j] for k in range(s))
+        if stack == 0:
+            return np.trace(E) * np.eye(n_j) / (s * h.target.block_dims[i])
+        c = h.multiplicities[i][j]
+        if c == 0:
+            return np.zeros((n_j, n_j))
+        tau = cert.tau[(i, j)] if cert.xi.weights[j] > 0.0 else np.eye(c) / stack
+        offset = next(o for jj, o, _ in h.sub_block_layout(i) if jj == j)
+        size = c * n_j
+        X = E[offset : offset + size, offset : offset + size].reshape(c, n_j, c, n_j)
+        return np.einsum("uw,wsut->st", tau, X)
+
+    reference = LinearMap.from_block_fn(h.target, h.source, fn)
+    G = build_disintegration(cert)
+    for row, row_ref in zip(G.tensors, reference.tensors):
+        for T, T_ref in zip(row, row_ref):
+            np.testing.assert_allclose(T, T_ref, rtol=0.0, atol=1e-12)
+    assert verify_disintegration(from_hom(h), G, omega).ok
 
 
 def test_build_rejects_invalid_certificate():
@@ -244,6 +302,18 @@ def test_takesaki_multiblock_randomized():
         )
         rep = takesaki_battery(h, omega)  # raises on any equivalence violation
         assert rep.corner_disintegration == rep.full_disintegration
+
+        # reference for test (a): chan(E_a E_b) - chan(E_a) chan(E_b) over
+        # every pair of corner matrix units, one pair at a time
+        chan = corner_map(from_hom(h), omega).channel
+        units = list(matrix_units(chan.source))
+        images = [chan.apply(E) for E in units]
+        worst = max(
+            (chan.apply(Ea @ Eb) - images[a] @ images[b]).norm()
+            for a, Ea in enumerate(units)
+            for b, Eb in enumerate(units)
+        )
+        assert abs(rep.corner_hom_residual - worst) <= 1e-12
 
 
 def test_bridge_fixtures():

@@ -1,25 +1,29 @@
 import numpy as np
+import pytest
 
-from qbayes.algebra import AlgebraElement, MultiMatrixAlgebra, matrix_units
-from qbayes.channel import from_hom, is_ucp
+from qbayes.algebra import AlgebraElement, HomSpec, MultiMatrixAlgebra, matrix_units
+from qbayes.channel import LinearMap, from_hom, is_ucp
 from qbayes.errors import InternalInconsistency
 from qbayes.generators import (
     epr_instance,
+    inclusion_hom,
     nonproduct_faithful_instance,
     product_instance,
+    product_state_for_hom,
     random_complex,
     random_kraus_channel,
     random_state,
     rankdef_product_instance,
 )
 from qbayes.modular import (
+    DEFAULT_T_SAMPLES,
     ac_condition_algebraic,
     ac_condition_sampled,
     corner_map,
     modular_at,
     modular_flow,
 )
-from qbayes.state import State, evaluate
+from qbayes.state import State, evaluate, pullback, support
 
 
 def random_element(rng, alg):
@@ -88,6 +92,91 @@ def test_corner_map_faithful_is_the_channel_itself():
     cm = corner_map(F, omega)
     assert cm.channel.close_to(F, 1e-10)
     assert cm.square_residual < 1e-10
+
+
+def _multiblock_instance(zero_blocks=()):
+    rng = np.random.default_rng(20)
+    h = HomSpec(MultiMatrixAlgebra((2, 1)), MultiMatrixAlgebra((3, 2)), ((1, 1), (1, 0)))
+    return from_hom(h), random_state(rng, h.target, zero_blocks=zero_blocks)
+
+
+def _rankdef_source_instance():
+    # the pulled-back state has rank 1: both corner isometries are complex
+    h = inclusion_hom(2, 3)
+    return from_hom(h), product_state_for_hom(np.random.default_rng(22), h, sigma_ranks=[1])
+
+
+def _rankdef_kraus_instance():
+    rng = np.random.default_rng(21)
+    F = random_kraus_channel(rng, MultiMatrixAlgebra((2, 2)), MultiMatrixAlgebra((4, 3)), 2)
+    return F, random_state(rng, F.target, ranks=(2, 1))
+
+
+def _hom_instance(named):
+    h, omega = named()
+    return from_hom(h), omega
+
+
+CORNER_CASES = {
+    "single-block": lambda: _hom_instance(nonproduct_faithful_instance),
+    "multi-block": _multiblock_instance,
+    "rank-deficient": _rankdef_kraus_instance,
+    "rank-deficient-hom": lambda: _hom_instance(epr_instance),
+    "rank-deficient-source": _rankdef_source_instance,
+    "zero-weight": lambda: _multiblock_instance(zero_blocks=(1,)),
+}
+
+
+@pytest.mark.parametrize("case", CORNER_CASES.values(), ids=CORNER_CASES.keys())
+def test_corner_map_matches_unit_reference(case):
+    F, omega = case()
+    sup_o = support(omega)
+    sup_x = support(pullback(omega, F))
+
+    # reference: compress o F o lift evaluated on one corner matrix unit at a time
+    def fn(xc, yc, E):
+        src = [np.zeros((d, d), dtype=complex) for d in sup_x.corner_algebra.block_dims]
+        src[yc] = E
+        lifted = sup_x.lift(AlgebraElement(sup_x.corner_algebra, tuple(src)))
+        return sup_o.compress(F.apply(lifted)).blocks[xc]
+
+    reference = LinearMap.from_block_fn(sup_x.corner_algebra, sup_o.corner_algebra, fn)
+    chan = corner_map(F, omega).channel
+    assert chan.source == reference.source and chan.target == reference.target
+    for row, row_ref in zip(chan.tensors, reference.tensors):
+        for T, T_ref in zip(row, row_ref):
+            np.testing.assert_allclose(T, T_ref, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", CORNER_CASES.values(), ids=CORNER_CASES.keys())
+def test_ac_residuals_match_unit_loops(case):
+    F, omega = case()
+    algebraic = ac_condition_algebraic(F, omega)
+    chan = algebraic.corner.channel
+    rho = algebraic.corner.omega_restricted.densities
+    sig = algebraic.corner.xi_restricted.densities
+    worst = 0.0
+    for y, n_y in enumerate(chan.source.block_dims):
+        for i in range(n_y):
+            for j in range(n_y):
+                E = np.zeros((n_y, n_y))
+                E[i, j] = 1.0
+                for x in range(chan.target.n_blocks):
+                    T = chan.tensors[x][y]
+                    lhs = np.einsum("iajb,ij->ab", T, sig[y] @ E) @ rho[x]
+                    rhs = rho[x] @ np.einsum("iajb,ij->ab", T, E @ sig[y])
+                    worst = max(worst, np.linalg.norm(lhs - rhs))
+    assert abs(algebraic.max_residual - worst) <= 1e-12
+
+    sampled = ac_condition_sampled(F, omega)
+    flow_o = modular_flow(algebraic.corner.omega_restricted)
+    flow_x = modular_flow(algebraic.corner.xi_restricted)
+    worst = max(
+        (chan.apply(modular_at(flow_x, t, E)) - modular_at(flow_o, t, chan.apply(E))).norm()
+        for t in DEFAULT_T_SAMPLES
+        for E in matrix_units(chan.source)
+    )
+    assert abs(sampled.max_residual - worst) <= 1e-12
 
 
 def test_corner_map_epr_compresses_to_scalar():
