@@ -27,6 +27,7 @@ from .linalg import (
     _sq_frobenius,
     dagger,
     frobenius,
+    hermitian_floor,
     matrix_sqrt,
     partial_trace_left,
     pseudoinverse,
@@ -97,6 +98,27 @@ def _pair_data(F: LinearMap, omega: State, xi: State, tol: Tolerances) -> list[P
     return out
 
 
+def _adjoint_on_units(T: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Y[i, j] = F*(left E_ij right) for every target unit E_ij, shape (m, m, n, n).
+
+    F*(X)_kl = sum_ab conj(T[k, a, l, b]) X_ab with X_ab = left[a, i] right[j, b],
+    contracted over a, then over b: two matrix products on the stored tensor.
+    """
+    n, m = T.shape[:2]
+    Y = np.matmul(left.T, T.conj().reshape(n, m, n * m))  # [k, i, (l, b)]
+    Y = Y.reshape(n * m * n, m) @ right.T                   # [(k, i, l), j]
+    return Y.reshape(n, m, n, m).transpose(1, 3, 0, 2)
+
+
+def _sandwich(L: np.ndarray, X: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """L @ X[i, j] @ R for every i, j of an (m, m, n, n) stack, as two products
+    over the whole stack."""
+    m, _, n, _ = X.shape
+    Y = (X.reshape(m * m * n, n) @ R).reshape(m * m, n, n)        # [(i, j), k, v]
+    Y = Y.transpose(0, 2, 1).reshape(m * m * n, n) @ L.T           # [(i, j, v), u]
+    return Y.reshape(m, m, n, n).transpose(0, 1, 3, 2)
+
+
 @dataclass(frozen=True)
 class BayesAnalysis:
     """Battery outcome for one (channel, state) instance."""
@@ -157,8 +179,8 @@ def battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> BayesA
             res["choi_hermitian"], frobenius(A_mat - dagger(A_mat))
         )
         # (iv) P F*(rho A) sigma = sigma F*(A rho) P on target units A
-        lhs4 = np.einsum("uk,ijkl,lv->ijuv", pd.P_xi, pd.rawL, pd.sig_w)
-        rhs4 = np.einsum("uk,ijkl,lv->ijuv", pd.sig_w, pd.rawR, pd.P_xi)
+        lhs4 = _sandwich(pd.P_xi, pd.rawL, pd.sig_w)
+        rhs4 = _sandwich(pd.sig_w, pd.rawR, pd.P_xi)
         res["adjoint_sandwich_symmetry"] = max(
             res["adjoint_sandwich_symmetry"],
             float(np.abs(lhs4 - rhs4).max(initial=0.0)),
@@ -184,19 +206,14 @@ def battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> BayesA
         # (vi) part 1: forced rows vanish against the omega co-support,
         # shat_w F*(rho_w E_ij P_om-perp) P_xi = 0
         Pop = np.eye(m) - pd.P_om
-        V6 = np.einsum(
-            "kalb,ai,jb,uk,lv->ijuv",
-            np.conj(pd.T), pd.rho_w, Pop, pd.shat_w, pd.P_xi,
-        )
+        V6 = _sandwich(pd.shat_w, _adjoint_on_units(pd.T, pd.rho_w, Pop), pd.P_xi)
         res["off_support_vanishing"] = max(
             res["off_support_vanishing"], float(np.abs(V6).max(initial=0.0))
         )
         # (vii) complete positivity of Ad_P o G^R
-        C = KR.transpose(0, 2, 1, 3).reshape(m * n, m * n)
-        herm_defect = frobenius(C - dagger(C))
-        w = np.linalg.eigvalsh((C + dagger(C)) / 2)
-        cp_lam_max = max(cp_lam_max, float(np.abs(w).max(initial=0.0)))
-        cp_min_eig = min(cp_min_eig, float(w.min(initial=0.0)) - herm_defect)
+        low, radius = hermitian_floor(KR.transpose(0, 2, 1, 3).reshape(m * n, m * n))
+        cp_lam_max = max(cp_lam_max, radius)
+        cp_min_eig = float(np.minimum(cp_min_eig, low))  # a NaN block stays NaN
         # forced rows off the xi support, for the existence stage
         Pxp = np.eye(n) - pd.P_xi
         BB = np.einsum("ijkl,lu->ijku", pd.GL, Pxp)
@@ -246,8 +263,8 @@ def battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> BayesA
                 row_s.append(KL.transpose(0, 2, 1, 3))
                 sq_rho = matrix_sqrt(pd.rho_w, tol)
                 sq_shat = matrix_sqrt(pd.shat_w, tol)
-                raw = np.einsum("kalb,ai,jb->ijkl", np.conj(pd.T), sq_rho, sq_rho)
-                petz = np.einsum("uk,ijkl,lv->ijuv", sq_shat, raw, sq_shat)
+                raw = _adjoint_on_units(pd.T, sq_rho, sq_rho)
+                petz = _sandwich(sq_shat, raw, sq_shat)
                 row_p.append(petz.transpose(0, 2, 1, 3))
             tensors_s.append(row_s)
             tensors_p.append(row_p)

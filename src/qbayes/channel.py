@@ -44,8 +44,16 @@ from .linalg import (
     dagger,
     frobenius,
     hermitian_eigen,
+    hermitian_floor,
+    hermitian_split,
 )
 from .state import State, in_nullspace, support
+
+
+def _unit_rows(T: np.ndarray) -> np.ndarray:
+    """The (n, m, n, m) tensor as an (n^2, m^2) matrix, unit (i, j) per row."""
+    n, m = T.shape[:2]
+    return T.transpose(0, 2, 1, 3).reshape(n * n, m * m)
 
 
 class LinearMap:
@@ -123,15 +131,17 @@ class LinearMap:
         for x in range(self.target.n_blocks):
             row = []
             for z in range(other.source.n_blocks):
-                acc = None
-                for y in range(self.source.n_blocks):
-                    term = np.einsum(
-                        "kjlc,jacb->kalb", other.tensors[y][z], self.tensors[x][y]
-                    )
-                    acc = term if acc is None else acc + term
-                row.append(acc)
+                # out[(k, l), (a, b)] = sum_y other_yz[(k, l), (j, c)] self_xy[(j, c), (a, b)],
+                # one gemm per intermediate block y
+                out = _unit_rows(other.tensors[0][z]) @ _unit_rows(self.tensors[x][0])
+                for y in range(1, self.source.n_blocks):
+                    out += _unit_rows(other.tensors[y][z]) @ _unit_rows(self.tensors[x][y])
+                n = other.source.block_dims[z]
+                m = self.target.block_dims[x]
+                out = out.reshape(n, n, m, m).transpose(0, 2, 1, 3)
+                row.append(np.ascontiguousarray(out))
             tensors.append(row)
-        return type(self)(other.source, self.target, tensors)
+        return LinearMap(other.source, self.target, tensors)
 
     def hs_adjoint(self) -> "LinearMap":
         """Adjoint for the Hilbert-Schmidt / trace pairing.
@@ -168,12 +178,12 @@ class LinearMap:
         return self.tensors[x][y].reshape(n_y * m_x, n_y * m_x)
 
     def choi_hermiticity_defect(self) -> float:
-        worst = 0.0
-        for x in range(self.target.n_blocks):
-            for y in range(self.source.n_blocks):
-                C = self.choi_block(x, y)
-                worst = max(worst, frobenius(C - dagger(C)))
-        return worst
+        """Largest ||C - C*||_F over the Choi blocks; NaN if any block holds a NaN."""
+        return float(np.max([
+            hermitian_split(self.choi_block(x, y))[1]
+            for x in range(self.target.n_blocks)
+            for y in range(self.source.n_blocks)
+        ]))
 
     def close_to(self, other: "LinearMap", eps: float) -> bool:
         if (
@@ -216,9 +226,12 @@ class Channel(LinearMap):
             ),
             default=1.0,
         )
-        if defect > tol.eps_eq * max(scale, 1.0):
+        thr = tol.eps_eq * max(scale, 1.0)
+        # written so that a NaN or infinite entry fails
+        if not (defect <= thr < np.inf):
             raise NotHermitian(
-                f"Choi blocks deviate from Hermitian by {defect:.3e}"
+                f"Choi blocks deviate from Hermitian by {defect:.3e} "
+                f"(threshold {thr:.3e})"
             )
 
 
@@ -306,19 +319,16 @@ class UcpVerdict:
 
 def is_ucp(F: LinearMap, tol: Tolerances = DEFAULT_TOL) -> UcpVerdict:
     """Complete positivity (all Choi blocks PSD) plus unitality."""
-    min_eig = np.inf
-    witness = None
+    blocks = [(x, y) for x in range(F.target.n_blocks) for y in range(F.source.n_blocks)]
+    lows = np.empty(len(blocks))
     lam_max = 0.0
-    for x in range(F.target.n_blocks):
-        for y in range(F.source.n_blocks):
-            C = F.choi_block(x, y)
-            herm_defect = frobenius(C - dagger(C))
-            w = np.linalg.eigvalsh((C + dagger(C)) / 2)
-            lam_max = max(lam_max, float(np.abs(w).max(initial=0.0)))
-            low = float(w.min(initial=0.0)) - herm_defect
-            if low < min_eig:
-                min_eig = low
-                witness = (x, y)
+    for k, (x, y) in enumerate(blocks):
+        lows[k], radius = hermitian_floor(F.choi_block(x, y))
+        lam_max = max(lam_max, radius)
+    # argmin picks the first NaN if there is one, and then cp_ok is False
+    k = int(np.argmin(lows))
+    min_eig = float(lows[k])
+    witness = blocks[k]
     cp_ok = min_eig >= -tol.eps_rank * max(lam_max, ABS_FLOOR) - ABS_FLOOR
 
     unital_res = 0.0

@@ -135,7 +135,6 @@ def factorize(
 def build_disintegration(
     cert: FactorizationCertificate,
     h: Optional[HomSpec] = None,
-    omega: Optional[State] = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> Channel:
     """Recovery channel from a valid certificate.

@@ -10,12 +10,14 @@ newline.
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional
 
 import numpy as np
 
 from .algebra import HomSpec, MultiMatrixAlgebra
-from .channel import Channel, from_hom, from_kraus
+from .channel import Channel, from_hom, from_kraus, is_ucp
 from .errors import ParseError, SchemaError
 from .state import State
 
@@ -49,7 +51,18 @@ def matrix_from_json(data, rows: int, cols: int, field: str) -> np.ndarray:
     for idx, pair in enumerate(data):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise SchemaError(f"{field}[{idx}]: expected an [re, im] pair")
-        out[idx] = float(pair[0]) + 1j * float(pair[1])
+        re, im = pair
+        # JSON numbers parse to int or float; bool, str and the rest are refused
+        if type(re) not in (int, float) or type(im) not in (int, float):
+            raise SchemaError(f"{field}[{idx}]: expected two numbers, got {pair!r}")
+        try:
+            out[idx] = float(re) + 1j * float(im)
+        except OverflowError:
+            raise SchemaError(f"{field}[{idx}]: entry {pair!r} is not finite") from None
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        idx = int(bad[0])
+        raise SchemaError(f"{field}[{idx}]: entry {data[idx]!r} is not finite")
     return out.reshape(rows, cols)
 
 
@@ -131,7 +144,8 @@ def channel_from_json(data, field: str) -> tuple[Channel, Optional[HomSpec]]:
     """Parse a channel in hom, Choi, or Kraus form.
 
     Returns the channel together with the HomSpec when the input carried
-    one (embedding-only analyses need it).
+    one (embedding-only analyses need it). Choi and Kraus inputs must be
+    UCP; a hom is UCP by construction.
     """
     kind = _require(data, "kind", field)
     if kind not in ("hom", "choi", "kraus"):
@@ -159,7 +173,7 @@ def channel_from_json(data, field: str) -> tuple[Channel, Optional[HomSpec]]:
                 row.append(C.reshape(n_y, m_x, n_y, m_x))
             tensors.append(row)
         try:
-            return Channel(source, target, tensors), None
+            channel = Channel(source, target, tensors)
         except Exception as exc:
             raise SchemaError(f"{field}: {exc}") from exc
     else:
@@ -176,9 +190,17 @@ def channel_from_json(data, field: str) -> tuple[Channel, Optional[HomSpec]]:
                 )
             grid.append(row)
         try:
-            return from_kraus(source, target, grid), None
+            channel = from_kraus(source, target, grid)
         except Exception as exc:
             raise SchemaError(f"{field}: {exc}") from exc
+    verdict = is_ucp(channel)
+    if not verdict:
+        raise SchemaError(
+            f"{field}: channel is not UCP: min Choi eigenvalue "
+            f"{verdict.min_choi_eigenvalue:.3e} in block {verdict.witness_block}, "
+            f"unitality residual {verdict.unitality_residual:.3e}"
+        )
+    return channel, None
 
 
 def _check_analyses(analyses, has_hom: bool, field: str) -> None:
@@ -229,4 +251,97 @@ def loads(text: str):
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(obj, indent=2, sort_keys=True) + "\n"`, byte for byte.
+
+    With an indent, the json module falls back to its pure-Python encoder,
+    which makes one string per token; this emitter writes each matrix (a
+    list of [re, im] float pairs) with one string format per entry instead.
+    """
+    out: list[str] = []
+    _emit(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _float_str(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_str(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_str(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _pair_rows(items: list, nl: str) -> Optional[str]:
+    """The body of a list of [re, im] float pairs, entries one level below
+    `nl`; None when some entry is not such a pair or not finite."""
+    inner = nl + "  "
+    row = f"[{inner}  %s,{inner}  %s{inner}]"
+    fmt = float.__repr__
+    try:
+        body = f",{inner}".join([row % (fmt(re), fmt(im)) for re, im in items])
+    except (TypeError, ValueError):
+        return None
+    # a finite float's repr has no "n"; nan and inf take the general path
+    return None if "n" in body else body
+
+
+def _emit(obj, nl: str, out: list) -> None:
+    """Append obj's indented JSON to out; nl is a newline plus its indent."""
+    if isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_str(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        body = _pair_rows(obj, nl) if isinstance(obj[0], list) else None
+        if body is not None:
+            out.append(f"[{inner}{body}{nl}]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _emit(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(f"{sep}{_encode_str(_key_str(key))}: ")
+            _emit(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

@@ -11,6 +11,7 @@ is the multiplicity factor, kron(A, B)[(i, k), (j, l)] = A[i, j] * B[k, l].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -73,9 +74,26 @@ def mats_close(A: np.ndarray, B: np.ndarray, eps: float) -> bool:
     return diff <= eps * scale or diff <= ABS_FLOOR
 
 
-def rel_residual(A: np.ndarray, B: np.ndarray) -> float:
-    """Frobenius distance of A and B relative to max(norms, 1)."""
-    return frobenius(A - B) / max(frobenius(A), frobenius(B), 1.0)
+def hermitian_split(C: np.ndarray) -> tuple[np.ndarray, float]:
+    """The Hermitian part (C + C*)/2 and the defect ||C - C*||_F, built in one
+    temporary the size of C. The defect is NaN when C holds a NaN."""
+    D = C.conj().T
+    D -= C
+    defect = frobenius(D)
+    D *= 0.5
+    D += C
+    return D, defect
+
+
+def hermitian_floor(C: np.ndarray) -> tuple[float, float]:
+    """(low, radius): the least eigenvalue of the Hermitian part of C (at most
+    0) less the Hermiticity defect, and the largest |eigenvalue|. Both are NaN
+    when C is not finite, so that a PSD test against them fails."""
+    H, defect = hermitian_split(C)
+    if not math.isfinite(defect):
+        return np.nan, np.nan
+    w = np.linalg.eigvalsh(H)
+    return float(w.min(initial=0.0)) - defect, float(np.abs(w).max(initial=0.0))
 
 
 def is_hermitian(M: np.ndarray, eps: float) -> bool:

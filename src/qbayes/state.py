@@ -263,16 +263,6 @@ def pullback(omega: State, F, tol: Tolerances = DEFAULT_TOL) -> State:
     return State(src, tuple(weights), tuple(densities))
 
 
-def states_close(a: State, b: State, eps: float) -> bool:
-    """Equality of states as functionals, via weighted densities."""
-    if a.algebra.block_dims != b.algebra.block_dims:
-        return False
-    return all(
-        frobenius(a.weighted_density(x) - b.weighted_density(x)) <= eps
-        for x in range(a.algebra.n_blocks)
-    )
-
-
 def state_from_weighted(
     alg: MultiMatrixAlgebra,
     weighted: Sequence[np.ndarray],

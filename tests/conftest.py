@@ -1,6 +1,18 @@
 import pathlib
 
+import numpy as np
 import pytest
+
+from qbayes.algebra import HomSpec, MultiMatrixAlgebra
+from qbayes.channel import from_hom
+from qbayes.generators import (
+    epr_instance,
+    inclusion_hom,
+    nonproduct_faithful_instance,
+    product_state_for_hom,
+    random_kraus_channel,
+    random_state,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -12,3 +24,38 @@ def fixtures_dir() -> pathlib.Path:
 
 def fixture_path(name: str) -> pathlib.Path:
     return FIXTURES / name
+
+
+def _multiblock_instance(zero_blocks=()):
+    rng = np.random.default_rng(20)
+    h = HomSpec(MultiMatrixAlgebra((2, 1)), MultiMatrixAlgebra((3, 2)), ((1, 1), (1, 0)))
+    return from_hom(h), random_state(rng, h.target, zero_blocks=zero_blocks)
+
+
+def _rankdef_source_instance():
+    # the pulled-back state has rank 1: both corner isometries are complex
+    h = inclusion_hom(2, 3)
+    return from_hom(h), product_state_for_hom(np.random.default_rng(22), h, sigma_ranks=[1])
+
+
+def _rankdef_kraus_instance():
+    rng = np.random.default_rng(21)
+    F = random_kraus_channel(rng, MultiMatrixAlgebra((2, 2)), MultiMatrixAlgebra((4, 3)), 2)
+    return F, random_state(rng, F.target, ranks=(2, 1))
+
+
+def _hom_instance(named):
+    h, omega = named()
+    return from_hom(h), omega
+
+
+# (channel, state) builders covering the shapes that array kernels must get
+# right: one block, several blocks, rank-deficient states and zero weights
+INSTANCE_CASES = {
+    "single-block": lambda: _hom_instance(nonproduct_faithful_instance),
+    "multi-block": _multiblock_instance,
+    "rank-deficient": _rankdef_kraus_instance,
+    "rank-deficient-hom": lambda: _hom_instance(epr_instance),
+    "rank-deficient-source": _rankdef_source_instance,
+    "zero-weight": lambda: _multiblock_instance(zero_blocks=(1,)),
+}

@@ -3,6 +3,9 @@ import pytest
 
 from qbayes.algebra import MultiMatrixAlgebra, matrix_units
 from qbayes.bayesinv import (
+    _adjoint_on_units,
+    _pair_data,
+    _sandwich,
     battery,
     bayes_inverse,
     compositionality_check,
@@ -33,10 +36,17 @@ from qbayes.generators import (
     rankdef_product_instance,
 )
 from qbayes.jsonio import loads, problem_from_json
-from qbayes.linalg import dagger, frobenius, kron, partial_trace_right
+from qbayes.linalg import (
+    DEFAULT_TOL,
+    dagger,
+    frobenius,
+    kron,
+    matrix_sqrt,
+    partial_trace_right,
+)
 from qbayes.state import State, evaluate, pullback
 
-from conftest import fixture_path
+from conftest import INSTANCE_CASES, fixture_path
 
 
 def pinned_counterexample():
@@ -315,3 +325,33 @@ def test_seven_way_agreement_randomized_ensemble():
             inconsistencies += 1
     assert inconsistencies == 0
     assert passes >= 20  # the constructed instances all pass
+
+
+@pytest.mark.parametrize("case", INSTANCE_CASES.values(), ids=INSTANCE_CASES.keys())
+def test_battery_contractions_match_einsum(case):
+    # the battery's products against the einsum strings they replace
+    F, omega = case()
+    xi = pullback(omega, F)
+    for pd in _pair_data(F, omega, xi, DEFAULT_TOL):
+        Tc = np.conj(pd.T)
+        Pop = np.eye(pd.rho_w.shape[0]) - pd.P_om
+        got = {
+            "V6": _sandwich(pd.shat_w, _adjoint_on_units(pd.T, pd.rho_w, Pop), pd.P_xi),
+            "lhs4": _sandwich(pd.P_xi, pd.rawL, pd.sig_w),
+            "rhs4": _sandwich(pd.sig_w, pd.rawR, pd.P_xi),
+        }
+        want = {
+            "V6": np.einsum(
+                "kalb,ai,jb,uk,lv->ijuv", Tc, pd.rho_w, Pop, pd.shat_w, pd.P_xi
+            ),
+            "lhs4": np.einsum("uk,ijkl,lv->ijuv", pd.P_xi, pd.rawL, pd.sig_w),
+            "rhs4": np.einsum("uk,ijkl,lv->ijuv", pd.sig_w, pd.rawR, pd.P_xi),
+        }
+        sq_rho = matrix_sqrt(pd.rho_w)
+        sq_shat = matrix_sqrt(pd.shat_w)
+        got["raw"] = _adjoint_on_units(pd.T, sq_rho, sq_rho)
+        got["petz"] = _sandwich(sq_shat, got["raw"], sq_shat)
+        want["raw"] = np.einsum("kalb,ai,jb->ijkl", Tc, sq_rho, sq_rho)
+        want["petz"] = np.einsum("uk,ijkl,lv->ijuv", sq_shat, want["raw"], sq_shat)
+        for name, value in got.items():
+            np.testing.assert_allclose(value, want[name], rtol=0.0, atol=1e-12, err_msg=name)

@@ -23,6 +23,8 @@ from qbayes.channel import (
     stinespring,
 )
 from qbayes.errors import NotCP, NotHermitian, ShapeMismatch
+
+from conftest import INSTANCE_CASES
 from qbayes.generators import (
     inclusion_hom,
     nonsubalgebra_deterministic_instance,
@@ -328,3 +330,42 @@ def test_stinespring_rejects_non_cp():
     F = Channel(alg, alg, lm.tensors)
     with pytest.raises(NotCP):
         stinespring(F)
+
+
+def _compose_by_einsum(F, G):
+    """F o G by the per-block einsum string that compose replaced."""
+    return [
+        [
+            sum(
+                np.einsum("kjlc,jacb->kalb", G.tensors[y][z], F.tensors[x][y])
+                for y in range(F.source.n_blocks)
+            )
+            for z in range(G.source.n_blocks)
+        ]
+        for x in range(F.target.n_blocks)
+    ]
+
+
+@pytest.mark.parametrize("case", INSTANCE_CASES.values(), ids=INSTANCE_CASES.keys())
+def test_compose_matches_einsum(case):
+    F, _ = case()
+    Fs = hs_adjoint(F)
+    for outer, inner in ((F, Fs), (Fs, F)):
+        comp = compose(outer, inner)
+        want = _compose_by_einsum(outer, inner)
+        for row, row_ref in zip(comp.tensors, want):
+            for T, T_ref in zip(row, row_ref):
+                np.testing.assert_allclose(T, T_ref, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_maps_fail_closed(bad):
+    F = from_hom(inclusion_hom(2, 2))
+    T = F.tensors[0][0].copy()
+    T[0, 1, 1, 0] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(NotHermitian):
+        Channel(F.source, F.target, [[T]])
+    with np.errstate(invalid="ignore"):
+        verdict = is_ucp(LinearMap(F.source, F.target, [[np.full_like(T, bad)]]))
+    assert not verdict.ok and not verdict.cp_ok
+    assert verdict.witness_block == (0, 0)

@@ -273,6 +273,75 @@ def test_tolerances_fail_closed(
         assert err.startswith(f"error: {named}: ")
 
 
+def _scaled_choi(factor):
+    def edit(data):
+        blocks = data["channel"]["blocks"]
+        data["channel"]["blocks"] = [
+            [[[factor * re, factor * im] for re, im in C] for C in row] for row in blocks
+        ]
+    return edit
+
+
+def _kraus_identity(scale):
+    # the identity channel on the problem's target algebra, Kraus operators
+    # scaled; the file's hom-only analyses go with the hom
+    def edit(data):
+        data.pop("analyses", None)
+        dims = data["channel"]["target"]["blocks"]
+        eye = lambda d: [[scale * (r == c), 0.0] for r in range(d) for c in range(d)]
+        data["channel"] = {
+            "kind": "kraus",
+            "source": {"blocks": dims},
+            "target": {"blocks": dims},
+            "ops": [[[eye(d)] if x == y else [] for y in range(len(dims))]
+                    for x, d in enumerate(dims)],
+        }
+    return edit
+
+
+def _set_entry(path, value):
+    def edit(data):
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "fixture, edit, code, named",
+    [
+        ("product", _set_entry(["state", "densities", 0, 0], ["x", 0]), 2,
+         "problem.state.densities[0][0]"),
+        ("product", _set_entry(["state", "densities", 0, 1], [0.0, True]), 2,
+         "problem.state.densities[0][1]"),
+        ("product", _set_entry(["state", "densities", 0, 2], [float("nan"), 0.0]), 2,
+         "problem.state.densities[0][2]"),
+        ("product", _set_entry(["state", "densities", 0, 0], [float("inf"), 0.0]), 2,
+         "problem.state.densities[0][0]"),
+        ("battery_pass_no_inverse",
+         _set_entry(["channel", "blocks", 0, 0, 3], [float("-inf"), 0.0]), 2,
+         "problem.channel.blocks[0][0][3]"),
+        ("battery_pass_no_inverse", _scaled_choi(2.0), 2, "problem.channel"),
+        ("battery_pass_no_inverse", _scaled_choi(-1.0), 2, "problem.channel"),
+        ("battery_pass_no_inverse", _scaled_choi(1.0), 0, None),
+        ("product", _kraus_identity(2.0), 2, "problem.channel"),
+        ("product", _kraus_identity(1.0), 0, None),
+    ],
+    ids=["string", "bool", "nan", "inf-density", "inf-choi", "choi-x2", "choi-negated",
+         "choi-as-is", "kraus-x2", "kraus-as-is"],
+)
+def test_malformed_input_fails_closed(tmp_path, capsys, fixture, edit, code, named):
+    data = json.loads((FIXTURES / f"{fixture}.json").read_text())
+    edit(data)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    got, _, err = run_cli(["check", str(path), "--analyses", "bayes-battery"], capsys)
+    assert got == code
+    if named is not None:
+        assert err.startswith(f"error: {named}: ")
+
+
 def test_eps_env_override(capsys, monkeypatch):
     monkeypatch.setenv("QBAYES_EPS_EQ", "1e-6")
     code, out, _ = run_cli(["check", str(FIXTURES / "product.json"),

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from qbayes.algebra import AlgebraElement, HomSpec, MultiMatrixAlgebra, matrix_units
+from qbayes.algebra import AlgebraElement, MultiMatrixAlgebra, matrix_units
 from qbayes.channel import LinearMap, from_hom, is_ucp
 from qbayes.errors import InternalInconsistency
 from qbayes.generators import (
     epr_instance,
-    inclusion_hom,
     nonproduct_faithful_instance,
     product_instance,
-    product_state_for_hom,
     random_complex,
     random_kraus_channel,
     random_state,
@@ -24,6 +22,8 @@ from qbayes.modular import (
     modular_flow,
 )
 from qbayes.state import State, evaluate, pullback, support
+
+from conftest import INSTANCE_CASES
 
 
 def random_element(rng, alg):
@@ -94,40 +94,7 @@ def test_corner_map_faithful_is_the_channel_itself():
     assert cm.square_residual < 1e-10
 
 
-def _multiblock_instance(zero_blocks=()):
-    rng = np.random.default_rng(20)
-    h = HomSpec(MultiMatrixAlgebra((2, 1)), MultiMatrixAlgebra((3, 2)), ((1, 1), (1, 0)))
-    return from_hom(h), random_state(rng, h.target, zero_blocks=zero_blocks)
-
-
-def _rankdef_source_instance():
-    # the pulled-back state has rank 1: both corner isometries are complex
-    h = inclusion_hom(2, 3)
-    return from_hom(h), product_state_for_hom(np.random.default_rng(22), h, sigma_ranks=[1])
-
-
-def _rankdef_kraus_instance():
-    rng = np.random.default_rng(21)
-    F = random_kraus_channel(rng, MultiMatrixAlgebra((2, 2)), MultiMatrixAlgebra((4, 3)), 2)
-    return F, random_state(rng, F.target, ranks=(2, 1))
-
-
-def _hom_instance(named):
-    h, omega = named()
-    return from_hom(h), omega
-
-
-CORNER_CASES = {
-    "single-block": lambda: _hom_instance(nonproduct_faithful_instance),
-    "multi-block": _multiblock_instance,
-    "rank-deficient": _rankdef_kraus_instance,
-    "rank-deficient-hom": lambda: _hom_instance(epr_instance),
-    "rank-deficient-source": _rankdef_source_instance,
-    "zero-weight": lambda: _multiblock_instance(zero_blocks=(1,)),
-}
-
-
-@pytest.mark.parametrize("case", CORNER_CASES.values(), ids=CORNER_CASES.keys())
+@pytest.mark.parametrize("case", INSTANCE_CASES.values(), ids=INSTANCE_CASES.keys())
 def test_corner_map_matches_unit_reference(case):
     F, omega = case()
     sup_o = support(omega)
@@ -148,7 +115,7 @@ def test_corner_map_matches_unit_reference(case):
             np.testing.assert_allclose(T, T_ref, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("case", CORNER_CASES.values(), ids=CORNER_CASES.keys())
+@pytest.mark.parametrize("case", INSTANCE_CASES.values(), ids=INSTANCE_CASES.keys())
 def test_ac_residuals_match_unit_loops(case):
     F, omega = case()
     algebraic = ac_condition_algebraic(F, omega)
