@@ -75,12 +75,12 @@ def _pair_data(F: LinearMap, omega: State, xi: State, tol: Tolerances) -> list[P
     sup_x = support(xi, tol)
     P_om = [np.asarray(b) for b in sup_o.projection.blocks]
     P_xi = [np.asarray(b) for b in sup_x.projection.blocks]
+    sig_ws = [xi.weighted_density(y) for y in range(F.source.n_blocks)]
+    shat_ws = [pseudoinverse(sig_w, tol) for sig_w in sig_ws]
     out = []
     for x in range(F.target.n_blocks):
         rho_w = omega.weighted_density(x)
-        for y in range(F.source.n_blocks):
-            sig_w = xi.weighted_density(y)
-            shat_w = pseudoinverse(sig_w, tol)
+        for y, (sig_w, shat_w) in enumerate(zip(sig_ws, shat_ws)):
             T = F.tensors[x][y]
             Tc = np.conj(T)
             # F*(rho_w E_ij)_{kl} = sum_a conj(T[k,a,l,j]) rho_w[a,i]
@@ -254,6 +254,8 @@ def battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> BayesA
         tensors_s = []
         tensors_p = []
         by_pair = {(pd.x, pd.y): pd for pd in pairs}
+        sq_rho = [matrix_sqrt(by_pair[(x, 0)].rho_w, tol) for x in range(F.target.n_blocks)]
+        sq_shat = [matrix_sqrt(by_pair[(0, y)].shat_w, tol) for y in range(F.source.n_blocks)]
         for y in range(F.source.n_blocks):
             row_s = []
             row_p = []
@@ -261,10 +263,8 @@ def battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> BayesA
                 pd = by_pair[(x, y)]
                 KL = np.einsum("ijkl,lu->ijku", pd.GL, pd.P_xi)
                 row_s.append(KL.transpose(0, 2, 1, 3))
-                sq_rho = matrix_sqrt(pd.rho_w, tol)
-                sq_shat = matrix_sqrt(pd.shat_w, tol)
-                raw = _adjoint_on_units(pd.T, sq_rho, sq_rho)
-                petz = _sandwich(sq_shat, raw, sq_shat)
+                raw = _adjoint_on_units(pd.T, sq_rho[x], sq_rho[x])
+                petz = _sandwich(sq_shat[y], raw, sq_shat[y])
                 row_p.append(petz.transpose(0, 2, 1, 3))
             tensors_s.append(row_s)
             tensors_p.append(row_p)
@@ -399,8 +399,7 @@ def existence(
     if not analysis.passed:
         raise ValueError("existence() requires a passed battery")
     F, omega, xi = analysis.F, analysis.omega, analysis.xi
-    pairs = _pair_data(F, omega, xi, tol)
-    by_pair = {(pd.x, pd.y): pd for pd in pairs}
+    P_xis = support(xi, tol).projection.blocks
     src_dims = F.source.block_dims
     tgt_dims = F.target.block_dims
     w_x = np.array(tgt_dims, dtype=float)
@@ -412,8 +411,7 @@ def existence(
     for y, n_y in enumerate(src_dims):
         if xi.weights[y] <= 0.0:
             continue
-        P_xi = by_pair[(0, y)].P_xi
-        Pxp = np.eye(n_y) - P_xi
+        Pxp = np.eye(n_y) - P_xis[y]
         total = np.zeros((n_y, n_y), dtype=complex)
         for x, m_x in enumerate(tgt_dims):
             A_mat = analysis.choi_A[(x, y)]
@@ -451,8 +449,7 @@ def existence(
             for x, m_x in enumerate(tgt_dims):
                 tensors[y][x] = np.einsum("ij,ab->iajb", np.eye(m_x), np.eye(n_y)) * (w_x[x] / m_x)
             continue
-        P_xi = by_pair[(0, y)].P_xi
-        Pxp = np.eye(n_y) - P_xi
+        Pxp = np.eye(n_y) - P_xis[y]
         delta = Pxp - trace_blocks[y]
         dw, dV = np.linalg.eigh((delta + dagger(delta)) / 2)
         delta_psd = (dV * np.clip(dw, 0.0, None)) @ dagger(dV)

@@ -19,6 +19,7 @@ import numpy as np
 from .algebra import HomSpec, MultiMatrixAlgebra
 from .channel import Channel, from_hom, from_kraus, is_ucp
 from .errors import ParseError, SchemaError
+from .linalg import ABS_FLOOR, DEFAULT_TOL, dagger
 from .state import State
 
 PROBLEM_SCHEMA = "qbayes-problem/1"
@@ -37,8 +38,8 @@ HOM_ONLY_ANALYSES = ("takesaki", "disintegrate", "condexp")
 
 
 def matrix_to_json(M: np.ndarray) -> list:
-    M = np.asarray(M, dtype=complex)
-    return [[float(z.real), float(z.imag)] for z in M.reshape(-1)]
+    """Row-major [re, im] pairs, read in one pass from the float view."""
+    return np.ascontiguousarray(M, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def matrix_from_json(data, rows: int, cols: int, field: str) -> np.ndarray:
@@ -106,9 +107,21 @@ def state_from_json(data, alg: MultiMatrixAlgebra, field: str) -> State:
         else:
             mats.append(matrix_from_json(rho, d, d, f"{field}.densities[{x}]"))
     try:
-        return State(alg, tuple(float(p) for p in weights), tuple(mats))
+        state = State(alg, tuple(float(p) for p in weights), tuple(mats))
     except Exception as exc:
         raise SchemaError(f"{field}: {exc}") from exc
+    # PSD within the bound that support calculus (linalg.herm_fun) tolerates
+    for x, rho in enumerate(state.densities):
+        if rho is None:
+            continue
+        w = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
+        bound = -max(DEFAULT_TOL.eps_rank * max(float(w[-1]), 0.0), ABS_FLOOR)
+        if w[0] < bound:
+            raise SchemaError(
+                f"{field}.densities[{x}]: density is not PSD: least eigenvalue "
+                f"{w[0]:.3e} below {bound:.3e}"
+            )
+    return state
 
 
 def hom_to_json(h: HomSpec) -> dict:

@@ -200,17 +200,3 @@ def partial_trace_right(M: np.ndarray, k: int, n: int) -> np.ndarray:
     """Trace out the right (size-n) factor of a kn x kn matrix."""
     return np.einsum("iaja->ij", _split_indices(M, k, n))
 
-
-def support_eigendata(
-    M: np.ndarray, cutoff: float, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a Hermitian PSD matrix above an absolute cutoff.
-
-    Returns (eigenvalues descending, eigenvector columns). The cutoff is
-    absolute; callers derive it from a global eps_rank * lambda_max scale.
-    """
-    eig = hermitian_eigen(M, tol)
-    keep = eig.eigenvalues > cutoff
-    w = eig.eigenvalues[keep][::-1]
-    V = eig.eigenvectors[:, keep][:, ::-1]
-    return w, V

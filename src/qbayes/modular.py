@@ -24,13 +24,10 @@ from .algebra import AlgebraElement, HomSpec
 from .channel import Channel, LinearMap, from_hom, is_ucp
 from .errors import InternalInconsistency, ShapeMismatch
 from .linalg import (
-    ABS_FLOOR,
     DEFAULT_TOL,
     Tolerances,
     dagger,
     _sq_frobenius,
-    support_eigendata,
-    hermitian_eigen,
 )
 from .state import State, SupportData, pullback, support
 
@@ -39,33 +36,20 @@ DEFAULT_T_SAMPLES = (0.5, -0.5, 1.0, -1.0, 2.0, -2.0, math.pi)
 
 @dataclass(frozen=True)
 class ModularFlow:
-    """Spectral data of a state's flow, one (eigenvalues, eigenvectors) per block.
+    """A state's flow, read from the spectra its support decomposition keeps.
 
-    spectra[x] is None when the block carries no support; otherwise it holds
-    the eigenpairs of the weighted density above the global rank cutoff. The
-    flow is insensitive to the weights (imaginary powers of positive scalars
-    are phases that cancel under conjugation).
+    support.spectra[x] is None when the block carries no support; otherwise
+    it holds the eigenpairs of the weighted density above the global rank
+    cutoff. The flow is insensitive to the weights (imaginary powers of
+    positive scalars are phases that cancel under conjugation).
     """
 
     state: State
     support: SupportData
-    spectra: tuple[Optional[tuple[np.ndarray, np.ndarray]], ...]
 
 
 def modular_flow(omega: State, tol: Tolerances = DEFAULT_TOL) -> ModularFlow:
-    sup = support(omega, tol)
-    lam_max = 0.0
-    eigs = []
-    for x in range(omega.algebra.n_blocks):
-        eig = hermitian_eigen(omega.weighted_density(x), tol)
-        eigs.append(eig)
-        lam_max = max(lam_max, float(eig.eigenvalues.max(initial=0.0)))
-    cutoff = tol.eps_rank * max(lam_max, ABS_FLOOR)
-    spectra = []
-    for x in range(omega.algebra.n_blocks):
-        w, V = support_eigendata(omega.weighted_density(x), cutoff, tol)
-        spectra.append(None if V.shape[1] == 0 else (w, V))
-    return ModularFlow(state=omega, support=sup, spectra=tuple(spectra))
+    return ModularFlow(state=omega, support=support(omega, tol))
 
 
 def _flow_unitaries(flow: ModularFlow, t: float) -> list[np.ndarray]:
@@ -73,7 +57,7 @@ def _flow_unitaries(flow: ModularFlow, t: float) -> list[np.ndarray]:
     return [
         np.zeros((d, d), dtype=complex) if spec is None
         else (spec[1] * np.exp(1j * t * np.log(spec[0]))) @ dagger(spec[1])
-        for d, spec in zip(flow.state.algebra.block_dims, flow.spectra)
+        for d, spec in zip(flow.state.algebra.block_dims, flow.support.spectra)
     ]
 
 

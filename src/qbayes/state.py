@@ -26,7 +26,6 @@ from .linalg import (
     frobenius,
     hermitian_eigen,
     is_hermitian,
-    support_eigendata,
 )
 
 
@@ -97,6 +96,8 @@ class SupportData:
     p_x rho_x (None when the block is cut entirely); for full-rank blocks it
     is the identity, so compress is literally a re-indexing for faithful
     states. kept[k] is the ambient block index of corner block k.
+    spectra[x] holds the kept eigenpairs (eigenvalues descending, eigenvector
+    columns) of p_x rho_x, None when the block is cut.
     """
 
     state: State
@@ -104,6 +105,7 @@ class SupportData:
     corner_algebra: MultiMatrixAlgebra
     isometries: tuple[Optional[np.ndarray], ...]
     kept: tuple[int, ...]
+    spectra: tuple[Optional[tuple[np.ndarray, np.ndarray]], ...]
 
     def is_full(self) -> bool:
         return len(self.kept) == self.state.algebra.n_blocks and all(
@@ -152,30 +154,29 @@ def support(omega: State, tol: Tolerances = DEFAULT_TOL) -> SupportData:
 
     The rank cutoff is relative to the global maximum eigenvalue of the
     weighted densities p_x rho_x, so comparisons between blocks are
-    meaningful.
+    meaningful. Each block is eigendecomposed once; its kept eigenpairs are
+    the spectra that the modular flow reads.
     """
     alg = omega.algebra
-    eigs = []
-    lam_max = 0.0
-    for x in range(alg.n_blocks):
-        M = omega.weighted_density(x)
-        eig = hermitian_eigen(M, tol)
-        eigs.append(eig)
-        lam_max = max(lam_max, float(eig.eigenvalues.max(initial=0.0)))
+    eigs = [hermitian_eigen(omega.weighted_density(x), tol) for x in range(alg.n_blocks)]
+    lam_max = max(float(eig.eigenvalues.max(initial=0.0)) for eig in eigs)
     cutoff = tol.eps_rank * max(lam_max, ABS_FLOOR)
 
     proj_blocks = []
     isometries: list[Optional[np.ndarray]] = []
+    spectra: list[Optional[tuple[np.ndarray, np.ndarray]]] = []
     kept = []
     corner_dims = []
-    for x, d in enumerate(alg.block_dims):
-        M = omega.weighted_density(x)
-        w, V = support_eigendata(M, cutoff, tol)
+    for x, (d, eig) in enumerate(zip(alg.block_dims, eigs)):
+        keep = eig.eigenvalues > cutoff
+        V = eig.eigenvectors[:, keep][:, ::-1]
         rank = V.shape[1]
         if rank == 0:
             proj_blocks.append(np.zeros((d, d), dtype=complex))
             isometries.append(None)
+            spectra.append(None)
             continue
+        spectra.append((eig.eigenvalues[keep][::-1], V))
         if rank == d:
             V = np.eye(d, dtype=complex)  # faithful block: identity embedding
         proj_blocks.append(V @ dagger(V))
@@ -190,6 +191,7 @@ def support(omega: State, tol: Tolerances = DEFAULT_TOL) -> SupportData:
         corner_algebra=MultiMatrixAlgebra(tuple(corner_dims)),
         isometries=tuple(isometries),
         kept=tuple(kept),
+        spectra=tuple(spectra),
     )
 
 

@@ -26,10 +26,21 @@ def fixture_path(name: str) -> pathlib.Path:
     return FIXTURES / name
 
 
+def _multiblock_hom():
+    return HomSpec(MultiMatrixAlgebra((2, 1)), MultiMatrixAlgebra((3, 2)), ((1, 1), (1, 0)))
+
+
 def _multiblock_instance(zero_blocks=()):
     rng = np.random.default_rng(20)
-    h = HomSpec(MultiMatrixAlgebra((2, 1)), MultiMatrixAlgebra((3, 2)), ((1, 1), (1, 0)))
+    h = _multiblock_hom()
     return from_hom(h), random_state(rng, h.target, zero_blocks=zero_blocks)
+
+
+def _multiblock_product_instance():
+    # passes the battery and has an inverse; the source state has rank 1 in
+    # its 2-dimensional block
+    h = _multiblock_hom()
+    return from_hom(h), product_state_for_hom(np.random.default_rng(23), h, sigma_ranks=[1, 1])
 
 
 def _rankdef_source_instance():
@@ -54,6 +65,7 @@ def _hom_instance(named):
 INSTANCE_CASES = {
     "single-block": lambda: _hom_instance(nonproduct_faithful_instance),
     "multi-block": _multiblock_instance,
+    "multi-block-product": _multiblock_product_instance,
     "rank-deficient": _rankdef_kraus_instance,
     "rank-deficient-hom": lambda: _hom_instance(epr_instance),
     "rank-deficient-source": _rankdef_source_instance,

@@ -42,9 +42,11 @@ from qbayes.linalg import (
     frobenius,
     kron,
     matrix_sqrt,
+    partial_trace_left,
     partial_trace_right,
+    pseudoinverse,
 )
-from qbayes.state import State, evaluate, pullback
+from qbayes.state import State, evaluate, pullback, support
 
 from conftest import INSTANCE_CASES, fixture_path
 
@@ -355,3 +357,78 @@ def test_battery_contractions_match_einsum(case):
         want["petz"] = np.einsum("uk,ijkl,lv->ijuv", sq_shat, want["raw"], sq_shat)
         for name, value in got.items():
             np.testing.assert_allclose(value, want[name], rtol=0.0, atol=1e-12, err_msg=name)
+
+
+def per_pair_reference(F, omega, tol=DEFAULT_TOL):
+    """Choi blocks, support map and Petz map tensors of the battery, with the
+    pseudoinverse and both square roots taken afresh for every (x, y) pair."""
+    xi = pullback(omega, F, tol)
+    P_xi = support(xi, tol).projection.blocks
+    choi_A, choi_B, support_t, petz_t = {}, {}, {}, {}
+    for x, m in enumerate(F.target.block_dims):
+        rho_w = omega.weighted_density(x)
+        for y, n in enumerate(F.source.block_dims):
+            shat_w = pseudoinverse(xi.weighted_density(y), tol)
+            T = F.tensors[x][y]
+            GL = np.einsum("uk,ijkl->ijul", shat_w, np.einsum("kalj,ai->ijkl", np.conj(T), rho_w))
+            KL = np.einsum("ijkl,lu->ijku", GL, P_xi[y])
+            BB = np.einsum("ijkl,lu->ijku", GL, np.eye(n) - P_xi[y])
+            choi_A[(x, y)] = KL.transpose(0, 2, 1, 3).reshape(m * n, m * n)
+            choi_B[(x, y)] = BB.transpose(0, 2, 1, 3).reshape(m * n, m * n)
+            sq_rho = matrix_sqrt(rho_w, tol)
+            sq_shat = matrix_sqrt(shat_w, tol)
+            petz = _sandwich(sq_shat, _adjoint_on_units(T, sq_rho, sq_rho), sq_shat)
+            support_t[(x, y)] = KL.transpose(0, 2, 1, 3)
+            petz_t[(x, y)] = petz.transpose(0, 2, 1, 3)
+    return xi, P_xi, choi_A, choi_B, support_t, petz_t
+
+
+def existence_reference(F, xi, P_xi, choi_A, choi_B, tol=DEFAULT_TOL):
+    """The uniform-split extension built from per-pair Choi blocks."""
+    tgt_dims = F.target.block_dims
+    w_x = np.array(tgt_dims, dtype=float)
+    w_x /= w_x.sum()
+    tensors = [[None] * F.target.n_blocks for _ in range(F.source.n_blocks)]
+    for y, n_y in enumerate(F.source.block_dims):
+        if xi.weights[y] <= 0.0:
+            for x, m_x in enumerate(tgt_dims):
+                tensors[y][x] = np.einsum("ij,ab->iajb", np.eye(m_x), np.eye(n_y)) * (w_x[x] / m_x)
+            continue
+        total = np.zeros((n_y, n_y), dtype=complex)
+        sandwich = {}
+        for x, m_x in enumerate(tgt_dims):
+            A_mat = (choi_A[(x, y)] + dagger(choi_A[(x, y)])) / 2
+            sandwich[x] = dagger(choi_B[(x, y)]) @ pseudoinverse(A_mat, tol) @ choi_B[(x, y)]
+            total += partial_trace_left(sandwich[x], m_x, n_y)
+        delta = np.eye(n_y) - P_xi[y] - (total + dagger(total)) / 2
+        dw, dV = np.linalg.eigh((delta + dagger(delta)) / 2)
+        delta_psd = (dV * np.clip(dw, 0.0, None)) @ dagger(dV)
+        for x, m_x in enumerate(tgt_dims):
+            D_mat = sandwich[x] + np.kron(np.diag(np.full(m_x, 1.0 / m_x) * w_x[x]), delta_psd)
+            B_mat = choi_B[(x, y)]
+            C = choi_A[(x, y)] + B_mat + dagger(B_mat) + D_mat
+            tensors[y][x] = C.reshape(m_x, n_y, m_x, n_y)
+    return tensors
+
+
+@pytest.mark.parametrize("case", INSTANCE_CASES.values(), ids=INSTANCE_CASES.keys())
+def test_battery_and_existence_match_per_pair_reference(case):
+    F, omega = case()
+    analysis = battery(F, omega)
+    xi, P_xi, choi_A, choi_B, support_t, petz_t = per_pair_reference(F, omega)
+    for key in choi_A:
+        assert np.array_equal(analysis.choi_A[key], choi_A[key])
+        assert np.array_equal(analysis.choi_B[key], choi_B[key])
+    if not analysis.passed:
+        assert analysis.support_map is None and analysis.petz_map is None
+        return
+    for (x, y), T in support_t.items():
+        assert np.array_equal(analysis.support_map.tensors[y][x], T)
+        assert np.array_equal(analysis.petz_map.tensors[y][x], petz_t[(x, y)])
+    result = existence(analysis)
+    assert result.exists
+    for row, row_ref in zip(
+        result.inverse.tensors, existence_reference(F, xi, P_xi, choi_A, choi_B)
+    ):
+        for T, T_ref in zip(row, row_ref):
+            assert np.array_equal(T, T_ref)

@@ -299,6 +299,16 @@ def _kraus_identity(scale):
     return edit
 
 
+def _density_diagonal(*diag):
+    # a diagonal density for the product fixture's 4 x 4 target block
+    def edit(data):
+        d = len(diag)
+        data["state"]["densities"][0] = [
+            [diag[r] if r == c else 0.0, 0.0] for r in range(d) for c in range(d)
+        ]
+    return edit
+
+
 def _set_entry(path, value):
     def edit(data):
         node = data
@@ -327,9 +337,12 @@ def _set_entry(path, value):
         ("battery_pass_no_inverse", _scaled_choi(1.0), 0, None),
         ("product", _kraus_identity(2.0), 2, "problem.channel"),
         ("product", _kraus_identity(1.0), 0, None),
+        ("product", _density_diagonal(0.48, 0.12, 0.42, -0.02), 2,
+         "problem.state.densities[0]"),
+        ("product", _density_diagonal(0.6, 0.0, 0.4, 0.0), 0, None),
     ],
     ids=["string", "bool", "nan", "inf-density", "inf-choi", "choi-x2", "choi-negated",
-         "choi-as-is", "kraus-x2", "kraus-as-is"],
+         "choi-as-is", "kraus-x2", "kraus-as-is", "density-not-psd", "density-rank-deficient"],
 )
 def test_malformed_input_fails_closed(tmp_path, capsys, fixture, edit, code, named):
     data = json.loads((FIXTURES / f"{fixture}.json").read_text())

@@ -1,11 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbayes.cli import main
-from qbayes.jsonio import canonical_dumps
+from qbayes.jsonio import canonical_dumps, matrix_to_json
 
 from conftest import FIXTURES
 
@@ -55,3 +56,20 @@ def test_canonical_dumps_on_fixture_reports(fixture, tmp_path, capsys):
             docs.append(json.loads(out.read_text()))
     for doc in docs:
         assert canonical_dumps(doc) == reference_dumps(doc)
+
+
+def test_matrix_to_json_matches_per_entry_list():
+    special = [-0.0, 0.0, 5e-324, -1.1125369292536007e-308, 1e16, -1e16, 1.7976931348623157e308,
+               -1e300, 1e-7, 0.1, 1 / 3]
+    rng = np.random.default_rng(0)
+    values = np.concatenate([special, rng.standard_normal(25) * 10.0 ** rng.integers(-20, 20, 25)])
+    M = np.empty((6, 6), dtype=complex)  # set parts directly: x + 1j * y loses -0.0
+    M.real = values.reshape(6, 6)
+    M.imag = values[::-1].reshape(6, 6)
+    assert np.signbit(M[0, 0].real)
+    for A in (M, M.T, M[::2, 1::2], M.real, np.zeros((0, 0))):
+        want = [[float(z.real), float(z.imag)] for z in np.asarray(A, dtype=complex).reshape(-1)]
+        got = matrix_to_json(A)
+        # repr tells -0.0 from 0.0 and a numpy scalar from a float
+        assert repr(got) == repr(want)
+        assert all(type(v) is float for pair in got for v in pair)
