@@ -42,6 +42,7 @@ from .jsonio import (
     channel_to_json,
     hom_to_json,
     loads,
+    matrix_to_json,
     problem_from_json,
     state_to_json,
 )
@@ -77,12 +78,15 @@ def _tolerances(args, overrides: dict) -> Tolerances:
     return Tolerances(**values)
 
 
-def _run_analyses(problem: dict, tol: Tolerances) -> dict:
+def _run_analyses(problem: dict, tol: Tolerances) -> tuple[dict, dict]:
+    """The report entry of each analysis, and the seconds each took."""
     channel = problem["channel"]
     hom = problem["hom"]
     state = problem["state"]
     out: dict = {}
+    seconds: dict = {}
     for name in problem["analyses"]:
+        start = time.perf_counter()
         if name == "ac":
             # the two tests share the corner map (an input), not a verdict
             sampled = ac_condition_sampled(channel, state, tol=tol)
@@ -153,10 +157,11 @@ def _run_analyses(problem: dict, tol: Tolerances) -> dict:
                 "deterministic": rep.deterministic,
                 "consistent": rep.consistent,
             }
-    return out
+        seconds[name] = time.perf_counter() - start
+    return out, seconds
 
 
-def _report(problem: dict, analyses: dict, tol: Tolerances, elapsed: float) -> dict:
+def _report(analyses: dict, tol: Tolerances, timing: dict) -> dict:
     return {
         "schema": REPORT_SCHEMA,
         "tool": {"name": "qbayes", "version": __version__},
@@ -166,14 +171,24 @@ def _report(problem: dict, analyses: dict, tol: Tolerances, elapsed: float) -> d
             "eps_recon": tol.eps_recon,
         },
         "analyses": analyses,
-        "timing": {"seconds": elapsed},
+        "timing": timing,
     }
+
+
+def _plain(value):
+    """value with each matrix array back as its [re, im] pair list."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return matrix_to_json(value) if isinstance(value, np.ndarray) else value
 
 
 def _print_report(report: dict, pretty: bool, stream) -> None:
     if not pretty:
         stream.write(canonical_dumps(report))
         return
+    report = _plain(report)
     stream.write(f"qbayes {report['tool']['version']}\n")
     for name, entry in sorted(report["analyses"].items()):
         stream.write(f"[{name}]\n")
@@ -197,8 +212,9 @@ def cmd_check(args) -> int:
         problem["analyses"] = requested
     tol = _tolerances(args, problem["tolerances"])
     start = time.perf_counter()
-    analyses = _run_analyses(problem, tol)
-    report = _report(problem, analyses, tol, time.perf_counter() - start)
+    analyses, seconds = _run_analyses(problem, tol)
+    timing = {"seconds": time.perf_counter() - start, "analyses": seconds}
+    report = _report(analyses, tol, timing)
     _print_report(report, args.pretty, sys.stdout)
     return EXIT_OK
 
@@ -230,7 +246,7 @@ def cmd_invert(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(canonical_dumps(channel_to_json(constructed)))
         entry["written"] = args.out
-    report = _report(problem, {"invert": entry}, tol, time.perf_counter() - start)
+    report = _report({"invert": entry}, tol, {"seconds": time.perf_counter() - start})
     _print_report(report, args.pretty, sys.stdout)
     return EXIT_OK
 

@@ -1,16 +1,19 @@
 """JSON schemas for algebras, states, homs, channels, and problems.
 
 Matrices are serialized as flat row-major lists of [re, im] pairs; shapes
-are always implied by the algebras involved. Serialization round-trips
-binary64 exactly (shortest round-trip float representation), and
-`canonical_dumps` is byte-stable: sorted keys, fixed separators, trailing
-newline.
+are always implied by the algebras involved. The documents built here
+hold each matrix as a flat complex array, which `canonical_dumps` writes
+as that list. Serialization round-trips binary64 exactly (shortest
+round-trip float representation), and `canonical_dumps` is byte-stable:
+sorted keys, fixed separators, trailing newline.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional
 
@@ -37,9 +40,13 @@ ALL_ANALYSES = (
 HOM_ONLY_ANALYSES = ("takesaki", "disintegrate", "condexp")
 
 
+def _flat(M) -> np.ndarray:
+    return np.ascontiguousarray(M, dtype=complex).reshape(-1)
+
+
 def matrix_to_json(M: np.ndarray) -> list:
     """Row-major [re, im] pairs, read in one pass from the float view."""
-    return np.ascontiguousarray(M, dtype=complex).view(float).reshape(-1, 2).tolist()
+    return _flat(M).view(float).reshape(-1, 2).tolist()
 
 
 def matrix_from_json(data, rows: int, cols: int, field: str) -> np.ndarray:
@@ -48,12 +55,24 @@ def matrix_from_json(data, rows: int, cols: int, field: str) -> np.ndarray:
             f"{field}: expected {rows * cols} [re, im] pairs, got "
             f"{len(data) if isinstance(data, list) else type(data).__name__}"
         )
+    # JSON numbers parse to int or float; bool, str and the rest are refused
+    if (
+        set(map(type, data)) <= {list}
+        and set(map(len, data)) <= {2}
+        and set(map(type, chain.from_iterable(data))) <= {int, float}
+    ):
+        with suppress(OverflowError):  # an int too large for a float
+            flat = np.fromiter(chain.from_iterable(data), dtype=float, count=2 * len(data))
+            pairs = flat.reshape(-1, 2)
+            if np.isfinite(pairs).all():
+                # the loop's arithmetic, so signed zeros read as they always have
+                return (pairs[:, 0] + 1j * pairs[:, 1]).reshape(rows, cols)
+    # the per-entry loop names the first offending entry
     out = np.zeros(rows * cols, dtype=complex)
     for idx, pair in enumerate(data):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise SchemaError(f"{field}[{idx}]: expected an [re, im] pair")
         re, im = pair
-        # JSON numbers parse to int or float; bool, str and the rest are refused
         if type(re) not in (int, float) or type(im) not in (int, float):
             raise SchemaError(f"{field}[{idx}]: expected two numbers, got {pair!r}")
         try:
@@ -87,7 +106,7 @@ def state_to_json(state: State) -> dict:
     return {
         "weights": [float(p) for p in state.weights],
         "densities": [
-            None if rho is None else matrix_to_json(rho) for rho in state.densities
+            None if rho is None else _flat(rho) for rho in state.densities
         ],
     }
 
@@ -139,15 +158,14 @@ def hom_from_json(data, field: str) -> HomSpec:
         raise SchemaError(f"{field}.mult: {exc}") from exc
 
 
-def channel_to_json(F: Channel, kind: str = "choi") -> dict:
-    if kind != "choi":
-        raise ValueError("channels serialize in Choi form")
+def channel_to_json(F: Channel) -> dict:
+    """The channel in Choi form."""
     return {
         "source": F.source.to_dict(),
         "target": F.target.to_dict(),
         "kind": "choi",
         "blocks": [
-            [matrix_to_json(F.choi_block(x, y)) for y in range(F.source.n_blocks)]
+            [_flat(F.choi_block(x, y)) for y in range(F.source.n_blocks)]
             for x in range(F.target.n_blocks)
         ],
     }
@@ -264,11 +282,12 @@ def loads(text: str):
 
 
 def canonical_dumps(obj) -> str:
-    """`json.dumps(obj, indent=2, sort_keys=True) + "\n"`, byte for byte.
+    """`json.dumps(obj, indent=2, sort_keys=True) + "\n"`, byte for byte,
+    where each numpy array in obj stands for its `matrix_to_json` list.
 
     With an indent, the json module falls back to its pure-Python encoder,
-    which makes one string per token; this emitter writes each matrix (a
-    list of [re, im] float pairs) with one string format per entry instead.
+    which makes one string per token; this emitter writes each array with
+    one string per distinct float instead.
     """
     out: list[str] = []
     _emit(obj, "\n", out)
@@ -302,18 +321,22 @@ def _key_str(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _pair_rows(items: list, nl: str) -> Optional[str]:
-    """The body of a list of [re, im] float pairs, entries one level below
-    `nl`; None when some entry is not such a pair or not finite."""
+def _emit_array(a: np.ndarray, nl: str, out: list) -> None:
+    """Append the [re, im] pair list of an array, formatting each distinct
+    float once; an empty array, NaN or an infinity takes the general path."""
+    f = _flat(a).view(float)
+    if not f.size or not np.isfinite(f).all():
+        return _emit(matrix_to_json(a), nl, out)
     inner = nl + "  "
-    row = f"[{inner}  %s,{inner}  %s{inner}]"
-    fmt = float.__repr__
-    try:
-        body = f",{inner}".join([row % (fmt(re), fmt(im)) for re, im in items])
-    except (TypeError, ValueError):
-        return None
-    # a finite float's repr has no "n"; nan and inf take the general path
-    return None if "n" in body else body
+    head, mid, tail = f"[{inner}  %s,{inner}  %s{inner}]".split("%s")
+    # keyed by bit pattern, so that -0.0 and 0.0 keep their own strings
+    bits, index = np.unique(f.view(np.int64), return_inverse=True)
+    strs = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)
+    parts = np.empty(2 * f.size - 1, dtype=object)
+    parts[0::2] = strs[index]
+    parts[1::4] = mid
+    parts[3::4] = f"{tail},{inner}{head}"
+    out.append(f"[{inner}{head}{''.join(parts.tolist())}{tail}{nl}]")
 
 
 def _emit(obj, nl: str, out: list) -> None:
@@ -330,15 +353,13 @@ def _emit(obj, nl: str, out: list) -> None:
         out.append(int.__repr__(obj))
     elif isinstance(obj, float):
         out.append(_float_str(obj))
+    elif isinstance(obj, np.ndarray):
+        _emit_array(obj, nl, out)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
         inner = nl + "  "
-        body = _pair_rows(obj, nl) if isinstance(obj[0], list) else None
-        if body is not None:
-            out.append(f"[{inner}{body}{nl}]")
-            return
         sep = "[" + inner
         for value in obj:
             out.append(sep)

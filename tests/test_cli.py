@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -85,6 +86,43 @@ def test_pretty_output(capsys):
     code, out, _ = run_cli(["check", str(FIXTURES / "product.json"), "--pretty"], capsys)
     assert code == 0
     assert "[disintegrate]" in out
+
+
+def test_pretty_output_prints_matrices_as_lists(capsys):
+    # the recovery channel's Choi blocks print as Python lists of floats
+    code, out, _ = run_cli(["check", str(FIXTURES / "product.json"), "--pretty"], capsys)
+    assert code == 0
+    report = json.loads(run_cli(["check", str(FIXTURES / "product.json")], capsys)[1])
+    blocks = report["analyses"]["disintegrate"]["recovery"]["blocks"]
+    assert f"    blocks: {blocks}\n" in out
+    assert "array(" not in out
+
+
+@pytest.mark.parametrize("analyses", [None, "condexp,ac", "bayes-battery"])
+def test_check_times_each_analysis(capsys, analyses):
+    flags = [] if analyses is None else ["--analyses", analyses]
+    code, out, _ = run_cli(["check", str(FIXTURES / "product.json")] + flags, capsys)
+    assert code == 0
+    report = json.loads(out)
+    seconds = report["timing"]["analyses"]
+    assert set(seconds) == set(report["analyses"])
+    if analyses is not None:
+        assert set(seconds) == set(analyses.split(","))
+    assert all(math.isfinite(s) and s >= 0 for s in seconds.values())
+    assert math.isfinite(report["timing"]["seconds"])
+
+
+@pytest.mark.parametrize("fixture", ALL_FIXTURES, ids=lambda p: p.stem)
+def test_full_check_is_union_of_single_analyses(fixture, capsys):
+    # analyses run together report exactly what each reports alone
+    _, out, _ = run_cli(["check", str(fixture)], capsys)
+    full = json.loads(out)["analyses"]
+    union = {}
+    for name in full:
+        code, out, _ = run_cli(["check", str(fixture), "--analyses", name], capsys)
+        assert code == 0
+        union.update(json.loads(out)["analyses"])
+    assert canonical_dumps(union) == canonical_dumps(full)
 
 
 @pytest.mark.parametrize("fixture", ALL_FIXTURES, ids=lambda p: p.stem)
