@@ -10,12 +10,25 @@ ascending j, using the multiplicity-left Kronecker convention of `linalg`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ShapeMismatch
 from .linalg import dagger, frobenius, kron
+
+
+def memo(owner, key, build: Callable):
+    """build(), computed once per key and kept on the immutable owner.
+
+    The value lives exactly as long as the owner. It must not refer back to
+    the owner: a cycle would outlive the last outside reference until the
+    cyclic collector runs.
+    """
+    cache = owner.__dict__.setdefault("_memo", {})
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
 
 
 @dataclass(frozen=True)

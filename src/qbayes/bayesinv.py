@@ -13,7 +13,7 @@ extra bookkeeping: positive scalars cancel in every condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -53,8 +53,8 @@ class ConditionReport:
 
 
 @dataclass(frozen=True)
-class PairData:
-    """Per-(target x, source y) tensors entering the battery."""
+class PairInputs:
+    """The operands of one (target x, source y) pair."""
 
     x: int
     y: int
@@ -64,37 +64,59 @@ class PairData:
     shat_w: np.ndarray  # pseudoinverse of q_y sigma_y
     P_om: np.ndarray    # support projection of rho in block x
     P_xi: np.ndarray    # support projection of sigma in block y
+
+
+@dataclass(frozen=True)
+class PairData(PairInputs):
+    """A pair's operands with its left and right Bayes tensors."""
+
     rawL: np.ndarray    # rawL[i,j] = F*(rho_w E_ij)
     rawR: np.ndarray    # rawR[i,j] = F*(E_ij rho_w)
     GL: np.ndarray      # GL[i,j] = shat_w rawL[i,j]
     GR: np.ndarray      # GR[i,j] = rawR[i,j] shat_w
 
 
-def _pair_data(F: LinearMap, omega: State, xi: State, tol: Tolerances) -> list[PairData]:
+def _pair_inputs(F: LinearMap, omega: State, xi: State, tol: Tolerances) -> Iterator[PairInputs]:
     sup_o = support(omega, tol)
     sup_x = support(xi, tol)
     P_om = [np.asarray(b) for b in sup_o.projection.blocks]
     P_xi = [np.asarray(b) for b in sup_x.projection.blocks]
     sig_ws = [xi.weighted_density(y) for y in range(F.source.n_blocks)]
     shat_ws = [pseudoinverse(sig_w, tol) for sig_w in sig_ws]
-    out = []
     for x in range(F.target.n_blocks):
         rho_w = omega.weighted_density(x)
         for y, (sig_w, shat_w) in enumerate(zip(sig_ws, shat_ws)):
-            T = F.tensors[x][y]
-            Tc = np.conj(T)
-            # F*(rho_w E_ij)_{kl} = sum_a conj(T[k,a,l,j]) rho_w[a,i]
-            rawL = np.einsum("kalj,ai->ijkl", Tc, rho_w)
-            GL = np.einsum("uk,ijkl->ijul", shat_w, rawL)
-            # F*(E_ij rho_w)_{kl} = sum_b conj(T[k,i,l,b]) rho_w[j,b]
-            rawR = np.einsum("kilb,jb->ijkl", Tc, rho_w)
-            GR = np.einsum("ijkl,lu->ijku", rawR, shat_w)
-            out.append(
-                PairData(
-                    x=x, y=y, T=T, rho_w=rho_w, sig_w=sig_w, shat_w=shat_w,
-                    P_om=P_om[x], P_xi=P_xi[y], rawL=rawL, rawR=rawR, GL=GL, GR=GR,
-                )
+            yield PairInputs(
+                x=x, y=y, T=F.tensors[x][y], rho_w=rho_w, sig_w=sig_w, shat_w=shat_w,
+                P_om=P_om[x], P_xi=P_xi[y],
             )
+
+
+def _raw(p: PairInputs) -> tuple[np.ndarray, np.ndarray]:
+    """rawL[i, j] = F*(rho_w E_ij) and rawR[i, j] = F*(E_ij rho_w) of a pair."""
+    Tc = np.conj(p.T)
+    # F*(rho_w E_ij)_{kl} = sum_a conj(T[k,a,l,j]) rho_w[a,i]
+    rawL = np.einsum("kalj,ai->ijkl", Tc, p.rho_w)
+    # F*(E_ij rho_w)_{kl} = sum_b conj(T[k,i,l,b]) rho_w[j,b]
+    rawR = np.einsum("kilb,jb->ijkl", Tc, p.rho_w)
+    return rawL, rawR
+
+
+def _left(p: PairInputs, rawL: np.ndarray) -> np.ndarray:
+    """GL[i, j] = shat_w rawL[i, j]."""
+    return np.einsum("uk,ijkl->ijul", p.shat_w, rawL)
+
+
+def _right(p: PairInputs, rawR: np.ndarray) -> np.ndarray:
+    """GR[i, j] = rawR[i, j] shat_w."""
+    return np.einsum("ijkl,lu->ijku", rawR, p.shat_w)
+
+
+def _pair_data(F: LinearMap, omega: State, xi: State, tol: Tolerances) -> list[PairData]:
+    out = []
+    for p in _pair_inputs(F, omega, xi, tol):
+        rawL, rawR = _raw(p)
+        out.append(PairData(**vars(p), rawL=rawL, rawR=rawR, GL=_left(p, rawL), GR=_right(p, rawR)))
     return out
 
 
@@ -115,7 +137,8 @@ def _sandwich(L: np.ndarray, X: np.ndarray, R: np.ndarray) -> np.ndarray:
     over the whole stack."""
     m, _, n, _ = X.shape
     Y = (X.reshape(m * m * n, n) @ R).reshape(m * m, n, n)        # [(i, j), k, v]
-    Y = Y.transpose(0, 2, 1).reshape(m * m * n, n) @ L.T           # [(i, j, v), u]
+    Y = Y.transpose(0, 2, 1).reshape(m * m * n, n)                 # [(i, j, v), k]
+    Y = Y @ L.T                                                    # [(i, j, v), u]
     return Y.reshape(m, m, n, n).transpose(0, 1, 3, 2)
 
 
@@ -145,7 +168,6 @@ def battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> BayesA
     if omega.algebra.block_dims != F.target.block_dims:
         raise ShapeMismatch("state does not live on the channel's target algebra")
     xi = pullback(omega, F, tol)
-    pairs = _pair_data(F, omega, xi, tol)
 
     res = {name: 0.0 for name in BATTERY_CONDITIONS}
     scale = 1.0
@@ -154,55 +176,82 @@ def battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> BayesA
     cp_lam_max = 0.0
     cp_min_eig = 0.0
 
-    for pd in pairs:
+    # Each (m n)^2 array of a pair is dropped once the last condition that
+    # reads it is scored; only the two Choi blocks outlive the pair.
+    by_pair: dict[tuple[int, int], PairInputs] = {}
+    for pd in _pair_inputs(F, omega, xi, tol):
+        by_pair[(pd.x, pd.y)] = pd
         m = pd.rho_w.shape[0]
         n = pd.sig_w.shape[0]
-        KL = np.einsum("ijkl,lu->ijku", pd.GL, pd.P_xi)   # GL(E_ij) P
-        KR = np.einsum("uk,ijkl->ijul", pd.P_xi, pd.GR)   # P GR(E_ij)
+        rawL, rawR = _raw(pd)
+        # (iv) P F*(rho A) sigma = sigma F*(A rho) P on target units A
+        lhs4 = _sandwich(pd.P_xi, rawL, pd.sig_w)
+        rhs4 = _sandwich(pd.sig_w, rawR, pd.P_xi)
+        lhs4 -= rhs4
+        del rhs4
+        res["adjoint_sandwich_symmetry"] = max(
+            res["adjoint_sandwich_symmetry"], float(np.abs(lhs4).max(initial=0.0))
+        )
+        del lhs4
+        GL = _left(pd, rawL)
+        del rawL
+        KL = np.einsum("ijkl,lu->ijku", GL, pd.P_xi)   # GL(E_ij) P
+        # forced rows off the xi support, for the existence stage
+        BB = np.einsum("ijkl,lu->ijku", GL, np.eye(n) - pd.P_xi)
+        del GL
+        choi_B[(pd.x, pd.y)] = BB.transpose(0, 2, 1, 3).reshape(m * n, m * n)
+        del BB
+        # the corner Choi matrix; KL is read from it from here on
+        A_mat = choi_A[(pd.x, pd.y)] = KL.transpose(0, 2, 1, 3).reshape(m * n, m * n)
+        KL = A_mat.reshape(m, n, m, n).transpose(0, 2, 1, 3)
+        GR = _right(pd, rawR)
+        del rawR
+        KR = np.einsum("uk,ijkl->ijul", pd.P_xi, GR)   # P GR(E_ij)
+        del GR
         scale = max(scale, float(np.abs(KL).max(initial=0.0)),
                     float(np.abs(KR).max(initial=0.0)))
 
         # (i) *-preservation of Ad_P o G^R: K(E_ji) = K(E_ij)^*
         star = KR.transpose(1, 0, 3, 2).conj()
+        star -= KR
         res["right_map_star_preserving"] = max(
             res["right_map_star_preserving"],
-            float(np.abs(KR - star).max(initial=0.0)),
+            float(np.abs(star).max(initial=0.0)),
         )
+        del star
         # (ii) left and right corner maps coincide
         res["left_equals_right"] = max(
             res["left_equals_right"], float(np.abs(KL - KR).max(initial=0.0))
         )
         # (iii) hermiticity of the corner Choi matrix
-        A_mat = KL.transpose(0, 2, 1, 3).reshape(m * n, m * n)
-        choi_A[(pd.x, pd.y)] = A_mat
         res["choi_hermitian"] = max(
             res["choi_hermitian"], frobenius(A_mat - dagger(A_mat))
         )
-        # (iv) P F*(rho A) sigma = sigma F*(A rho) P on target units A
-        lhs4 = _sandwich(pd.P_xi, pd.rawL, pd.sig_w)
-        rhs4 = _sandwich(pd.sig_w, pd.rawR, pd.P_xi)
-        res["adjoint_sandwich_symmetry"] = max(
-            res["adjoint_sandwich_symmetry"],
-            float(np.abs(lhs4 - rhs4).max(initial=0.0)),
-        )
+        # (vii) complete positivity of Ad_P o G^R
+        choi_R = KR.transpose(0, 2, 1, 3).reshape(m * n, m * n)
+        del KR
+        low, radius = hermitian_floor(choi_R)
+        del choi_R
+        cp_lam_max = max(cp_lam_max, radius)
+        cp_min_eig = float(np.minimum(cp_min_eig, low))  # a NaN block stays NaN
         # (v) F(sigma B) rho = rho F(B sigma) for B = P E_kl P in the xi-support
         # corner, all k, l at once: sigma B = (sigma P)[:, k] P[l, :] and
         # B sigma = P[:, k] (P sigma)[l, :]
-        lhs5 = np.einsum(
-            "lv,kavb->klab", pd.P_xi,
-            np.einsum("uk,uavb->kavb", pd.sig_w @ pd.P_xi, pd.T @ pd.rho_w),
-        )
-        rhs5 = np.einsum(
-            "lv,kavb->klab", pd.P_xi @ pd.sig_w,
-            np.einsum("uk,uavb->kavb", pd.P_xi, np.einsum("ac,ucvb->uavb", pd.rho_w, pd.T)),
-        )
+        inner = pd.T @ pd.rho_w
+        inner = np.einsum("uk,uavb->kavb", pd.sig_w @ pd.P_xi, inner)
+        lhs5 = np.einsum("lv,kavb->klab", pd.P_xi, inner)
+        inner = np.einsum("ac,ucvb->uavb", pd.rho_w, pd.T)
+        inner = np.einsum("uk,uavb->kavb", pd.P_xi, inner)
+        rhs5 = np.einsum("lv,kavb->klab", pd.P_xi @ pd.sig_w, inner)
+        del inner
         largest = max(_sq_frobenius(lhs5).max(), _sq_frobenius(rhs5).max())
         scale = max(scale, float(np.sqrt(largest)))
         lhs5 -= rhs5
+        del rhs5
         res["density_intertwining"] = max(
             res["density_intertwining"], float(np.sqrt(_sq_frobenius(lhs5).max()))
         )
-        del lhs5, rhs5  # full-size arrays; the rest of the pass does not need them
+        del lhs5
         # (vi) part 1: forced rows vanish against the omega co-support,
         # shat_w F*(rho_w E_ij P_om-perp) P_xi = 0
         Pop = np.eye(m) - pd.P_om
@@ -210,14 +259,7 @@ def battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> BayesA
         res["off_support_vanishing"] = max(
             res["off_support_vanishing"], float(np.abs(V6).max(initial=0.0))
         )
-        # (vii) complete positivity of Ad_P o G^R
-        low, radius = hermitian_floor(KR.transpose(0, 2, 1, 3).reshape(m * n, m * n))
-        cp_lam_max = max(cp_lam_max, radius)
-        cp_min_eig = float(np.minimum(cp_min_eig, low))  # a NaN block stays NaN
-        # forced rows off the xi support, for the existence stage
-        Pxp = np.eye(n) - pd.P_xi
-        BB = np.einsum("ijkl,lu->ijku", pd.GL, Pxp)
-        choi_B[(pd.x, pd.y)] = BB.transpose(0, 2, 1, 3).reshape(m * n, m * n)
+        del V6
 
     res["right_map_cp"] = max(0.0, -cp_min_eig)
     thr = tol.eps_eq * scale
@@ -253,18 +295,17 @@ def battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> BayesA
     if passed:
         tensors_s = []
         tensors_p = []
-        by_pair = {(pd.x, pd.y): pd for pd in pairs}
         sq_rho = [matrix_sqrt(by_pair[(x, 0)].rho_w, tol) for x in range(F.target.n_blocks)]
         sq_shat = [matrix_sqrt(by_pair[(0, y)].shat_w, tol) for y in range(F.source.n_blocks)]
-        for y in range(F.source.n_blocks):
+        for y, n in enumerate(F.source.block_dims):
             row_s = []
             row_p = []
-            for x in range(F.target.n_blocks):
+            for x, m in enumerate(F.target.block_dims):
                 pd = by_pair[(x, y)]
-                KL = np.einsum("ijkl,lu->ijku", pd.GL, pd.P_xi)
-                row_s.append(KL.transpose(0, 2, 1, 3))
+                row_s.append(choi_A[(x, y)].reshape(m, n, m, n))  # Ad_P o G^L
                 raw = _adjoint_on_units(pd.T, sq_rho[x], sq_rho[x])
                 petz = _sandwich(sq_shat[y], raw, sq_shat[y])
+                del raw
                 row_p.append(petz.transpose(0, 2, 1, 3))
             tensors_s.append(row_s)
             tensors_p.append(row_p)

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import AlgebraElement, HomSpec, MultiMatrixAlgebra
+from .algebra import AlgebraElement, HomSpec, MultiMatrixAlgebra, memo
 from .errors import (
     InternalInconsistency,
     NotCP,
@@ -245,9 +245,14 @@ def identity_channel(alg: MultiMatrixAlgebra) -> Channel:
 
 
 def from_hom(h: HomSpec) -> Channel:
-    """The channel of a standard-form unital *-homomorphism. Its Kraus
-    operators are the slot isometries: copy r of source block j fills rows
-    offset + r * n_j onwards of target block i, offset that of j in i."""
+    """The channel of a standard-form unital *-homomorphism, built once per
+    hom. Its Kraus operators are the slot isometries: copy r of source block
+    j fills rows offset + r * n_j onwards of target block i, offset that of
+    j in i."""
+    return memo(h, "channel", lambda: _from_hom(h))
+
+
+def _from_hom(h: HomSpec) -> Channel:
     kraus = [[[] for _ in h.source.block_dims] for _ in h.target.block_dims]
     for i, m_i in enumerate(h.target.block_dims):
         for j, offset, _ in h.sub_block_layout(i):

@@ -14,11 +14,12 @@ any disagreement between these provably equivalent routes as a bug alarm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
 
-from .algebra import HomSpec, MultiMatrixAlgebra
+from .algebra import HomSpec, MultiMatrixAlgebra, memo
 from .bayesinv import battery, bayes_inverse
 from .channel import (
     Channel,
@@ -68,7 +69,8 @@ class FactorizationCertificate:
 def factorize(
     h: HomSpec, omega: State, tol: Tolerances = DEFAULT_TOL
 ) -> FactorizationCertificate:
-    """Extract and verify the product-form certificate of a state.
+    """Extract and verify the product-form certificate of a state, once per
+    hom, state and tolerance.
 
     The tau candidate is the right partial trace of the weighted (i, j)
     sub-block divided by q_j; columns with q_j = 0 get zero candidates and
@@ -77,6 +79,12 @@ def factorize(
     """
     if omega.algebra.block_dims != h.target.block_dims:
         raise ShapeMismatch("state does not live on the hom's target algebra")
+    _, split = memo(omega, ("factorize", id(h), tol), lambda: (h, _factorize(h, omega, tol)))
+    return FactorizationCertificate(h, omega, *split)
+
+
+def _factorize(h: HomSpec, omega: State, tol: Tolerances) -> tuple:
+    """The certificate fields after `hom` and `omega`."""
     xi = pullback(omega, h, tol)
     tau: dict[tuple[int, int], np.ndarray] = {}
     lambdas: dict[tuple[int, int], float] = {}
@@ -126,10 +134,7 @@ def factorize(
         res["mixing"] = max(res["mixing"], abs(row - omega.weights[i]))
 
     ok = all(v <= tol.eps_eq for v in res.values())
-    return FactorizationCertificate(
-        hom=h, omega=omega, xi=xi, tau=tau, lambdas=lambdas, mus=mus,
-        residuals=res, ok=ok,
-    )
+    return xi, tau, lambdas, mus, res, ok
 
 
 def build_disintegration(
@@ -229,7 +234,13 @@ class CondexpReport:
     mixing_residual: float
     mus: dict[tuple[int, int], float]
     lambdas: dict[tuple[int, int], float]
-    expectation: Optional[Channel]
+    hom: HomSpec
+    recovery: Optional[Channel]
+
+    @cached_property
+    def expectation(self) -> Optional[Channel]:
+        """from_hom(h) o recovery, composed when first read."""
+        return None if self.recovery is None else compose(from_hom(self.hom), self.recovery)
 
 
 def condexp_characterize(
@@ -240,7 +251,8 @@ def condexp_characterize(
     Independently of `factorize`, each weighted diagonal sub-block must (a)
     carry no cross-column mass and (b) split as its own two partial traces,
     with the source factor proportional to the pulled-back density. On
-    success the canonical expectation is emitted.
+    success the report keeps the recovery channel, from which the canonical
+    expectation is composed when it is read.
     """
     if omega.algebra.block_dims != h.target.block_dims:
         raise ShapeMismatch("state does not live on the hom's target algebra")
@@ -297,7 +309,7 @@ def condexp_characterize(
         and sigma_res <= tol.eps_eq * 10
         and mixing_res <= tol.eps_eq * 10
     )
-    expectation = None
+    recovery = None
     if ok:
         cert = factorize(h, omega, tol)
         if not cert.ok:
@@ -305,8 +317,7 @@ def condexp_characterize(
                 "sub-block characterization passed but the factorization "
                 f"certificate failed with residuals {cert.residuals}"
             )
-        G = build_disintegration(cert, tol=tol)
-        expectation = compose(from_hom(h), G)
+        recovery = build_disintegration(cert, tol=tol)
     return CondexpReport(
         ok=ok,
         off_diagonal_residual=off_res,
@@ -315,7 +326,8 @@ def condexp_characterize(
         mixing_residual=mixing_res,
         mus=mus,
         lambdas=lambdas,
-        expectation=expectation,
+        hom=h,
+        recovery=recovery,
     )
 
 
@@ -323,9 +335,15 @@ def condexp_characterize(
 class DisintegrationResult:
     exists: bool
     recovery: Optional[Channel]
-    expectation: Optional[Channel]
     certificate: FactorizationCertificate
     report: Optional[DisintegrationReport]
+
+    @cached_property
+    def expectation(self) -> Optional[Channel]:
+        """from_hom(h) o recovery, composed when first read."""
+        if self.recovery is None:
+            return None
+        return compose(from_hom(self.certificate.hom), self.recovery)
 
 
 def disintegrate(
@@ -335,8 +353,7 @@ def disintegrate(
     cert = factorize(h, omega, tol)
     if not cert.ok:
         return DisintegrationResult(
-            exists=False, recovery=None, expectation=None, certificate=cert,
-            report=None,
+            exists=False, recovery=None, certificate=cert, report=None,
         )
     F = from_hom(h)
     G = build_disintegration(cert, tol=tol)
@@ -349,7 +366,6 @@ def disintegrate(
     return DisintegrationResult(
         exists=True,
         recovery=G,
-        expectation=compose(F, G),
         certificate=cert,
         report=report,
     )

@@ -13,7 +13,7 @@ import numpy as np
 from .algebra import HomSpec, MultiMatrixAlgebra
 from .channel import Channel, LinearMap, from_kraus
 from .errors import ShapeMismatch
-from .linalg import DEFAULT_TOL, Tolerances, dagger, pseudoinverse
+from .linalg import dagger
 from .state import State, state_from_weighted
 
 
@@ -214,173 +214,5 @@ def nonsubalgebra_deterministic_instance() -> tuple[Channel, State]:
     F = Channel(source, target, lm.tensors)
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    omega = State(target, (1.0,), (rho,))
-    return F, omega
-
-
-def random_battery_pass_instance(
-    rng: np.random.Generator,
-    n: int,
-    m: int,
-    rho_rank: int,
-    sigma_rank: int,
-    max_iterations: int = 60000,
-    tol: Tolerances = DEFAULT_TOL,
-    rho: Optional[np.ndarray] = None,
-    sigma: Optional[np.ndarray] = None,
-) -> tuple[Channel, State]:
-    """Random instance on the battery-pass manifold for prescribed ranks.
-
-    Samples rank-deficient states, then alternates projections between the
-    UCP Choi cone and the affine set cut out by unitality, Hermiticity,
-    state preservation, and the linear battery constraints, until the two
-    projections coincide. Used to mint fixtures where the battery passes
-    while the existence inequality is a genuine question. Raises
-    ShapeMismatch when the iteration budget runs out before convergence.
-    """
-    source = MultiMatrixAlgebra((n,))
-    target = MultiMatrixAlgebra((m,))
-    if rho is None:
-        rho = random_density(rng, m, rho_rank)
-    if sigma is None:
-        sigma = random_density(rng, n, sigma_rank)
-
-    w_r, V_r = np.linalg.eigh(rho)
-    keep_r = w_r > tol.eps_rank * w_r.max()
-    P_om = V_r[:, keep_r] @ dagger(V_r[:, keep_r])
-    w_s, V_s = np.linalg.eigh(sigma)
-    keep_s = w_s > tol.eps_rank * w_s.max()
-    P_xi = V_s[:, keep_s] @ dagger(V_s[:, keep_s])
-    shat = pseudoinverse(sigma, tol)
-    Vo = V_r[:, keep_r]
-    Vx = V_s[:, keep_s]
-    rho_c = dagger(Vo) @ rho @ Vo
-    sig_c = dagger(Vx) @ sigma @ Vx
-
-    # real-linear constraint rows: sum(C * T) + sum(D * conj(T)) = val
-    cons: list[tuple[np.ndarray, np.ndarray, complex]] = []
-    Z = np.zeros((n, m, n, m), dtype=complex)
-
-    for a in range(m):
-        for b in range(m):
-            C = Z.copy()
-            for i in range(n):
-                C[i, a, i, b] = 1.0
-            cons.append((C, Z, 1.0 if a == b else 0.0))
-    for i in range(n):
-        for a in range(m):
-            for j in range(n):
-                for b in range(m):
-                    C = Z.copy()
-                    D = Z.copy()
-                    C[i, a, j, b] = 1.0
-                    D[j, b, i, a] = -1.0
-                    cons.append((C, D, 0.0))
-    for k in range(n):
-        for l in range(n):
-            D = Z.copy()
-            D[k, :, l, :] = rho
-            cons.append((Z, D, sigma[k, l]))
-    Pop = np.eye(m) - P_om
-    for i in range(m):
-        for j in range(m):
-            E = np.zeros((m, m), dtype=complex)
-            E[i, j] = 1.0
-            X = rho @ E @ Pop
-            for u in range(n):
-                for v in range(n):
-                    D = Z.copy()
-                    for p in range(n):
-                        for q in range(n):
-                            D[p, :, q, :] += shat[u, p] * P_xi[q, v] * X
-                    cons.append((Z, D, 0.0))
-    for k in range(n):
-        for l in range(n):
-            E = np.zeros((n, n), dtype=complex)
-            E[k, l] = 1.0
-            B = P_xi @ E @ P_xi
-            L1 = sigma @ B
-            L2 = B @ sigma
-            for a in range(m):
-                for b in range(m):
-                    C = Z.copy()
-                    for c in range(m):
-                        C[:, a, :, c] += L1 * rho[c, b]
-                        C[:, c, :, b] -= L2 * rho[a, c]
-                    cons.append((C, Z, 0.0))
-    rc = Vo.shape[1]
-    xc = Vx.shape[1]
-    for k in range(xc):
-        for l in range(xc):
-            E = np.zeros((xc, xc), dtype=complex)
-            E[k, l] = 1.0
-            Y1 = Vx @ (sig_c @ E) @ dagger(Vx)
-            Y2 = Vx @ (E @ sig_c) @ dagger(Vx)
-            for u in range(rc):
-                for v in range(rc):
-                    C = Z.copy()
-                    for a in range(m):
-                        for b in range(m):
-                            c1 = sum(
-                                np.conj(Vo[a, u]) * Vo[b, w] * rho_c[w, v]
-                                for w in range(rc)
-                            )
-                            c2 = sum(
-                                rho_c[u, w] * np.conj(Vo[a, w]) * Vo[b, v]
-                                for w in range(rc)
-                            )
-                            C[:, a, :, b] += Y1 * c1 - Y2 * c2
-                    cons.append((C, Z, 0.0))
-
-    dim = (n * m) ** 2
-    L = np.zeros((2 * len(cons), 2 * dim))
-    rhs = np.zeros(2 * len(cons))
-    for r, (C, D, val) in enumerate(cons):
-        c = C.reshape(-1)
-        d = D.reshape(-1)
-        L[2 * r, :dim] = c.real + d.real
-        L[2 * r, dim:] = -c.imag + d.imag
-        L[2 * r + 1, :dim] = c.imag + d.imag
-        L[2 * r + 1, dim:] = c.real - d.real
-        rhs[2 * r] = np.real(val)
-        rhs[2 * r + 1] = np.imag(val)
-    L_pinv = np.linalg.pinv(L, rcond=1e-10)
-    # affine(x) = x - L+(Lx - rhs); precompute the nullspace projector so the
-    # inner loop is a single matmul
-    nullproj = np.eye(2 * dim) - L_pinv @ L
-    x_part = L_pinv @ rhs
-
-    def affine(x):
-        return nullproj @ x + x_part
-
-    def vec(T):
-        flat = T.reshape(-1)
-        return np.concatenate([flat.real, flat.imag])
-
-    def unvec(x):
-        return (x[:dim] + 1j * x[dim:]).reshape(n, m, n, m)
-
-    def psd(T):
-        Cm = T.reshape(n * m, n * m)
-        Cm = (Cm + dagger(Cm)) / 2
-        w, V = np.linalg.eigh(Cm)
-        return ((V * np.clip(w, 0.0, None)) @ dagger(V)).reshape(n, m, n, m)
-
-    x = vec(random_complex(rng, 1, dim).reshape(n, m, n, m) * 2.0)
-    distance = np.inf
-    for it in range(max_iterations):
-        xa = affine(x)
-        xp = vec(psd(unvec(xa)))
-        distance = float(np.linalg.norm(xp - xa))
-        x = xp
-        if distance < 1e-13:
-            break
-    if distance >= 1e-13:
-        raise ShapeMismatch(
-            f"battery-pass projection did not converge (distance {distance:.2e})"
-        )
-    T = unvec(affine(x))
-
-    F = Channel(source, target, [[T]])
     omega = State(target, (1.0,), (rho,))
     return F, omega

@@ -149,10 +149,14 @@ def corner_map(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> Cor
 
 @dataclass(frozen=True)
 class ACReport:
+    """One AC test; a sampled report keeps the algebraic report it was
+    cross-checked against."""
+
     ok: bool
     max_residual: float
     method: str
     corner: CornerMap
+    algebraic: Optional["ACReport"] = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -239,4 +243,4 @@ def ac_condition_sampled(
             f"algebraic={algebraic.ok} (residual {algebraic.max_residual:.3e}), "
             f"sampled={ok} (residual {worst:.3e})"
         )
-    return ACReport(ok=ok, max_residual=worst, method="sampled", corner=cm)
+    return ACReport(ok=ok, max_residual=worst, method="sampled", corner=cm, algebraic=algebraic)

@@ -15,7 +15,9 @@ import numpy as np
 
 from .algebra import (
     AlgebraElement,
+    HomSpec,
     MultiMatrixAlgebra,
+    memo,
 )
 from .errors import ShapeMismatch
 from .linalg import (
@@ -154,9 +156,14 @@ def support(omega: State, tol: Tolerances = DEFAULT_TOL) -> SupportData:
 
     The rank cutoff is relative to the global maximum eigenvalue of the
     weighted densities p_x rho_x, so comparisons between blocks are
-    meaningful. Each block is eigendecomposed once; its kept eigenpairs are
-    the spectra that the modular flow reads.
+    meaningful. Each block is eigendecomposed once per state and tolerance;
+    its kept eigenpairs are the spectra that the modular flow reads.
     """
+    return SupportData(omega, *memo(omega, ("support", tol), lambda: _support(omega, tol)))
+
+
+def _support(omega: State, tol: Tolerances) -> tuple:
+    """The SupportData fields after `state`, which refer only to arrays."""
     alg = omega.algebra
     eigs = [hermitian_eigen(omega.weighted_density(x), tol) for x in range(alg.n_blocks)]
     lam_max = max(float(eig.eigenvalues.max(initial=0.0)) for eig in eigs)
@@ -185,13 +192,12 @@ def support(omega: State, tol: Tolerances = DEFAULT_TOL) -> SupportData:
         corner_dims.append(rank)
     if not kept:
         raise ShapeMismatch("state has empty support")
-    return SupportData(
-        state=omega,
-        projection=AlgebraElement(alg, tuple(proj_blocks)),
-        corner_algebra=MultiMatrixAlgebra(tuple(corner_dims)),
-        isometries=tuple(isometries),
-        kept=tuple(kept),
-        spectra=tuple(spectra),
+    return (
+        AlgebraElement(alg, tuple(proj_blocks)),
+        MultiMatrixAlgebra(tuple(corner_dims)),
+        tuple(isometries),
+        tuple(kept),
+        tuple(spectra),
     )
 
 
@@ -230,15 +236,19 @@ def pullback(omega: State, F, tol: Tolerances = DEFAULT_TOL) -> State:
 
     Computed through the predual action on weighted densities; weights and
     densities are renormalized per block, and blocks whose induced weight
-    vanishes are dropped.
+    vanishes are dropped. Computed once per state, map and tolerance: the
+    map is keyed by identity and held, so the key stays unique.
     """
-    from .algebra import HomSpec
     from .channel import from_hom
 
     if isinstance(F, HomSpec):
         F = from_hom(F)
     if F.target.block_dims != omega.algebra.block_dims:
         raise ShapeMismatch("state does not live on the channel's target")
+    return memo(omega, ("pullback", id(F), tol), lambda: (F, _pullback(omega, F, tol)))[1]
+
+
+def _pullback(omega: State, F, tol: Tolerances) -> State:
     src = F.source
     raw = []
     for y, n_y in enumerate(src.block_dims):
