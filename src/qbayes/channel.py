@@ -47,7 +47,7 @@ from .linalg import (
     hermitian_floor,
     hermitian_split,
 )
-from .state import State, in_nullspace, support
+from .state import State, support
 
 
 def _unit_rows(T: np.ndarray) -> np.ndarray:
@@ -392,23 +392,20 @@ def ae_equal(
             worst = max(worst, float(np.abs(W).max(initial=0.0)))
     verdict_pairing = worst <= tol.eps_eq * scale
 
+    # omega((D E)* (D E)) = sum_x tr((D_xy(E) p_x rho_x) D_xy(E)*) for every unit E
+    # of block y, set against ||D E||^2 as `in_nullspace` does for one element
     verdict_nullspace = True
-    for y, n_y in enumerate(D.source.block_dims):
-        for i in range(n_y):
-            for j in range(n_y):
-                img = AlgebraElement(
-                    D.target,
-                    tuple(
-                        D.tensors[x][y][i, :, j, :] for x in range(D.target.n_blocks)
-                    ),
-                )
-                if not in_nullspace(omega, img, tol, scale=scale):
-                    verdict_nullspace = False
-                    break
-            if not verdict_nullspace:
-                break
-        if not verdict_nullspace:
-            break
+    for y in range(D.source.n_blocks):
+        value = 0.0
+        sq_norm = 0.0
+        for x in range(D.target.n_blocks):
+            images = D.tensors[x][y].transpose(0, 2, 1, 3)  # [i, j] = D_xy(E_ij)
+            sq_norm = sq_norm + _sq_frobenius(images)
+            value = value + np.einsum(
+                "ijab,ijab->ij", images @ omega.weighted_density(x), images.conj()
+            ).real
+        ref = np.maximum(np.sqrt(sq_norm), max(scale, ABS_FLOOR))
+        verdict_nullspace &= bool(np.all(value <= tol.eps_eq * ref * ref))
 
     if verdict_pairing != verdict_nullspace:
         raise InternalInconsistency(
@@ -424,31 +421,28 @@ def ae_deterministic(
     omega: State,
     tol: Tolerances = DEFAULT_TOL,
 ) -> bool:
-    """Multiplicativity of F modulo the nullspace of omega.
+    """Multiplicativity of a UCP map F modulo the nullspace of omega.
 
-    Checked in the support-projection form: F(B1 B2) P = F(B1) F(B2) P over
-    all matrix-unit pairs, including cross-block pairs whose product is zero.
-    The first unit of a pair is looped over; the second runs over a whole
-    source block at once, with E_ij E_kl = delta_jk E_il.
+    F must be UCP. Take a Stinespring form F = V* pi(.) V, Q = 1 - V V* and
+    P the support of omega. Then F(B1 B2) P - F(B1) F(B2) P = V* pi(B1) Q
+    pi(B2) V P, and the Kadison-Schwarz defect D(E) = F(E* E) - F(E)* F(E)
+    satisfies P D(E) P = (Q pi(E) V P)* (Q pi(E) V P). So F is multiplicative
+    modulo the nullspace iff P D(E) P = 0 for every matrix unit E, and
+    E_ij* E_ij = E_jj. The defect is taken in the corner of each support
+    isometry W: W* F(E_jj) W - (F(E_ij) W)* (F(E_ij) W), every unit at once.
     """
     if omega.algebra.block_dims != F.target.block_dims:
         raise ShapeMismatch("state does not live on the map's target algebra")
-    P = support(omega, tol).projection
+    sup = support(omega, tol)
     scale = _map_scale(F)
     worst = 0.0
-    for x, m_x in enumerate(F.target.block_dims):
-        # images[y][i, j] = F_xy(E_ij), and imagesP[y][i, j] = F_xy(E_ij) P
-        images = [T.transpose(0, 2, 1, 3) for T in F.tensors[x]]
-        imagesP = [img @ P.blocks[x] for img in images]
-        for y1, n1 in enumerate(F.source.block_dims):
-            for a, left in enumerate(images[y1].reshape(n1 * n1, m_x, m_x)):
-                i1, j1 = divmod(a, n1)
-                for y2 in range(F.source.n_blocks):
-                    # F(E1) F(E2) P - F(E1 E2) P for every unit E2 of block y2
-                    diff = left @ imagesP[y2]
-                    if y1 == y2:
-                        diff[j1] -= imagesP[y1][i1]
-                    worst = max(worst, float(_sq_frobenius(diff).max()))
+    for x in sup.kept:
+        W = sup.isometries[x]
+        for T in F.tensors[x]:
+            n = T.shape[0]
+            FW = T.transpose(0, 2, 1, 3) @ W  # [i, j] = F_xy(E_ij) W
+            defect = dagger(W) @ FW[range(n), range(n)] - FW.conj().swapaxes(-1, -2) @ FW
+            worst = max(worst, float(_sq_frobenius(defect).max()))
     return bool(np.sqrt(worst) <= tol.eps_eq * scale * scale)
 
 

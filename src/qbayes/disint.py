@@ -36,6 +36,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     _sq_frobenius,
+    dagger,
     frobenius,
     kron,
     partial_trace_left,
@@ -398,26 +399,29 @@ def takesaki_battery(
     chan = cm.channel
 
     # (a) is the corner map multiplicative (hence a unital *-homomorphism)?
-    # With E_ij E_kl = delta_jk E_il, the first unit of each pair is looped
-    # over and the second runs over a whole corner block at once.
-    # images[x][y][i, j] = chan_xy(E_ij)
-    images = [[T.transpose(0, 2, 1, 3) for T in row] for row in chan.tensors]
+    # It is Ad(V_o*) o h o Ad(V_x) for the support isometries V_x, V_o, so
+    # with Q_o = 1 - V_o V_o* and R(E) = Q_o h(V_x E V_x*) V_o,
+    # chan(E1 E2) - chan(E1) chan(E2) = R(E1*)* R(E2): it is multiplicative iff
+    # the support of omega commutes with h on the lifted corner, R(E) = 0 for
+    # every corner unit E. The residual is the largest ||R(E)* R(E)||, read
+    # from the hom's tensors and the isometries, not from the corner channel.
+    sup_o, sup_x = cm.omega_support, cm.xi_support
+    worst = 0.0
+    for y in sup_x.kept:
+        V = sup_x.isometries[y]
+        sq = 0.0
+        for x in sup_o.kept:
+            W = sup_o.isometries[x]
+            # [c, d, i, j] = h_xy(V E_ij V*)_cd, then X[i, j] = h_xy(V E_ij V*) W
+            lifted = V.T @ F.tensors[x][y].transpose(1, 3, 0, 2) @ V.conj()
+            X = lifted.transpose(2, 3, 0, 1) @ W
+            R = X - W @ (dagger(W) @ X)
+            sq = sq + _sq_frobenius(R.conj().swapaxes(-1, -2) @ R)
+        worst = max(worst, float(np.sqrt(np.max(sq))))
     # the largest ||chan(E_a)|| ||chan(E_b)|| is the largest squared image norm
+    images = [[T.transpose(0, 2, 1, 3) for T in row] for row in chan.tensors]
     sq_norms = [sum(_sq_frobenius(row[y]) for row in images) for y in range(chan.source.n_blocks)]
     scale = max(1.0, max(float(q.max()) for q in sq_norms))
-    worst = 0.0
-    for y1, n1 in enumerate(chan.source.block_dims):
-        for a in range(n1 * n1):
-            i1, j1 = divmod(a, n1)
-            for y2, n2 in enumerate(chan.source.block_dims):
-                # ||chan(E1 E2) - chan(E1) chan(E2)||^2 over every unit E2 of block y2
-                sq = np.zeros((n2, n2))
-                for row in images:
-                    diff = row[y1][i1, j1] @ row[y2]
-                    if y1 == y2:
-                        diff[j1] -= row[y1][i1]
-                    sq += _sq_frobenius(diff)
-                worst = max(worst, float(np.sqrt(sq.max())))
     corner_hom = worst <= tol.eps_eq * scale
 
     # (b) corner intertwining condition

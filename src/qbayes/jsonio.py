@@ -65,8 +65,8 @@ def matrix_from_json(data, rows: int, cols: int, field: str) -> np.ndarray:
             flat = np.fromiter(chain.from_iterable(data), dtype=float, count=2 * len(data))
             pairs = flat.reshape(-1, 2)
             if np.isfinite(pairs).all():
-                # the loop's arithmetic, so signed zeros read as they always have
-                return (pairs[:, 0] + 1j * pairs[:, 1]).reshape(rows, cols)
+                # the pairs' bits as they are, signed zeros included
+                return pairs.view(complex).reshape(rows, cols)
     # the per-entry loop names the first offending entry
     out = np.zeros(rows * cols, dtype=complex)
     for idx, pair in enumerate(data):
@@ -76,7 +76,7 @@ def matrix_from_json(data, rows: int, cols: int, field: str) -> np.ndarray:
         if type(re) not in (int, float) or type(im) not in (int, float):
             raise SchemaError(f"{field}[{idx}]: expected two numbers, got {pair!r}")
         try:
-            out[idx] = float(re) + 1j * float(im)
+            out[idx] = complex(re, im)
         except OverflowError:
             raise SchemaError(f"{field}[{idx}]: entry {pair!r} is not finite") from None
     bad = np.flatnonzero(~np.isfinite(out))

@@ -33,20 +33,20 @@ def _multiblock_hom():
 def _multiblock_instance(zero_blocks=()):
     rng = np.random.default_rng(20)
     h = _multiblock_hom()
-    return from_hom(h), random_state(rng, h.target, zero_blocks=zero_blocks)
+    return h, random_state(rng, h.target, zero_blocks=zero_blocks)
 
 
 def _multiblock_product_instance():
     # passes the battery and has an inverse; the source state has rank 1 in
     # its 2-dimensional block
     h = _multiblock_hom()
-    return from_hom(h), product_state_for_hom(np.random.default_rng(23), h, sigma_ranks=[1, 1])
+    return h, product_state_for_hom(np.random.default_rng(23), h, sigma_ranks=[1, 1])
 
 
 def _rankdef_source_instance():
     # the pulled-back state has rank 1: both corner isometries are complex
     h = inclusion_hom(2, 3)
-    return from_hom(h), product_state_for_hom(np.random.default_rng(22), h, sigma_ranks=[1])
+    return h, product_state_for_hom(np.random.default_rng(22), h, sigma_ranks=[1])
 
 
 def _rankdef_kraus_instance():
@@ -55,19 +55,28 @@ def _rankdef_kraus_instance():
     return F, random_state(rng, F.target, ranks=(2, 1))
 
 
-def _hom_instance(named):
-    h, omega = named()
-    return from_hom(h), omega
+def _channel_instance(named):
+    def build():
+        h, omega = named()
+        return from_hom(h), omega
+
+    return build
 
 
-# (channel, state) builders covering the shapes that array kernels must get
-# right: one block, several blocks, rank-deficient states and zero weights
-INSTANCE_CASES = {
-    "single-block": lambda: _hom_instance(nonproduct_faithful_instance),
+# (hom, state) builders: one block, several blocks, rank-deficient states and
+# zero weights
+HOM_CASES = {
+    "single-block": nonproduct_faithful_instance,
     "multi-block": _multiblock_instance,
     "multi-block-product": _multiblock_product_instance,
-    "rank-deficient": _rankdef_kraus_instance,
-    "rank-deficient-hom": lambda: _hom_instance(epr_instance),
+    "rank-deficient-hom": epr_instance,
     "rank-deficient-source": _rankdef_source_instance,
     "zero-weight": lambda: _multiblock_instance(zero_blocks=(1,)),
+}
+
+# (channel, state) builders covering the shapes that array kernels must get
+# right: the hom cases as channels, plus a Kraus channel
+INSTANCE_CASES = {
+    **{name: _channel_instance(named) for name, named in HOM_CASES.items()},
+    "rank-deficient": _rankdef_kraus_instance,
 }

@@ -13,6 +13,7 @@ from qbayes.disint import (
     verify_disintegration,
 )
 from qbayes.errors import InvalidCertificate
+from qbayes.linalg import dagger, frobenius
 from qbayes.modular import corner_map
 from qbayes.generators import (
     epr_instance,
@@ -28,6 +29,7 @@ from qbayes.generators import (
 from qbayes.state import State, evaluate, pullback, state_from_weighted
 
 from conftest import fixture_path
+from pair_loops import corner_hom_pairs
 
 
 def test_factorize_product_extracts_tau():
@@ -292,6 +294,7 @@ def test_takesaki_product_all_true():
 
 
 def test_takesaki_multiblock_randomized():
+    instances = []
     rng = np.random.default_rng(5)
     for trial in range(10):
         h = random_hom(rng, (2, 2), max_mult=2)
@@ -300,19 +303,34 @@ def test_takesaki_multiblock_randomized():
             if trial % 2 == 0
             else random_state(rng, h.target)
         )
+        instances.append((h, omega))
+    # rank-deficient states, whose supports need not commute with the hom
+    rng = np.random.default_rng(6)
+    for trial in range(6):
+        h = random_hom(rng, (2, 2), max_mult=2)
+        ranks = [max(m - 1 - trial % 2, 1) for m in h.target.block_dims]
+        instances.append((h, random_state(rng, h.target, ranks=ranks)))
+    for h, omega in instances:
         rep = takesaki_battery(h, omega)  # raises on any equivalence violation
         assert rep.corner_disintegration == rep.full_disintegration
 
-        # reference for test (a): chan(E_a E_b) - chan(E_a) chan(E_b) over
-        # every pair of corner matrix units, one pair at a time
-        chan = corner_map(from_hom(h), omega).channel
-        units = list(matrix_units(chan.source))
-        images = [chan.apply(E) for E in units]
-        worst = max(
-            (chan.apply(Ea @ Eb) - images[a] @ images[b]).norm()
-            for a, Ea in enumerate(units)
-            for b, Eb in enumerate(units)
-        )
+        # the verdict of test (a) against the loop over pairs of corner units
+        F = from_hom(h)
+        cm = corner_map(F, omega)
+        assert rep.corner_hom == corner_hom_pairs(cm.channel)[0]
+
+        # its residual, unit by unit: the largest ||R(E)* R(E)|| over corner
+        # units E, with R(E) = Q_o h(V_x E V_x*) V_o summed over target blocks
+        sup_o, sup_x = cm.omega_support, cm.xi_support
+        worst = 0.0
+        for E in matrix_units(cm.channel.source):
+            image = F.apply(sup_x.lift(E))
+            sq = 0.0
+            for x in sup_o.kept:
+                W = sup_o.isometries[x]
+                R = image.blocks[x] @ W - W @ (dagger(W) @ image.blocks[x] @ W)
+                sq += frobenius(dagger(R) @ R) ** 2
+            worst = max(worst, np.sqrt(sq))
         assert abs(rep.corner_hom_residual - worst) <= 1e-12
 
 

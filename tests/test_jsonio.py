@@ -148,7 +148,7 @@ def per_entry_matrix(data, rows, cols, field):
         if type(re) not in (int, float) or type(im) not in (int, float):
             raise SchemaError(f"{field}[{idx}]: expected two numbers, got {pair!r}")
         try:
-            out[idx] = float(re) + 1j * float(im)
+            out[idx] = complex(re, im)
         except OverflowError:
             raise SchemaError(f"{field}[{idx}]: entry {pair!r} is not finite") from None
     bad = np.flatnonzero(~np.isfinite(out))
@@ -171,6 +171,13 @@ def test_matrix_from_json_matches_per_entry_loop(data):
     # the same bits, signed zeros included
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert got.dtype == complex and got.shape == (len(data), 1)
+
+
+def test_matrix_from_json_keeps_signed_zeros():
+    data = [[-0.0, 1.0], [1.0, -0.0], [-0.0, -0.0]]
+    got = matrix_from_json(data, 3, 1, "m").ravel()
+    assert np.signbit(got.real).tolist() == [True, False, True]
+    assert np.signbit(got.imag).tolist() == [False, True, True]
 
 
 @pytest.mark.parametrize(
