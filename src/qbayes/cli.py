@@ -11,6 +11,7 @@ alarm, distinct from a mathematical "no").
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -313,7 +314,9 @@ def cmd_random(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="qbayes",
         description="Bayesian inverses, disintegrations, and state-preserving "

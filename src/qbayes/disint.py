@@ -24,6 +24,7 @@ from .bayesinv import battery, bayes_inverse
 from .channel import (
     Channel,
     LinearMap,
+    _map_scale,
     ae_deterministic,
     ae_equal,
     compose,
@@ -403,26 +404,23 @@ def takesaki_battery(
     # with Q_o = 1 - V_o V_o* and R(E) = Q_o h(V_x E V_x*) V_o,
     # chan(E1 E2) - chan(E1) chan(E2) = R(E1*)* R(E2): it is multiplicative iff
     # the support of omega commutes with h on the lifted corner, R(E) = 0 for
-    # every corner unit E. The residual is the largest ||R(E)* R(E)||, read
-    # from the hom's tensors and the isometries, not from the corner channel.
+    # every corner unit E. The residual is the largest ||R(E)* R(E)|| per
+    # block pair, read from the hom's tensors and the isometries, not from the
+    # corner channel; it is the Kadison-Schwarz defect that corner_det judges
+    # below, held to the same threshold as `ae_deterministic`.
     sup_o, sup_x = cm.omega_support, cm.xi_support
     worst = 0.0
     for y in sup_x.kept:
         V = sup_x.isometries[y]
-        sq = 0.0
         for x in sup_o.kept:
             W = sup_o.isometries[x]
             # [c, d, i, j] = h_xy(V E_ij V*)_cd, then X[i, j] = h_xy(V E_ij V*) W
             lifted = V.T @ F.tensors[x][y].transpose(1, 3, 0, 2) @ V.conj()
             X = lifted.transpose(2, 3, 0, 1) @ W
             R = X - W @ (dagger(W) @ X)
-            sq = sq + _sq_frobenius(R.conj().swapaxes(-1, -2) @ R)
-        worst = max(worst, float(np.sqrt(np.max(sq))))
-    # the largest ||chan(E_a)|| ||chan(E_b)|| is the largest squared image norm
-    images = [[T.transpose(0, 2, 1, 3) for T in row] for row in chan.tensors]
-    sq_norms = [sum(_sq_frobenius(row[y]) for row in images) for y in range(chan.source.n_blocks)]
-    scale = max(1.0, max(float(q.max()) for q in sq_norms))
-    corner_hom = worst <= tol.eps_eq * scale
+            worst = max(worst, float(_sq_frobenius(R.conj().swapaxes(-1, -2) @ R).max()))
+    worst = float(np.sqrt(worst))
+    corner_hom = worst <= tol.eps_eq * _map_scale(chan) ** 2
 
     # (b) corner intertwining condition
     ac = ac_condition_algebraic(F, omega, tol, corner=cm)

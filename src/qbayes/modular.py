@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, HomSpec
+from .algebra import AlgebraElement, HomSpec, memo
 from .channel import Channel, LinearMap, from_hom, is_ucp
 from .errors import InternalInconsistency, ShapeMismatch
 from .linalg import (
@@ -89,9 +89,9 @@ class CornerMap:
     state) is verified at construction.
     """
 
-    channel: Channel
     omega_support: SupportData
     xi_support: SupportData
+    channel: Channel
     omega_restricted: State
     xi_restricted: State
     square_residual: float
@@ -99,15 +99,25 @@ class CornerMap:
 
 def corner_map(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> CornerMap:
     """compress o F o lift: lift and compress are the Kraus maps Ad(V) and
-    Ad(V^*) of the support isometries of the pulled-back and target states."""
+    Ad(V^*) of the support isometries of the pulled-back and target states.
+
+    Built once per state, map and tolerance: the map is keyed by identity and
+    held, so the key stays unique.
+    """
     if isinstance(F, HomSpec):
         F = from_hom(F)
     if omega.algebra.block_dims != F.target.block_dims:
         raise ShapeMismatch("state does not live on the map's target algebra")
-    xi = pullback(omega, F, tol)
     sup_o = support(omega, tol)
-    sup_x = support(xi, tol)
+    sup_x = support(pullback(omega, F, tol), tol)
+    _, fields = memo(
+        omega, ("corner", id(F), tol), lambda: (F, _corner_map(F, sup_o, sup_x, tol))
+    )
+    return CornerMap(sup_o, sup_x, *fields)
 
+
+def _corner_map(F: LinearMap, sup_o: SupportData, sup_x: SupportData, tol: Tolerances) -> tuple:
+    """The CornerMap fields after the two supports."""
     tensors = [
         [_sandwich(F.tensors[x][y], sup_x.isometries[y], sup_o.isometries[x]) for y in sup_x.kept]
         for x in sup_o.kept
@@ -137,14 +147,7 @@ def corner_map(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> Cor
         raise InternalInconsistency(
             f"corner square does not commute, residual {worst:.3e}"
         )
-    return CornerMap(
-        channel=chan,
-        omega_support=sup_o,
-        xi_support=sup_x,
-        omega_restricted=omega_r,
-        xi_restricted=xi_r,
-        square_residual=worst,
-    )
+    return chan, omega_r, xi_r, worst
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,92 @@
+"""Count the derivations of one `qbayes` call.
+
+Each shared input of a check is derived by a private builder and kept on the
+object that owns it: the support and the pulled-back states on the state,
+the channel on the hom, the factorization and the corner map on the state.
+`recording()` wraps those builders and records a key for each build, so an
+input derived twice shows up as a repeated key. From a checkout:
+
+    PYTHONPATH=src python tests/derivations.py fixtures/product.json [--analyses ac]
+
+runs one `qbayes check` on the problem file and prints, per builder, how
+many builds it made and on how many distinct keys.
+"""
+
+import contextlib
+import io
+import sys
+from collections import Counter
+
+import qbayes.channel
+import qbayes.disint
+import qbayes.modular
+import qbayes.state
+
+BUILDERS = {
+    "state._support": (qbayes.state, "_support", lambda omega, tol: (id(omega), tol)),
+    "state._pullback": (
+        qbayes.state, "_pullback", lambda omega, F, tol: (id(omega), id(F), tol)
+    ),
+    "channel._from_hom": (qbayes.channel, "_from_hom", id),
+    "disint._factorize": (
+        qbayes.disint, "_factorize", lambda h, omega, tol: (id(h), id(omega), tol)
+    ),
+    "modular._corner_map": (
+        qbayes.modular, "_corner_map", lambda F, sup_o, sup_x, tol: (id(F), id(sup_o.state), tol)
+    ),
+}
+
+
+@contextlib.contextmanager
+def recording(targets=BUILDERS):
+    """Yield {label: [key, ...]} for targets {label: (module, name, key)}.
+
+    While open, each call of module.name appends key(*args) to its label's
+    list. A function is wrapped at every qbayes module that binds it. The
+    arguments are held until the block exits, so that no id in a key is
+    reused by a later object.
+    """
+    seen = {label: [] for label in targets}
+    held = []
+    patched = []
+
+    def wrap(original, key, keys):
+        def recorded(*args, **kwargs):
+            held.append(args)
+            keys.append(key(*args))
+            return original(*args, **kwargs)
+        return recorded
+
+    modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "qbayes"]
+    for label, (module, name, key) in targets.items():
+        original = getattr(module, name)
+        recorded = wrap(original, key, seen[label])
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                patched.append((mod, name, original))
+                setattr(mod, name, recorded)
+    try:
+        yield seen
+    finally:
+        for mod, name, original in reversed(patched):
+            setattr(mod, name, original)
+        held.clear()
+
+
+def repeats(keys) -> list:
+    """The keys recorded more than once."""
+    return [k for k, n in Counter(keys).items() if n > 1]
+
+
+def main(argv) -> int:
+    from qbayes.cli import main as qbayes_main
+
+    with recording() as seen, contextlib.redirect_stdout(io.StringIO()):
+        code = qbayes_main(["check", *argv])
+    for label, keys in seen.items():
+        print(f"{label:20} {len(keys):4d} builds {len(set(keys)):4d} distinct")
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -39,22 +39,20 @@ def ae_deterministic_pairs(F, omega, tol=DEFAULT_TOL):
 
 def corner_hom_pairs(chan, tol=DEFAULT_TOL):
     """(verdict, residual) of chan(E1 E2) = chan(E1) chan(E2) over all pairs
-    of units, with the threshold of test (a) in `takesaki_battery`."""
+    of units, per target block, with the threshold of test (a) in
+    `takesaki_battery` and of `ae_deterministic`."""
     # images[x][y][i, j] = chan_xy(E_ij)
     images = [[T.transpose(0, 2, 1, 3) for T in row] for row in chan.tensors]
-    sq_norms = [sum(_sq_frobenius(row[y]) for row in images) for y in range(chan.source.n_blocks)]
-    scale = max(1.0, max(float(q.max()) for q in sq_norms))
     worst = 0.0
     for y1, n1 in enumerate(chan.source.block_dims):
         for a in range(n1 * n1):
             i1, j1 = divmod(a, n1)
-            for y2, n2 in enumerate(chan.source.block_dims):
-                # ||chan(E1 E2) - chan(E1) chan(E2)||^2 over every unit E2 of block y2
-                sq = np.zeros((n2, n2))
+            for y2 in range(chan.source.n_blocks):
+                # ||chan_x(E1 E2) - chan_x(E1) chan_x(E2)||^2 over every unit E2 of block y2
                 for row in images:
                     diff = row[y1][i1, j1] @ row[y2]
                     if y1 == y2:
                         diff[j1] -= row[y1][i1]
-                    sq += _sq_frobenius(diff)
-                worst = max(worst, float(np.sqrt(sq.max())))
-    return worst <= tol.eps_eq * scale, worst
+                    worst = max(worst, float(_sq_frobenius(diff).max()))
+    residual = float(np.sqrt(worst))
+    return residual <= tol.eps_eq * _map_scale(chan) ** 2, residual

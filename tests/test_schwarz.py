@@ -161,3 +161,14 @@ def test_near_threshold_verdicts_match_pair_loops(family, seed):
     )
     bridge = bayes_disint_bridge(h, omega)
     assert bridge.deterministic == ae_deterministic_pairs(from_hom(h), omega)[0]
+
+
+@pytest.mark.parametrize("seed", [s for f, s in NEAR_THRESHOLD if f is rotated_product_instance])
+def test_corner_hom_and_corner_det_share_one_threshold(seed):
+    # (a) reads the defect C(E*E) - C(E)*C(E) of the corner map C from the
+    # hom, corner_det from C itself; on seeds 32, 39 and 153 the defect lies
+    # between eps max_x ||C_x(E)||^2 and eps sum_x ||C_x(E)||^2
+    h, omega = rotated_product_instance(seed)
+    cm = corner_map(from_hom(h), omega)
+    corner_det = ae_deterministic(cm.channel, cm.omega_restricted)
+    assert takesaki_battery(h, omega).corner_hom == corner_det

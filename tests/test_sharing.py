@@ -1,31 +1,38 @@
-"""Each state-side input is derived once per instance, and dies with it.
+"""Each shared input is derived once per instance, and dies with it.
 
 A `qbayes check` runs several analyses on one parsed problem. They share
-the support of each state, the pulled-back states, the hom's channel and
-the factorization of the state along the hom; each analysis still computes
-its own verdict. The caches live on the parsed objects, so nothing of a
-call outlives `cli.main`.
+the support of each state, the pulled-back states, the hom's channel, the
+factorization of the state along the hom and the corner map of each map and
+state; each analysis still computes its own verdict. The caches live on the
+parsed objects, so nothing of a call outlives `cli.main`.
 """
 
+import argparse
 import gc
 import json
 import pathlib
-import sys
 import weakref
-from collections import Counter
 
+import numpy as np
 import pytest
 
-import qbayes.channel
 import qbayes.cli
 import qbayes.disint
 import qbayes.modular
-import qbayes.state
 from qbayes.cli import main
 from qbayes.disint import condexp_characterize, disintegrate
-from qbayes.generators import product_instance
+from qbayes.generators import product_instance, product_state_for_hom, random_hom
+from qbayes.jsonio import (
+    PROBLEM_SCHEMA,
+    canonical_dumps,
+    hom_to_json,
+    loads,
+    problem_from_json,
+    state_to_json,
+)
 
 from conftest import FIXTURES
+from derivations import recording, repeats
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 HOM_FIXTURES = [
@@ -34,48 +41,28 @@ HOM_FIXTURES = [
 ]
 
 
-def _record(monkeypatch, module, name, key):
-    """Wrap module.name at every qbayes module that binds it; each call
-    appends key(*args), and the arguments are held so that no id in a key
-    is reused during the test."""
-    seen = []
-    original = getattr(module, name)
-
-    def recording(*args, **kwargs):
-        seen.append((key(*args), args))
-        return original(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "qbayes" and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, recording)
-    return seen
-
-
-def _repeats(seen) -> list:
-    return [k for k, n in Counter(k for k, _ in seen).items() if n > 1]
-
-
 @pytest.mark.parametrize("fixture", HOM_FIXTURES, ids=lambda p: p.stem)
-def test_full_check_derives_each_state_input_once(fixture, monkeypatch, capsys):
-    supports = _record(monkeypatch, qbayes.state, "_support",
-                       lambda omega, tol: (id(omega), tol))
-    pullbacks = _record(monkeypatch, qbayes.state, "_pullback",
-                        lambda omega, F, tol: (id(omega), id(F), tol))
-    channels = _record(monkeypatch, qbayes.channel, "_from_hom", id)
-    factorizations = _record(monkeypatch, qbayes.disint, "_factorize",
-                             lambda h, omega, tol: (id(h), id(omega), tol))
-    assert main(["check", str(fixture)]) == 0
+def test_full_check_derives_each_state_input_once(fixture, capsys):
+    with recording() as seen:
+        assert main(["check", str(fixture)]) == 0
     capsys.readouterr()
+    supports, pullbacks = seen["state._support"], seen["state._pullback"]
     assert supports and pullbacks
-    assert _repeats(supports) == [] and _repeats(pullbacks) == []
-    assert len(channels) == 1
-    assert len(factorizations) == 1
+    assert repeats(supports) == [] and repeats(pullbacks) == []
+    assert len(seen["channel._from_hom"]) == 1
+    assert len(seen["disint._factorize"]) == 1
+    # ac, takesaki (b) and the three batteries read the corner map of the
+    # problem's map and state; takesaki's corner battery reads its own
+    corners = seen["modular._corner_map"]
+    assert len(corners) == 2 and repeats(corners) == []
 
 
 @pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
-def test_ac_runs_its_algebraic_test_once(fixture, monkeypatch, capsys):
-    calls = _record(monkeypatch, qbayes.modular, "ac_condition_algebraic", lambda *a: None)
-    assert main(["check", str(fixture), "--analyses", "ac"]) == 0
+def test_ac_runs_its_algebraic_test_once(fixture, capsys):
+    target = {"ac": (qbayes.modular, "ac_condition_algebraic", lambda *a: None)}
+    with recording(target) as seen:
+        assert main(["check", str(fixture), "--analyses", "ac"]) == 0
+    calls = seen["ac"]
     report = json.loads(capsys.readouterr().out)["analyses"]["ac"]
     assert len(calls) == 1
     assert set(report) == {"verdict", "max_residual", "sampled_residual"}
@@ -85,13 +72,20 @@ def test_ac_runs_its_algebraic_test_once(fixture, monkeypatch, capsys):
 def test_parsed_problem_dies_with_the_call(argv, monkeypatch, capsys, tmp_path):
     refs = []
     parse = qbayes.cli.problem_from_json
+    build_corner = qbayes.modular._corner_map
 
     def parse_and_watch(data):
         problem = parse(data)
         refs.extend(weakref.ref(problem[k]) for k in ("state", "hom", "channel"))
         return problem
 
+    def build_and_watch(*args):
+        fields = build_corner(*args)
+        refs.extend(weakref.ref(fields[k]) for k in range(3))  # channel, both states
+        return fields
+
     monkeypatch.setattr(qbayes.cli, "problem_from_json", parse_and_watch)
+    monkeypatch.setattr(qbayes.modular, "_corner_map", build_and_watch)
     argv = [argv[0], str(FIXTURES / "multiblock_product.json")] + argv[1:]
     if argv[0] == "invert":
         argv += ["--out", str(tmp_path / "out.json")]
@@ -100,25 +94,84 @@ def test_parsed_problem_dies_with_the_call(argv, monkeypatch, capsys, tmp_path):
     try:
         assert main(argv) == 0
         # reference counting alone frees them: the caches hold no cycle
-        assert [ref() for ref in refs] == [None, None, None]
+        assert len(refs) == (9 if argv[0] == "check" else 3)
+        assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
     capsys.readouterr()
     gc.collect()
-    assert [ref() for ref in refs] == [None, None, None]
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
-def test_expectation_is_composed_only_when_read(monkeypatch):
+def test_two_calls_share_one_parser(monkeypatch, capsys):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def parse_and_record(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_and_record)
+    for _ in range(2):
+        assert main(["check", str(FIXTURES / "epr.json"), "--analyses", "ac"]) == 0
+    capsys.readouterr()
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+
+# seeded generated problems: (dims, kind) for `qbayes random`, and one
+# product state on a random multi-block hom
+GENERATED = [
+    (dims, kind) for dims in ("2->8", "3->9") for kind in ("product", "rankdef", "nonproduct")
+] + [("2,1->3,2", "kraus"), ("2,1", "multiblock-hom")]
+
+
+def _generated_problem(dims, kind, path) -> str:
+    if kind == "multiblock-hom":
+        rng = np.random.default_rng(8)
+        h = random_hom(rng, [int(n) for n in dims.split(",")])
+        problem = {
+            "schema": PROBLEM_SCHEMA,
+            "channel": hom_to_json(h),
+            "state": state_to_json(product_state_for_hom(rng, h)),
+        }
+        path.write_text(canonical_dumps(problem))
+    else:
+        argv = ["random", "--dims", dims, "--kind", kind, "--seed", "8", "--out", str(path)]
+        assert main(argv) == 0
+    return str(path)
+
+
+def _analyses(argv, capsys) -> dict:
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)["analyses"]
+
+
+@pytest.mark.parametrize("dims, kind", GENERATED, ids=[f"{d}-{k}" for d, k in GENERATED])
+def test_check_does_not_depend_on_analysis_order(dims, kind, capsys, tmp_path):
+    # a kept corner map must not make one analysis depend on another having run
+    path = _generated_problem(dims, kind, tmp_path / "problem.json")
+    order = problem_from_json(loads(pathlib.Path(path).read_text()))["analyses"]
+    full = canonical_dumps(_analyses(["check", path], capsys))
+    union = {}
+    for name in order:
+        union.update(_analyses(["check", path, "--analyses", name], capsys))
+    assert canonical_dumps(union) == full
+    reverse = ",".join(reversed(order))
+    assert canonical_dumps(_analyses(["check", path, "--analyses", reverse], capsys)) == full
+
+
+def test_expectation_is_composed_only_when_read():
     h, omega = product_instance()
-    composed = _record(monkeypatch, qbayes.disint, "compose", lambda F, G: None)
-    rep = condexp_characterize(h, omega)
-    assert rep.ok and composed == []
-    E = rep.expectation
-    assert len(composed) == 1 and rep.expectation is E
-    res = disintegrate(h, omega)
-    before = len(composed)  # the verification's round trip G o F
-    assert res.exists and res.expectation is res.expectation
-    assert len(composed) == before + 1
+    with recording({"compose": (qbayes.disint, "compose", lambda F, G: None)}) as seen:
+        composed = seen["compose"]
+        rep = condexp_characterize(h, omega)
+        assert rep.ok and composed == []
+        E = rep.expectation
+        assert len(composed) == 1 and rep.expectation is E
+        res = disintegrate(h, omega)
+        before = len(composed)  # the verification's round trip G o F
+        assert res.exists and res.expectation is res.expectation
+        assert len(composed) == before + 1
 
 
 def _fixture_argv(call_id: str, tmp_path) -> list:
