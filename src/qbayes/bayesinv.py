@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .algebra import MultiMatrixAlgebra
+from .algebra import MultiMatrixAlgebra, memo
 from .channel import Channel, LinearMap, UcpVerdict, compose, identity_channel, is_ucp
 from .errors import ExtensionFailure, InternalInconsistency, ShapeMismatch
 from .linalg import (
@@ -164,9 +164,19 @@ def battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> BayesA
     InternalInconsistency, because their equivalence is a theorem, not a
     numerical accident. The off-support condition is the conjunction of the
     forced-row vanishing with the corner intertwining test.
+
+    Run once per state, map and tolerance, like `corner_map`: the outcome is
+    kept on the state, keyed by the map's identity with the map held, and its
+    arrays are read-only. A disagreement raises before anything is kept.
     """
     if omega.algebra.block_dims != F.target.block_dims:
         raise ShapeMismatch("state does not live on the channel's target algebra")
+    _, fields = memo(omega, ("battery", id(F), tol), lambda: (F, _battery(F, omega, tol)))
+    return BayesAnalysis(F, omega, *fields)
+
+
+def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
+    """The BayesAnalysis fields after F and omega."""
     xi = pullback(omega, F, tol)
 
     res = {name: 0.0 for name in BATTERY_CONDITIONS}
@@ -317,17 +327,14 @@ def battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> BayesA
                 "although the battery passed"
             )
 
-    return BayesAnalysis(
-        F=F,
-        omega=omega,
-        xi=xi,
-        conditions=verdicts,
-        passed=passed,
-        choi_A=choi_A,
-        choi_B=choi_B,
-        support_map=support_map,
-        petz_map=petz_map,
-    )
+    # every later caller reads the kept arrays, so none may write to them
+    kept = [*choi_A.values(), *choi_B.values()]
+    for M in (support_map, petz_map):
+        if M is not None:
+            kept += [T for row in M.tensors for T in row]
+    for T in kept:
+        T.setflags(write=False)
+    return xi, verdicts, passed, choi_A, choi_B, support_map, petz_map
 
 
 def left_right_bayes(
@@ -437,6 +444,8 @@ def existence(
     free_split selects how the leftover co-support mass is spread over the
     free diagonal; any admissible choice yields an a.e.-equivalent inverse.
     """
+    if free_split not in ("uniform", "ramp"):
+        raise ValueError(f"unknown free_split {free_split!r}")
     if not analysis.passed:
         raise ValueError("existence() requires a passed battery")
     F, omega, xi = analysis.F, analysis.omega, analysis.xi
@@ -499,11 +508,9 @@ def existence(
             B_mat = analysis.choi_B[(x, y)]
             if free_split == "uniform":
                 diag = np.full(m_x, 1.0 / m_x)
-            elif free_split == "ramp":
+            else:
                 diag = np.arange(1, m_x + 1, dtype=float)
                 diag /= diag.sum()
-            else:
-                raise ValueError(f"unknown free_split {free_split!r}")
             D_mat = sandwich[(x, y)] + np.kron(np.diag(diag * w_x[x]), delta_psd)
             C = A_mat + B_mat + dagger(B_mat) + D_mat
             tensors[y][x] = C.reshape(m_x, n_y, m_x, n_y)

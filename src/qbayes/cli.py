@@ -207,7 +207,7 @@ def cmd_check(args) -> int:
     with open(args.problem, "r", encoding="utf-8") as fh:
         data = loads(fh.read())
     problem = problem_from_json(data)
-    if args.analyses:
+    if args.analyses is not None:
         requested = [a.strip() for a in args.analyses.split(",") if a.strip()]
         _check_analyses(requested, problem["hom"] is not None, "--analyses")
         problem["analyses"] = requested

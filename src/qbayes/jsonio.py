@@ -235,7 +235,9 @@ def channel_from_json(data, field: str) -> tuple[Channel, Optional[HomSpec]]:
 
 
 def _check_analyses(analyses, has_hom: bool, field: str) -> None:
-    """Every name is a known analysis, and hom-only ones come with a hom."""
+    """A non-empty list of known analyses; hom-only ones come with a hom."""
+    if not isinstance(analyses, list) or not analyses:
+        raise SchemaError(f"{field}: expected a non-empty list of analysis names")
     for a in analyses:
         if a not in ALL_ANALYSES:
             raise SchemaError(f"{field}: unknown analysis '{a}'")

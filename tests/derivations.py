@@ -2,9 +2,10 @@
 
 Each shared input of a check is derived by a private builder and kept on the
 object that owns it: the support and the pulled-back states on the state,
-the channel on the hom, the factorization and the corner map on the state.
-`recording()` wraps those builders and records a key for each build, so an
-input derived twice shows up as a repeated key. From a checkout:
+the channel on the hom, the factorization, the corner map and the Bayes
+battery on the state. `recording()` wraps those builders and records a key
+for each build, so an input derived twice shows up as a repeated key. From
+a checkout:
 
     PYTHONPATH=src python tests/derivations.py fixtures/product.json [--analyses ac]
 
@@ -17,6 +18,7 @@ import io
 import sys
 from collections import Counter
 
+import qbayes.bayesinv
 import qbayes.channel
 import qbayes.disint
 import qbayes.modular
@@ -33,6 +35,9 @@ BUILDERS = {
     ),
     "modular._corner_map": (
         qbayes.modular, "_corner_map", lambda F, sup_o, sup_x, tol: (id(F), id(sup_o.state), tol)
+    ),
+    "bayesinv._battery": (
+        qbayes.bayesinv, "_battery", lambda F, omega, tol: (id(F), id(omega), tol)
     ),
 }
 

@@ -224,6 +224,15 @@ def test_existence_requires_passed_battery():
         existence(analysis)
 
 
+def test_existence_rejects_unknown_split_before_any_work():
+    # the pinned counterexample has no inverse, so the split is never read
+    # while an inverse is built
+    analysis = battery(*pinned_counterexample())
+    assert analysis.passed and not existence(analysis).exists
+    with pytest.raises(ValueError, match="unknown free_split 'bogus'"):
+        existence(analysis, free_split="bogus")
+
+
 def test_verify_bayes_rejects_corrupted_candidate():
     h, omega = product_instance()
     F = from_hom(h)

@@ -356,6 +356,11 @@ def _set_entry(path, value):
     return edit
 
 
+def _analyses_flag(text):
+    # leaves the file as it is and passes text as --analyses
+    return lambda data: text
+
+
 @pytest.mark.parametrize(
     "fixture, edit, code, named",
     [
@@ -378,19 +383,31 @@ def _set_entry(path, value):
         ("product", _density_diagonal(0.48, 0.12, 0.42, -0.02), 2,
          "problem.state.densities[0]"),
         ("product", _density_diagonal(0.6, 0.0, 0.4, 0.0), 0, None),
+        ("product", _analyses_flag(","), 2, "--analyses"),
+        ("product", _analyses_flag(" "), 2, "--analyses"),
+        ("product", _analyses_flag(""), 2, "--analyses"),
+        ("product", _set_entry(["analyses"], []), 2, "problem.analyses"),
+        ("product", _set_entry(["analyses"], {"ac": 1}), 2, "problem.analyses"),
+        ("product", _set_entry(["analyses"], "ac"), 2, "problem.analyses"),
     ],
     ids=["string", "bool", "nan", "inf-density", "inf-choi", "choi-x2", "choi-negated",
-         "choi-as-is", "kraus-x2", "kraus-as-is", "density-not-psd", "density-rank-deficient"],
+         "choi-as-is", "kraus-x2", "kraus-as-is", "density-not-psd", "density-rank-deficient",
+         "analyses-flag-comma", "analyses-flag-blank", "analyses-flag-empty",
+         "analyses-empty", "analyses-object", "analyses-string"],
 )
 def test_malformed_input_fails_closed(tmp_path, capsys, fixture, edit, code, named):
     data = json.loads((FIXTURES / f"{fixture}.json").read_text())
-    edit(data)
+    analyses = edit(data)
+    if analyses is None:
+        analyses = "bayes-battery"
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(data))
-    got, _, err = run_cli(["check", str(path), "--analyses", "bayes-battery"], capsys)
+    got, _, err = run_cli(["check", str(path), "--analyses", analyses], capsys)
     assert got == code
     if named is not None:
         assert err.startswith(f"error: {named}: ")
+    if named in ("--analyses", "problem.analyses"):
+        assert "expected a non-empty list of analysis names" in err
 
 
 def test_eps_env_override(capsys, monkeypatch):

@@ -2,9 +2,11 @@
 
 A `qbayes check` runs several analyses on one parsed problem. They share
 the support of each state, the pulled-back states, the hom's channel, the
-factorization of the state along the hom and the corner map of each map and
-state; each analysis still computes its own verdict. The caches live on the
-parsed objects, so nothing of a call outlives `cli.main`.
+factorization of the state along the hom, and the corner map and the Bayes
+battery of each map and state; each analysis still computes its own verdict,
+and `existence` and the AC tests are run by each analysis that reads them.
+The caches live on the parsed objects, so nothing of a call outlives
+`cli.main`.
 """
 
 import argparse
@@ -16,12 +18,22 @@ import weakref
 import numpy as np
 import pytest
 
+import qbayes.bayesinv
 import qbayes.cli
 import qbayes.disint
 import qbayes.modular
+from qbayes.bayesinv import battery, compositionality_check, existence
+from qbayes.channel import from_hom, identity_channel
 from qbayes.cli import main
 from qbayes.disint import condexp_characterize, disintegrate
-from qbayes.generators import product_instance, product_state_for_hom, random_hom
+from qbayes.errors import InternalInconsistency
+from qbayes.generators import (
+    inclusion_hom,
+    product_instance,
+    product_state_for_hom,
+    random_hom,
+    rankdef_product_instance,
+)
 from qbayes.jsonio import (
     PROBLEM_SCHEMA,
     canonical_dumps,
@@ -30,6 +42,7 @@ from qbayes.jsonio import (
     problem_from_json,
     state_to_json,
 )
+from qbayes.linalg import DEFAULT_TOL, Tolerances
 
 from conftest import FIXTURES
 from derivations import recording, repeats
@@ -58,6 +71,18 @@ def test_full_check_derives_each_state_input_once(fixture, capsys):
 
 
 @pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+def test_full_check_runs_each_battery_once(fixture, capsys):
+    # bayes-battery, bayes-existence and bridge read the battery of the
+    # problem's map and state; takesaki's corner battery is built on its own
+    with recording() as seen:
+        assert main(["check", str(fixture)]) == 0
+    capsys.readouterr()
+    batteries = seen["bayesinv._battery"]
+    assert len(batteries) == (2 if fixture in HOM_FIXTURES else 1)
+    assert repeats(batteries) == []
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
 def test_ac_runs_its_algebraic_test_once(fixture, capsys):
     target = {"ac": (qbayes.modular, "ac_condition_algebraic", lambda *a: None)}
     with recording(target) as seen:
@@ -73,6 +98,7 @@ def test_parsed_problem_dies_with_the_call(argv, monkeypatch, capsys, tmp_path):
     refs = []
     parse = qbayes.cli.problem_from_json
     build_corner = qbayes.modular._corner_map
+    build_battery = qbayes.bayesinv._battery
 
     def parse_and_watch(data):
         problem = parse(data)
@@ -84,8 +110,18 @@ def test_parsed_problem_dies_with_the_call(argv, monkeypatch, capsys, tmp_path):
         refs.extend(weakref.ref(fields[k]) for k in range(3))  # channel, both states
         return fields
 
+    def battery_and_watch(*args):
+        fields = build_battery(*args)
+        _, _, _, choi_A, choi_B, support_map, _ = fields
+        arrays = [*choi_A.values(), *choi_B.values()]
+        arrays += [T for row in support_map.tensors for T in row]  # both batteries pass
+        battery_refs.extend(weakref.ref(T) for T in arrays)
+        return fields
+
+    battery_refs = []
     monkeypatch.setattr(qbayes.cli, "problem_from_json", parse_and_watch)
     monkeypatch.setattr(qbayes.modular, "_corner_map", build_and_watch)
+    monkeypatch.setattr(qbayes.bayesinv, "_battery", battery_and_watch)
     argv = [argv[0], str(FIXTURES / "multiblock_product.json")] + argv[1:]
     if argv[0] == "invert":
         argv += ["--out", str(tmp_path / "out.json")]
@@ -95,6 +131,10 @@ def test_parsed_problem_dies_with_the_call(argv, monkeypatch, capsys, tmp_path):
         assert main(argv) == 0
         # reference counting alone frees them: the caches hold no cycle
         assert len(refs) == (9 if argv[0] == "check" else 3)
+        # the problem's battery and takesaki's, 2 x 2 block pairs each, keep
+        # two Choi blocks and a support-map tensor per pair
+        assert len(battery_refs) == (24 if argv[0] == "check" else 0)
+        refs += battery_refs
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
@@ -158,6 +198,79 @@ def test_check_does_not_depend_on_analysis_order(dims, kind, capsys, tmp_path):
     assert canonical_dumps(union) == full
     reverse = ",".join(reversed(order))
     assert canonical_dumps(_analyses(["check", path, "--analyses", reverse], capsys)) == full
+
+
+def _fixture_problem(name: str) -> dict:
+    return problem_from_json(loads((FIXTURES / f"{name}.json").read_text()))
+
+
+def _right_map_cp_fails(monkeypatch):
+    # every Choi block of Ad_P o G^R reads as indefinite, so right_map_cp
+    # alone fails on an instance where the other six conditions pass
+    monkeypatch.setattr(qbayes.bayesinv, "hermitian_floor", lambda choi: (-1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "analyses",
+    ["bayes-battery", "bayes-existence", "bridge", "bayes-battery,bayes-existence,bridge"],
+)
+def test_disagreeing_battery_alarms_every_reader(analyses, monkeypatch, capsys):
+    _right_map_cp_fails(monkeypatch)
+    assert main(["check", str(FIXTURES / "product.json"), "--analyses", analyses]) == 3
+    assert "battery verdicts disagree" in capsys.readouterr().err
+
+
+def test_disagreeing_battery_raises_on_every_call(monkeypatch):
+    _right_map_cp_fails(monkeypatch)
+    problem = _fixture_problem("product")
+    for _ in range(2):
+        with pytest.raises(InternalInconsistency, match="battery verdicts disagree"):
+            battery(problem["channel"], problem["state"])
+
+
+def _kept_arrays(analysis) -> list:
+    maps = [M for M in (analysis.support_map, analysis.petz_map) if M is not None]
+    return [*analysis.choi_A.values(), *analysis.choi_B.values()] + [
+        T for M in maps for row in M.tensors for T in row
+    ]
+
+
+def test_battery_is_kept_per_map_and_tolerance():
+    h, omega = rankdef_product_instance()
+    maps = (from_hom(h), identity_channel(h.target))
+    tols = (DEFAULT_TOL, Tolerances(eps_rank=1e-7, eps_eq=1e-6))
+    cases = [(k, tol) for k in range(2) for tol in tols]
+    with recording() as seen:
+        kept = [battery(maps[k], omega, tol) for k, tol in cases + cases]
+    assert len(seen["bayesinv._battery"]) == 4
+    for (k, tol), first, again in zip(cases, kept, kept[4:]):
+        assert again.choi_A is first.choi_A and again.conditions is first.conditions
+        # the same outcome as on fresh copies of the map and state, which share nothing
+        h_fresh, omega_fresh = rankdef_product_instance()
+        fresh_map = (from_hom(h_fresh), identity_channel(h_fresh.target))[k]
+        unshared = battery(fresh_map, omega_fresh, tol)
+        assert first.conditions == unshared.conditions
+        assert first.passed == unshared.passed
+        assert first.choi_A.keys() == unshared.choi_A.keys()
+        assert first.choi_B.keys() == unshared.choi_B.keys()
+        pairs = zip(_kept_arrays(first), _kept_arrays(unshared), strict=True)
+        assert all(np.array_equal(a, b) for a, b in pairs)
+
+
+def test_kept_battery_is_read_only(capsys, tmp_path):
+    h, omega = rankdef_product_instance()
+    F = from_hom(h)
+    analysis = battery(F, omega)
+    assert analysis.passed and analysis.support_map is not None
+    assert not any(T.flags.writeable for T in _kept_arrays(analysis))
+    # the readers of the kept arrays write to none of them
+    assert existence(analysis).exists
+    report = compositionality_check(F, from_hom(inclusion_hom(1, 2)), omega)
+    assert report.composite_ok and report.uniqueness_ae_ok is True
+    out = str(tmp_path / "inverse.json")
+    argv = ["invert", str(FIXTURES / "rankdef_product.json"), "--mode", "bayes", "--out", out]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["analyses"]["invert"]["exists"] is True
 
 
 def test_expectation_is_composed_only_when_read():
