@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import HomSpec, MultiMatrixAlgebra
-from .channel import Channel, LinearMap, from_kraus
+from .channel import Channel, from_kraus
 from .errors import ShapeMismatch
 from .linalg import dagger
 from .state import State, state_from_weighted
@@ -199,19 +199,15 @@ def nonsubalgebra_deterministic_instance() -> tuple[Channel, State]:
 
     The image is not a subalgebra, yet the map is deterministic almost
     everywhere for this state. The scalar factor applies tr(B): the only
-    type-correct reading of the construction.
+    type-correct reading of the construction. Kraus form: [1; 0] places B,
+    and [0; L] with L in {1/sqrt(2), Z/2, X/2} give the lower block, whose
+    Choi matrix (|Omega><Omega| + 2 P_sym)/4 lives on the symmetric subspace.
     """
     source = MultiMatrixAlgebra((2,))
     target = MultiMatrixAlgebra((4,))
-
-    def fn(x, y, E):
-        out = np.zeros((4, 4), dtype=complex)
-        out[:2, :2] = E
-        out[2:, 2:] = (E + E.T + np.trace(E) * np.eye(2)) / 4.0
-        return out
-
-    lm = LinearMap.from_block_fn(source, target, fn)
-    F = Channel(source, target, lm.tensors)
+    place = np.vstack([np.eye(2), np.zeros((2, 2))])
+    lower = (np.eye(2) / np.sqrt(2), np.diag([0.5, -0.5]), np.array([[0.0, 0.5], [0.5, 0.0]]))
+    F = from_kraus(source, target, [place] + [np.vstack([np.zeros((2, 2)), L]) for L in lower])
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
     omega = State(target, (1.0,), (rho,))

@@ -52,11 +52,13 @@ def modular_flow(omega: State, tol: Tolerances = DEFAULT_TOL) -> ModularFlow:
     return ModularFlow(state=omega, support=support(omega, tol))
 
 
-def _flow_unitaries(flow: ModularFlow, t: float) -> list[np.ndarray]:
-    """U_t = V diag(w^{it}) V* per block, the zero matrix off the support."""
+def _flow_unitaries(flow: ModularFlow, times: Sequence[float]) -> list[np.ndarray]:
+    """U_t = V diag(w^{it}) V* per block as a (times, d, d) stack, one broadcast
+    exp per block; the zero matrix off the support."""
+    ts = np.asarray(times, dtype=float)[:, None, None]
     return [
-        np.zeros((d, d), dtype=complex) if spec is None
-        else (spec[1] * np.exp(1j * t * np.log(spec[0]))) @ dagger(spec[1])
+        np.zeros((len(ts), d, d), dtype=complex) if spec is None
+        else (spec[1] * np.exp(1j * ts * np.log(spec[0]))) @ dagger(spec[1])
         for d, spec in zip(flow.state.algebra.block_dims, flow.support.spectra)
     ]
 
@@ -65,7 +67,7 @@ def modular_at(flow: ModularFlow, t: float, A: AlgebraElement) -> AlgebraElement
     """Flow at time t: density^{it} A density^{-it} on the support, zero off it."""
     if A.algebra.block_dims != flow.state.algebra.block_dims:
         raise ShapeMismatch("element does not belong to the flow's algebra")
-    blocks = tuple(U @ B @ dagger(U) for U, B in zip(_flow_unitaries(flow, t), A.blocks))
+    blocks = tuple(U[0] @ B @ dagger(U[0]) for U, B in zip(_flow_unitaries(flow, (t,)), A.blocks))
     return AlgebraElement(flow.state.algebra, blocks)
 
 
@@ -77,6 +79,21 @@ def _sandwich(T: np.ndarray, V: np.ndarray, W: np.ndarray) -> np.ndarray:
     X = dagger(W) @ X.transpose(2, 3, 0, 1)
     X = X @ W
     return np.ascontiguousarray(X.transpose(0, 2, 1, 3))
+
+
+def _sandwich_units(TU: np.ndarray, U: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """[..., i, j, a, b] = (W^* F(U E_ij U^*) W)_ab for stacks U (..., n, n) and
+    W (..., m, m), from F's block tensor in unit order, TU[i, j, a, b] =
+    F(E_ij)_ab. The factors on i and b are one matrix product per stack entry,
+    those on j and a a stack of small ones; at most two arrays the size of the
+    result are held."""
+    lead = U.shape[:-2]
+    n, m = U.shape[-1], W.shape[-1]
+    X = np.swapaxes(U, -1, -2) @ TU.reshape(n, n * m * m)  # [i', j, a, b]
+    X = X.reshape(lead + (n * n * m, m)) @ W  # [i', j, a, b']
+    X = np.swapaxes(U.conj(), -1, -2)[..., None, :, :] @ X.reshape(lead + (n, n, m * m))
+    X = np.swapaxes(W.conj(), -1, -2)[..., None, :, :] @ X.reshape(lead + (n * n, m, m))
+    return X.reshape(lead + (n, n, m, m))
 
 
 @dataclass(frozen=True)
@@ -213,32 +230,41 @@ def ac_condition_sampled(
     Checks corner(F) o flow_xi^t = flow_omega^t o corner(F) on corner matrix
     units at each sampled t. The default sample set includes an irrational
     time to avoid accidental periodicity of rational spectra.
+
+    With U_t and U'_t the flow unitaries of xi and omega, the Frobenius norm
+    is unitarily invariant, so ||C(U_t E U_t^*) - U'_t C(E) U'_t^*|| =
+    ||Ad(U'_t^*) o C o Ad(U_t)(E) - C(E)||: one sandwich per time and block
+    pair. A pair runs its times in batches of at most S / |T_xy|, S the size
+    of all of the corner map's tensors, so no batch outgrows them.
     """
     algebraic = ac_condition_algebraic(F, omega, tol)
     cm = algebraic.corner
     chan = cm.channel
-    flow_o = modular_flow(cm.omega_restricted, tol)
-    flow_x = modular_flow(cm.xi_restricted, tol)
+    times = tuple(t_samples)
+    U_o = _flow_unitaries(modular_flow(cm.omega_restricted, tol), times)
+    U_x = _flow_unitaries(modular_flow(cm.xi_restricted, tol), times)
+    budget = sum(T.size for row in chan.tensors for T in row)
     worst = 0.0
     scale = 1.0
-    for t in t_samples:
-        U_x = _flow_unitaries(flow_x, t)
-        U_o = _flow_unitaries(flow_o, t)
-        for y, n_y in enumerate(chan.source.block_dims):
-            # squared norms of lhs(E_ij), rhs(E_ij) and lhs(E_ij) - rhs(E_ij)
-            sq = np.zeros((3, n_y, n_y))
-            for x, m_x in enumerate(chan.target.block_dims):
-                T = chan.tensors[x][y]
-                lhs = _sandwich(T, U_x[y], np.eye(m_x)).transpose(0, 2, 1, 3)
-                rhs = _sandwich(T, np.eye(n_y), dagger(U_o[x])).transpose(0, 2, 1, 3)
-                sq[0] += _sq_frobenius(lhs)
-                sq[1] += _sq_frobenius(rhs)
-                lhs -= rhs
-                sq[2] += _sq_frobenius(lhs)
-                del lhs, rhs  # full-size arrays, not to be held into the next pair
-            norms = np.sqrt(sq.max(axis=(1, 2)))
-            worst = max(worst, float(norms[2]))
-            scale = max(scale, float(norms[0]), float(norms[1]))
+    for y, n_y in enumerate(chan.source.block_dims):
+        # squared norms of Ad(U'_t*) C Ad(U_t)(E_ij) and of its difference
+        # from C(E_ij) per time, summed over target blocks; and of C(E_ij)
+        sq_t = np.zeros((2, len(times), n_y, n_y))
+        sq_c = np.zeros((n_y, n_y))
+        for x in range(chan.target.n_blocks):
+            T = chan.tensors[x][y]
+            CE = np.ascontiguousarray(T.transpose(0, 2, 1, 3))  # [i, j, a, b] = C(E_ij)_ab
+            sq_c += _sq_frobenius(CE)
+            batch = min(len(times), max(1, budget // T.size))
+            for s in range(0, len(times), batch):
+                ts = slice(s, s + batch)
+                X = _sandwich_units(CE, U_x[y][ts], U_o[x][ts])
+                sq_t[0, ts] += _sq_frobenius(X)
+                X -= CE
+                sq_t[1, ts] += _sq_frobenius(X)
+                del X  # a batch-size array, not to be held into the next batch
+        worst = max(worst, float(np.sqrt(sq_t[1].max(initial=0.0))))
+        scale = max(scale, float(np.sqrt(sq_t[0].max(initial=0.0))), float(np.sqrt(sq_c.max())))
     ok = worst <= tol.eps_eq * scale * 10
     if ok != algebraic.ok:
         raise InternalInconsistency(

@@ -280,6 +280,17 @@ def test_ae_deterministic_nonsubalgebra_example():
     assert not ae_deterministic(F, faithful)
 
 
+def test_nonsubalgebra_kraus_form_matches_its_formula():
+    def fn(x, y, E):
+        out = np.zeros((4, 4), dtype=complex)
+        out[:2, :2] = E
+        out[2:, 2:] = (E + E.T + np.trace(E) * np.eye(2)) / 4.0
+        return out
+
+    F, _ = nonsubalgebra_deterministic_instance()
+    assert_same_map(F, LinearMap.from_block_fn(F.source, F.target, fn), atol=1e-15)
+
+
 def test_nullspace_transport():
     rng = np.random.default_rng(12)
     source = MultiMatrixAlgebra((2,))

@@ -1,17 +1,24 @@
+import gc
+import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import qbayes.modular
 import qbayes.state
 from qbayes import linalg
 from qbayes.algebra import AlgebraElement, MultiMatrixAlgebra, matrix_units
 from qbayes.channel import LinearMap, from_hom, is_ucp
+from qbayes.cli import main
 from qbayes.errors import InternalInconsistency
 from qbayes.generators import (
     epr_instance,
+    inclusion_hom,
     nonproduct_faithful_instance,
     product_instance,
+    product_state_for_hom,
     random_complex,
     random_kraus_channel,
     random_state,
@@ -25,10 +32,11 @@ from qbayes.modular import (
     modular_at,
     modular_flow,
 )
+from qbayes.jsonio import problem_from_json
 from qbayes.linalg import ABS_FLOOR, DEFAULT_TOL, dagger, hermitian_eigen
 from qbayes.state import State, evaluate, pullback, support
 
-from conftest import INSTANCE_CASES
+from conftest import FIXTURES, INSTANCE_CASES
 
 
 def random_element(rng, alg):
@@ -263,6 +271,63 @@ def test_ac_dual_method_agreement_randomized():
         except InternalInconsistency:
             disagreements += 1
     assert disagreements == 0
+
+
+def _flip_omega_flow(monkeypatch) -> list:
+    """Runs the omega side of the sampled test's flow backwards in time: a
+    broken route. Returns the omega-side states the flip applies to."""
+    omega_sides = []
+    corner_map_, flow_unitaries = qbayes.modular.corner_map, qbayes.modular._flow_unitaries
+
+    def recording_corner_map(*args, **kwargs):
+        cm = corner_map_(*args, **kwargs)
+        omega_sides.append(cm.omega_restricted)
+        return cm
+
+    def flipped(flow, times):
+        if any(flow.state is state for state in omega_sides):
+            times = [-t for t in times]
+        return flow_unitaries(flow, times)
+
+    monkeypatch.setattr(qbayes.modular, "corner_map", recording_corner_map)
+    monkeypatch.setattr(qbayes.modular, "_flow_unitaries", flipped)
+    return omega_sides
+
+
+def test_broken_sampled_route_raises(monkeypatch):
+    # the product fixture satisfies AC, and its sampled residual is tiny
+    problem = problem_from_json(json.loads((FIXTURES / "product.json").read_text()))
+    assert ac_condition_sampled(problem["channel"], problem["state"]).max_residual < 1e-12
+    omega_sides = _flip_omega_flow(monkeypatch)
+    with pytest.raises(InternalInconsistency, match="AC verdicts disagree"):
+        ac_condition_sampled(problem["channel"], problem["state"])
+    assert omega_sides
+
+
+def test_broken_sampled_route_exits_3(monkeypatch, capsys):
+    omega_sides = _flip_omega_flow(monkeypatch)
+    assert main(["check", str(FIXTURES / "product.json"), "--analyses", "ac"]) == 3
+    assert "AC verdicts disagree" in capsys.readouterr().err
+    assert omega_sides
+
+
+def test_sampled_ac_peak_stays_within_the_corner_footprint():
+    # one block pair, so each product runs one time; a stack of all seven
+    # times would hold 7x the corner tensor, and two such arrays at once
+    h = inclusion_hom(4, 4)
+    omega = product_state_for_hom(np.random.default_rng(0), h)
+    F = from_hom(h)
+    corner = corner_map(F, omega).channel
+    corner_bytes = sum(T.nbytes for row in corner.tensors for T in row)
+    ac_condition_sampled(F, omega)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ac_condition_sampled(F, omega)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * corner_bytes
 
 
 def two_pass_spectra(omega, tol=DEFAULT_TOL):
