@@ -72,28 +72,16 @@ def modular_at(flow: ModularFlow, t: float, A: AlgebraElement) -> AlgebraElement
 
 
 def _sandwich(T: np.ndarray, V: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """The block tensor [i, a, j, b] = (W^* F(V E_ij V^*) W)_ab of Ad(W^*) o F o Ad(V),
-    from the block tensor T of F. The two Kraus maps are applied as matrix
-    products, so at most two arrays the size of T or of the result are held."""
-    X = V.T @ T.transpose(1, 3, 0, 2) @ V.conj()  # [c, d, i, j] = F(V E_ij V^*)_cd
-    X = dagger(W) @ X.transpose(2, 3, 0, 1)
-    X = X @ W
-    return np.ascontiguousarray(X.transpose(0, 2, 1, 3))
-
-
-def _sandwich_units(TU: np.ndarray, U: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """[..., i, j, a, b] = (W^* F(U E_ij U^*) W)_ab for stacks U (..., n, n) and
-    W (..., m, m), from F's block tensor in unit order, TU[i, j, a, b] =
-    F(E_ij)_ab. The factors on i and b are one matrix product per stack entry,
-    those on j and a a stack of small ones; at most two arrays the size of the
+    """The block tensor [..., i, a, j, b] = (W^* F(V E_ij V^*) W)_ab of
+    Ad(W^*) o F o Ad(V), from the block tensor T of F; V and W may be stacks
+    (..., n, n) and (..., m, m) with matching leading axes. The two Kraus maps
+    are applied as matrix products, so at most two arrays the size of the
     result are held."""
-    lead = U.shape[:-2]
-    n, m = U.shape[-1], W.shape[-1]
-    X = np.swapaxes(U, -1, -2) @ TU.reshape(n, n * m * m)  # [i', j, a, b]
-    X = X.reshape(lead + (n * n * m, m)) @ W  # [i', j, a, b']
-    X = np.swapaxes(U.conj(), -1, -2)[..., None, :, :] @ X.reshape(lead + (n, n, m * m))
-    X = np.swapaxes(W.conj(), -1, -2)[..., None, :, :] @ X.reshape(lead + (n * n, m, m))
-    return X.reshape(lead + (n, n, m, m))
+    V, W = V[..., None, None, :, :], W[..., None, None, :, :]
+    X = np.swapaxes(V, -1, -2) @ T.transpose(1, 3, 0, 2) @ V.conj()  # [..., c, d, i, j]
+    X = np.swapaxes(W.conj(), -1, -2) @ np.moveaxis(X, (-2, -1), (-4, -3))
+    X = X @ W
+    return np.ascontiguousarray(np.swapaxes(X, -3, -2))
 
 
 @dataclass(frozen=True)
@@ -253,15 +241,14 @@ def ac_condition_sampled(
         sq_c = np.zeros((n_y, n_y))
         for x in range(chan.target.n_blocks):
             T = chan.tensors[x][y]
-            CE = np.ascontiguousarray(T.transpose(0, 2, 1, 3))  # [i, j, a, b] = C(E_ij)_ab
-            sq_c += _sq_frobenius(CE)
+            sq_c += _sq_frobenius(T.swapaxes(1, 2))
             batch = min(len(times), max(1, budget // T.size))
             for s in range(0, len(times), batch):
                 ts = slice(s, s + batch)
-                X = _sandwich_units(CE, U_x[y][ts], U_o[x][ts])
-                sq_t[0, ts] += _sq_frobenius(X)
-                X -= CE
-                sq_t[1, ts] += _sq_frobenius(X)
+                X = _sandwich(T, U_x[y][ts], U_o[x][ts])
+                sq_t[0, ts] += _sq_frobenius(X.swapaxes(-3, -2))
+                X -= T
+                sq_t[1, ts] += _sq_frobenius(X.swapaxes(-3, -2))
                 del X  # a batch-size array, not to be held into the next batch
         worst = max(worst, float(np.sqrt(sq_t[1].max(initial=0.0))))
         scale = max(scale, float(np.sqrt(sq_t[0].max(initial=0.0))), float(np.sqrt(sq_c.max())))
