@@ -64,7 +64,6 @@ from .errors import (
     SchemaError,
     ShapeMismatch,
 )
-from .feasibility import FeasibilityResult, bayes_feasibility
 from .linalg import (
     DEFAULT_TOL,
     HermitianEigen,

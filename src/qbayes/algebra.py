@@ -123,12 +123,6 @@ def zero(alg: MultiMatrixAlgebra) -> AlgebraElement:
     return AlgebraElement(alg, tuple(np.zeros((d, d), dtype=complex) for d in alg.block_dims))
 
 
-def hs_inner(a: AlgebraElement, b: AlgebraElement) -> complex:
-    """Hilbert-Schmidt pairing sum_x tr(a_x^* b_x)."""
-    a._check_peer(b)
-    return complex(sum(np.trace(dagger(x) @ y) for x, y in zip(a.blocks, b.blocks)))
-
-
 def matrix_unit(alg: MultiMatrixAlgebra, x: int, i: int, j: int) -> AlgebraElement:
     """E_ij in block x, zero elsewhere."""
     blocks = [np.zeros((d, d), dtype=complex) for d in alg.block_dims]

@@ -144,10 +144,11 @@ def _sandwich(L: np.ndarray, X: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BayesAnalysis:
-    """Battery outcome for one (channel, state) instance."""
+    """Battery outcome for one (channel, state) instance at tolerance tol."""
 
     F: LinearMap
     omega: State
+    tol: Tolerances
     xi: State
     conditions: dict[str, ConditionReport]
     passed: bool
@@ -172,7 +173,7 @@ def battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> BayesA
     if omega.algebra.block_dims != F.target.block_dims:
         raise ShapeMismatch("state does not live on the channel's target algebra")
     _, fields = memo(omega, ("battery", id(F), tol), lambda: (F, _battery(F, omega, tol)))
-    return BayesAnalysis(F, omega, *fields)
+    return BayesAnalysis(F, omega, tol, *fields)
 
 
 def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
@@ -431,24 +432,40 @@ class ExistenceResult:
 
 def existence(
     analysis: BayesAnalysis,
-    tol: Tolerances = DEFAULT_TOL,
+    tol: Optional[Tolerances] = None,
     free_split: str = "uniform",
 ) -> ExistenceResult:
     """Decide and, when possible, construct a full UCP Bayesian inverse.
 
-    Requires a passed battery. Per source block y, the compressed mass
-    sum_x tr_x(B* A-hat B) must stay below the xi co-support projection;
-    when it does, a Schur-complement completion of the forced Choi rows
-    yields the inverse, whose Bayes pairing is then re-verified.
+    Requires a passed battery, and runs at the battery's tolerance (the
+    default); another tolerance raises ValueError. Per source block y, the
+    compressed mass sum_x tr_x(B* A-hat B) must stay below the xi co-support
+    projection; when it does, a Schur-complement completion of the forced Choi
+    rows yields the inverse, whose Bayes pairing is then re-verified.
 
     free_split selects how the leftover co-support mass is spread over the
     free diagonal; any admissible choice yields an a.e.-equivalent inverse.
+
+    Run once per state, map, tolerance and split, like `battery`: the result
+    is kept on the state, keyed by the map's identity with the map held, and
+    its arrays are read-only.
     """
     if free_split not in ("uniform", "ramp"):
         raise ValueError(f"unknown free_split {free_split!r}")
     if not analysis.passed:
         raise ValueError("existence() requires a passed battery")
-    F, omega, xi = analysis.F, analysis.omega, analysis.xi
+    if tol is not None and tol != analysis.tol:
+        raise ValueError(f"existence() at {tol} on a battery run at {analysis.tol}")
+    F = analysis.F
+    _, result = memo(
+        analysis.omega, ("existence", id(F), analysis.tol, free_split),
+        lambda: (F, _frozen(_existence(analysis, free_split))),
+    )
+    return result
+
+
+def _existence(analysis: BayesAnalysis, free_split: str) -> ExistenceResult:
+    F, omega, xi, tol = analysis.F, analysis.omega, analysis.xi, analysis.tol
     P_xis = support(xi, tol).projection.blocks
     src_dims = F.source.block_dims
     tgt_dims = F.target.block_dims
@@ -530,6 +547,16 @@ def existence(
         inverse=inverse,
         verification=verification,
     )
+
+
+def _frozen(result: ExistenceResult) -> ExistenceResult:
+    """result with its arrays read-only: every later caller reads the kept one."""
+    kept = list(result.trace_blocks.values())
+    if result.inverse is not None:
+        kept += [T for row in result.inverse.tensors for T in row]
+    for T in kept:
+        T.setflags(write=False)
+    return result
 
 
 def bayes_inverse(

@@ -34,11 +34,6 @@ def random_density(rng: np.random.Generator, d: int, rank: Optional[int] = None)
     return M / np.trace(M).real
 
 
-def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    Q, R = np.linalg.qr(random_complex(rng, d, d))
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
-
-
 def random_state(
     rng: np.random.Generator,
     alg: MultiMatrixAlgebra,

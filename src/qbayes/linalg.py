@@ -172,11 +172,6 @@ def matrix_sqrt(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return herm_fun(M, np.sqrt, tol)
 
 
-def matrix_power_it(M: np.ndarray, t: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """M^{it} = exp(it log M) on the support; zero off the support."""
-    return herm_fun(M, lambda w: np.exp(1j * t * np.log(w)), tol)
-
-
 def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Kronecker product, left factor = multiplicity factor."""
     return np.kron(np.asarray(A), np.asarray(B))

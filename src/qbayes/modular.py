@@ -91,7 +91,9 @@ class CornerMap:
     channel maps the corner algebra of the pulled-back source state into the
     corner algebra of the target state. The commuting square (restricted
     target state composed with the corner map equals the restricted source
-    state) is verified at construction.
+    state) is verified at construction. When both supports are full, the pair
+    is its own corner: channel, omega_restricted and xi_restricted are the
+    map, the state and its pullback themselves.
     """
 
     omega_support: SupportData
@@ -107,7 +109,8 @@ def corner_map(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> Cor
     Ad(V^*) of the support isometries of the pulled-back and target states.
 
     Built once per state, map and tolerance: the map is keyed by identity and
-    held, so the key stays unique.
+    held, so the key stays unique. The kept fields hold None in place of
+    omega, their owner, when the pair is its own corner.
     """
     if isinstance(F, HomSpec):
         F = from_hom(F)
@@ -115,19 +118,28 @@ def corner_map(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> Cor
         raise ShapeMismatch("state does not live on the map's target algebra")
     sup_o = support(omega, tol)
     sup_x = support(pullback(omega, F, tol), tol)
-    _, fields = memo(
+    _, (chan, omega_r, xi_r, worst) = memo(
         omega, ("corner", id(F), tol), lambda: (F, _corner_map(F, sup_o, sup_x, tol))
     )
-    return CornerMap(sup_o, sup_x, *fields)
+    return CornerMap(sup_o, sup_x, chan, omega if omega_r is None else omega_r, xi_r, worst)
 
 
 def _corner_map(F: LinearMap, sup_o: SupportData, sup_x: SupportData, tol: Tolerances) -> tuple:
-    """The CornerMap fields after the two supports."""
-    tensors = [
-        [_sandwich(F.tensors[x][y], sup_x.isometries[y], sup_o.isometries[x]) for y in sup_x.kept]
-        for x in sup_o.kept
-    ]
-    chan = Channel(sup_x.corner_algebra, sup_o.corner_algebra, tensors, tol=tol)
+    """The CornerMap fields after the two supports; F, None and the pullback
+    when both supports are full."""
+    faithful = sup_o.is_full() and sup_x.is_full()
+    if faithful:
+        chan, omega_r, xi_r = F, sup_o.state, sup_x.state
+    else:
+        tensors = [
+            [
+                _sandwich(F.tensors[x][y], sup_x.isometries[y], sup_o.isometries[x])
+                for y in sup_x.kept
+            ]
+            for x in sup_o.kept
+        ]
+        chan = Channel(sup_x.corner_algebra, sup_o.corner_algebra, tensors, tol=tol)
+        omega_r, xi_r = sup_o.restricted_state(), sup_x.restricted_state()
 
     verdict = is_ucp(chan, tol)
     if not verdict:
@@ -136,8 +148,6 @@ def _corner_map(F: LinearMap, sup_o: SupportData, sup_x: SupportData, tol: Toler
             f"test (min Choi eigenvalue {verdict.min_choi_eigenvalue:.3e}, "
             f"unitality residual {verdict.unitality_residual:.3e})"
         )
-    omega_r = sup_o.restricted_state()
-    xi_r = sup_x.restricted_state()
     # commuting square on corner matrix units, omega_r(F'(E_ij)) = xi_r(E_ij):
     # sum_x tr(p_x rho_x F'_xy(E_ij)) = q_y sigma_y[j, i]
     worst = 0.0
@@ -152,7 +162,7 @@ def _corner_map(F: LinearMap, sup_o: SupportData, sup_x: SupportData, tol: Toler
         raise InternalInconsistency(
             f"corner square does not commute, residual {worst:.3e}"
         )
-    return chan, omega_r, xi_r, worst
+    return chan, None if faithful else omega_r, xi_r, worst
 
 
 @dataclass(frozen=True)

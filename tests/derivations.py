@@ -39,6 +39,11 @@ BUILDERS = {
     "bayesinv._battery": (
         qbayes.bayesinv, "_battery", lambda F, omega, tol: (id(F), id(omega), tol)
     ),
+    "bayesinv._existence": (
+        qbayes.bayesinv,
+        "_existence",
+        lambda analysis, split: (id(analysis.F), id(analysis.omega), analysis.tol, split),
+    ),
 }
 
 

@@ -1,10 +1,10 @@
 """Brute-force semidefinite feasibility of the Bayes constraints.
 
-Test oracle only: alternating projections between the PSD cone of the
+A test oracle: alternating projections between the PSD cone of the
 candidate inverse's Choi matrix and the affine set carved out by the forced
-support rows, Hermiticity, and unitality. Production code never calls this;
-it exists to certify, independently of the inequality criterion, whether a
-UCP Bayesian inverse exists for small single-block instances.
+support rows, Hermiticity, and unitality. The library never calls this; it
+certifies, independently of the inequality criterion, whether a UCP
+Bayesian inverse exists for small single-block instances.
 """
 
 from __future__ import annotations
@@ -14,16 +14,16 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import LinearMap
-from .errors import ShapeMismatch
-from .linalg import (
+from qbayes.channel import LinearMap
+from qbayes.errors import ShapeMismatch
+from qbayes.linalg import (
     DEFAULT_TOL,
     Tolerances,
     dagger,
     frobenius,
     pseudoinverse,
 )
-from .state import State, pullback, support
+from qbayes.state import State, pullback, support
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from qbayes.disint import (
     takesaki_battery,
 )
 from qbayes.errors import InternalInconsistency
-from qbayes.feasibility import bayes_feasibility
 from qbayes.generators import (
     epr_instance,
     inclusion_hom,
@@ -37,7 +36,6 @@ from qbayes.generators import (
     random_kraus_channel,
     random_psd,
     random_state,
-    random_unitary,
     rankdef_product_instance,
 )
 from qbayes.jsonio import loads, problem_from_json
@@ -46,6 +44,8 @@ from qbayes.modular import ac_condition_algebraic, ac_condition_sampled, modular
 from qbayes.state import State, evaluate
 
 from conftest import FIXTURES
+from feasibility import bayes_feasibility
+from oracles import random_unitary
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -23,7 +23,6 @@ from qbayes.channel import (
     is_ucp,
 )
 from qbayes.errors import ShapeMismatch
-from qbayes.feasibility import bayes_feasibility
 from qbayes.generators import (
     epr_instance,
     inclusion_hom,
@@ -32,7 +31,6 @@ from qbayes.generators import (
     product_state_for_hom,
     random_hom,
     random_state,
-    random_unitary,
     rankdef_product_instance,
 )
 from qbayes.jsonio import loads, problem_from_json
@@ -49,6 +47,8 @@ from qbayes.linalg import (
 from qbayes.state import State, evaluate, pullback, support
 
 from conftest import INSTANCE_CASES, fixture_path
+from feasibility import bayes_feasibility
+from oracles import random_unitary
 
 
 def pinned_counterexample():

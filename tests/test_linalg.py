@@ -10,11 +10,12 @@ from qbayes.linalg import (
     herm_fun,
     hermitian_eigen,
     kron,
-    matrix_power_it,
     partial_trace_left,
     partial_trace_right,
     pseudoinverse,
 )
+
+from oracles import matrix_power_it
 
 
 def test_tolerances_validation():

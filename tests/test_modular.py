@@ -103,8 +103,40 @@ def test_corner_map_faithful_is_the_channel_itself():
     h, omega = nonproduct_faithful_instance()
     F = from_hom(h)
     cm = corner_map(F, omega)
-    assert cm.channel.close_to(F, 1e-10)
+    assert cm.channel is F
+    assert cm.omega_restricted is omega
+    assert cm.xi_restricted is pullback(omega, F)
     assert cm.square_residual < 1e-10
+    # kept, and read back with the state in place
+    assert corner_map(F, omega).omega_restricted is omega
+
+
+def test_corner_map_faithful_still_checks_ucp(monkeypatch):
+    # a faithful pair is its own corner, and still passes the UCP test at the
+    # run's tolerance
+    h, omega = nonproduct_faithful_instance()
+    seen = []
+    is_ucp_ = qbayes.modular.is_ucp
+
+    def recording_is_ucp(F, tol):
+        seen.append((F, tol))
+        return is_ucp_(F, tol)
+
+    monkeypatch.setattr(qbayes.modular, "is_ucp", recording_is_ucp)
+    tol = linalg.Tolerances(eps_rank=1e-7, eps_eq=1e-6)
+    F = from_hom(h)
+    assert corner_map(F, omega, tol).channel is F
+    assert seen == [(F, tol)]
+
+
+def test_corner_map_rankdef_builds_a_smaller_corner():
+    h, omega = rankdef_product_instance()
+    F = from_hom(h)
+    cm = corner_map(F, omega)
+    assert cm.channel is not F
+    assert cm.omega_restricted is not omega and cm.xi_restricted is not pullback(omega, F)
+    assert sum(cm.channel.target.block_dims) < sum(F.target.block_dims)
+    assert is_ucp(cm.channel)
 
 
 @pytest.mark.parametrize("case", INSTANCE_CASES.values(), ids=INSTANCE_CASES.keys())

@@ -2,11 +2,12 @@
 
 A `qbayes check` runs several analyses on one parsed problem. They share
 the support of each state, the pulled-back states, the hom's channel, the
-factorization of the state along the hom, and the corner map and the Bayes
-battery of each map and state; each analysis still computes its own verdict,
-and `existence` and the AC tests are run by each analysis that reads them.
-The caches live on the parsed objects, so nothing of a call outlives
-`cli.main`.
+factorization of the state along the hom, and the corner map, the Bayes
+battery and the off-support extension of each map and state. A map and state
+whose supports are both full are their own corner, so takesaki's corner
+battery is then the problem's battery. Each analysis still computes its own
+verdict, and the AC tests are run by each analysis that reads them. The
+caches live on the parsed objects, so nothing of a call outlives `cli.main`.
 """
 
 import argparse
@@ -22,7 +23,7 @@ import qbayes.bayesinv
 import qbayes.cli
 import qbayes.disint
 import qbayes.modular
-from qbayes.bayesinv import battery, compositionality_check, existence
+from qbayes.bayesinv import battery, bayes_inverse, compositionality_check, existence
 from qbayes.channel import from_hom, identity_channel
 from qbayes.cli import main
 from qbayes.disint import condexp_characterize, disintegrate
@@ -52,6 +53,9 @@ HOM_FIXTURES = [
     path for path in sorted(FIXTURES.glob("*.json"))
     if json.loads(path.read_text())["channel"]["kind"] == "hom"
 ]
+# the hom fixtures whose state and pulled-back state are both faithful: each
+# is its own corner
+OWN_CORNER = {"multiblock_product", "nonproduct_m4", "product"}
 
 
 @pytest.mark.parametrize("fixture", HOM_FIXTURES, ids=lambda p: p.stem)
@@ -64,22 +68,38 @@ def test_full_check_derives_each_state_input_once(fixture, capsys):
     assert repeats(supports) == [] and repeats(pullbacks) == []
     assert len(seen["channel._from_hom"]) == 1
     assert len(seen["disint._factorize"]) == 1
-    # ac, takesaki (b) and the three batteries read the corner map of the
-    # problem's map and state; takesaki's corner battery reads its own
+    # ac, takesaki and the batteries read the corner map of the problem's map
+    # and state; a smaller corner is a new pair, whose battery builds the
+    # (trivial) corner map of its own
     corners = seen["modular._corner_map"]
-    assert len(corners) == 2 and repeats(corners) == []
+    assert len(corners) == (1 if fixture.stem in OWN_CORNER else 2)
+    assert repeats(corners) == []
 
 
 @pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
 def test_full_check_runs_each_battery_once(fixture, capsys):
     # bayes-battery, bayes-existence and bridge read the battery of the
-    # problem's map and state; takesaki's corner battery is built on its own
+    # problem's map and state, and so does takesaki's corner battery when the
+    # pair is its own corner
     with recording() as seen:
         assert main(["check", str(fixture)]) == 0
     capsys.readouterr()
     batteries = seen["bayesinv._battery"]
-    assert len(batteries) == (2 if fixture in HOM_FIXTURES else 1)
+    own = fixture not in HOM_FIXTURES or fixture.stem in OWN_CORNER
+    assert len(batteries) == (1 if own else 2)
     assert repeats(batteries) == []
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+def test_full_check_builds_each_extension_once(fixture, capsys):
+    # bayes-existence and bridge (through bayes_inverse) read one extension,
+    # built when the battery passes
+    with recording() as seen:
+        assert main(["check", str(fixture)]) == 0
+    capsys.readouterr()
+    problem = _fixture_problem(fixture.stem)
+    passed = battery(problem["channel"], problem["state"]).passed
+    assert len(seen["bayesinv._existence"]) == (1 if passed else 0)
 
 
 @pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
@@ -99,6 +119,7 @@ def test_parsed_problem_dies_with_the_call(argv, monkeypatch, capsys, tmp_path):
     parse = qbayes.cli.problem_from_json
     build_corner = qbayes.modular._corner_map
     build_battery = qbayes.bayesinv._battery
+    build_extension = qbayes.bayesinv._existence
 
     def parse_and_watch(data):
         problem = parse(data)
@@ -107,7 +128,9 @@ def test_parsed_problem_dies_with_the_call(argv, monkeypatch, capsys, tmp_path):
 
     def build_and_watch(*args):
         fields = build_corner(*args)
-        refs.extend(weakref.ref(fields[k]) for k in range(3))  # channel, both states
+        # the channel and both states; a pair that is its own corner keeps
+        # None in place of its state
+        refs.extend(weakref.ref(f) for f in fields[:3] if f is not None)
         return fields
 
     def battery_and_watch(*args):
@@ -118,10 +141,18 @@ def test_parsed_problem_dies_with_the_call(argv, monkeypatch, capsys, tmp_path):
         battery_refs.extend(weakref.ref(T) for T in arrays)
         return fields
 
+    def extension_and_watch(*args):
+        result = build_extension(*args)
+        arrays = [*result.trace_blocks.values()]
+        arrays += [T for row in result.inverse.tensors for T in row]  # an inverse exists
+        battery_refs.extend(weakref.ref(T) for T in arrays)
+        return result
+
     battery_refs = []
     monkeypatch.setattr(qbayes.cli, "problem_from_json", parse_and_watch)
     monkeypatch.setattr(qbayes.modular, "_corner_map", build_and_watch)
     monkeypatch.setattr(qbayes.bayesinv, "_battery", battery_and_watch)
+    monkeypatch.setattr(qbayes.bayesinv, "_existence", extension_and_watch)
     argv = [argv[0], str(FIXTURES / "multiblock_product.json")] + argv[1:]
     if argv[0] == "invert":
         argv += ["--out", str(tmp_path / "out.json")]
@@ -130,10 +161,14 @@ def test_parsed_problem_dies_with_the_call(argv, monkeypatch, capsys, tmp_path):
     try:
         assert main(argv) == 0
         # reference counting alone frees them: the caches hold no cycle
-        assert len(refs) == (9 if argv[0] == "check" else 3)
-        # the problem's battery and takesaki's, 2 x 2 block pairs each, keep
-        # two Choi blocks and a support-map tensor per pair
-        assert len(battery_refs) == (24 if argv[0] == "check" else 0)
+        # the pair is its own corner: one corner map, holding the problem's
+        # channel and the pulled-back state
+        assert len(refs) == (5 if argv[0] == "check" else 3)
+        # the problem's battery, which takesaki's corner battery reads, keeps
+        # two Choi blocks and a support-map tensor per each of 2 x 2 block
+        # pairs; its extension keeps a mass block per weighted source block
+        # and the inverse's 2 x 2 tensors
+        assert len(battery_refs) == (18 if argv[0] == "check" else 0)
         refs += battery_refs
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
@@ -220,6 +255,17 @@ def test_disagreeing_battery_alarms_every_reader(analyses, monkeypatch, capsys):
     assert "battery verdicts disagree" in capsys.readouterr().err
 
 
+def test_broken_corner_route_exits_3(monkeypatch, capsys):
+    # takesaki (c) reads the problem's battery, as the product fixture is its
+    # own corner; a corner determinism test that answers wrongly must still
+    # trip the [(a) and (b)] iff (c) alarm
+    ae_deterministic = qbayes.disint.ae_deterministic
+    monkeypatch.setattr(qbayes.disint, "ae_deterministic", lambda *a: not ae_deterministic(*a))
+    assert main(["check", str(FIXTURES / "product.json"), "--analyses", "takesaki"]) == 3
+    err = capsys.readouterr().err
+    assert "corner hom+intertwining (True, True) disagrees" in err
+
+
 def test_disagreeing_battery_raises_on_every_call(monkeypatch):
     _right_map_cp_fails(monkeypatch)
     problem = _fixture_problem("product")
@@ -271,6 +317,35 @@ def test_kept_battery_is_read_only(capsys, tmp_path):
     argv = ["invert", str(FIXTURES / "rankdef_product.json"), "--mode", "bayes", "--out", out]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["analyses"]["invert"]["exists"] is True
+
+
+def test_extension_is_kept_per_split_at_the_battery_tolerance():
+    h, omega = rankdef_product_instance()
+    F = from_hom(h)
+    analysis = battery(F, omega)
+    with recording() as seen:
+        with pytest.raises(ValueError, match="on a battery run at"):
+            existence(analysis, Tolerances(eps_rank=1e-7, eps_eq=1e-6))
+        assert seen["bayesinv._existence"] == []
+        first = existence(analysis)
+        assert existence(analysis, DEFAULT_TOL) is first
+        assert bayes_inverse(F, omega)[3] is first
+        ramp = existence(analysis, free_split="ramp")
+        assert ramp is not first and existence(analysis, free_split="ramp") is ramp
+    assert len(seen["bayesinv._existence"]) == 2
+    # a battery at another tolerance has its own extension
+    tol = Tolerances(eps_rank=1e-7, eps_eq=1e-6)
+    assert existence(battery(F, omega, tol), tol) is not first
+
+
+@pytest.mark.parametrize("name", ["rankdef_product", "battery_pass_no_inverse"])
+def test_kept_extension_is_read_only(name):
+    problem = _fixture_problem(name)
+    result = existence(battery(problem["channel"], problem["state"]))
+    arrays = list(result.trace_blocks.values())
+    if result.inverse is not None:
+        arrays += [T for row in result.inverse.tensors for T in row]
+    assert arrays and not any(T.flags.writeable for T in arrays)
 
 
 def test_expectation_is_composed_only_when_read():
