@@ -68,7 +68,8 @@ class PairInputs:
 
 @dataclass(frozen=True)
 class PairData(PairInputs):
-    """A pair's operands with its left and right Bayes tensors."""
+    """A pair's operands with its left and right Bayes tensors, indexed
+    [i, j, k, l] as views of the layouts the matrix products write."""
 
     rawL: np.ndarray    # rawL[i,j] = F*(rho_w E_ij)
     rawR: np.ndarray    # rawR[i,j] = F*(E_ij rho_w)
@@ -93,30 +94,24 @@ def _pair_inputs(F: LinearMap, omega: State, xi: State, tol: Tolerances) -> Iter
 
 
 def _raw(p: PairInputs) -> tuple[np.ndarray, np.ndarray]:
-    """rawL[i, j] = F*(rho_w E_ij) and rawR[i, j] = F*(E_ij rho_w) of a pair."""
-    Tc = np.conj(p.T)
+    """rawL[i, j] = F*(rho_w E_ij) and rawR[i, j] = F*(E_ij rho_w) of a pair,
+    one product each, in the unit layout of `_adjoint_on_units`."""
+    n, m = p.T.shape[:2]
+    Tc = p.T.conj()
     # F*(rho_w E_ij)_{kl} = sum_a conj(T[k,a,l,j]) rho_w[a,i]
-    rawL = np.einsum("kalj,ai->ijkl", Tc, p.rho_w)
+    rawL = np.matmul(p.rho_w.T, Tc.reshape(n, m, n * m))   # [k, i, (l, j)]
     # F*(E_ij rho_w)_{kl} = sum_b conj(T[k,i,l,b]) rho_w[j,b]
-    rawR = np.einsum("kilb,jb->ijkl", Tc, p.rho_w)
-    return rawL, rawR
-
-
-def _left(p: PairInputs, rawL: np.ndarray) -> np.ndarray:
-    """GL[i, j] = shat_w rawL[i, j]."""
-    return np.einsum("uk,ijkl->ijul", p.shat_w, rawL)
-
-
-def _right(p: PairInputs, rawR: np.ndarray) -> np.ndarray:
-    """GR[i, j] = rawR[i, j] shat_w."""
-    return np.einsum("ijkl,lu->ijku", rawR, p.shat_w)
+    rawR = Tc.reshape(n * m * n, m) @ p.rho_w.T            # [(k, i, l), j]
+    return tuple(Y.reshape(n, m, n, m).transpose(1, 3, 0, 2) for Y in (rawL, rawR))
 
 
 def _pair_data(F: LinearMap, omega: State, xi: State, tol: Tolerances) -> list[PairData]:
     out = []
     for p in _pair_inputs(F, omega, xi, tol):
         rawL, rawR = _raw(p)
-        out.append(PairData(**vars(p), rawL=rawL, rawR=rawR, GL=_left(p, rawL), GR=_right(p, rawR)))
+        one = np.eye(len(p.sig_w))
+        GL, GR = _sandwich(p.shat_w, rawL, one), _sandwich(one, rawR, p.shat_w)
+        out.append(PairData(**vars(p), rawL=rawL, rawR=rawR, GL=GL, GR=GR))
     return out
 
 
@@ -134,12 +129,21 @@ def _adjoint_on_units(T: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.
 
 def _sandwich(L: np.ndarray, X: np.ndarray, R: np.ndarray) -> np.ndarray:
     """L @ X[i, j] @ R for every i, j of an (m, m, n, n) stack, as two products
-    over the whole stack."""
+    over the whole stack. X is read in the unit layout [k, i, l, j] that
+    `_raw` and `_adjoint_on_units` write; the result is a view of a
+    Choi-layout [i, u, j, v] array."""
     m, _, n, _ = X.shape
-    Y = (X.reshape(m * m * n, n) @ R).reshape(m * m, n, n)        # [(i, j), k, v]
-    Y = Y.transpose(0, 2, 1).reshape(m * m * n, n)                 # [(i, j, v), k]
-    Y = Y @ L.T                                                    # [(i, j, v), u]
-    return Y.reshape(m, m, n, n).transpose(0, 1, 3, 2)
+    Y = (L @ X.transpose(2, 0, 3, 1).reshape(n, -1)).reshape(n, m, n, m)   # [u, i, l, j]
+    Y = np.ascontiguousarray(Y.transpose(1, 0, 3, 2)).reshape(-1, n)       # [(i, u, j), l]
+    return (Y @ R).reshape(m, n, m, n).transpose(0, 2, 1, 3)
+
+
+def _source_sandwich(L: np.ndarray, T: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """[k, a, l, b] = F(L^T E_kl R)_ab = sum_uv L[k, u] R[l, v] T[u, a, v, b]
+    on the source units of a block tensor T: one product per factor."""
+    n, m = T.shape[:2]
+    Y = (L @ T.reshape(n, -1)).reshape(n * m, n, m)   # [(k, a), v, b]
+    return np.matmul(R, Y).reshape(n, m, n, m)
 
 
 @dataclass(frozen=True)
@@ -204,21 +208,15 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
             res["adjoint_sandwich_symmetry"], float(np.abs(lhs4).max(initial=0.0))
         )
         del lhs4
-        GL = _left(pd, rawL)
-        del rawL
-        KL = np.einsum("ijkl,lu->ijku", GL, pd.P_xi)   # GL(E_ij) P
-        # forced rows off the xi support, for the existence stage
-        BB = np.einsum("ijkl,lu->ijku", GL, np.eye(n) - pd.P_xi)
-        del GL
+        # forced rows GL(E_ij)(1 - P) off the xi support, for the existence
+        # stage, and the corner Choi matrix of GL(E_ij) P
+        BB = _sandwich(pd.shat_w, rawL, np.eye(n) - pd.P_xi)
         choi_B[(pd.x, pd.y)] = BB.transpose(0, 2, 1, 3).reshape(m * n, m * n)
-        del BB
-        # the corner Choi matrix; KL is read from it from here on
+        KL = _sandwich(pd.shat_w, rawL, pd.P_xi)
         A_mat = choi_A[(pd.x, pd.y)] = KL.transpose(0, 2, 1, 3).reshape(m * n, m * n)
-        KL = A_mat.reshape(m, n, m, n).transpose(0, 2, 1, 3)
-        GR = _right(pd, rawR)
+        del rawL, BB
+        KR = _sandwich(pd.P_xi, rawR, pd.shat_w)   # P GR(E_ij)
         del rawR
-        KR = np.einsum("uk,ijkl->ijul", pd.P_xi, GR)   # P GR(E_ij)
-        del GR
         scale = max(scale, float(np.abs(KL).max(initial=0.0)),
                     float(np.abs(KR).max(initial=0.0)))
 
@@ -248,19 +246,17 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
         # (v) F(sigma B) rho = rho F(B sigma) for B = P E_kl P in the xi-support
         # corner, all k, l at once: sigma B = (sigma P)[:, k] P[l, :] and
         # B sigma = P[:, k] (P sigma)[l, :]
-        inner = pd.T @ pd.rho_w
-        inner = np.einsum("uk,uavb->kavb", pd.sig_w @ pd.P_xi, inner)
-        lhs5 = np.einsum("lv,kavb->klab", pd.P_xi, inner)
-        inner = np.einsum("ac,ucvb->uavb", pd.rho_w, pd.T)
-        inner = np.einsum("uk,uavb->kavb", pd.P_xi, inner)
-        rhs5 = np.einsum("lv,kavb->klab", pd.P_xi @ pd.sig_w, inner)
-        del inner
-        largest = max(_sq_frobenius(lhs5).max(), _sq_frobenius(rhs5).max())
+        lhs5 = _source_sandwich((pd.sig_w @ pd.P_xi).T, pd.T, pd.P_xi)   # F(sigma B)
+        lhs5 = (lhs5.reshape(-1, m) @ pd.rho_w).reshape(n, m, n, m)
+        rhs5 = _source_sandwich(pd.P_xi.T, pd.T, pd.P_xi @ pd.sig_w)     # F(B sigma)
+        rhs5 = np.matmul(pd.rho_w, rhs5.reshape(n, m, n * m)).reshape(n, m, n, m)
+        largest = max(_sq_frobenius(M.swapaxes(1, 2)).max() for M in (lhs5, rhs5))
         scale = max(scale, float(np.sqrt(largest)))
         lhs5 -= rhs5
         del rhs5
         res["density_intertwining"] = max(
-            res["density_intertwining"], float(np.sqrt(_sq_frobenius(lhs5).max()))
+            res["density_intertwining"],
+            float(np.sqrt(_sq_frobenius(lhs5.swapaxes(1, 2)).max())),
         )
         del lhs5
         # (vi) part 1: forced rows vanish against the omega co-support,
@@ -352,15 +348,18 @@ def left_right_bayes(
     tensors_r = [[None] * F.target.n_blocks for _ in range(F.source.n_blocks)]
     worst = 0.0
     for pd in pairs:
-        tensors_l[pd.y][pd.x] = pd.GL.transpose(0, 2, 1, 3)
-        tensors_r[pd.y][pd.x] = pd.GR.transpose(0, 2, 1, 3)
-        # omega(E_ij F(E_kl)) = xi(G^L(E_ij) E_kl), and mirrored for G^R
-        W1 = np.einsum("kjla,ai->ijkl", pd.T, pd.rho_w)
-        W2 = np.einsum("lb,ijbk->ijkl", pd.sig_w, pd.GL)
-        worst = max(worst, float(np.abs(W1 - W2).max(initial=0.0)))
-        W1r = np.einsum("ja,kali->ijkl", pd.rho_w, pd.T)
-        W2r = np.einsum("ak,ijla->ijkl", pd.sig_w, pd.GR)
-        worst = max(worst, float(np.abs(W1r - W2r).max(initial=0.0)))
+        S = tensors_l[pd.y][pd.x] = pd.GL.transpose(0, 2, 1, 3)
+        S_r = tensors_r[pd.y][pd.x] = pd.GR.transpose(0, 2, 1, 3)
+        # omega(E_ij F(E_kl)) = xi(G^L(E_ij) E_kl), and mirrored for G^R,
+        # omega(F(E_kl) E_ij) = xi(E_kl G^R(E_ij)): the same identity for the
+        # transposed maps and densities
+        worst = max(
+            worst,
+            _pairing_residual(pd.T, pd.rho_w, pd.sig_w, S),
+            _pairing_residual(
+                pd.T.transpose(2, 3, 0, 1), pd.rho_w.T, pd.sig_w.T, S_r.transpose(2, 3, 0, 1)
+            ),
+        )
     if worst > tol.eps_eq * 100:
         raise InternalInconsistency(
             f"left/right Bayes pairing identities failed at {worst:.3e}"
@@ -368,6 +367,16 @@ def left_right_bayes(
     GL = LinearMap(F.target, F.source, tensors_l)
     GR = LinearMap(F.target, F.source, tensors_r)
     return GL, GR
+
+
+def _pairing_residual(T: np.ndarray, rho_w: np.ndarray, sig_w: np.ndarray, S: np.ndarray) -> float:
+    """max |omega(E_ij F(E_kl)) - xi(G(E_ij) E_kl)| over the units of a pair,
+    i.e. (F(E_kl) rho_w)_ji against (sig_w G(E_ij))_lk, with S the block
+    tensor of G; one product each."""
+    n, m = T.shape[:2]
+    W1 = (T.reshape(-1, m) @ rho_w).reshape(n, m, n, m)                  # [k, j, l, i]
+    W2 = np.matmul(sig_w, S.reshape(m, n, m * n)).reshape(m, n, m, n)   # [i, l, j, k]
+    return float(np.abs(W1 - W2.transpose(3, 2, 1, 0)).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -398,12 +407,8 @@ def verify_bayes(
     for x in range(F.target.n_blocks):
         rho_w = omega.weighted_density(x)
         for y in range(F.source.n_blocks):
-            sig_w = xi.weighted_density(y)
-            T = F.tensors[x][y]
-            S = G.tensors[y][x]
-            W1 = np.einsum("kjla,ai->ijkl", T, rho_w)
-            W2 = np.einsum("lb,ibjk->ijkl", sig_w, S)
-            worst = max(worst, float(np.abs(W1 - W2).max(initial=0.0)))
+            sig_w, S = xi.weighted_density(y), G.tensors[y][x]
+            worst = max(worst, _pairing_residual(F.tensors[x][y], rho_w, sig_w, S))
     ucp = is_ucp(G, tol)
     omega_back = pullback(xi, G, tol)
     state_res = max(
@@ -514,7 +519,7 @@ def _existence(analysis: BayesAnalysis, free_split: str) -> ExistenceResult:
             # no pairing constraint: spread the normalized trace uniformly,
             # E_ij |-> delta_ij (w_x / m_x) 1
             for x, m_x in enumerate(tgt_dims):
-                tensors[y][x] = np.einsum("ij,ab->iajb", np.eye(m_x), np.eye(n_y)) * (w_x[x] / m_x)
+                tensors[y][x] = np.eye(m_x * n_y).reshape(m_x, n_y, m_x, n_y) * (w_x[x] / m_x)
             continue
         Pxp = np.eye(n_y) - P_xis[y]
         delta = Pxp - trace_blocks[y]

@@ -46,6 +46,7 @@ from .linalg import (
     hermitian_eigen,
     hermitian_floor,
     hermitian_split,
+    partial_trace_left,
 )
 from .state import State, support
 
@@ -72,7 +73,7 @@ class LinearMap:
         for x, m_x in enumerate(target.block_dims):
             row = []
             for y, n_y in enumerate(source.block_dims):
-                T = np.asarray(tensors[x][y], dtype=complex)
+                T = np.ascontiguousarray(tensors[x][y], dtype=complex)
                 if T.shape != (n_y, m_x, n_y, m_x):
                     raise ShapeMismatch(
                         f"tensor ({x},{y}) has shape {T.shape}, "
@@ -282,15 +283,16 @@ def from_kraus(
     for x, m_x in enumerate(target.block_dims):
         row = []
         for y, n_y in enumerate(source.block_dims):
-            T = np.zeros((n_y, m_x, n_y, m_x), dtype=complex)
-            for K in kraus[x][y]:
-                K = np.asarray(K, dtype=complex)
+            Ks = [np.asarray(K, dtype=complex) for K in kraus[x][y]]
+            for K in Ks:
                 if K.shape != (m_x, n_y):
                     raise ShapeMismatch(
                         f"Kraus operator shape {K.shape} != ({m_x}, {n_y})"
                     )
-                T += np.einsum("ai,bj->iajb", K, np.conj(K))
-            row.append(T)
+            # T[i, a, j, b] = sum_k K_k[a, i] conj(K_k[b, j]), one product over k
+            A = np.array(Ks).reshape(len(Ks), m_x, n_y).transpose(0, 2, 1)
+            A = A.reshape(len(Ks), n_y * m_x)                      # [k, (i, a)]
+            row.append((A.T @ A.conj()).reshape(n_y, m_x, n_y, m_x))
         tensors.append(row)
     return Channel(source, target, tensors)
 
@@ -339,7 +341,8 @@ def is_ucp(F: LinearMap, tol: Tolerances = DEFAULT_TOL) -> UcpVerdict:
     unital_res = 0.0
     for x, m_x in enumerate(F.target.block_dims):
         img = sum(
-            np.einsum("iaib->ab", F.tensors[x][y]) for y in range(F.source.n_blocks)
+            partial_trace_left(F.choi_block(x, y), n, m_x)
+            for y, n in enumerate(F.source.block_dims)
         )
         unital_res = max(unital_res, frobenius(img - np.eye(m_x)))
     unital_ok = unital_res <= tol.eps_eq * max(
@@ -387,8 +390,8 @@ def ae_equal(
         if frobenius(rho_w) == 0.0:
             continue
         for y in range(D.source.n_blocks):
-            # omega(E_ij D(E_kl)) = p_x (D(E_kl) rho)_{ji}
-            W = np.einsum("kjla,ai->ijkl", D.tensors[x][y], rho_w)
+            # omega(E_ij D(E_kl)) = p_x (D(E_kl) rho)_{ji}, at [k, j, l, i]
+            W = D.tensors[x][y].reshape(-1, rho_w.shape[0]) @ rho_w
             worst = max(worst, float(np.abs(W).max(initial=0.0)))
     verdict_pairing = worst <= tol.eps_eq * scale
 
@@ -398,12 +401,12 @@ def ae_equal(
     for y in range(D.source.n_blocks):
         value = 0.0
         sq_norm = 0.0
-        for x in range(D.target.n_blocks):
-            images = D.tensors[x][y].transpose(0, 2, 1, 3)  # [i, j] = D_xy(E_ij)
-            sq_norm = sq_norm + _sq_frobenius(images)
-            value = value + np.einsum(
-                "ijab,ijab->ij", images @ omega.weighted_density(x), images.conj()
-            ).real
+        for x, m_x in enumerate(D.target.block_dims):
+            T = D.tensors[x][y]  # [i, a, j, b] = D_xy(E_ij)_ab
+            sq_norm = sq_norm + _sq_frobenius(T.swapaxes(1, 2))
+            Trho = (T.reshape(-1, m_x) @ omega.weighted_density(x)).reshape(T.shape)
+            dots = Trho.view(np.float64)[..., None, :] @ T.view(np.float64)[..., :, None]
+            value = value + dots[..., 0, 0].sum(axis=1)
         ref = np.maximum(np.sqrt(sq_norm), max(scale, ABS_FLOOR))
         verdict_nullspace &= bool(np.all(value <= tol.eps_eq * ref * ref))
 
@@ -518,9 +521,9 @@ def stinespring(F: LinearMap, tol: Tolerances = DEFAULT_TOL) -> StinespringData:
         # the slot of block y, so V* pi(E_ij) V = sum_k Vy[k, i]^* Vy[k, j]
         offset = 0
         for y, n_y in enumerate(F.source.block_dims):
-            Vy = V[offset : offset + ranks[y] * n_y].reshape(ranks[y], n_y, m_x)
+            Vy = V[offset : offset + ranks[y] * n_y].reshape(ranks[y], n_y * m_x)
             offset += ranks[y] * n_y
-            recon = np.einsum("kia,kjb->ijab", Vy.conj(), Vy)
-            recon -= F.tensors[x][y].transpose(0, 2, 1, 3)
-            worst = max(worst, float(np.sqrt(_sq_frobenius(recon).max())))
+            recon = (dagger(Vy) @ Vy).reshape(n_y, m_x, n_y, m_x)  # [i, a, j, b]
+            recon -= F.tensors[x][y]
+            worst = max(worst, float(np.sqrt(_sq_frobenius(recon.swapaxes(1, 2)).max())))
     return StinespringData(factors=tuple(factors), reconstruction_residual=worst)

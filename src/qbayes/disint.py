@@ -168,16 +168,17 @@ def build_disintegration(
             c = h.multiplicities[i][j]
             if stack == 0:
                 # block j is missed by the embedding: E |-> tr(E) 1 / (s m_i)
-                tensors[j][i] = np.einsum("pq,ab->paqb", np.eye(m_i), np.eye(n_j)) / (s * m_i)
+                tensors[j][i] = np.eye(m_i * n_j).reshape(m_i, n_j, m_i, n_j) / (s * m_i)
             elif c > 0:
                 # the tau-weighted partial trace E_{(w, a), (u, b)} |-> tau[u, w] E_ab
                 # on the (i, j) sub-block, with a uniform tau where q_j = 0
                 tau = cert.tau[(i, j)] if cert.xi.weights[j] > 0.0 else np.eye(c) / stack
                 offset = next(o for jj, o, _ in h.sub_block_layout(i) if jj == j)
                 size = c * n_j
-                slot = np.einsum("uw,ac,bd->wacubd", tau, np.eye(n_j), np.eye(n_j))
+                # [w, u, a, c, b, d] = tau[u, w] delta_ac delta_bd, read as [w, a, c, u, b, d]
+                slot = np.multiply.outer(tau.T, np.multiply.outer(np.eye(n_j), np.eye(n_j)))
                 tensors[j][i][offset : offset + size, :, offset : offset + size, :] = (
-                    slot.reshape(size, n_j, size, n_j)
+                    slot.transpose(0, 2, 3, 1, 4, 5).reshape(size, n_j, size, n_j)
                 )
     return Channel(h.target, h.source, tensors, tol=tol)
 

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, HomSpec, memo
-from .channel import Channel, LinearMap, from_hom, is_ucp
+from .channel import Channel, LinearMap, _unit_rows, from_hom, is_ucp
 from .errors import InternalInconsistency, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
@@ -74,14 +74,18 @@ def modular_at(flow: ModularFlow, t: float, A: AlgebraElement) -> AlgebraElement
 def _sandwich(T: np.ndarray, V: np.ndarray, W: np.ndarray) -> np.ndarray:
     """The block tensor [..., i, a, j, b] = (W^* F(V E_ij V^*) W)_ab of
     Ad(W^*) o F o Ad(V), from the block tensor T of F; V and W may be stacks
-    (..., n, n) and (..., m, m) with matching leading axes. The two Kraus maps
-    are applied as matrix products, so at most two arrays the size of the
-    result are held."""
-    V, W = V[..., None, None, :, :], W[..., None, None, :, :]
-    X = np.swapaxes(V, -1, -2) @ T.transpose(1, 3, 0, 2) @ V.conj()  # [..., c, d, i, j]
-    X = np.swapaxes(W.conj(), -1, -2) @ np.moveaxis(X, (-2, -1), (-4, -3))
-    X = X @ W
-    return np.ascontiguousarray(np.swapaxes(X, -3, -2))
+    (..., n, n') and (..., m, m') with matching leading axes. The factors act
+    in unit order (i, b, a, j), one product each, so at most two arrays the
+    size of the result are held."""
+    n, m = T.shape[:2]
+    lead, n2, m2 = V.shape[:-2], V.shape[-1], W.shape[-1]
+    X = np.swapaxes(V, -1, -2) @ T.reshape(n, -1)                       # [..., i, (c, l, d)]
+    X = (X.reshape(*lead, -1, m) @ W).reshape(*lead, n2, m, n * m2)     # [..., i, c, (l, b)]
+    X = np.swapaxes(W.conj(), -1, -2)[..., None, :, :] @ X              # [..., i, a, (l, b)]
+    X = np.moveaxis(X.reshape(*lead, n2, m2, n, m2), -2, -4)            # [..., l, i, a, b]
+    X = np.ascontiguousarray(X).reshape(*lead, n, -1)
+    X = (np.swapaxes(V.conj(), -1, -2) @ X).reshape(*lead, n2, n2, m2, m2)  # [..., j, i, a, b]
+    return np.ascontiguousarray(np.moveaxis(X, -4, -2))
 
 
 @dataclass(frozen=True)
@@ -149,14 +153,14 @@ def _corner_map(F: LinearMap, sup_o: SupportData, sup_x: SupportData, tol: Toler
             f"unitality residual {verdict.unitality_residual:.3e})"
         )
     # commuting square on corner matrix units, omega_r(F'(E_ij)) = xi_r(E_ij):
-    # sum_x tr(p_x rho_x F'_xy(E_ij)) = q_y sigma_y[j, i]
+    # sum_x tr(p_x rho_x F'_xy(E_ij)) = q_y sigma_y[j, i], one product per block
     worst = 0.0
     for y in range(chan.source.n_blocks):
         lhs = sum(
-            np.einsum("iajb,ba->ij", chan.tensors[x][y], omega_r.weighted_density(x))
+            _unit_rows(chan.tensors[x][y]) @ omega_r.weighted_density(x).T.reshape(-1)
             for x in range(chan.target.n_blocks)
         )
-        rhs = xi_r.weighted_density(y).T
+        rhs = xi_r.weighted_density(y).T.reshape(-1)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     if worst > tol.eps_eq * 10:
         raise InternalInconsistency(
@@ -197,18 +201,19 @@ def ac_condition_algebraic(
     chan = cm.channel
     worst = 0.0
     scale = 1.0
-    for y in range(chan.source.n_blocks):
+    for y, n in enumerate(chan.source.block_dims):
         sig = cm.xi_restricted.densities[y]
-        for x in range(chan.target.n_blocks):
+        for x, m in enumerate(chan.target.block_dims):
             T = chan.tensors[x][y]
             rho = cm.omega_restricted.densities[x]
-            # [i, j] = corner(F)(sigma E_ij) rho and rho corner(F)(E_ij sigma)
-            lhs = np.einsum("ki,kajb->ijab", sig, T) @ rho
-            rhs = rho @ np.einsum("jl,ialb->ijab", sig, T)
-            largest = max(_sq_frobenius(lhs).max(), _sq_frobenius(rhs).max())
+            # [i, a, j, b] = (corner(F)(sigma E_ij) rho)_ab and (rho corner(F)(E_ij sigma))_ab
+            lhs = ((sig.T @ T.reshape(n, -1)).reshape(-1, m) @ rho).reshape(T.shape)
+            rhs = np.matmul(sig, np.matmul(rho, T.reshape(n, m, -1)).reshape(n * m, n, m))
+            rhs = rhs.reshape(T.shape)
+            largest = max(_sq_frobenius(M.swapaxes(1, 2)).max() for M in (lhs, rhs))
             scale = max(scale, float(np.sqrt(largest)))
             lhs -= rhs
-            worst = max(worst, float(np.sqrt(_sq_frobenius(lhs).max())))
+            worst = max(worst, float(np.sqrt(_sq_frobenius(lhs.swapaxes(1, 2)).max())))
     return ACReport(
         ok=worst <= tol.eps_eq * scale,
         max_residual=worst,

@@ -257,9 +257,10 @@ def _pullback(omega: State, F, tol: Tolerances) -> State:
             rho_w = omega.weighted_density(x)
             if frobenius(rho_w) == 0.0:
                 continue
-            # predual component: tr(rho_w F_xy(B)) = tr(acc_xy B)
-            T = F.tensors[x][y]
-            acc += np.einsum("kalb,ab->kl", np.conj(T), rho_w)
+            # predual component: tr(rho_w F_xy(B)) = tr(acc_xy B), with
+            # acc[k, l] = sum_ab conj(T[k, a, l, b]) rho_w[a, b]: one product
+            T = F.tensors[x][y].transpose(0, 2, 1, 3).reshape(n_y * n_y, -1)
+            acc += (T @ rho_w.conj().reshape(-1)).conj().reshape(n_y, n_y)
         raw.append((acc + dagger(acc)) / 2)
     masses = np.array([max(float(np.trace(a).real), 0.0) for a in raw])
     total = masses.sum()

@@ -1,10 +1,16 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qbayes.algebra import MultiMatrixAlgebra, matrix_units
 from qbayes.bayesinv import (
+    PairInputs,
     _adjoint_on_units,
     _pair_data,
+    _pairing_residual,
+    _raw,
     _sandwich,
     battery,
     bayes_inverse,
@@ -340,16 +346,26 @@ def test_seven_way_agreement_randomized_ensemble():
 
 @pytest.mark.parametrize("case", INSTANCE_CASES.values(), ids=INSTANCE_CASES.keys())
 def test_battery_contractions_match_einsum(case):
-    # the battery's products against the einsum strings they replace
+    # the products of the battery, `left_right_bayes` and `verify_bayes`
+    # against the einsum strings they replace
     F, omega = case()
+    analysis = battery(F, omega)
     xi = pullback(omega, F)
+    rng = np.random.default_rng(12)
+    worst = dict.fromkeys(("star", "left_right", "density"), 0.0)
     for pd in _pair_data(F, omega, xi, DEFAULT_TOL):
+        m, n = pd.rho_w.shape[0], pd.sig_w.shape[0]
         Tc = np.conj(pd.T)
-        Pop = np.eye(pd.rho_w.shape[0]) - pd.P_om
+        Pop = np.eye(m) - pd.P_om
         got = {
             "V6": _sandwich(pd.shat_w, _adjoint_on_units(pd.T, pd.rho_w, Pop), pd.P_xi),
             "lhs4": _sandwich(pd.P_xi, pd.rawL, pd.sig_w),
             "rhs4": _sandwich(pd.sig_w, pd.rawR, pd.P_xi),
+            "rawL": pd.rawL,
+            "rawR": pd.rawR,
+            "GL": pd.GL,
+            "GR": pd.GR,
+            "KR": _sandwich(pd.P_xi, pd.rawR, pd.shat_w),
         }
         want = {
             "V6": np.einsum(
@@ -357,7 +373,18 @@ def test_battery_contractions_match_einsum(case):
             ),
             "lhs4": np.einsum("uk,ijkl,lv->ijuv", pd.P_xi, pd.rawL, pd.sig_w),
             "rhs4": np.einsum("uk,ijkl,lv->ijuv", pd.sig_w, pd.rawR, pd.P_xi),
+            "rawL": np.einsum("kalj,ai->ijkl", Tc, pd.rho_w),
+            "rawR": np.einsum("kilb,jb->ijkl", Tc, pd.rho_w),
         }
+        want["GL"] = np.einsum("uk,ijkl->ijul", pd.shat_w, want["rawL"])
+        want["GR"] = np.einsum("ijkl,lu->ijku", want["rawR"], pd.shat_w)
+        want["KR"] = np.einsum("uk,ijkl->ijul", pd.P_xi, want["GR"])
+        KL = np.einsum("ijkl,lu->ijku", want["GL"], pd.P_xi)
+        BB = np.einsum("ijkl,lu->ijku", want["GL"], np.eye(n) - pd.P_xi)
+        got["choi_A"] = analysis.choi_A[(pd.x, pd.y)]
+        got["choi_B"] = analysis.choi_B[(pd.x, pd.y)]
+        want["choi_A"] = KL.transpose(0, 2, 1, 3).reshape(m * n, m * n)
+        want["choi_B"] = BB.transpose(0, 2, 1, 3).reshape(m * n, m * n)
         sq_rho = matrix_sqrt(pd.rho_w)
         sq_shat = matrix_sqrt(pd.shat_w)
         got["raw"] = _adjoint_on_units(pd.T, sq_rho, sq_rho)
@@ -366,6 +393,42 @@ def test_battery_contractions_match_einsum(case):
         want["petz"] = np.einsum("uk,ijkl,lv->ijuv", sq_shat, want["raw"], sq_shat)
         for name, value in got.items():
             np.testing.assert_allclose(value, want[name], rtol=0.0, atol=1e-12, err_msg=name)
+
+        # the residuals of conditions (i), (ii) and (v) from the einsum chains
+        KR = want["KR"]
+        star = KR.transpose(1, 0, 3, 2).conj() - KR
+        worst["star"] = max(worst["star"], np.abs(star).max())
+        worst["left_right"] = max(worst["left_right"], np.abs(KL - KR).max())
+        inner = np.einsum("uk,uavb->kavb", pd.sig_w @ pd.P_xi, pd.T @ pd.rho_w)
+        lhs5 = np.einsum("lv,kavb->klab", pd.P_xi, inner)
+        inner = np.einsum("ac,ucvb->uavb", pd.rho_w, pd.T)
+        inner = np.einsum("uk,uavb->kavb", pd.P_xi, inner)
+        rhs5 = np.einsum("lv,kavb->klab", pd.P_xi @ pd.sig_w, inner)
+        density = np.sqrt(np.einsum("klab,klab->kl", lhs5 - rhs5, np.conj(lhs5 - rhs5)).real)
+        worst["density"] = max(worst["density"], density.max())
+
+        # the Bayes pairings of `verify_bayes` and `left_right_bayes`, on a
+        # candidate that fails them
+        S = pd.GL.transpose(0, 2, 1, 3) + rng.standard_normal((m, n, m, n))
+        W1 = np.einsum("kjla,ai->ijkl", pd.T, pd.rho_w)
+        W2 = np.einsum("lb,ibjk->ijkl", pd.sig_w, S)
+        assert abs(
+            _pairing_residual(pd.T, pd.rho_w, pd.sig_w, S) - np.abs(W1 - W2).max()
+        ) <= 1e-12
+        S_r = S.transpose(0, 2, 1, 3)  # [i, j, l, a] = G^R(E_ij)_la
+        W1r = np.einsum("ja,kali->ijkl", pd.rho_w, pd.T)
+        W2r = np.einsum("ak,ijla->ijkl", pd.sig_w, S_r)
+        mirrored = _pairing_residual(
+            pd.T.transpose(2, 3, 0, 1), pd.rho_w.T, pd.sig_w.T, S.transpose(2, 3, 0, 1)
+        )
+        assert abs(mirrored - np.abs(W1r - W2r).max()) <= 1e-12
+    got = {
+        "star": analysis.conditions["right_map_star_preserving"].residual,
+        "left_right": analysis.conditions["left_equals_right"].residual,
+        "density": analysis.conditions["density_intertwining"].residual,
+    }
+    for name, value in got.items():
+        assert abs(value - worst[name]) <= 1e-12, name
 
 
 def per_pair_reference(F, omega, tol=DEFAULT_TOL):
@@ -379,9 +442,11 @@ def per_pair_reference(F, omega, tol=DEFAULT_TOL):
         for y, n in enumerate(F.source.block_dims):
             shat_w = pseudoinverse(xi.weighted_density(y), tol)
             T = F.tensors[x][y]
-            GL = np.einsum("uk,ijkl->ijul", shat_w, np.einsum("kalj,ai->ijkl", np.conj(T), rho_w))
-            KL = np.einsum("ijkl,lu->ijku", GL, P_xi[y])
-            BB = np.einsum("ijkl,lu->ijku", GL, np.eye(n) - P_xi[y])
+            # the battery's kernels, so that the arrays are bit for bit the same;
+            # test_battery_contractions_match_einsum pins them to their einsums
+            rawL, _ = _raw(PairInputs(x, y, T, rho_w, None, shat_w, None, P_xi[y]))
+            KL = _sandwich(shat_w, rawL, P_xi[y])    # GL(E_ij) P
+            BB = _sandwich(shat_w, rawL, np.eye(n) - P_xi[y])
             choi_A[(x, y)] = KL.transpose(0, 2, 1, 3).reshape(m * n, m * n)
             choi_B[(x, y)] = BB.transpose(0, 2, 1, 3).reshape(m * n, m * n)
             sq_rho = matrix_sqrt(rho_w, tol)
@@ -441,3 +506,26 @@ def test_battery_and_existence_match_per_pair_reference(case):
     ):
         for T, T_ref in zip(row, row_ref):
             assert np.array_equal(T, T_ref)
+
+
+def test_battery_and_existence_peak_stays_within_the_choi_footprint():
+    # a reshaped transpose copies a tensor that einsum only read; one pass of
+    # battery and extension at 4 -> 16 peaked at 12.6 (einsum contractions)
+    # and 11.6 (matrix products) times the bytes of one (m n)^2 Choi block
+    h = inclusion_hom(4, 4)
+    F = from_hom(h)
+    choi_bytes = (16 * 4) ** 2 * 16
+
+    def one_pass():
+        omega = product_state_for_hom(np.random.default_rng(0), h)
+        assert existence(battery(F, omega)).exists
+
+    one_pass()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        one_pass()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15 * choi_bytes

@@ -219,6 +219,24 @@ def test_is_ucp_random_kraus():
     assert is_ucp(F)
 
 
+def test_from_kraus_matches_einsum():
+    # one product over the stacked operators against the per-operator einsum
+    # it replaces, with rectangular blocks and an empty Kraus list
+    rng = np.random.default_rng(11)
+    source, target = MultiMatrixAlgebra((2, 3)), MultiMatrixAlgebra((4, 1))
+    kraus = [
+        [[random_complex(rng, m, n) for _ in range(k)] for n, k in zip(source.block_dims, (3, 0))]
+        for m in target.block_dims
+    ]
+    F = from_kraus(source, target, kraus)
+    for x, m in enumerate(target.block_dims):
+        for y, n in enumerate(source.block_dims):
+            want = np.zeros((n, m, n, m), dtype=complex)
+            for K in kraus[x][y]:
+                want += np.einsum("ai,bj->iajb", K, np.conj(K))
+            np.testing.assert_allclose(F.tensors[x][y], want, rtol=0.0, atol=1e-12)
+
+
 def test_random_kraus_needs_enough_operators():
     # sum_k K_k K_k^* has rank at most n_kraus * 3 < 12: it cannot be made unital
     rng = np.random.default_rng(9)

@@ -5,6 +5,7 @@ from qbayes.errors import DimensionMismatch, NegativeEigenvalue, NotHermitian
 from qbayes.generators import random_complex, random_psd
 from qbayes.linalg import (
     Tolerances,
+    _sq_frobenius,
     dagger,
     frobenius,
     herm_fun,
@@ -177,3 +178,33 @@ def test_partial_traces_adjoint_to_embeddings():
     lhs = np.trace(dagger(partial_trace_right(M, 2, 3)) @ T)
     rhs = np.trace(dagger(M) @ kron(T, np.eye(3)))
     assert abs(lhs - rhs) < 1e-12
+
+
+def test_frobenius_is_norm_bit_for_bit():
+    rng = np.random.default_rng(13)
+    Z = random_complex(rng, 6, 8)
+    cases = [
+        rng.standard_normal((5, 7)),
+        Z,
+        Z[::2, 1::3].T,                                   # complex, not contiguous
+        Z.real.T[::3],                                    # real, not contiguous
+        rng.standard_normal((3, 4, 5)).transpose(2, 0, 1),
+        np.zeros((0, 4), dtype=complex),
+        np.zeros((0,)),
+        np.array([[1.0, np.nan]]),
+        np.array([1.0, np.nan * 1j]),
+        np.array([np.inf, -np.inf, 1j]),
+        np.array([[-np.inf, 2.0]]),
+    ]
+    for A in cases:
+        want, got = float(np.linalg.norm(A)), frobenius(A)
+        assert type(got) is float
+        assert got == want or (np.isnan(got) and np.isnan(want)), A
+
+
+def test_sq_frobenius_matches_einsum():
+    rng = np.random.default_rng(14)
+    X = random_complex(rng, 3 * 4 * 5, 6).reshape(3, 4, 5, 6)
+    for Y in (X, X.swapaxes(0, 2), X.swapaxes(1, 2), X.real.copy()):
+        want = np.einsum("...ab,...ab->...", Y.conj(), Y).real
+        np.testing.assert_allclose(_sq_frobenius(Y), want, rtol=1e-14, atol=0.0)

@@ -153,11 +153,33 @@ def test_corner_map_matches_unit_reference(case):
         return sup_o.compress(F.apply(lifted)).blocks[xc]
 
     reference = LinearMap.from_block_fn(sup_x.corner_algebra, sup_o.corner_algebra, fn)
-    chan = corner_map(F, omega).channel
+    cm = corner_map(F, omega)
+    chan = cm.channel
     assert chan.source == reference.source and chan.target == reference.target
     for row, row_ref in zip(chan.tensors, reference.tensors):
         for T, T_ref in zip(row, row_ref):
             np.testing.assert_allclose(T, T_ref, rtol=0.0, atol=1e-12)
+
+    # the commuting square's predual against the einsum it replaces
+    worst = 0.0
+    for y in range(chan.source.n_blocks):
+        lhs = sum(
+            np.einsum("iajb,ba->ij", chan.tensors[x][y], cm.omega_restricted.weighted_density(x))
+            for x in range(chan.target.n_blocks)
+        )
+        worst = max(worst, np.abs(lhs - cm.xi_restricted.weighted_density(y).T).max())
+    assert abs(cm.square_residual - worst) <= 1e-12
+
+    # the unit-order sandwich on stacks of rectangular factors, against its einsum
+    rng = np.random.default_rng(5)
+    for row in F.tensors:
+        for T in row:
+            n, m = T.shape[:2]
+            V = random_complex(rng, 2 * n, max(n - 1, 1)).reshape(2, n, -1)
+            W = random_complex(rng, 2 * m, max(m - 1, 1)).reshape(2, m, -1)
+            want = np.einsum("kcld,tki,tlj,tca,tdb->tiajb", T, V, V.conj(), W.conj(), W)
+            got = qbayes.modular._sandwich(T, V, W)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("case", INSTANCE_CASES.values(), ids=INSTANCE_CASES.keys())
@@ -179,6 +201,19 @@ def test_ac_residuals_match_unit_loops(case):
                     rhs = rho[x] @ np.einsum("iajb,ij->ab", T, E @ sig[y])
                     worst = max(worst, np.linalg.norm(lhs - rhs))
     assert abs(algebraic.max_residual - worst) <= 1e-12
+
+    # the products of the algebraic test against the einsum strings they replace
+    for y, n in enumerate(chan.source.block_dims):
+        for x, m in enumerate(chan.target.block_dims):
+            T = chan.tensors[x][y]
+            got = ((sig[y].T @ T.reshape(n, -1)).reshape(-1, m) @ rho[x]).reshape(T.shape)
+            want = np.einsum("ki,kajb->ijab", sig[y], T) @ rho[x]
+            np.testing.assert_allclose(got.swapaxes(1, 2), want, rtol=0.0, atol=1e-12)
+            got = np.matmul(sig[y], np.matmul(rho[x], T.reshape(n, m, -1)).reshape(n * m, n, m))
+            want = rho[x] @ np.einsum("jl,ialb->ijab", sig[y], T)
+            np.testing.assert_allclose(
+                got.reshape(T.shape).swapaxes(1, 2), want, rtol=0.0, atol=1e-12
+            )
 
     sampled = ac_condition_sampled(F, omega)
     flow_o = modular_flow(algebraic.corner.omega_restricted)

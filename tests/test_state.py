@@ -180,6 +180,17 @@ def test_pullback_consistency_on_matrix_units():
         lhs = evaluate(xi, E)
         rhs = evaluate(omega, F.apply(E))
         assert abs(lhs - rhs) < 1e-10
+    # the predual as one product against the einsum it replaces
+    raw = []
+    for y in range(source.n_blocks):
+        acc = sum(
+            np.einsum("kalb,ab->kl", np.conj(F.tensors[x][y]), omega.weighted_density(x))
+            for x in range(target.n_blocks)
+        )
+        raw.append((acc + acc.conj().T) / 2)
+    total = sum(np.trace(acc).real for acc in raw)
+    for y, acc in enumerate(raw):
+        np.testing.assert_allclose(xi.weighted_density(y), acc / total, rtol=0.0, atol=1e-12)
 
 
 def test_support_monotonicity_under_state_preserving_maps():
