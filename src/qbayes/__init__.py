@@ -68,6 +68,7 @@ from .linalg import (
     DEFAULT_TOL,
     HermitianEigen,
     Tolerances,
+    Verdict,
     hermitian_eigen,
     herm_fun,
     kron,
@@ -78,7 +79,6 @@ from .linalg import (
 from .modular import (
     ACReport,
     CornerMap,
-    ModularFlow,
     ac_condition_algebraic,
     ac_condition_sampled,
     corner_map,

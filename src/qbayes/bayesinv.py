@@ -21,9 +21,9 @@ from .algebra import MultiMatrixAlgebra, memo
 from .channel import Channel, LinearMap, UcpVerdict, compose, identity_channel, is_ucp
 from .errors import ExtensionFailure, InternalInconsistency, ShapeMismatch
 from .linalg import (
-    ABS_FLOOR,
     DEFAULT_TOL,
     Tolerances,
+    Verdict,
     _sq_frobenius,
     dagger,
     frobenius,
@@ -44,12 +44,6 @@ BATTERY_CONDITIONS = (
     "off_support_vanishing",
     "right_map_cp",
 )
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    ok: bool
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -154,7 +148,7 @@ class BayesAnalysis:
     omega: State
     tol: Tolerances
     xi: State
-    conditions: dict[str, ConditionReport]
+    conditions: dict[str, Verdict]
     passed: bool
     choi_A: dict[tuple[int, int], np.ndarray]
     choi_B: dict[tuple[int, int], np.ndarray]
@@ -184,7 +178,7 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
     """The BayesAnalysis fields after F and omega."""
     xi = pullback(omega, F, tol)
 
-    res = {name: 0.0 for name in BATTERY_CONDITIONS}
+    res = {name: 0.0 for name in BATTERY_CONDITIONS if name != "right_map_cp"}
     scale = 1.0
     choi_A: dict[tuple[int, int], np.ndarray] = {}
     choi_B: dict[tuple[int, int], np.ndarray] = {}
@@ -268,23 +262,14 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
         )
         del V6
 
-    res["right_map_cp"] = max(0.0, -cp_min_eig)
-    thr = tol.eps_eq * scale
-    verdicts = {
-        name: ConditionReport(ok=res[name] <= thr, residual=res[name])
-        for name in BATTERY_CONDITIONS
-        if name != "right_map_cp"
-    }
-    cp_ok = cp_min_eig >= -tol.eps_rank * max(cp_lam_max, ABS_FLOOR) - ABS_FLOOR
-    verdicts["right_map_cp"] = ConditionReport(ok=cp_ok, residual=res["right_map_cp"])
+    verdicts = {name: tol.close(residual, scale) for name, residual in res.items()}
+    verdicts["right_map_cp"] = tol.psd(cp_min_eig, cp_lam_max)
 
-    # (vi) part 2: corner intertwining joins the off-support condition
+    # (vi) part 2: corner intertwining joins the off-support condition, which
+    # reports the first of its two parts that fails
     ac = ac_condition_algebraic(F, omega, tol)
-    part1 = verdicts["off_support_vanishing"]
-    verdicts["off_support_vanishing"] = ConditionReport(
-        ok=part1.ok and ac.ok,
-        residual=max(part1.residual, 0.0 if ac.ok else ac.max_residual),
-    )
+    if verdicts["off_support_vanishing"].ok and not ac.ok:
+        verdicts["off_support_vanishing"] = ac.verdict
 
     flags = [verdicts[name].ok for name in BATTERY_CONDITIONS]
     if any(flags) != all(flags):
@@ -318,7 +303,7 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
             tensors_p.append(row_p)
         support_map = LinearMap(F.target, F.source, tensors_s)
         petz_map = LinearMap(F.target, F.source, tensors_p)
-        if not support_map.close_to(petz_map, tol.eps_eq * 100):
+        if not tol.close(*support_map.distance(petz_map), 100):
             raise InternalInconsistency(
                 "recovery formula does not match the corner inverse "
                 "although the battery passed"
@@ -360,7 +345,7 @@ def left_right_bayes(
                 pd.T.transpose(2, 3, 0, 1), pd.rho_w.T, pd.sig_w.T, S_r.transpose(2, 3, 0, 1)
             ),
         )
-    if worst > tol.eps_eq * 100:
+    if not tol.close(worst, 1.0, 100):
         raise InternalInconsistency(
             f"left/right Bayes pairing identities failed at {worst:.3e}"
         )
@@ -383,10 +368,12 @@ def _pairing_residual(T: np.ndarray, rho_w: np.ndarray, sig_w: np.ndarray, S: np
 class VerifyBayesReport:
     """Brute-force check of the inversion pairing plus UCP and state transport."""
 
-    pairing_residual: float
+    pairing: Verdict
     ucp: UcpVerdict
-    state_preservation_residual: float
-    ok: bool
+    state_preservation: Verdict
+
+    ok = property(lambda self: self.pairing.ok and self.ucp.ok and self.state_preservation.ok)
+    pairing_residual = property(lambda self: self.pairing.residual)
 
 
 def verify_bayes(
@@ -415,38 +402,36 @@ def verify_bayes(
         frobenius(omega_back.weighted_density(x) - omega.weighted_density(x))
         for x in range(omega.algebra.n_blocks)
     )
-    ok = bool(ucp) and worst <= tol.eps_eq * 10 and state_res <= tol.eps_eq * 10
     return VerifyBayesReport(
-        pairing_residual=worst,
+        pairing=tol.close(worst, 1.0, 10),
         ucp=ucp,
-        state_preservation_residual=state_res,
-        ok=ok,
+        state_preservation=tol.close(state_res, 1.0, 10),
     )
 
 
 @dataclass(frozen=True)
 class ExistenceResult:
-    """Decision of the off-support extension problem."""
+    """Decision of the off-support extension problem: the existence inequality
+    judges the least eigenvalue, the margin, of the co-support projection less
+    the compressed mass."""
 
-    exists: bool
-    margin: float
+    inequality: Verdict
     trace_blocks: dict[int, np.ndarray]
     inverse: Optional[Channel]
     verification: Optional[VerifyBayesReport]
 
+    exists = property(lambda self: self.inequality.ok)
+    margin = property(lambda self: 0.0 - self.inequality.residual)
 
-def existence(
-    analysis: BayesAnalysis,
-    tol: Optional[Tolerances] = None,
-    free_split: str = "uniform",
-) -> ExistenceResult:
+
+def existence(analysis: BayesAnalysis, free_split: str = "uniform") -> ExistenceResult:
     """Decide and, when possible, construct a full UCP Bayesian inverse.
 
-    Requires a passed battery, and runs at the battery's tolerance (the
-    default); another tolerance raises ValueError. Per source block y, the
-    compressed mass sum_x tr_x(B* A-hat B) must stay below the xi co-support
-    projection; when it does, a Schur-complement completion of the forced Choi
-    rows yields the inverse, whose Bayes pairing is then re-verified.
+    Requires a passed battery, and runs at its tolerance. Per source block y,
+    the compressed mass sum_x tr_x(B* A-hat B) must stay below the xi
+    co-support projection; when it does, a Schur-complement completion of the
+    forced Choi rows yields the inverse, whose Bayes pairing is then
+    re-verified.
 
     free_split selects how the leftover co-support mass is spread over the
     free diagonal; any admissible choice yields an a.e.-equivalent inverse.
@@ -459,8 +444,6 @@ def existence(
         raise ValueError(f"unknown free_split {free_split!r}")
     if not analysis.passed:
         raise ValueError("existence() requires a passed battery")
-    if tol is not None and tol != analysis.tol:
-        raise ValueError(f"existence() at {tol} on a battery run at {analysis.tol}")
     F = analysis.F
     _, result = memo(
         analysis.omega, ("existence", id(F), analysis.tol, free_split),
@@ -494,7 +477,7 @@ def _existence(analysis: BayesAnalysis, free_split: str) -> ExistenceResult:
             sandwich[(x, y)] = X
             total += partial_trace_left(X, m_x, n_y)
             range_defect = frobenius((np.eye(m_x * n_y) - A_mat @ Ahat) @ B_mat)
-            if range_defect > tol.eps_eq * max(1.0, frobenius(B_mat)) * 100:
+            if not tol.close(range_defect, max(1.0, frobenius(B_mat)), 100):
                 raise ExtensionFailure(
                     "forced off-support rows leave the corner range in block "
                     f"({x},{y}), defect {range_defect:.3e}"
@@ -502,16 +485,10 @@ def _existence(analysis: BayesAnalysis, free_split: str) -> ExistenceResult:
         total = (total + dagger(total)) / 2
         trace_blocks[y] = total
         gap = float(np.linalg.eigvalsh(Pxp - total).min(initial=0.0))
-        margin = min(margin, gap)
-    if not np.isfinite(margin):
-        margin = 0.0
-
-    exists = margin >= -tol.eps_rank * 10 - ABS_FLOOR
-    if not exists:
-        return ExistenceResult(
-            exists=False, margin=float(margin), trace_blocks=trace_blocks,
-            inverse=None, verification=None,
-        )
+        margin = float(np.minimum(margin, gap))  # a NaN gap stays NaN
+    inequality = tol.psd(margin, 1.0, 10)
+    if not inequality.ok:
+        return ExistenceResult(inequality, trace_blocks, inverse=None, verification=None)
 
     tensors = [[None] * F.target.n_blocks for _ in range(F.source.n_blocks)]
     for y, n_y in enumerate(src_dims):
@@ -542,16 +519,10 @@ def _existence(analysis: BayesAnalysis, free_split: str) -> ExistenceResult:
         raise ExtensionFailure(
             "constructed extension failed verification: "
             f"pairing {verification.pairing_residual:.3e}, "
-            f"state transport {verification.state_preservation_residual:.3e}, "
+            f"state transport {verification.state_preservation.residual:.3e}, "
             f"ucp ok {bool(verification.ucp)}"
         )
-    return ExistenceResult(
-        exists=True,
-        margin=float(margin),
-        trace_blocks=trace_blocks,
-        inverse=inverse,
-        verification=verification,
-    )
+    return ExistenceResult(inequality, trace_blocks, inverse, verification)
 
 
 def _frozen(result: ExistenceResult) -> ExistenceResult:
@@ -571,7 +542,7 @@ def bayes_inverse(
     analysis = battery(F, omega, tol)
     if not analysis.passed:
         return False, None, analysis, None
-    result = existence(analysis, tol)
+    result = existence(analysis)
     return result.exists, result.inverse, analysis, result
 
 
@@ -611,12 +582,12 @@ def compositionality_check(
 
     uniqueness = None
     differ = None
-    alt = existence(analysis_f, tol, free_split="ramp")
+    alt = existence(analysis_f, free_split="ramp")
     if alt.exists and alt.inverse is not None:
         from .channel import ae_equal
 
         uniqueness = ae_equal(Fbar, alt.inverse, xi, tol)
-        differ = not Fbar.close_to(alt.inverse, tol.eps_eq)
+        differ = not tol.close(*Fbar.distance(alt.inverse))
     return CompositionalityReport(
         identity_ok=identity_ok,
         composite_ok=report.ok,

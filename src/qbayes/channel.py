@@ -37,9 +37,9 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import (
-    ABS_FLOOR,
     DEFAULT_TOL,
     Tolerances,
+    Verdict,
     _sq_frobenius,
     dagger,
     frobenius,
@@ -186,25 +186,21 @@ class LinearMap:
             for y in range(self.source.n_blocks)
         ]))
 
+    def distance(self, other: "LinearMap") -> tuple[float, float]:
+        """The largest Frobenius norm of a block tensor of self - other, and the
+        scale it is judged against: the largest of self's, or 1 if larger.
+        The maps must have the same shape."""
+        pairs = [(x, y) for x in range(self.target.n_blocks) for y in range(self.source.n_blocks)]
+        diff = max(frobenius(self.tensors[x][y] - other.tensors[x][y]) for x, y in pairs)
+        return diff, max(max(frobenius(self.tensors[x][y]) for x, y in pairs), 1.0)
+
     def close_to(self, other: "LinearMap", eps: float) -> bool:
         if (
             other.source.block_dims != self.source.block_dims
             or other.target.block_dims != self.target.block_dims
         ):
             return False
-        diff = max(
-            frobenius(self.tensors[x][y] - other.tensors[x][y])
-            for x in range(self.target.n_blocks)
-            for y in range(self.source.n_blocks)
-        )
-        scale = max(
-            max(
-                frobenius(self.tensors[x][y])
-                for x in range(self.target.n_blocks)
-                for y in range(self.source.n_blocks)
-            ),
-            1.0,
-        )
+        diff, scale = self.distance(other)
         return diff <= eps * scale
 
 
@@ -227,12 +223,12 @@ class Channel(LinearMap):
             ),
             default=1.0,
         )
-        thr = tol.eps_eq * max(scale, 1.0)
+        hermitian = tol.close(defect, max(scale, 1.0))
         # written so that a NaN or infinite entry fails
-        if not (defect <= thr < np.inf):
+        if not (hermitian.ok and hermitian.threshold < np.inf):
             raise NotHermitian(
                 f"Choi blocks deviate from Hermitian by {defect:.3e} "
-                f"(threshold {thr:.3e})"
+                f"(threshold {hermitian.threshold:.3e})"
             )
 
 
@@ -311,14 +307,17 @@ def hs_adjoint(F: LinearMap) -> LinearMap:
 
 @dataclass(frozen=True)
 class UcpVerdict:
-    """Outcome of the UCP test with failure witnesses."""
+    """Outcome of the UCP test: cp judges the least Choi eigenvalue, found in
+    witness_block, and unital the largest ||sum_y F_xy(1) - 1||."""
 
-    ok: bool
-    cp_ok: bool
-    unital_ok: bool
-    min_choi_eigenvalue: float
+    cp: Verdict
+    unital: Verdict
     witness_block: Optional[tuple[int, int]]
-    unitality_residual: float
+
+    ok = property(lambda self: self.cp.ok and self.unital.ok)
+    cp_ok = property(lambda self: self.cp.ok)
+    unital_ok = property(lambda self: self.unital.ok)
+    min_choi_eigenvalue = property(lambda self: 0.0 - self.cp.residual)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -332,11 +331,9 @@ def is_ucp(F: LinearMap, tol: Tolerances = DEFAULT_TOL) -> UcpVerdict:
     for k, (x, y) in enumerate(blocks):
         lows[k], radius = hermitian_floor(F.choi_block(x, y))
         lam_max = max(lam_max, radius)
-    # argmin picks the first NaN if there is one, and then cp_ok is False
+    # argmin picks the first NaN if there is one, and then cp fails
     k = int(np.argmin(lows))
-    min_eig = float(lows[k])
-    witness = blocks[k]
-    cp_ok = min_eig >= -tol.eps_rank * max(lam_max, ABS_FLOOR) - ABS_FLOOR
+    cp = tol.psd(float(lows[k]), lam_max)
 
     unital_res = 0.0
     for x, m_x in enumerate(F.target.block_dims):
@@ -345,17 +342,8 @@ def is_ucp(F: LinearMap, tol: Tolerances = DEFAULT_TOL) -> UcpVerdict:
             for y, n in enumerate(F.source.block_dims)
         )
         unital_res = max(unital_res, frobenius(img - np.eye(m_x)))
-    unital_ok = unital_res <= tol.eps_eq * max(
-        1.0, max(F.target.block_dims) ** 0.5
-    )
-    return UcpVerdict(
-        ok=bool(cp_ok and unital_ok),
-        cp_ok=bool(cp_ok),
-        unital_ok=bool(unital_ok),
-        min_choi_eigenvalue=float(min_eig),
-        witness_block=witness,
-        unitality_residual=float(unital_res),
-    )
+    unital = tol.close(unital_res, max(1.0, max(F.target.block_dims) ** 0.5))
+    return UcpVerdict(cp=cp, unital=unital, witness_block=blocks[k])
 
 
 def _map_scale(D: LinearMap) -> float:
@@ -393,7 +381,7 @@ def ae_equal(
             # omega(E_ij D(E_kl)) = p_x (D(E_kl) rho)_{ji}, at [k, j, l, i]
             W = D.tensors[x][y].reshape(-1, rho_w.shape[0]) @ rho_w
             worst = max(worst, float(np.abs(W).max(initial=0.0)))
-    verdict_pairing = worst <= tol.eps_eq * scale
+    verdict_pairing = tol.close(worst, scale).ok
 
     # omega((D E)* (D E)) = sum_x tr((D_xy(E) p_x rho_x) D_xy(E)*) for every unit E
     # of block y, set against ||D E||^2 as `in_nullspace` does for one element
@@ -407,8 +395,7 @@ def ae_equal(
             Trho = (T.reshape(-1, m_x) @ omega.weighted_density(x)).reshape(T.shape)
             dots = Trho.view(np.float64)[..., None, :] @ T.view(np.float64)[..., :, None]
             value = value + dots[..., 0, 0].sum(axis=1)
-        ref = np.maximum(np.sqrt(sq_norm), max(scale, ABS_FLOOR))
-        verdict_nullspace &= bool(np.all(value <= tol.eps_eq * ref * ref))
+        verdict_nullspace &= tol.nullspace(value, np.maximum(np.sqrt(sq_norm), scale)).ok
 
     if verdict_pairing != verdict_nullspace:
         raise InternalInconsistency(
@@ -446,7 +433,7 @@ def ae_deterministic(
             FW = T.transpose(0, 2, 1, 3) @ W  # [i, j] = F_xy(E_ij) W
             defect = dagger(W) @ FW[range(n), range(n)] - FW.conj().swapaxes(-1, -2) @ FW
             worst = max(worst, float(_sq_frobenius(defect).max()))
-    return bool(np.sqrt(worst) <= tol.eps_eq * scale * scale)
+    return tol.close(np.sqrt(worst), scale, scale).ok
 
 
 @dataclass(frozen=True)
@@ -478,11 +465,11 @@ def kraus_blocks(F: LinearMap, x: int, y: int, tol: Tolerances = DEFAULT_TOL):
     eig = hermitian_eigen(C, tol)
     w, V = eig.eigenvalues, eig.eigenvectors
     lam_max = max(float(w.max(initial=0.0)), 0.0)
-    if float(w.min(initial=0.0)) < -tol.eps_rank * max(lam_max, ABS_FLOOR) - ABS_FLOOR:
+    if not tol.psd(float(w.min(initial=0.0)), lam_max):
         raise NotCP(f"Choi block ({x},{y}) has eigenvalue {w.min():.3e}")
     ops = []
     for idx in np.argsort(-w):
-        if w[idx] <= tol.eps_rank * max(lam_max, ABS_FLOOR):
+        if w[idx] <= tol.rank_cutoff(lam_max):
             continue
         vec = np.sqrt(w[idx]) * V[:, idx]
         ops.append(vec.reshape(n_y, m_x).T.copy())

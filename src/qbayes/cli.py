@@ -100,10 +100,10 @@ def _run_analyses(problem: dict, tol: Tolerances) -> tuple[dict, dict]:
         elif name == "takesaki":
             rep = takesaki_battery(hom, state, tol)
             out["takesaki"] = {
-                "corner_hom": rep.corner_hom,
-                "corner_hom_residual": rep.corner_hom_residual,
-                "ac": rep.corner_intertwining,
-                "ac_residual": rep.corner_intertwining_residual,
+                "corner_hom": rep.multiplicative.ok,
+                "corner_hom_residual": rep.multiplicative.residual,
+                "ac": rep.intertwining.ok,
+                "ac_residual": rep.intertwining.residual,
                 "corner_disintegration": rep.corner_disintegration,
                 "disintegration": rep.full_disintegration,
             }
@@ -111,22 +111,22 @@ def _run_analyses(problem: dict, tol: Tolerances) -> tuple[dict, dict]:
             res = disintegrate(hom, state, tol)
             entry = {
                 "exists": res.exists,
-                "residuals": {k: v for k, v in sorted(res.certificate.residuals.items())},
+                "residuals": res.certificate.residuals,
             }
             if res.exists:
                 entry["recovery"] = channel_to_json(res.recovery)
                 entry["verification"] = {
-                    "state_preservation_residual": res.report.state_preservation_residual,
-                    "exact_left_inverse": res.report.exact_left_inverse,
+                    "state_preservation_residual": res.report.state_preservation.residual,
+                    "exact_left_inverse": res.report.exact_left_inverse.ok,
                 }
             out["disintegrate"] = entry
         elif name == "condexp":
             rep = condexp_characterize(hom, state, tol)
             out["condexp"] = {
                 "exists": rep.ok,
-                "off_diagonal_residual": rep.off_diagonal_residual,
-                "product_residual": rep.product_residual,
-                "mixing_residual": rep.mixing_residual,
+                "off_diagonal_residual": rep.off_diagonal.residual,
+                "product_residual": rep.product.residual,
+                "mixing_residual": rep.mixing.residual,
             }
         elif name == "bayes-battery":
             analysis = battery(channel, state, tol)
@@ -141,7 +141,7 @@ def _run_analyses(problem: dict, tol: Tolerances) -> tuple[dict, dict]:
             analysis = battery(channel, state, tol)
             entry: dict = {"battery_passed": analysis.passed}
             if analysis.passed:
-                res = existence(analysis, tol)
+                res = existence(analysis)
                 entry["exists"] = res.exists
                 entry["margin"] = res.margin
                 if res.exists:
@@ -239,9 +239,9 @@ def cmd_invert(args) -> int:
             raise SchemaError("invert --mode disint needs a channel of kind 'hom'")
         res = disintegrate(problem["hom"], problem["state"], tol)
         entry = {"mode": "disint", "exists": res.exists}
-        entry["residuals"] = {k: v for k, v in sorted(res.certificate.residuals.items())}
+        entry["residuals"] = res.certificate.residuals
         if res.exists:
-            entry["state_preservation_residual"] = res.report.state_preservation_residual
+            entry["state_preservation_residual"] = res.report.state_preservation.residual
             constructed = res.recovery
     if constructed is not None:
         with open(args.out, "w", encoding="utf-8") as fh:

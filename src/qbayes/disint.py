@@ -24,6 +24,7 @@ from .bayesinv import battery, bayes_inverse
 from .channel import (
     Channel,
     LinearMap,
+    UcpVerdict,
     _map_scale,
     ae_deterministic,
     ae_equal,
@@ -36,6 +37,7 @@ from .errors import InternalInconsistency, InvalidCertificate, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    Verdict,
     _sq_frobenius,
     dagger,
     frobenius,
@@ -52,10 +54,10 @@ class FactorizationCertificate:
     """Split data p_i rho_i = (+)_j (q_j tau_ij (x) sigma_j) and its residuals.
 
     tau[(i, j)] is the extracted multiplicity-factor matrix (unnormalized;
-    its trace is the mixing coefficient lambda_ij). Residual entries:
-    `off_diagonal` for cross sub-block mass, `reconstruction` for the
-    product-form defect, `trace_sum` for the per-column normalization, and
-    `mixing` for the lambda/weight bookkeeping.
+    its trace is the mixing coefficient lambda_ij). Verdicts: `off_diagonal`
+    for cross sub-block mass, `reconstruction` for the product-form defect,
+    `trace_sum` for the per-column normalization, and `mixing` for the
+    lambda/weight bookkeeping.
     """
 
     hom: HomSpec
@@ -64,8 +66,10 @@ class FactorizationCertificate:
     tau: dict[tuple[int, int], np.ndarray]
     lambdas: dict[tuple[int, int], float]
     mus: dict[tuple[int, int], float]
-    residuals: dict[str, float]
-    ok: bool
+    verdicts: dict[str, Verdict]
+
+    ok = property(lambda self: all(v.ok for v in self.verdicts.values()))
+    residuals = property(lambda self: {k: v.residual for k, v in self.verdicts.items()})
 
 
 def factorize(
@@ -135,8 +139,7 @@ def _factorize(h: HomSpec, omega: State, tol: Tolerances) -> tuple:
         )
         res["mixing"] = max(res["mixing"], abs(row - omega.weights[i]))
 
-    ok = all(v <= tol.eps_eq for v in res.values())
-    return xi, tau, lambdas, mus, res, ok
+    return xi, tau, lambdas, mus, {k: tol.close(v) for k, v in res.items()}
 
 
 def build_disintegration(
@@ -185,13 +188,16 @@ def build_disintegration(
 
 @dataclass(frozen=True)
 class DisintegrationReport:
-    """Outcome of the independent disintegration oracle."""
+    """Outcome of the independent disintegration oracle; ok requires the exact
+    left inverse only when the source is a single block."""
 
-    ucp_ok: bool
-    state_preservation_residual: float
+    ucp: UcpVerdict
+    state_preservation: Verdict
     ae_left_inverse_ok: bool
-    exact_left_inverse: bool
+    exact_left_inverse: Verdict
     ok: bool
+
+    state_preservation_residual = property(lambda self: self.state_preservation.residual)
 
 
 def verify_disintegration(
@@ -204,41 +210,35 @@ def verify_disintegration(
     optimal recovery in every case.
     """
     xi = pullback(omega, F, tol)
-    ucp_ok = bool(is_ucp(G, tol))
+    ucp = is_ucp(G, tol)
     omega_back = pullback(xi, G, tol)
     state_res = max(
         frobenius(omega_back.weighted_density(x) - omega.weighted_density(x))
         for x in range(omega.algebra.n_blocks)
     )
+    state = tol.close(state_res, 1.0, 10)
     ident = identity_channel(MultiMatrixAlgebra(F.source.block_dims))
     roundtrip = compose(G, F)
     ae_ok = ae_equal(roundtrip, ident, xi, tol)
-    exact = roundtrip.close_to(ident, tol.eps_eq)
-    ok = ucp_ok and state_res <= tol.eps_eq * 10 and ae_ok
-    if F.source.n_blocks == 1:
-        ok = ok and exact
-    return DisintegrationReport(
-        ucp_ok=ucp_ok,
-        state_preservation_residual=state_res,
-        ae_left_inverse_ok=ae_ok,
-        exact_left_inverse=exact,
-        ok=ok,
-    )
+    exact = tol.close(*roundtrip.distance(ident))
+    ok = ucp.ok and state.ok and ae_ok and (exact.ok or F.source.n_blocks > 1)
+    return DisintegrationReport(ucp, state, ae_ok, exact, ok)
 
 
 @dataclass(frozen=True)
 class CondexpReport:
     """Direct characterization of states admitting a preserving expectation."""
 
-    ok: bool
-    off_diagonal_residual: float
-    product_residual: float
-    sigma_match_residual: float
-    mixing_residual: float
+    off_diagonal: Verdict
+    product: Verdict
+    sigma_match: Verdict
+    mixing: Verdict
     mus: dict[tuple[int, int], float]
     lambdas: dict[tuple[int, int], float]
     hom: HomSpec
     recovery: Optional[Channel]
+
+    ok = property(lambda self: all((self.off_diagonal, self.product, self.sigma_match, self.mixing)))
 
     @cached_property
     def expectation(self) -> Optional[Channel]:
@@ -279,7 +279,7 @@ def condexp_characterize(
             S = W[offset : offset + size, offset : offset + size]
             t = float(np.trace(S).real)
             p_i = omega.weights[i]
-            if t <= tol.eps_rank:
+            if t <= tol.rank_cutoff(1.0):
                 prod_res = max(prod_res, frobenius(S))
                 mus[(i, j)] = 0.0
                 lambdas[(i, j)] = 0.0
@@ -306,14 +306,12 @@ def condexp_characterize(
         )
         mixing_res = max(mixing_res, abs(col - xi.weights[j]))
 
-    ok = (
-        off_res <= tol.eps_eq
-        and prod_res <= tol.eps_eq
-        and sigma_res <= tol.eps_eq * 10
-        and mixing_res <= tol.eps_eq * 10
+    verdicts = (
+        tol.close(off_res), tol.close(prod_res),
+        tol.close(sigma_res, 1.0, 10), tol.close(mixing_res, 1.0, 10),
     )
     recovery = None
-    if ok:
+    if all(verdicts):
         cert = factorize(h, omega, tol)
         if not cert.ok:
             raise InternalInconsistency(
@@ -321,17 +319,7 @@ def condexp_characterize(
                 f"certificate failed with residuals {cert.residuals}"
             )
         recovery = build_disintegration(cert, tol=tol)
-    return CondexpReport(
-        ok=ok,
-        off_diagonal_residual=off_res,
-        product_residual=prod_res,
-        sigma_match_residual=sigma_res,
-        mixing_residual=mixing_res,
-        mus=mus,
-        lambdas=lambdas,
-        hom=h,
-        recovery=recovery,
-    )
+    return CondexpReport(*verdicts, mus=mus, lambdas=lambdas, hom=h, recovery=recovery)
 
 
 @dataclass(frozen=True)
@@ -376,14 +364,18 @@ def disintegrate(
 
 @dataclass(frozen=True)
 class TakesakiReport:
-    """Corner-map characterization of disintegrability for embeddings."""
+    """Corner-map characterization of disintegrability for embeddings: tests
+    (a) multiplicative and (b) intertwining, and the disintegrability of the
+    corner pair and of the full pair."""
 
-    corner_hom: bool
-    corner_hom_residual: float
-    corner_intertwining: bool
-    corner_intertwining_residual: float
+    multiplicative: Verdict
+    intertwining: Verdict
     corner_disintegration: bool
     full_disintegration: bool
+
+    corner_hom = property(lambda self: self.multiplicative.ok)
+    corner_hom_residual = property(lambda self: self.multiplicative.residual)
+    corner_intertwining = property(lambda self: self.intertwining.ok)
 
 
 def takesaki_battery(
@@ -420,8 +412,8 @@ def takesaki_battery(
             X = lifted.transpose(2, 3, 0, 1) @ W
             R = X - W @ (dagger(W) @ X)
             worst = max(worst, float(_sq_frobenius(R.conj().swapaxes(-1, -2) @ R).max()))
-    worst = float(np.sqrt(worst))
-    corner_hom = worst <= tol.eps_eq * _map_scale(chan) ** 2
+    scale = _map_scale(chan)
+    corner_hom = tol.close(float(np.sqrt(worst)), scale, scale)
 
     # (b) corner intertwining condition
     ac = ac_condition_algebraic(F, omega, tol, corner=cm)
@@ -434,9 +426,9 @@ def takesaki_battery(
 
     full = factorize(h, omega, tol).ok
 
-    if (corner_hom and ac.ok) != corner_disint:
+    if (corner_hom.ok and ac.ok) != corner_disint:
         raise InternalInconsistency(
-            f"corner hom+intertwining ({corner_hom}, {ac.ok}) disagrees with "
+            f"corner hom+intertwining ({corner_hom.ok}, {ac.ok}) disagrees with "
             f"corner disintegrability ({corner_disint})"
         )
     if corner_disint != full:
@@ -444,14 +436,7 @@ def takesaki_battery(
             f"corner disintegrability ({corner_disint}) disagrees with the "
             f"full factorization verdict ({full})"
         )
-    return TakesakiReport(
-        corner_hom=corner_hom,
-        corner_hom_residual=worst,
-        corner_intertwining=ac.ok,
-        corner_intertwining_residual=ac.max_residual,
-        corner_disintegration=corner_disint,
-        full_disintegration=full,
-    )
+    return TakesakiReport(corner_hom, ac.verdict, corner_disint, full)
 
 
 @dataclass(frozen=True)

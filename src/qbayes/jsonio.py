@@ -22,7 +22,7 @@ import numpy as np
 from .algebra import HomSpec, MultiMatrixAlgebra
 from .channel import Channel, from_hom, from_kraus, is_ucp
 from .errors import ParseError, SchemaError
-from .linalg import ABS_FLOOR, DEFAULT_TOL, dagger
+from .linalg import DEFAULT_TOL, dagger
 from .state import State
 
 PROBLEM_SCHEMA = "qbayes-problem/1"
@@ -134,11 +134,11 @@ def state_from_json(data, alg: MultiMatrixAlgebra, field: str) -> State:
         if rho is None:
             continue
         w = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
-        bound = -max(DEFAULT_TOL.eps_rank * max(float(w[-1]), 0.0), ABS_FLOOR)
-        if w[0] < bound:
+        psd = DEFAULT_TOL.support_psd(w[0], float(w[-1]))
+        if not psd:
             raise SchemaError(
                 f"{field}.densities[{x}]: density is not PSD: least eigenvalue "
-                f"{w[0]:.3e} below {bound:.3e}"
+                f"{w[0]:.3e} below {-psd.threshold:.3e}"
             )
     return state
 
@@ -229,7 +229,7 @@ def channel_from_json(data, field: str) -> tuple[Channel, Optional[HomSpec]]:
         raise SchemaError(
             f"{field}: channel is not UCP: min Choi eigenvalue "
             f"{verdict.min_choi_eigenvalue:.3e} in block {verdict.witness_block}, "
-            f"unitality residual {verdict.unitality_residual:.3e}"
+            f"unitality residual {verdict.unital.residual:.3e}"
         )
     return channel, None
 

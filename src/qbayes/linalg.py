@@ -29,8 +29,27 @@ ABS_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
+class Verdict:
+    """One tolerance rule applied: ok iff residual <= threshold, so that a NaN
+    fails. Where a rule is applied unit by unit, residual and threshold are
+    arrays and ok is the conjunction of their comparisons."""
+
+    residual: float
+    threshold: float
+
+    @property
+    def ok(self) -> bool:
+        passed = self.residual <= self.threshold
+        return bool(passed.all() if isinstance(passed, np.ndarray) else passed)
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+@dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds used throughout the library.
+    """Numerical thresholds used throughout the library, and the rules that
+    judge a residual against them; each rule returns a Verdict.
 
     eps_rank : relative cutoff below which an eigenvalue counts as zero
     eps_eq   : relative Frobenius threshold for matrix equality
@@ -46,6 +65,34 @@ class Tolerances:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie strictly in (0, 1), got {value}")
+
+    def close(self, residual, scale=1.0, factor=1) -> Verdict:
+        """A residual that should vanish, at eps_eq * scale * factor. A defect
+        quadratic in a map of scale s is judged at close(r, s, s)."""
+        return Verdict(residual, self.eps_eq * scale * factor)
+
+    def rank_cutoff(self, lam_max: float) -> float:
+        """The eigenvalue or block mass at or below which a value counts as zero,
+        relative to the largest one, lam_max."""
+        return self.eps_rank * max(lam_max, ABS_FLOOR)
+
+    def psd(self, low, radius, factor=1) -> Verdict:
+        """A matrix with least eigenvalue `low` and spectral radius `radius`
+        counts as PSD while low >= -(factor * rank_cutoff(radius)) - ABS_FLOOR.
+        The residual is 0.0 - low, which reads 0.0, never -0.0, for a zero."""
+        return Verdict(0.0 - low, self.rank_cutoff(radius) * factor + ABS_FLOOR)
+
+    def nullspace(self, value, norm) -> Verdict:
+        """value = omega(A* A) against ||A|| = norm, floored at ABS_FLOOR:
+        close(value, ref, ref) with ref the floored norm."""
+        ref = np.maximum(norm, ABS_FLOOR)
+        return self.close(value, ref, ref)
+
+    def support_psd(self, low, lam_max) -> Verdict:
+        """The PSD bound of the support calculus (`herm_fun`): a least eigenvalue
+        `low` passes down to -max(eps_rank * lam_max, ABS_FLOOR), lam_max the
+        largest eigenvalue or 0."""
+        return Verdict(0.0 - low, max(self.eps_rank * max(lam_max, 0.0), ABS_FLOOR))
 
 
 DEFAULT_TOL = Tolerances()
@@ -71,13 +118,6 @@ def _sq_frobenius(X: np.ndarray) -> np.ndarray:
     return (V[..., None, :] @ V[..., :, None])[..., 0, 0].sum(axis=-1)
 
 
-def mats_close(A: np.ndarray, B: np.ndarray, eps: float) -> bool:
-    """Relative Frobenius equality with an absolute fallback near zero."""
-    diff = frobenius(A - B)
-    scale = max(frobenius(A), frobenius(B))
-    return diff <= eps * scale or diff <= ABS_FLOOR
-
-
 def hermitian_split(C: np.ndarray) -> tuple[np.ndarray, float]:
     """The Hermitian part (C + C*)/2 and the defect ||C - C*||_F, built in one
     temporary the size of C. The defect is NaN when C holds a NaN."""
@@ -100,8 +140,10 @@ def hermitian_floor(C: np.ndarray) -> tuple[float, float]:
     return float(w.min(initial=0.0)) - defect, float(np.abs(w).max(initial=0.0))
 
 
-def is_hermitian(M: np.ndarray, eps: float) -> bool:
-    return mats_close(M, dagger(M), eps)
+def is_hermitian(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """||M - M*|| within eps_eq of ||M||, with an absolute fallback near zero."""
+    diff = frobenius(M - dagger(M))
+    return diff <= tol.eps_eq * frobenius(M) or diff <= ABS_FLOOR
 
 
 @dataclass(frozen=True)
@@ -122,7 +164,7 @@ def hermitian_eigen(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> HermitianEi
         raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix contains NaN or Inf entries")
-    if not is_hermitian(M, tol.eps_eq):
+    if not is_hermitian(M, tol):
         raise NotHermitian(
             f"matrix deviates from Hermitian by {frobenius(M - dagger(M)):.3e}"
         )
@@ -156,7 +198,7 @@ def herm_fun(
     w, V = eig.eigenvalues, eig.eigenvectors
     wmax = max(float(w.max(initial=0.0)), 0.0)
     cutoff = tol.eps_rank * wmax
-    if float(w.min(initial=0.0)) < -max(cutoff, ABS_FLOOR):
+    if not tol.support_psd(float(w.min(initial=0.0)), wmax):
         raise NegativeEigenvalue(
             f"eigenvalue {w.min():.3e} below -eps_rank * lambda_max = {-cutoff:.3e}"
         )

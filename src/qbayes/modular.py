@@ -26,6 +26,7 @@ from .errors import InternalInconsistency, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    Verdict,
     dagger,
     _sq_frobenius,
 )
@@ -34,36 +35,27 @@ from .state import State, SupportData, pullback, support
 DEFAULT_T_SAMPLES = (0.5, -0.5, 1.0, -1.0, 2.0, -2.0, math.pi)
 
 
-@dataclass(frozen=True)
-class ModularFlow:
-    """A state's flow, read from the spectra its support decomposition keeps.
-
-    support.spectra[x] is None when the block carries no support; otherwise
-    it holds the eigenpairs of the weighted density above the global rank
-    cutoff. The flow is insensitive to the weights (imaginary powers of
-    positive scalars are phases that cancel under conjugation).
-    """
-
-    state: State
-    support: SupportData
+def modular_flow(omega: State, tol: Tolerances = DEFAULT_TOL) -> SupportData:
+    """A state's flow is read from the spectra its support decomposition keeps:
+    spectra[x] is None when the block carries no support; otherwise it holds
+    the eigenpairs of the weighted density above the global rank cutoff. The
+    flow is insensitive to the weights (imaginary powers of positive scalars
+    are phases that cancel under conjugation)."""
+    return support(omega, tol)
 
 
-def modular_flow(omega: State, tol: Tolerances = DEFAULT_TOL) -> ModularFlow:
-    return ModularFlow(state=omega, support=support(omega, tol))
-
-
-def _flow_unitaries(flow: ModularFlow, times: Sequence[float]) -> list[np.ndarray]:
+def _flow_unitaries(flow: SupportData, times: Sequence[float]) -> list[np.ndarray]:
     """U_t = V diag(w^{it}) V* per block as a (times, d, d) stack, one broadcast
     exp per block; the zero matrix off the support."""
     ts = np.asarray(times, dtype=float)[:, None, None]
     return [
         np.zeros((len(ts), d, d), dtype=complex) if spec is None
         else (spec[1] * np.exp(1j * ts * np.log(spec[0]))) @ dagger(spec[1])
-        for d, spec in zip(flow.state.algebra.block_dims, flow.support.spectra)
+        for d, spec in zip(flow.state.algebra.block_dims, flow.spectra)
     ]
 
 
-def modular_at(flow: ModularFlow, t: float, A: AlgebraElement) -> AlgebraElement:
+def modular_at(flow: SupportData, t: float, A: AlgebraElement) -> AlgebraElement:
     """Flow at time t: density^{it} A density^{-it} on the support, zero off it."""
     if A.algebra.block_dims != flow.state.algebra.block_dims:
         raise ShapeMismatch("element does not belong to the flow's algebra")
@@ -150,7 +142,7 @@ def _corner_map(F: LinearMap, sup_o: SupportData, sup_x: SupportData, tol: Toler
         raise InternalInconsistency(
             "corner compression of a state-preserving UCP map failed the UCP "
             f"test (min Choi eigenvalue {verdict.min_choi_eigenvalue:.3e}, "
-            f"unitality residual {verdict.unitality_residual:.3e})"
+            f"unitality residual {verdict.unital.residual:.3e})"
         )
     # commuting square on corner matrix units, omega_r(F'(E_ij)) = xi_r(E_ij):
     # sum_x tr(p_x rho_x F'_xy(E_ij)) = q_y sigma_y[j, i], one product per block
@@ -162,7 +154,7 @@ def _corner_map(F: LinearMap, sup_o: SupportData, sup_x: SupportData, tol: Toler
         )
         rhs = xi_r.weighted_density(y).T.reshape(-1)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
-    if worst > tol.eps_eq * 10:
+    if not tol.close(worst, 1.0, 10):
         raise InternalInconsistency(
             f"corner square does not commute, residual {worst:.3e}"
         )
@@ -172,13 +164,14 @@ def _corner_map(F: LinearMap, sup_o: SupportData, sup_x: SupportData, tol: Toler
 @dataclass(frozen=True)
 class ACReport:
     """One AC test; a sampled report keeps the algebraic report it was
-    cross-checked against."""
+    cross-checked against, and an algebraic one holds None there."""
 
-    ok: bool
-    max_residual: float
-    method: str
+    verdict: Verdict
     corner: CornerMap
     algebraic: Optional["ACReport"] = None
+
+    ok = property(lambda self: self.verdict.ok)
+    max_residual = property(lambda self: self.verdict.residual)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -214,12 +207,7 @@ def ac_condition_algebraic(
             scale = max(scale, float(np.sqrt(largest)))
             lhs -= rhs
             worst = max(worst, float(np.sqrt(_sq_frobenius(lhs.swapaxes(1, 2)).max())))
-    return ACReport(
-        ok=worst <= tol.eps_eq * scale,
-        max_residual=worst,
-        method="algebraic",
-        corner=cm,
-    )
+    return ACReport(tol.close(worst, scale), cm)
 
 
 def ac_condition_sampled(
@@ -267,11 +255,11 @@ def ac_condition_sampled(
                 del X  # a batch-size array, not to be held into the next batch
         worst = max(worst, float(np.sqrt(sq_t[1].max(initial=0.0))))
         scale = max(scale, float(np.sqrt(sq_t[0].max(initial=0.0))), float(np.sqrt(sq_c.max())))
-    ok = worst <= tol.eps_eq * scale * 10
-    if ok != algebraic.ok:
+    sampled = tol.close(worst, scale, 10)
+    if sampled.ok != algebraic.ok:
         raise InternalInconsistency(
             "AC verdicts disagree: "
             f"algebraic={algebraic.ok} (residual {algebraic.max_residual:.3e}), "
-            f"sampled={ok} (residual {worst:.3e})"
+            f"sampled={sampled.ok} (residual {worst:.3e})"
         )
-    return ACReport(ok=ok, max_residual=worst, method="sampled", corner=cm, algebraic=algebraic)
+    return ACReport(sampled, cm, algebraic)

@@ -21,7 +21,6 @@ from .algebra import (
 )
 from .errors import ShapeMismatch
 from .linalg import (
-    ABS_FLOOR,
     DEFAULT_TOL,
     Tolerances,
     dagger,
@@ -46,9 +45,10 @@ class State:
             raise ShapeMismatch("one density slot per block required")
         weights = tuple(float(p) for p in self.weights)
         object.__setattr__(self, "weights", weights)
-        if any(p < -DEFAULT_TOL.eps_eq for p in weights):
-            raise ShapeMismatch(f"negative weight in {weights}")
-        if abs(sum(weights) - 1.0) > DEFAULT_TOL.eps_eq:
+        # written with the rule, so that a NaN weight fails
+        if not DEFAULT_TOL.close(np.negative(weights)):
+            raise ShapeMismatch(f"negative or NaN weight in {weights}")
+        if not DEFAULT_TOL.close(abs(sum(weights) - 1.0)):
             raise ShapeMismatch(f"weights sum to {sum(weights)}, expected 1")
         dens = []
         for x, (d, p, rho) in enumerate(
@@ -62,9 +62,9 @@ class State:
             rho = np.asarray(rho, dtype=complex)
             if rho.shape != (d, d):
                 raise ShapeMismatch(f"density shape {rho.shape} != ({d}, {d})")
-            if not is_hermitian(rho, DEFAULT_TOL.eps_eq):
+            if not is_hermitian(rho):
                 raise ShapeMismatch(f"density in block {x} is not Hermitian")
-            if abs(np.trace(rho).real - 1.0) > DEFAULT_TOL.eps_eq:
+            if not DEFAULT_TOL.close(abs(np.trace(rho).real - 1.0)):
                 raise ShapeMismatch(
                     f"density in block {x} has trace {np.trace(rho).real}"
                 )
@@ -167,7 +167,7 @@ def _support(omega: State, tol: Tolerances) -> tuple:
     alg = omega.algebra
     eigs = [hermitian_eigen(omega.weighted_density(x), tol) for x in range(alg.n_blocks)]
     lam_max = max(float(eig.eigenvalues.max(initial=0.0)) for eig in eigs)
-    cutoff = tol.eps_rank * max(lam_max, ABS_FLOOR)
+    cutoff = tol.rank_cutoff(lam_max)
 
     proj_blocks = []
     isometries: list[Optional[np.ndarray]] = []
@@ -227,8 +227,7 @@ def in_nullspace(
     a larger computation (so numerical noise is not misclassified).
     """
     value = evaluate(omega, A.adjoint() @ A).real
-    ref = max(A.norm(), scale, ABS_FLOOR)
-    return value <= tol.eps_eq * ref * ref
+    return tol.nullspace(value, max(A.norm(), scale)).ok
 
 
 def pullback(omega: State, F, tol: Tolerances = DEFAULT_TOL) -> State:
@@ -262,18 +261,7 @@ def _pullback(omega: State, F, tol: Tolerances) -> State:
             T = F.tensors[x][y].transpose(0, 2, 1, 3).reshape(n_y * n_y, -1)
             acc += (T @ rho_w.conj().reshape(-1)).conj().reshape(n_y, n_y)
         raw.append((acc + dagger(acc)) / 2)
-    masses = np.array([max(float(np.trace(a).real), 0.0) for a in raw])
-    total = masses.sum()
-    weights = []
-    densities: list[Optional[np.ndarray]] = []
-    for y, (mass, acc) in enumerate(zip(masses, raw)):
-        if mass <= tol.eps_rank * max(masses.max(initial=0.0), ABS_FLOOR):
-            weights.append(0.0)
-            densities.append(None)
-        else:
-            weights.append(mass / total)
-            densities.append(acc / mass)
-    return State(src, tuple(weights), tuple(densities))
+    return state_from_weighted(src, raw, tol)
 
 
 def state_from_weighted(
@@ -287,7 +275,7 @@ def state_from_weighted(
     weights = []
     densities: list[Optional[np.ndarray]] = []
     for W, mass in zip(weighted, masses):
-        if mass <= tol.eps_rank * max(max(masses), ABS_FLOOR):
+        if mass <= tol.rank_cutoff(max(masses)):
             weights.append(0.0)
             densities.append(None)
         else:

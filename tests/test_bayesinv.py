@@ -223,6 +223,16 @@ def test_existence_pinned_counterexample():
     assert feas.feasible is False
 
 
+def test_existence_fails_closed_on_a_nan_gap(monkeypatch):
+    # a NaN least eigenvalue of the co-support gap must not read as an inverse
+    h, omega = rankdef_product_instance()
+    analysis = battery(from_hom(h), omega)
+    assert analysis.passed
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: np.full(len(M), np.nan))
+    result = existence(analysis)
+    assert not result.exists and np.isnan(result.margin)
+
+
 def test_existence_requires_passed_battery():
     h, omega = epr_instance()
     analysis = battery(from_hom(h), omega)

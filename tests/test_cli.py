@@ -389,11 +389,18 @@ def _analyses_flag(text):
         ("product", _set_entry(["analyses"], []), 2, "problem.analyses"),
         ("product", _set_entry(["analyses"], {"ac": 1}), 2, "problem.analyses"),
         ("product", _set_entry(["analyses"], "ac"), 2, "problem.analyses"),
+        # json reads NaN and Infinity as numbers; the weight checks must fail on them
+        ("product", _set_entry(["state", "weights"], [float("nan")]), 2, "problem.state"),
+        ("product", _set_entry(["state", "weights"], [float("inf"), float("-inf")]), 2,
+         "problem.state"),
+        ("multiblock_product", _set_entry(["state", "weights"], [1.0, float("nan")]), 2,
+         "problem.state"),
     ],
     ids=["string", "bool", "nan", "inf-density", "inf-choi", "choi-x2", "choi-negated",
          "choi-as-is", "kraus-x2", "kraus-as-is", "density-not-psd", "density-rank-deficient",
          "analyses-flag-comma", "analyses-flag-blank", "analyses-flag-empty",
-         "analyses-empty", "analyses-object", "analyses-string"],
+         "analyses-empty", "analyses-object", "analyses-string",
+         "weights-nan", "weights-inf", "weights-nan-second-block"],
 )
 def test_malformed_input_fails_closed(tmp_path, capsys, fixture, edit, code, named):
     data = json.loads((FIXTURES / f"{fixture}.json").read_text())

@@ -443,7 +443,7 @@ def test_support_and_flow_match_two_pass_reference(case):
             V_ref = np.eye(d, dtype=complex) if spec[1].shape[1] == d else spec[1]
             assert np.array_equal(V, V_ref)
             assert np.array_equal(P, V_ref @ dagger(V_ref))
-        _assert_spectra_equal(modular_flow(state).support.spectra, spectra)
+        _assert_spectra_equal(modular_flow(state).spectra, spectra)
 
 
 @pytest.fixture

@@ -324,18 +324,15 @@ def test_extension_is_kept_per_split_at_the_battery_tolerance():
     F = from_hom(h)
     analysis = battery(F, omega)
     with recording() as seen:
-        with pytest.raises(ValueError, match="on a battery run at"):
-            existence(analysis, Tolerances(eps_rank=1e-7, eps_eq=1e-6))
-        assert seen["bayesinv._existence"] == []
         first = existence(analysis)
-        assert existence(analysis, DEFAULT_TOL) is first
+        assert existence(analysis) is first
         assert bayes_inverse(F, omega)[3] is first
         ramp = existence(analysis, free_split="ramp")
         assert ramp is not first and existence(analysis, free_split="ramp") is ramp
     assert len(seen["bayesinv._existence"]) == 2
     # a battery at another tolerance has its own extension
     tol = Tolerances(eps_rank=1e-7, eps_eq=1e-6)
-    assert existence(battery(F, omega, tol), tol) is not first
+    assert existence(battery(F, omega, tol)) is not first
 
 
 @pytest.mark.parametrize("name", ["rankdef_product", "battery_pass_no_inverse"])
