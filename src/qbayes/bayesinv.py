@@ -13,7 +13,8 @@ extra bookkeeping: positive scalars cancel in every condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from itertools import product
+from typing import Optional
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .linalg import (
     dagger,
     frobenius,
     hermitian_floor,
-    matrix_sqrt,
     partial_trace_left,
     pseudoinverse,
 )
@@ -46,67 +46,16 @@ BATTERY_CONDITIONS = (
 )
 
 
-@dataclass(frozen=True)
-class PairInputs:
-    """The operands of one (target x, source y) pair."""
-
-    x: int
-    y: int
-    T: np.ndarray       # channel tensor of F_xy
-    rho_w: np.ndarray   # p_x rho_x
-    sig_w: np.ndarray   # q_y sigma_y
-    shat_w: np.ndarray  # pseudoinverse of q_y sigma_y
-    P_om: np.ndarray    # support projection of rho in block x
-    P_xi: np.ndarray    # support projection of sigma in block y
-
-
-@dataclass(frozen=True)
-class PairData(PairInputs):
-    """A pair's operands with its left and right Bayes tensors, indexed
-    [i, j, k, l] as views of the layouts the matrix products write."""
-
-    rawL: np.ndarray    # rawL[i,j] = F*(rho_w E_ij)
-    rawR: np.ndarray    # rawR[i,j] = F*(E_ij rho_w)
-    GL: np.ndarray      # GL[i,j] = shat_w rawL[i,j]
-    GR: np.ndarray      # GR[i,j] = rawR[i,j] shat_w
-
-
-def _pair_inputs(F: LinearMap, omega: State, xi: State, tol: Tolerances) -> Iterator[PairInputs]:
-    sup_o = support(omega, tol)
-    sup_x = support(xi, tol)
-    P_om = [np.asarray(b) for b in sup_o.projection.blocks]
-    P_xi = [np.asarray(b) for b in sup_x.projection.blocks]
-    sig_ws = [xi.weighted_density(y) for y in range(F.source.n_blocks)]
-    shat_ws = [pseudoinverse(sig_w, tol) for sig_w in sig_ws]
-    for x in range(F.target.n_blocks):
-        rho_w = omega.weighted_density(x)
-        for y, (sig_w, shat_w) in enumerate(zip(sig_ws, shat_ws)):
-            yield PairInputs(
-                x=x, y=y, T=F.tensors[x][y], rho_w=rho_w, sig_w=sig_w, shat_w=shat_w,
-                P_om=P_om[x], P_xi=P_xi[y],
-            )
-
-
-def _raw(p: PairInputs) -> tuple[np.ndarray, np.ndarray]:
-    """rawL[i, j] = F*(rho_w E_ij) and rawR[i, j] = F*(E_ij rho_w) of a pair,
-    one product each, in the unit layout of `_adjoint_on_units`."""
-    n, m = p.T.shape[:2]
-    Tc = p.T.conj()
+def _raw(T: np.ndarray, rho_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rawL[i, j] = F*(rho_w E_ij) and rawR[i, j] = F*(E_ij rho_w) of a pair's
+    tensor T, one product each, in the unit layout of `_adjoint_on_units`."""
+    n, m = T.shape[:2]
+    Tc = T.conj()
     # F*(rho_w E_ij)_{kl} = sum_a conj(T[k,a,l,j]) rho_w[a,i]
-    rawL = np.matmul(p.rho_w.T, Tc.reshape(n, m, n * m))   # [k, i, (l, j)]
+    rawL = np.matmul(rho_w.T, Tc.reshape(n, m, n * m))   # [k, i, (l, j)]
     # F*(E_ij rho_w)_{kl} = sum_b conj(T[k,i,l,b]) rho_w[j,b]
-    rawR = Tc.reshape(n * m * n, m) @ p.rho_w.T            # [(k, i, l), j]
+    rawR = Tc.reshape(n * m * n, m) @ rho_w.T            # [(k, i, l), j]
     return tuple(Y.reshape(n, m, n, m).transpose(1, 3, 0, 2) for Y in (rawL, rawR))
-
-
-def _pair_data(F: LinearMap, omega: State, xi: State, tol: Tolerances) -> list[PairData]:
-    out = []
-    for p in _pair_inputs(F, omega, xi, tol):
-        rawL, rawR = _raw(p)
-        one = np.eye(len(p.sig_w))
-        GL, GR = _sandwich(p.shat_w, rawL, one), _sandwich(one, rawR, p.shat_w)
-        out.append(PairData(**vars(p), rawL=rawL, rawR=rawR, GL=GL, GR=GR))
-    return out
 
 
 def _adjoint_on_units(T: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -177,6 +126,11 @@ def battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> BayesA
 def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
     """The BayesAnalysis fields after F and omega."""
     xi = pullback(omega, F, tol)
+    sup_o, sup_x = support(omega, tol), support(xi, tol)
+    rho_ws = [omega.weighted_density(x) for x in range(F.target.n_blocks)]
+    sig_ws = [xi.weighted_density(y) for y in range(F.source.n_blocks)]
+    # sigma-hat from the support that P_xi projects on, so sigma-hat sigma = P_xi
+    shat_ws = [sup_x.calculus(y, np.reciprocal) for y in range(F.source.n_blocks)]
 
     res = {name: 0.0 for name in BATTERY_CONDITIONS if name != "right_map_cp"}
     scale = 1.0
@@ -187,15 +141,14 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
 
     # Each (m n)^2 array of a pair is dropped once the last condition that
     # reads it is scored; only the two Choi blocks outlive the pair.
-    by_pair: dict[tuple[int, int], PairInputs] = {}
-    for pd in _pair_inputs(F, omega, xi, tol):
-        by_pair[(pd.x, pd.y)] = pd
-        m = pd.rho_w.shape[0]
-        n = pd.sig_w.shape[0]
-        rawL, rawR = _raw(pd)
+    for x, y in product(range(F.target.n_blocks), range(F.source.n_blocks)):
+        T, rho_w, P_om = F.tensors[x][y], rho_ws[x], sup_o.projection.blocks[x]
+        sig_w, shat_w, P_xi = sig_ws[y], shat_ws[y], sup_x.projection.blocks[y]
+        m, n = len(rho_w), len(sig_w)
+        rawL, rawR = _raw(T, rho_w)
         # (iv) P F*(rho A) sigma = sigma F*(A rho) P on target units A
-        lhs4 = _sandwich(pd.P_xi, rawL, pd.sig_w)
-        rhs4 = _sandwich(pd.sig_w, rawR, pd.P_xi)
+        lhs4 = _sandwich(P_xi, rawL, sig_w)
+        rhs4 = _sandwich(sig_w, rawR, P_xi)
         lhs4 -= rhs4
         del rhs4
         res["adjoint_sandwich_symmetry"] = max(
@@ -204,12 +157,12 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
         del lhs4
         # forced rows GL(E_ij)(1 - P) off the xi support, for the existence
         # stage, and the corner Choi matrix of GL(E_ij) P
-        BB = _sandwich(pd.shat_w, rawL, np.eye(n) - pd.P_xi)
-        choi_B[(pd.x, pd.y)] = BB.transpose(0, 2, 1, 3).reshape(m * n, m * n)
-        KL = _sandwich(pd.shat_w, rawL, pd.P_xi)
-        A_mat = choi_A[(pd.x, pd.y)] = KL.transpose(0, 2, 1, 3).reshape(m * n, m * n)
+        BB = _sandwich(shat_w, rawL, np.eye(n) - P_xi)
+        choi_B[(x, y)] = BB.transpose(0, 2, 1, 3).reshape(m * n, m * n)
+        KL = _sandwich(shat_w, rawL, P_xi)
+        A_mat = choi_A[(x, y)] = KL.transpose(0, 2, 1, 3).reshape(m * n, m * n)
         del rawL, BB
-        KR = _sandwich(pd.P_xi, rawR, pd.shat_w)   # P GR(E_ij)
+        KR = _sandwich(P_xi, rawR, shat_w)   # P GR(E_ij)
         del rawR
         scale = max(scale, float(np.abs(KL).max(initial=0.0)),
                     float(np.abs(KR).max(initial=0.0)))
@@ -240,10 +193,10 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
         # (v) F(sigma B) rho = rho F(B sigma) for B = P E_kl P in the xi-support
         # corner, all k, l at once: sigma B = (sigma P)[:, k] P[l, :] and
         # B sigma = P[:, k] (P sigma)[l, :]
-        lhs5 = _source_sandwich((pd.sig_w @ pd.P_xi).T, pd.T, pd.P_xi)   # F(sigma B)
-        lhs5 = (lhs5.reshape(-1, m) @ pd.rho_w).reshape(n, m, n, m)
-        rhs5 = _source_sandwich(pd.P_xi.T, pd.T, pd.P_xi @ pd.sig_w)     # F(B sigma)
-        rhs5 = np.matmul(pd.rho_w, rhs5.reshape(n, m, n * m)).reshape(n, m, n, m)
+        lhs5 = _source_sandwich((sig_w @ P_xi).T, T, P_xi)   # F(sigma B)
+        lhs5 = (lhs5.reshape(-1, m) @ rho_w).reshape(n, m, n, m)
+        rhs5 = _source_sandwich(P_xi.T, T, P_xi @ sig_w)     # F(B sigma)
+        rhs5 = np.matmul(rho_w, rhs5.reshape(n, m, n * m)).reshape(n, m, n, m)
         largest = max(_sq_frobenius(M.swapaxes(1, 2)).max() for M in (lhs5, rhs5))
         scale = max(scale, float(np.sqrt(largest)))
         lhs5 -= rhs5
@@ -255,8 +208,8 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
         del lhs5
         # (vi) part 1: forced rows vanish against the omega co-support,
         # shat_w F*(rho_w E_ij P_om-perp) P_xi = 0
-        Pop = np.eye(m) - pd.P_om
-        V6 = _sandwich(pd.shat_w, _adjoint_on_units(pd.T, pd.rho_w, Pop), pd.P_xi)
+        Pop = np.eye(m) - P_om
+        V6 = _sandwich(shat_w, _adjoint_on_units(T, rho_w, Pop), P_xi)
         res["off_support_vanishing"] = max(
             res["off_support_vanishing"], float(np.abs(V6).max(initial=0.0))
         )
@@ -287,15 +240,14 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
     if passed:
         tensors_s = []
         tensors_p = []
-        sq_rho = [matrix_sqrt(by_pair[(x, 0)].rho_w, tol) for x in range(F.target.n_blocks)]
-        sq_shat = [matrix_sqrt(by_pair[(0, y)].shat_w, tol) for y in range(F.source.n_blocks)]
+        sq_rho = [sup_o.calculus(x, np.sqrt) for x in range(F.target.n_blocks)]
+        sq_shat = [sup_x.calculus(y, lambda w: np.sqrt(1.0 / w)) for y in range(F.source.n_blocks)]
         for y, n in enumerate(F.source.block_dims):
             row_s = []
             row_p = []
             for x, m in enumerate(F.target.block_dims):
-                pd = by_pair[(x, y)]
                 row_s.append(choi_A[(x, y)].reshape(m, n, m, n))  # Ad_P o G^L
-                raw = _adjoint_on_units(pd.T, sq_rho[x], sq_rho[x])
+                raw = _adjoint_on_units(F.tensors[x][y], sq_rho[x], sq_rho[x])
                 petz = _sandwich(sq_shat[y], raw, sq_shat[y])
                 del raw
                 row_p.append(petz.transpose(0, 2, 1, 3))
@@ -328,21 +280,24 @@ def left_right_bayes(
     pairing over all matrix-unit pairs at construction time.
     """
     xi = pullback(omega, F, tol)
-    pairs = _pair_data(F, omega, xi, tol)
+    shat_ws = [support(xi, tol).calculus(y, np.reciprocal) for y in range(F.source.n_blocks)]
     tensors_l = [[None] * F.target.n_blocks for _ in range(F.source.n_blocks)]
     tensors_r = [[None] * F.target.n_blocks for _ in range(F.source.n_blocks)]
     worst = 0.0
-    for pd in pairs:
-        S = tensors_l[pd.y][pd.x] = pd.GL.transpose(0, 2, 1, 3)
-        S_r = tensors_r[pd.y][pd.x] = pd.GR.transpose(0, 2, 1, 3)
+    for x, y in product(range(F.target.n_blocks), range(F.source.n_blocks)):
+        T, rho_w, sig_w = F.tensors[x][y], omega.weighted_density(x), xi.weighted_density(y)
+        shat_w, one = shat_ws[y], np.eye(len(sig_w))
+        rawL, rawR = _raw(T, rho_w)
+        S = tensors_l[y][x] = _sandwich(shat_w, rawL, one).transpose(0, 2, 1, 3)
+        S_r = tensors_r[y][x] = _sandwich(one, rawR, shat_w).transpose(0, 2, 1, 3)
         # omega(E_ij F(E_kl)) = xi(G^L(E_ij) E_kl), and mirrored for G^R,
         # omega(F(E_kl) E_ij) = xi(E_kl G^R(E_ij)): the same identity for the
         # transposed maps and densities
         worst = max(
             worst,
-            _pairing_residual(pd.T, pd.rho_w, pd.sig_w, S),
+            _pairing_residual(T, rho_w, sig_w, S),
             _pairing_residual(
-                pd.T.transpose(2, 3, 0, 1), pd.rho_w.T, pd.sig_w.T, S_r.transpose(2, 3, 0, 1)
+                T.transpose(2, 3, 0, 1), rho_w.T, sig_w.T, S_r.transpose(2, 3, 0, 1)
             ),
         )
     if not tol.close(worst, 1.0, 100):

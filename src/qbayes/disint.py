@@ -416,7 +416,7 @@ def takesaki_battery(
     corner_hom = tol.close(float(np.sqrt(worst)), scale, scale)
 
     # (b) corner intertwining condition
-    ac = ac_condition_algebraic(F, omega, tol, corner=cm)
+    ac = ac_condition_algebraic(F, omega, tol)
 
     # (c) corner disintegration: faithful corner states, so a Bayesian
     # inverse (battery) together with exact multiplicativity decides it

@@ -129,7 +129,7 @@ def state_from_json(data, alg: MultiMatrixAlgebra, field: str) -> State:
         state = State(alg, tuple(float(p) for p in weights), tuple(mats))
     except Exception as exc:
         raise SchemaError(f"{field}: {exc}") from exc
-    # PSD within the bound that support calculus (linalg.herm_fun) tolerates
+    # PSD within the bound that the support calculus (state.support) tolerates
     for x, rho in enumerate(state.densities):
         if rho is None:
             continue

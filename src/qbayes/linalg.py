@@ -89,9 +89,9 @@ class Tolerances:
         return self.close(value, ref, ref)
 
     def support_psd(self, low, lam_max) -> Verdict:
-        """The PSD bound of the support calculus (`herm_fun`): a least eigenvalue
-        `low` passes down to -max(eps_rank * lam_max, ABS_FLOOR), lam_max the
-        largest eigenvalue or 0."""
+        """The PSD bound of the support calculus (`state.support`, `herm_fun`): a
+        least eigenvalue `low` passes down to -max(eps_rank * lam_max,
+        ABS_FLOOR), lam_max the largest eigenvalue or 0."""
         return Verdict(0.0 - low, max(self.eps_rank * max(lam_max, 0.0), ABS_FLOOR))
 
 
@@ -212,10 +212,6 @@ def herm_fun(
 def pseudoinverse(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose inverse of a Hermitian PSD matrix via support calculus."""
     return herm_fun(M, lambda w: 1.0 / w, tol)
-
-
-def matrix_sqrt(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    return herm_fun(M, np.sqrt, tol)
 
 
 def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:

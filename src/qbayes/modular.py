@@ -37,22 +37,19 @@ DEFAULT_T_SAMPLES = (0.5, -0.5, 1.0, -1.0, 2.0, -2.0, math.pi)
 
 def modular_flow(omega: State, tol: Tolerances = DEFAULT_TOL) -> SupportData:
     """A state's flow is read from the spectra its support decomposition keeps:
-    spectra[x] is None when the block carries no support; otherwise it holds
-    the eigenpairs of the weighted density above the global rank cutoff. The
-    flow is insensitive to the weights (imaginary powers of positive scalars
-    are phases that cancel under conjugation)."""
+    the eigenpairs of each weighted density above the global rank cutoff,
+    empty for a block that carries no support. The flow is insensitive to the
+    weights (imaginary powers of positive scalars are phases that cancel
+    under conjugation)."""
     return support(omega, tol)
 
 
 def _flow_unitaries(flow: SupportData, times: Sequence[float]) -> list[np.ndarray]:
     """U_t = V diag(w^{it}) V* per block as a (times, d, d) stack, one broadcast
     exp per block; the zero matrix off the support."""
-    ts = np.asarray(times, dtype=float)[:, None, None]
-    return [
-        np.zeros((len(ts), d, d), dtype=complex) if spec is None
-        else (spec[1] * np.exp(1j * ts * np.log(spec[0]))) @ dagger(spec[1])
-        for d, spec in zip(flow.state.algebra.block_dims, flow.spectra)
-    ]
+    ts = np.asarray(times, dtype=float)[:, None]
+    return [flow.calculus(x, lambda w: np.exp(1j * ts * np.log(w)))
+            for x in range(len(flow.spectra))]
 
 
 def modular_at(flow: SupportData, t: float, A: AlgebraElement) -> AlgebraElement:
@@ -181,7 +178,6 @@ def ac_condition_algebraic(
     F: LinearMap,
     omega: State,
     tol: Tolerances = DEFAULT_TOL,
-    corner: Optional[CornerMap] = None,
 ) -> ACReport:
     """Single-equation AC test on the corner data.
 
@@ -190,7 +186,7 @@ def ac_condition_algebraic(
     and sigma are the corner densities of the two restricted (faithful)
     states.
     """
-    cm = corner if corner is not None else corner_map(F, omega, tol)
+    cm = corner_map(F, omega, tol)
     chan = cm.channel
     worst = 0.0
     scale = 1.0

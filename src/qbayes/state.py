@@ -19,7 +19,7 @@ from .algebra import (
     MultiMatrixAlgebra,
     memo,
 )
-from .errors import ShapeMismatch
+from .errors import NegativeEigenvalue, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -99,7 +99,8 @@ class SupportData:
     is the identity, so compress is literally a re-indexing for faithful
     states. kept[k] is the ambient block index of corner block k.
     spectra[x] holds the kept eigenpairs (eigenvalues descending, eigenvector
-    columns) of p_x rho_x, None when the block is cut.
+    columns) of p_x rho_x, both empty when the block is cut. Every function
+    of a density is read from them, so the support is decided here alone.
     """
 
     state: State
@@ -107,7 +108,14 @@ class SupportData:
     corner_algebra: MultiMatrixAlgebra
     isometries: tuple[Optional[np.ndarray], ...]
     kept: tuple[int, ...]
-    spectra: tuple[Optional[tuple[np.ndarray, np.ndarray]], ...]
+    spectra: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def calculus(self, x: int, f) -> np.ndarray:
+        """V f(w) V* on the kept eigenpairs (w, V) of block x: f of p_x rho_x on
+        its support, the zero matrix off it. f may add leading axes to w, and
+        the result carries them."""
+        w, V = self.spectra[x]
+        return (V * f(w)[..., None, :]) @ dagger(V)
 
     def is_full(self) -> bool:
         return len(self.kept) == self.state.algebra.n_blocks and all(
@@ -157,7 +165,9 @@ def support(omega: State, tol: Tolerances = DEFAULT_TOL) -> SupportData:
     The rank cutoff is relative to the global maximum eigenvalue of the
     weighted densities p_x rho_x, so comparisons between blocks are
     meaningful. Each block is eigendecomposed once per state and tolerance;
-    its kept eigenpairs are the spectra that the modular flow reads.
+    its kept eigenpairs are the spectra that `SupportData.calculus` reads.
+    A block whose least eigenvalue lies below -max(eps_rank * its own largest,
+    ABS_FLOOR) raises NegativeEigenvalue.
     """
     return SupportData(omega, *memo(omega, ("support", tol), lambda: _support(omega, tol)))
 
@@ -171,19 +181,24 @@ def _support(omega: State, tol: Tolerances) -> tuple:
 
     proj_blocks = []
     isometries: list[Optional[np.ndarray]] = []
-    spectra: list[Optional[tuple[np.ndarray, np.ndarray]]] = []
+    spectra: list[tuple[np.ndarray, np.ndarray]] = []
     kept = []
     corner_dims = []
     for x, (d, eig) in enumerate(zip(alg.block_dims, eigs)):
-        keep = eig.eigenvalues > cutoff
+        w = eig.eigenvalues
+        psd = tol.support_psd(float(w.min(initial=0.0)), float(w.max(initial=0.0)))
+        if not psd:
+            raise NegativeEigenvalue(
+                f"density in block {x} has eigenvalue {w.min():.3e} below {-psd.threshold:.3e}"
+            )
+        keep = w > cutoff
         V = eig.eigenvectors[:, keep][:, ::-1]
+        spectra.append((w[keep][::-1], V))
         rank = V.shape[1]
         if rank == 0:
             proj_blocks.append(np.zeros((d, d), dtype=complex))
             isometries.append(None)
-            spectra.append(None)
             continue
-        spectra.append((eig.eigenvalues[keep][::-1], V))
         if rank == d:
             V = np.eye(d, dtype=complex)  # faithful block: identity embedding
         proj_blocks.append(V @ dagger(V))

@@ -13,6 +13,7 @@ from qbayes.generators import (
     random_kraus_channel,
     random_state,
 )
+from qbayes.state import State
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -55,6 +56,15 @@ def _rankdef_kraus_instance():
     return F, random_state(rng, F.target, ranks=(2, 1))
 
 
+def two_cutoff_instance():
+    """The identity hom on M_2 + M_2 at weights (1 - 1e-3, 1e-3): the weighted
+    eigenvalue 1e-10 of block 1 lies below the global rank cutoff (about
+    6e-10) and above the block's own (about 1e-12)."""
+    alg = MultiMatrixAlgebra((2, 2))
+    omega = State(alg, (1 - 1e-3, 1e-3), (np.diag([0.6, 0.4]), np.diag([1 - 1e-7, 1e-7])))
+    return HomSpec(alg, alg, ((1, 0), (0, 1))), omega
+
+
 def _channel_instance(named):
     def build():
         h, omega = named()
@@ -72,6 +82,7 @@ HOM_CASES = {
     "rank-deficient-hom": epr_instance,
     "rank-deficient-source": _rankdef_source_instance,
     "zero-weight": lambda: _multiblock_instance(zero_blocks=(1,)),
+    "two-cutoff": two_cutoff_instance,
 }
 
 # (channel, state) builders covering the shapes that array kernels must get

@@ -4,8 +4,9 @@ Each shared input of a check is derived by a private builder and kept on the
 object that owns it: the support and the pulled-back states on the state,
 the channel on the hom, the factorization, the corner map and the Bayes
 battery on the state. `recording()` wraps those builders and records a key
-for each build, so an input derived twice shows up as a repeated key. From
-a checkout:
+for each build, so an input derived twice shows up as a repeated key. It
+also counts the eigendecompositions, keyed by shape: each density's is made
+by its support and read from there. From a checkout:
 
     PYTHONPATH=src python tests/derivations.py fixtures/product.json [--analyses ac]
 
@@ -18,13 +19,17 @@ import io
 import sys
 from collections import Counter
 
+import numpy as np
+
 import qbayes.bayesinv
 import qbayes.channel
 import qbayes.disint
+import qbayes.linalg
 import qbayes.modular
 import qbayes.state
 
 BUILDERS = {
+    "linalg.hermitian_eigen": (qbayes.linalg, "hermitian_eigen", lambda M, *tol: np.shape(M)),
     "state._support": (qbayes.state, "_support", lambda omega, tol: (id(omega), tol)),
     "state._pullback": (
         qbayes.state, "_pullback", lambda omega, F, tol: (id(omega), id(F), tol)
@@ -94,7 +99,7 @@ def main(argv) -> int:
     with recording() as seen, contextlib.redirect_stdout(io.StringIO()):
         code = qbayes_main(["check", *argv])
     for label, keys in seen.items():
-        print(f"{label:20} {len(keys):4d} builds {len(set(keys)):4d} distinct")
+        print(f"{label:22} {len(keys):4d} builds {len(set(keys)):4d} distinct")
     return code
 
 

@@ -1,14 +1,13 @@
 import gc
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qbayes.algebra import MultiMatrixAlgebra, matrix_units
 from qbayes.bayesinv import (
-    PairInputs,
     _adjoint_on_units,
-    _pair_data,
     _pairing_residual,
     _raw,
     _sandwich,
@@ -28,6 +27,7 @@ from qbayes.channel import (
     identity_channel,
     is_ucp,
 )
+from qbayes.disint import bayes_disint_bridge
 from qbayes.errors import ShapeMismatch
 from qbayes.generators import (
     epr_instance,
@@ -44,15 +44,15 @@ from qbayes.linalg import (
     DEFAULT_TOL,
     dagger,
     frobenius,
+    herm_fun,
     kron,
-    matrix_sqrt,
     partial_trace_left,
     partial_trace_right,
     pseudoinverse,
 )
 from qbayes.state import State, evaluate, pullback, support
 
-from conftest import INSTANCE_CASES, fixture_path
+from conftest import INSTANCE_CASES, fixture_path, two_cutoff_instance
 from feasibility import bayes_feasibility
 from oracles import random_unitary
 
@@ -61,6 +61,29 @@ def pinned_counterexample():
     data = loads(fixture_path("battery_pass_no_inverse.json").read_text())
     problem = problem_from_json(data)
     return problem["channel"], problem["state"]
+
+
+def sqrt_reciprocal(w):
+    """w^{-1/2} as the battery takes it, so that sigma-hat^{1/2} is the same
+    array bit for bit."""
+    return np.sqrt(1.0 / w)
+
+
+def pair_operands(F, omega, tol=DEFAULT_TOL):
+    """The operands of every (target x, source y) pair, each read as the
+    battery reads it: the densities, sigma-hat and both square roots of the
+    Petz map from the two supports' spectra."""
+    xi = pullback(omega, F, tol)
+    sup_o, sup_x = support(omega, tol), support(xi, tol)
+    for x in range(F.target.n_blocks):
+        for y in range(F.source.n_blocks):
+            yield SimpleNamespace(
+                x=x, y=y, T=F.tensors[x][y],
+                rho_w=omega.weighted_density(x), sig_w=xi.weighted_density(y),
+                shat_w=sup_x.calculus(y, np.reciprocal),
+                P_om=sup_o.projection.blocks[x], P_xi=sup_x.projection.blocks[y],
+                sq_rho=sup_o.calculus(x, np.sqrt), sq_shat=sup_x.calculus(y, sqrt_reciprocal),
+            )
 
 
 def test_left_right_bayes_identity_channel():
@@ -149,18 +172,57 @@ def test_battery_choi_split():
     F = from_hom(h)
     analysis = battery(F, omega)
     assert analysis.passed
-    xi = analysis.xi
     # A + B equals the unsplit forced-row Choi sum (support + co-support parts)
-    from qbayes.bayesinv import _pair_data
-    from qbayes.linalg import DEFAULT_TOL
-
-    pairs = _pair_data(F, omega, xi, DEFAULT_TOL)
-    for pd in pairs:
+    GL, _ = left_right_bayes(F, omega)
+    for pd in pair_operands(F, omega):
         m = pd.rho_w.shape[0]
         n = pd.sig_w.shape[0]
-        full = pd.GL.transpose(0, 2, 1, 3).reshape(m * n, m * n)
+        full = GL.tensors[pd.y][pd.x].reshape(m * n, m * n)
         split = analysis.choi_A[(pd.x, pd.y)] + analysis.choi_B[(pd.x, pd.y)]
         assert frobenius(full - split) < 1e-12
+
+
+def test_two_cutoff_identity_inverts_itself():
+    # sigma-hat and P_xi read one support, so the eigenvalue that the global
+    # cutoff drops from P_xi is dropped from sigma-hat too
+    h, omega = two_cutoff_instance()
+    F = from_hom(h)
+    analysis = battery(F, omega)
+    assert analysis.passed
+    result = existence(analysis)
+    assert result.exists and verify_bayes(F, result.inverse, omega).ok
+    assert bayes_disint_bridge(h, omega).consistent
+
+
+@pytest.mark.parametrize("case", INSTANCE_CASES.values(), ids=INSTANCE_CASES.keys())
+def test_sigma_hat_inverts_sigma_on_the_xi_support(case):
+    F, omega = case()
+    for pd in pair_operands(F, omega):
+        np.testing.assert_allclose(pd.shat_w @ pd.sig_w, pd.P_xi, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("case", INSTANCE_CASES.values(), ids=INSTANCE_CASES.keys())
+def test_calculus_matches_herm_fun_where_the_cutoffs_agree(case):
+    # `herm_fun` cuts at eps_rank times the block's own largest eigenvalue,
+    # `support` at eps_rank times the state's; where both keep the same
+    # eigenvalues, the two calculi agree
+    F, omega = case()
+    compared = 0
+    for state in (omega, pullback(omega, F)):
+        sup = support(state)
+        cutoff = DEFAULT_TOL.rank_cutoff(max(float(w.max(initial=0.0)) for w, _ in sup.spectra))
+        for x in range(state.algebra.n_blocks):
+            W = state.weighted_density(x)
+            w = np.linalg.eigvalsh(W)
+            if np.any((w > cutoff) != (w > DEFAULT_TOL.eps_rank * max(w.max(), 0.0))):
+                continue
+            for f in (np.sqrt, np.reciprocal, sqrt_reciprocal):
+                np.testing.assert_allclose(sup.calculus(x, f), herm_fun(W, f), rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(
+                sup.calculus(x, np.reciprocal), pseudoinverse(W), rtol=0.0, atol=1e-12
+            )
+            compared += 1
+    assert compared
 
 
 def test_petz_formula_matches_on_faithful_instances():
@@ -360,29 +422,30 @@ def test_battery_contractions_match_einsum(case):
     # against the einsum strings they replace
     F, omega = case()
     analysis = battery(F, omega)
-    xi = pullback(omega, F)
+    GL, GR = left_right_bayes(F, omega)
     rng = np.random.default_rng(12)
     worst = dict.fromkeys(("star", "left_right", "density"), 0.0)
-    for pd in _pair_data(F, omega, xi, DEFAULT_TOL):
+    for pd in pair_operands(F, omega):
         m, n = pd.rho_w.shape[0], pd.sig_w.shape[0]
         Tc = np.conj(pd.T)
         Pop = np.eye(m) - pd.P_om
+        rawL, rawR = _raw(pd.T, pd.rho_w)
         got = {
             "V6": _sandwich(pd.shat_w, _adjoint_on_units(pd.T, pd.rho_w, Pop), pd.P_xi),
-            "lhs4": _sandwich(pd.P_xi, pd.rawL, pd.sig_w),
-            "rhs4": _sandwich(pd.sig_w, pd.rawR, pd.P_xi),
-            "rawL": pd.rawL,
-            "rawR": pd.rawR,
-            "GL": pd.GL,
-            "GR": pd.GR,
-            "KR": _sandwich(pd.P_xi, pd.rawR, pd.shat_w),
+            "lhs4": _sandwich(pd.P_xi, rawL, pd.sig_w),
+            "rhs4": _sandwich(pd.sig_w, rawR, pd.P_xi),
+            "rawL": rawL,
+            "rawR": rawR,
+            "GL": GL.tensors[pd.y][pd.x].transpose(0, 2, 1, 3),
+            "GR": GR.tensors[pd.y][pd.x].transpose(0, 2, 1, 3),
+            "KR": _sandwich(pd.P_xi, rawR, pd.shat_w),
         }
         want = {
             "V6": np.einsum(
                 "kalb,ai,jb,uk,lv->ijuv", Tc, pd.rho_w, Pop, pd.shat_w, pd.P_xi
             ),
-            "lhs4": np.einsum("uk,ijkl,lv->ijuv", pd.P_xi, pd.rawL, pd.sig_w),
-            "rhs4": np.einsum("uk,ijkl,lv->ijuv", pd.sig_w, pd.rawR, pd.P_xi),
+            "lhs4": np.einsum("uk,ijkl,lv->ijuv", pd.P_xi, rawL, pd.sig_w),
+            "rhs4": np.einsum("uk,ijkl,lv->ijuv", pd.sig_w, rawR, pd.P_xi),
             "rawL": np.einsum("kalj,ai->ijkl", Tc, pd.rho_w),
             "rawR": np.einsum("kilb,jb->ijkl", Tc, pd.rho_w),
         }
@@ -395,8 +458,7 @@ def test_battery_contractions_match_einsum(case):
         got["choi_B"] = analysis.choi_B[(pd.x, pd.y)]
         want["choi_A"] = KL.transpose(0, 2, 1, 3).reshape(m * n, m * n)
         want["choi_B"] = BB.transpose(0, 2, 1, 3).reshape(m * n, m * n)
-        sq_rho = matrix_sqrt(pd.rho_w)
-        sq_shat = matrix_sqrt(pd.shat_w)
+        sq_rho, sq_shat = pd.sq_rho, pd.sq_shat
         got["raw"] = _adjoint_on_units(pd.T, sq_rho, sq_rho)
         got["petz"] = _sandwich(sq_shat, got["raw"], sq_shat)
         want["raw"] = np.einsum("kalb,ai,jb->ijkl", Tc, sq_rho, sq_rho)
@@ -419,7 +481,7 @@ def test_battery_contractions_match_einsum(case):
 
         # the Bayes pairings of `verify_bayes` and `left_right_bayes`, on a
         # candidate that fails them
-        S = pd.GL.transpose(0, 2, 1, 3) + rng.standard_normal((m, n, m, n))
+        S = GL.tensors[pd.y][pd.x] + rng.standard_normal((m, n, m, n))
         W1 = np.einsum("kjla,ai->ijkl", pd.T, pd.rho_w)
         W2 = np.einsum("lb,ibjk->ijkl", pd.sig_w, S)
         assert abs(
@@ -443,24 +505,26 @@ def test_battery_contractions_match_einsum(case):
 
 def per_pair_reference(F, omega, tol=DEFAULT_TOL):
     """Choi blocks, support map and Petz map tensors of the battery, with the
-    pseudoinverse and both square roots taken afresh for every (x, y) pair."""
+    pseudoinverse and both square roots read afresh from the supports for
+    every (x, y) pair."""
     xi = pullback(omega, F, tol)
-    P_xi = support(xi, tol).projection.blocks
+    sup_o, sup_x = support(omega, tol), support(xi, tol)
+    P_xi = sup_x.projection.blocks
     choi_A, choi_B, support_t, petz_t = {}, {}, {}, {}
     for x, m in enumerate(F.target.block_dims):
         rho_w = omega.weighted_density(x)
         for y, n in enumerate(F.source.block_dims):
-            shat_w = pseudoinverse(xi.weighted_density(y), tol)
+            shat_w = sup_x.calculus(y, np.reciprocal)
             T = F.tensors[x][y]
             # the battery's kernels, so that the arrays are bit for bit the same;
             # test_battery_contractions_match_einsum pins them to their einsums
-            rawL, _ = _raw(PairInputs(x, y, T, rho_w, None, shat_w, None, P_xi[y]))
+            rawL, _ = _raw(T, rho_w)
             KL = _sandwich(shat_w, rawL, P_xi[y])    # GL(E_ij) P
             BB = _sandwich(shat_w, rawL, np.eye(n) - P_xi[y])
             choi_A[(x, y)] = KL.transpose(0, 2, 1, 3).reshape(m * n, m * n)
             choi_B[(x, y)] = BB.transpose(0, 2, 1, 3).reshape(m * n, m * n)
-            sq_rho = matrix_sqrt(rho_w, tol)
-            sq_shat = matrix_sqrt(shat_w, tol)
+            sq_rho = sup_o.calculus(x, np.sqrt)
+            sq_shat = sup_x.calculus(y, sqrt_reciprocal)
             petz = _sandwich(sq_shat, _adjoint_on_units(T, sq_rho, sq_rho), sq_shat)
             support_t[(x, y)] = KL.transpose(0, 2, 1, 3)
             petz_t[(x, y)] = petz.transpose(0, 2, 1, 3)

@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 
 from qbayes.cli import main
-from qbayes.jsonio import canonical_dumps, loads, problem_from_json
+from qbayes.jsonio import (
+    PROBLEM_SCHEMA,
+    canonical_dumps,
+    hom_to_json,
+    loads,
+    problem_from_json,
+    state_to_json,
+)
 
-from conftest import FIXTURES
+from conftest import FIXTURES, two_cutoff_instance
 
 ALL_FIXTURES = sorted(FIXTURES.glob("*.json"))
 
@@ -46,6 +53,23 @@ def test_check_epr_verdicts(capsys):
     assert a["takesaki"]["corner_hom"] is False
     assert a["disintegrate"]["exists"] is False
     assert a["condexp"]["exists"] is False
+
+
+@pytest.mark.parametrize(
+    "analysis, verdict",
+    [("bayes-battery", "passed"), ("bayes-existence", "exists"), ("bridge", "consistent")],
+)
+def test_check_two_cutoff_identity_inverts_itself(analysis, verdict, tmp_path, capsys):
+    # block 1 holds a weighted eigenvalue between the global rank cutoff and
+    # the block's own: the identity still inverts itself, with no alarm
+    h, omega = two_cutoff_instance()
+    path = tmp_path / "problem.json"
+    path.write_text(canonical_dumps(
+        {"schema": PROBLEM_SCHEMA, "channel": hom_to_json(h), "state": state_to_json(omega)}
+    ))
+    code, out, err = run_cli(["check", str(path), "--analyses", analysis], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["analyses"][analysis][verdict] is True
 
 
 def test_check_subset_of_analyses(capsys):

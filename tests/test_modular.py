@@ -1,13 +1,11 @@
 import gc
 import json
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import qbayes.modular
-import qbayes.state
 from qbayes import linalg
 from qbayes.algebra import AlgebraElement, MultiMatrixAlgebra, matrix_units
 from qbayes.channel import LinearMap, from_hom, is_ucp
@@ -37,6 +35,7 @@ from qbayes.linalg import ABS_FLOOR, DEFAULT_TOL, dagger, hermitian_eigen
 from qbayes.state import State, evaluate, pullback, support
 
 from conftest import FIXTURES, INSTANCE_CASES
+from derivations import BUILDERS, recording
 
 
 def random_element(rng, alg):
@@ -398,7 +397,7 @@ def test_sampled_ac_peak_stays_within_the_corner_footprint():
 
 
 def two_pass_spectra(omega, tol=DEFAULT_TOL):
-    """Kept eigenpairs per block, eigenvalues descending, None for a cut block:
+    """Kept eigenpairs per block, eigenvalues descending, empty for a cut block:
     one decomposition per block for the global cutoff, then a second one for
     the eigenpairs above it."""
     blocks = range(omega.algebra.n_blocks)
@@ -411,18 +410,14 @@ def two_pass_spectra(omega, tol=DEFAULT_TOL):
     for x in blocks:
         eig = hermitian_eigen(omega.weighted_density(x), tol)
         keep = eig.eigenvalues > cutoff
-        spectra.append(
-            (eig.eigenvalues[keep][::-1], eig.eigenvectors[:, keep][:, ::-1]) if keep.any() else None
-        )
+        spectra.append((eig.eigenvalues[keep][::-1], eig.eigenvectors[:, keep][:, ::-1]))
     return spectra
 
 
 def _assert_spectra_equal(got, want):
     assert len(got) == len(want)
     for spec, spec_ref in zip(got, want):
-        assert (spec is None) == (spec_ref is None)
-        if spec is not None:
-            assert np.array_equal(spec[0], spec_ref[0]) and np.array_equal(spec[1], spec_ref[1])
+        assert np.array_equal(spec[0], spec_ref[0]) and np.array_equal(spec[1], spec_ref[1])
 
 
 @pytest.mark.parametrize("case", INSTANCE_CASES.values(), ids=INSTANCE_CASES.keys())
@@ -432,12 +427,12 @@ def test_support_and_flow_match_two_pass_reference(case):
         spectra = two_pass_spectra(state)
         sup = support(state)
         _assert_spectra_equal(sup.spectra, spectra)
-        assert sup.kept == tuple(x for x, spec in enumerate(spectra) if spec is not None)
+        assert sup.kept == tuple(x for x, spec in enumerate(spectra) if len(spec[0]))
         assert sup.corner_algebra.block_dims == tuple(spectra[x][1].shape[1] for x in sup.kept)
         for d, spec, V, P in zip(
             state.algebra.block_dims, spectra, sup.isometries, sup.projection.blocks
         ):
-            if spec is None:
+            if not len(spec[0]):
                 assert V is None and np.array_equal(P, np.zeros((d, d)))
                 continue
             V_ref = np.eye(d, dtype=complex) if spec[1].shape[1] == d else spec[1]
@@ -446,31 +441,14 @@ def test_support_and_flow_match_two_pass_reference(case):
         _assert_spectra_equal(modular_flow(state).spectra, spectra)
 
 
-@pytest.fixture
-def eigen_calls(monkeypatch):
-    """Counts hermitian_eigen calls, patched at every module that binds it."""
-    calls = []
-    original = linalg.hermitian_eigen
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "qbayes" and getattr(module, "hermitian_eigen", None) is original:
-            monkeypatch.setattr(module, "hermitian_eigen", counting)
-    assert qbayes.state.hermitian_eigen is counting and linalg.hermitian_eigen is counting
-    return calls
-
-
 @pytest.mark.parametrize("case", INSTANCE_CASES.values(), ids=INSTANCE_CASES.keys())
-def test_support_decomposes_each_block_once(case, eigen_calls):
+def test_support_decomposes_each_block_once(case):
     F, omega = case()
+    eigen = {"eigen": BUILDERS["linalg.hermitian_eigen"]}
     for state in (omega, pullback(omega, F)):
-        n_blocks = state.algebra.n_blocks
-        eigen_calls.clear()
-        support(state)
-        assert len(eigen_calls) == n_blocks
-        eigen_calls.clear()
-        modular_flow(state)  # reads the support decomposed above
-        assert len(eigen_calls) == 0
+        with recording(eigen) as seen:
+            support(state)
+        assert len(seen["eigen"]) == state.algebra.n_blocks
+        with recording(eigen) as seen:
+            modular_flow(state)  # reads the support decomposed above
+        assert seen["eigen"] == []

@@ -45,8 +45,8 @@ from qbayes.jsonio import (
 )
 from qbayes.linalg import DEFAULT_TOL, Tolerances
 
-from conftest import FIXTURES
-from derivations import recording, repeats
+from conftest import FIXTURES, INSTANCE_CASES
+from derivations import BUILDERS, recording, repeats
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 HOM_FIXTURES = [
@@ -88,6 +88,17 @@ def test_full_check_runs_each_battery_once(fixture, capsys):
     own = fixture not in HOM_FIXTURES or fixture.stem in OWN_CORNER
     assert len(batteries) == (1 if own else 2)
     assert repeats(batteries) == []
+
+
+@pytest.mark.parametrize("case", INSTANCE_CASES.values(), ids=INSTANCE_CASES.keys())
+def test_battery_decomposes_each_density_once(case):
+    # sigma-hat and the Petz square roots are read from the spectra of the
+    # two supports: one eigendecomposition per block of omega and of xi
+    F, omega = case()
+    with recording({"eigen": BUILDERS["linalg.hermitian_eigen"]}) as seen:
+        analysis = battery(F, omega)
+    dims = (*omega.algebra.block_dims, *analysis.xi.algebra.block_dims)
+    assert sorted(seen["eigen"]) == sorted((d, d) for d in dims)
 
 
 @pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from qbayes.algebra import AlgebraElement, MultiMatrixAlgebra, matrix_unit, matrix_units, unit
-from qbayes.errors import ShapeMismatch
+from qbayes.bayesinv import battery
+from qbayes.channel import ae_deterministic, identity_channel
+from qbayes.errors import NegativeEigenvalue, ShapeMismatch
 from qbayes.generators import (
     epr_instance,
     inclusion_hom,
@@ -10,6 +12,7 @@ from qbayes.generators import (
     random_kraus_channel,
     random_state,
 )
+from qbayes.modular import ac_condition_sampled
 from qbayes.state import (
     State,
     evaluate,
@@ -47,6 +50,25 @@ def test_evaluate_linear():
     lhs = evaluate(omega, A + s * B)
     rhs = evaluate(omega, A) + s * evaluate(omega, B)
     assert abs(lhs - rhs) < 1e-12
+
+
+# each reader of a state's support, called as (F, omega)
+SUPPORT_READERS = {
+    "support": lambda F, omega: support(omega),
+    "battery": battery,
+    "ac_condition_sampled": ac_condition_sampled,
+    "ae_deterministic": ae_deterministic,
+}
+
+
+@pytest.mark.parametrize("reader", SUPPORT_READERS.values(), ids=SUPPORT_READERS.keys())
+def test_non_psd_state_fails_closed(reader):
+    # a Hermitian unit-trace density that is not PSD builds a State; the
+    # support, which every density function reads, refuses it
+    alg = MultiMatrixAlgebra((2,))
+    omega = State(alg, (1.0,), (np.diag([1.2, -0.2]),))
+    with pytest.raises(NegativeEigenvalue, match="density in block 0 has eigenvalue -2.000e-01"):
+        reader(identity_channel(alg), omega)
 
 
 def test_support_faithful_is_identity_embedding():
