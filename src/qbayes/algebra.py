@@ -55,10 +55,6 @@ class MultiMatrixAlgebra:
     def to_dict(self) -> dict:
         return {"blocks": list(self.block_dims)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MultiMatrixAlgebra":
-        return cls(tuple(data["blocks"]))
-
 
 def _as_blocks(alg: MultiMatrixAlgebra, blocks: Sequence[np.ndarray]) -> tuple:
     if len(blocks) != alg.n_blocks:
@@ -204,14 +200,6 @@ class HomSpec:
             "target": self.target.to_dict(),
             "mult": [list(row) for row in self.multiplicities],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HomSpec":
-        return cls(
-            MultiMatrixAlgebra.from_dict(data["source"]),
-            MultiMatrixAlgebra.from_dict(data["target"]),
-            tuple(tuple(row) for row in data["mult"]),
-        )
 
 
 def apply_hom(h: HomSpec, B: AlgebraElement) -> AlgebraElement:

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import MultiMatrixAlgebra, memo
-from .channel import Channel, LinearMap, UcpVerdict, compose, identity_channel, is_ucp
+from .channel import Channel, LinearMap, UcpVerdict, _sandwich, compose, identity_channel, is_ucp
 from .errors import ExtensionFailure, InternalInconsistency, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
@@ -44,49 +44,6 @@ BATTERY_CONDITIONS = (
     "off_support_vanishing",
     "right_map_cp",
 )
-
-
-def _raw(T: np.ndarray, rho_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """rawL[i, j] = F*(rho_w E_ij) and rawR[i, j] = F*(E_ij rho_w) of a pair's
-    tensor T, one product each, in the unit layout of `_adjoint_on_units`."""
-    n, m = T.shape[:2]
-    Tc = T.conj()
-    # F*(rho_w E_ij)_{kl} = sum_a conj(T[k,a,l,j]) rho_w[a,i]
-    rawL = np.matmul(rho_w.T, Tc.reshape(n, m, n * m))   # [k, i, (l, j)]
-    # F*(E_ij rho_w)_{kl} = sum_b conj(T[k,i,l,b]) rho_w[j,b]
-    rawR = Tc.reshape(n * m * n, m) @ rho_w.T            # [(k, i, l), j]
-    return tuple(Y.reshape(n, m, n, m).transpose(1, 3, 0, 2) for Y in (rawL, rawR))
-
-
-def _adjoint_on_units(T: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Y[i, j] = F*(left E_ij right) for every target unit E_ij, shape (m, m, n, n).
-
-    F*(X)_kl = sum_ab conj(T[k, a, l, b]) X_ab with X_ab = left[a, i] right[j, b],
-    contracted over a, then over b: two matrix products on the stored tensor.
-    """
-    n, m = T.shape[:2]
-    Y = np.matmul(left.T, T.conj().reshape(n, m, n * m))  # [k, i, (l, b)]
-    Y = Y.reshape(n * m * n, m) @ right.T                   # [(k, i, l), j]
-    return Y.reshape(n, m, n, m).transpose(1, 3, 0, 2)
-
-
-def _sandwich(L: np.ndarray, X: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """L @ X[i, j] @ R for every i, j of an (m, m, n, n) stack, as two products
-    over the whole stack. X is read in the unit layout [k, i, l, j] that
-    `_raw` and `_adjoint_on_units` write; the result is a view of a
-    Choi-layout [i, u, j, v] array."""
-    m, _, n, _ = X.shape
-    Y = (L @ X.transpose(2, 0, 3, 1).reshape(n, -1)).reshape(n, m, n, m)   # [u, i, l, j]
-    Y = np.ascontiguousarray(Y.transpose(1, 0, 3, 2)).reshape(-1, n)       # [(i, u, j), l]
-    return (Y @ R).reshape(m, n, m, n).transpose(0, 2, 1, 3)
-
-
-def _source_sandwich(L: np.ndarray, T: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """[k, a, l, b] = F(L^T E_kl R)_ab = sum_uv L[k, u] R[l, v] T[u, a, v, b]
-    on the source units of a block tensor T: one product per factor."""
-    n, m = T.shape[:2]
-    Y = (L @ T.reshape(n, -1)).reshape(n * m, n, m)   # [(k, a), v, b]
-    return np.matmul(R, Y).reshape(n, m, n, m)
 
 
 @dataclass(frozen=True)
@@ -145,58 +102,64 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
         T, rho_w, P_om = F.tensors[x][y], rho_ws[x], sup_o.projection.blocks[x]
         sig_w, shat_w, P_xi = sig_ws[y], shat_ws[y], sup_x.projection.blocks[y]
         m, n = len(rho_w), len(sig_w)
-        rawL, rawR = _raw(T, rho_w)
+        # (vi) part 1: forced rows vanish against the omega co-support,
+        # shat_w F*(rho_w E_ij P_om-perp) P_xi = 0, read from the block
+        # tensor of F*, whose source units are the target's
+        Ta = np.conj(T.transpose(1, 0, 3, 2), order="C")
+        V6 = _sandwich(Ta, A=rho_w, B=np.eye(m) - P_om, L=shat_w, R=P_xi)
+        res["off_support_vanishing"] = max(
+            res["off_support_vanishing"], float(np.abs(V6).max(initial=0.0))
+        )
+        del V6
+        rawL = _sandwich(Ta, A=rho_w)   # F*(rho_w E_ij)
+        rawR = _sandwich(Ta, B=rho_w)   # F*(E_ij rho_w)
+        del Ta
         # (iv) P F*(rho A) sigma = sigma F*(A rho) P on target units A
-        lhs4 = _sandwich(P_xi, rawL, sig_w)
-        rhs4 = _sandwich(sig_w, rawR, P_xi)
-        lhs4 -= rhs4
-        del rhs4
+        lhs4 = _sandwich(rawL, L=P_xi, R=sig_w)
+        lhs4 -= _sandwich(rawR, L=sig_w, R=P_xi)
         res["adjoint_sandwich_symmetry"] = max(
             res["adjoint_sandwich_symmetry"], float(np.abs(lhs4).max(initial=0.0))
         )
         del lhs4
         # forced rows GL(E_ij)(1 - P) off the xi support, for the existence
         # stage, and the corner Choi matrix of GL(E_ij) P
-        BB = _sandwich(shat_w, rawL, np.eye(n) - P_xi)
-        choi_B[(x, y)] = BB.transpose(0, 2, 1, 3).reshape(m * n, m * n)
-        KL = _sandwich(shat_w, rawL, P_xi)
-        A_mat = choi_A[(x, y)] = KL.transpose(0, 2, 1, 3).reshape(m * n, m * n)
-        del rawL, BB
-        KR = _sandwich(P_xi, rawR, shat_w)   # P GR(E_ij)
+        choi_B[(x, y)] = _sandwich(rawL, L=shat_w, R=np.eye(n) - P_xi).reshape(m * n, m * n)
+        KL = _sandwich(rawL, L=shat_w, R=P_xi)
+        A_mat = choi_A[(x, y)] = KL.reshape(m * n, m * n)
+        del rawL
+        KR = _sandwich(rawR, L=P_xi, R=shat_w)   # P GR(E_ij)
         del rawR
         scale = max(scale, float(np.abs(KL).max(initial=0.0)),
                     float(np.abs(KR).max(initial=0.0)))
 
+        # (ii) left and right corner maps coincide
+        res["left_equals_right"] = max(
+            res["left_equals_right"], float(np.abs(KL - KR).max(initial=0.0))
+        )
+        del KL
         # (i) *-preservation of Ad_P o G^R: K(E_ji) = K(E_ij)^*
-        star = KR.transpose(1, 0, 3, 2).conj()
-        star -= KR
+        choi_R = KR.reshape(m * n, m * n)
+        del KR
+        star = dagger(choi_R)
+        star -= choi_R
         res["right_map_star_preserving"] = max(
             res["right_map_star_preserving"],
             float(np.abs(star).max(initial=0.0)),
         )
         del star
-        # (ii) left and right corner maps coincide
-        res["left_equals_right"] = max(
-            res["left_equals_right"], float(np.abs(KL - KR).max(initial=0.0))
-        )
         # (iii) hermiticity of the corner Choi matrix
         res["choi_hermitian"] = max(
             res["choi_hermitian"], frobenius(A_mat - dagger(A_mat))
         )
         # (vii) complete positivity of Ad_P o G^R
-        choi_R = KR.transpose(0, 2, 1, 3).reshape(m * n, m * n)
-        del KR
         low, radius = hermitian_floor(choi_R)
         del choi_R
         cp_lam_max = max(cp_lam_max, radius)
         cp_min_eig = float(np.minimum(cp_min_eig, low))  # a NaN block stays NaN
         # (v) F(sigma B) rho = rho F(B sigma) for B = P E_kl P in the xi-support
-        # corner, all k, l at once: sigma B = (sigma P)[:, k] P[l, :] and
-        # B sigma = P[:, k] (P sigma)[l, :]
-        lhs5 = _source_sandwich((sig_w @ P_xi).T, T, P_xi)   # F(sigma B)
-        lhs5 = (lhs5.reshape(-1, m) @ rho_w).reshape(n, m, n, m)
-        rhs5 = _source_sandwich(P_xi.T, T, P_xi @ sig_w)     # F(B sigma)
-        rhs5 = np.matmul(rho_w, rhs5.reshape(n, m, n * m)).reshape(n, m, n, m)
+        # corner, all k, l at once
+        lhs5 = _sandwich(T, A=sig_w @ P_xi, B=P_xi, R=rho_w)   # F(sigma B) rho
+        rhs5 = _sandwich(T, A=P_xi, B=P_xi @ sig_w, L=rho_w)   # rho F(B sigma)
         largest = max(_sq_frobenius(M.swapaxes(1, 2)).max() for M in (lhs5, rhs5))
         scale = max(scale, float(np.sqrt(largest)))
         lhs5 -= rhs5
@@ -206,14 +169,6 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
             float(np.sqrt(_sq_frobenius(lhs5.swapaxes(1, 2)).max())),
         )
         del lhs5
-        # (vi) part 1: forced rows vanish against the omega co-support,
-        # shat_w F*(rho_w E_ij P_om-perp) P_xi = 0
-        Pop = np.eye(m) - P_om
-        V6 = _sandwich(shat_w, _adjoint_on_units(T, rho_w, Pop), P_xi)
-        res["off_support_vanishing"] = max(
-            res["off_support_vanishing"], float(np.abs(V6).max(initial=0.0))
-        )
-        del V6
 
     verdicts = {name: tol.close(residual, scale) for name, residual in res.items()}
     verdicts["right_map_cp"] = tol.psd(cp_min_eig, cp_lam_max)
@@ -247,10 +202,9 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
             row_p = []
             for x, m in enumerate(F.target.block_dims):
                 row_s.append(choi_A[(x, y)].reshape(m, n, m, n))  # Ad_P o G^L
-                raw = _adjoint_on_units(F.tensors[x][y], sq_rho[x], sq_rho[x])
-                petz = _sandwich(sq_shat[y], raw, sq_shat[y])
-                del raw
-                row_p.append(petz.transpose(0, 2, 1, 3))
+                Ta = np.conj(F.tensors[x][y].transpose(1, 0, 3, 2), order="C")
+                row_p.append(_sandwich(Ta, sq_rho[x], sq_rho[x], sq_shat[y], sq_shat[y]))
+                del Ta
             tensors_s.append(row_s)
             tensors_p.append(row_p)
         support_map = LinearMap(F.target, F.source, tensors_s)
@@ -286,10 +240,9 @@ def left_right_bayes(
     worst = 0.0
     for x, y in product(range(F.target.n_blocks), range(F.source.n_blocks)):
         T, rho_w, sig_w = F.tensors[x][y], omega.weighted_density(x), xi.weighted_density(y)
-        shat_w, one = shat_ws[y], np.eye(len(sig_w))
-        rawL, rawR = _raw(T, rho_w)
-        S = tensors_l[y][x] = _sandwich(shat_w, rawL, one).transpose(0, 2, 1, 3)
-        S_r = tensors_r[y][x] = _sandwich(one, rawR, shat_w).transpose(0, 2, 1, 3)
+        Ta = np.conj(T.transpose(1, 0, 3, 2), order="C")
+        S = tensors_l[y][x] = _sandwich(Ta, A=rho_w, L=shat_ws[y])     # shat F*(rho E)
+        S_r = tensors_r[y][x] = _sandwich(Ta, B=rho_w, R=shat_ws[y])   # F*(E rho) shat
         # omega(E_ij F(E_kl)) = xi(G^L(E_ij) E_kl), and mirrored for G^R,
         # omega(F(E_kl) E_ij) = xi(E_kl G^R(E_ij)): the same identity for the
         # transposed maps and densities
@@ -312,10 +265,9 @@ def left_right_bayes(
 def _pairing_residual(T: np.ndarray, rho_w: np.ndarray, sig_w: np.ndarray, S: np.ndarray) -> float:
     """max |omega(E_ij F(E_kl)) - xi(G(E_ij) E_kl)| over the units of a pair,
     i.e. (F(E_kl) rho_w)_ji against (sig_w G(E_ij))_lk, with S the block
-    tensor of G; one product each."""
-    n, m = T.shape[:2]
-    W1 = (T.reshape(-1, m) @ rho_w).reshape(n, m, n, m)                  # [k, j, l, i]
-    W2 = np.matmul(sig_w, S.reshape(m, n, m * n)).reshape(m, n, m, n)   # [i, l, j, k]
+    tensor of G."""
+    W1 = _sandwich(T, R=rho_w)   # [k, j, l, i]
+    W2 = _sandwich(S, L=sig_w)   # [i, l, j, k]
     return float(np.abs(W1 - W2.transpose(3, 2, 1, 0)).max(initial=0.0))
 
 

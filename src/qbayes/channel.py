@@ -57,6 +57,39 @@ def _unit_rows(T: np.ndarray) -> np.ndarray:
     return T.transpose(0, 2, 1, 3).reshape(n * n, m * m)
 
 
+def _sandwich(T: np.ndarray, A=None, B=None, L=None, R=None) -> np.ndarray:
+    """The block tensor of E |-> L F(A E B) R, in the layout of T:
+
+        [i, a, j, b] = sum_{k, l} A[k, i] B[j, l] (L F(E_kl) R)_ab,
+
+    from the (n, m, n, m) block tensor T of F. A is (n, n'), B (n', n), L
+    (m', m) and R (m, m'); None stands for the identity. The factors may
+    carry matching leading axes, which the result carries in front. Each
+    given factor is one matrix product on a reshaped view, applied in the
+    order A, R, L, B, so at most two arrays the size of the result are alive
+    at once. B contracts the third axis: it acts on a copy with the last two
+    axes swapped, and its product is swapped back.
+    """
+    n1, m1, n2, m2 = T.shape
+    lead = ()
+    X = T
+    if A is not None:   # [k, c, l, d] -> [i, c, l, d]
+        X = A.swapaxes(-1, -2) @ X.reshape(n1, -1)
+        lead, n1 = X.shape[:-2], X.shape[-2]
+    if R is not None:   # [..., d] -> [..., b]
+        X = X.reshape(*lead, -1, m2) @ R
+        lead, m2 = X.shape[:-2], X.shape[-1]
+    if L is not None:   # [i, c, ...] -> [i, a, ...]
+        X = L[..., None, :, :] @ X.reshape(*lead, n1, m1, -1)
+        lead, m1 = X.shape[:-3], X.shape[-2]
+    if B is None:
+        return X.reshape(*lead, n1, m1, n2, m2)
+    X = X.reshape(*lead, n1, m1, n2, m2).swapaxes(-1, -2).reshape(*lead, -1, n2)  # [(i, a, b), l]
+    X = X @ B.swapaxes(-1, -2)
+    lead, n2 = X.shape[:-2], X.shape[-1]
+    return np.ascontiguousarray(np.swapaxes(X.reshape(*lead, n1, m1, m2, n2), -1, -2))
+
+
 class LinearMap:
     """A linear map between multi-matrix algebras, stored blockwise.
 
@@ -379,7 +412,7 @@ def ae_equal(
             continue
         for y in range(D.source.n_blocks):
             # omega(E_ij D(E_kl)) = p_x (D(E_kl) rho)_{ji}, at [k, j, l, i]
-            W = D.tensors[x][y].reshape(-1, rho_w.shape[0]) @ rho_w
+            W = _sandwich(D.tensors[x][y], R=rho_w)
             worst = max(worst, float(np.abs(W).max(initial=0.0)))
     verdict_pairing = tol.close(worst, scale).ok
 
@@ -389,10 +422,10 @@ def ae_equal(
     for y in range(D.source.n_blocks):
         value = 0.0
         sq_norm = 0.0
-        for x, m_x in enumerate(D.target.block_dims):
+        for x in range(D.target.n_blocks):
             T = D.tensors[x][y]  # [i, a, j, b] = D_xy(E_ij)_ab
             sq_norm = sq_norm + _sq_frobenius(T.swapaxes(1, 2))
-            Trho = (T.reshape(-1, m_x) @ omega.weighted_density(x)).reshape(T.shape)
+            Trho = _sandwich(T, R=omega.weighted_density(x))
             dots = Trho.view(np.float64)[..., None, :] @ T.view(np.float64)[..., :, None]
             value = value + dots[..., 0, 0].sum(axis=1)
         verdict_nullspace &= tol.nullspace(value, np.maximum(np.sqrt(sq_norm), scale)).ok
@@ -430,7 +463,7 @@ def ae_deterministic(
         W = sup.isometries[x]
         for T in F.tensors[x]:
             n = T.shape[0]
-            FW = T.transpose(0, 2, 1, 3) @ W  # [i, j] = F_xy(E_ij) W
+            FW = _sandwich(T, R=W).swapaxes(1, 2)  # [i, j] = F_xy(E_ij) W
             defect = dagger(W) @ FW[range(n), range(n)] - FW.conj().swapaxes(-1, -2) @ FW
             worst = max(worst, float(_sq_frobenius(defect).max()))
     return tol.close(np.sqrt(worst), scale, scale).ok

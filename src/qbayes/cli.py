@@ -28,7 +28,7 @@ from .disint import (
     disintegrate,
     takesaki_battery,
 )
-from .errors import InternalInconsistency, ParseError, QBayesError, SchemaError
+from .errors import InternalInconsistency, NegativeEigenvalue, ParseError, QBayesError, SchemaError
 from .generators import (
     inclusion_hom,
     product_state_for_hom,
@@ -49,6 +49,7 @@ from .jsonio import (
 )
 from .linalg import Tolerances
 from .modular import ac_condition_sampled
+from .state import support
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -203,15 +204,27 @@ def _print_report(report: dict, pretty: bool, stream) -> None:
     stream.write(f"elapsed: {report['timing']['seconds']:.3f}s\n")
 
 
-def cmd_check(args) -> int:
+def _load(args) -> tuple[dict, Tolerances]:
+    """The problem file's validated problem and the run's tolerances. Each
+    density is judged PSD here by `support`, at those tolerances, so that a
+    refusal names its field; the analyses then read the same decomposition."""
     with open(args.problem, "r", encoding="utf-8") as fh:
         data = loads(fh.read())
     problem = problem_from_json(data)
+    tol = _tolerances(args, problem["tolerances"])
+    try:
+        support(problem["state"], tol)
+    except NegativeEigenvalue as exc:
+        raise SchemaError(f"problem.state.densities[{exc.block}]: {exc}") from exc
+    return problem, tol
+
+
+def cmd_check(args) -> int:
+    problem, tol = _load(args)
     if args.analyses is not None:
         requested = [a.strip() for a in args.analyses.split(",") if a.strip()]
         _check_analyses(requested, problem["hom"] is not None, "--analyses")
         problem["analyses"] = requested
-    tol = _tolerances(args, problem["tolerances"])
     start = time.perf_counter()
     analyses, seconds = _run_analyses(problem, tol)
     timing = {"seconds": time.perf_counter() - start, "analyses": seconds}
@@ -221,10 +234,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    with open(args.problem, "r", encoding="utf-8") as fh:
-        data = loads(fh.read())
-    problem = problem_from_json(data)
-    tol = _tolerances(args, problem["tolerances"])
+    problem, tol = _load(args)
     start = time.perf_counter()
     constructed = None
     if args.mode == "bayes":

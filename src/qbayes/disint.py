@@ -26,6 +26,7 @@ from .channel import (
     LinearMap,
     UcpVerdict,
     _map_scale,
+    _sandwich,
     ae_deterministic,
     ae_equal,
     compose,
@@ -407,10 +408,8 @@ def takesaki_battery(
         V = sup_x.isometries[y]
         for x in sup_o.kept:
             W = sup_o.isometries[x]
-            # [c, d, i, j] = h_xy(V E_ij V*)_cd, then X[i, j] = h_xy(V E_ij V*) W
-            lifted = V.T @ F.tensors[x][y].transpose(1, 3, 0, 2) @ V.conj()
-            X = lifted.transpose(2, 3, 0, 1) @ W
-            R = X - W @ (dagger(W) @ X)
+            Q = np.eye(len(W)) - W @ dagger(W)
+            R = _sandwich(F.tensors[x][y], V, dagger(V), Q, W).swapaxes(1, 2)  # [i, j] = R(E_ij)
             worst = max(worst, float(_sq_frobenius(R.conj().swapaxes(-1, -2) @ R).max()))
     scale = _map_scale(chan)
     corner_hom = tol.close(float(np.sqrt(worst)), scale, scale)

@@ -5,6 +5,8 @@ equivalence that is a proven theorem. It is a bug alarm, not a mathematical
 "no" verdict, and the CLI maps it to a dedicated exit code.
 """
 
+from typing import Optional
+
 
 class QBayesError(Exception):
     """Base class for all library errors."""
@@ -19,7 +21,12 @@ class NoConvergence(QBayesError):
 
 
 class NegativeEigenvalue(QBayesError):
-    """PSD-only functional calculus hit a genuinely negative eigenvalue."""
+    """PSD-only functional calculus hit a genuinely negative eigenvalue; block
+    is the index of the state's block whose density holds it, if any."""
+
+    def __init__(self, message: str, block: Optional[int] = None):
+        super().__init__(message)
+        self.block = block
 
 
 class DimensionMismatch(QBayesError):

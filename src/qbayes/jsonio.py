@@ -22,7 +22,6 @@ import numpy as np
 from .algebra import HomSpec, MultiMatrixAlgebra
 from .channel import Channel, from_hom, from_kraus, is_ucp
 from .errors import ParseError, SchemaError
-from .linalg import DEFAULT_TOL, dagger
 from .state import State
 
 PROBLEM_SCHEMA = "qbayes-problem/1"
@@ -86,6 +85,16 @@ def matrix_from_json(data, rows: int, cols: int, field: str) -> np.ndarray:
     return out.reshape(rows, cols)
 
 
+def _list(value, n: Optional[int], field: str) -> list:
+    """value itself when it is a list of n entries, or of any length when n
+    is None."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{field}: expected a list, got {type(value).__name__}")
+    if n is not None and len(value) != n:
+        raise SchemaError(f"{field}: expected {n} entries, got {len(value)}")
+    return value
+
+
 def _require(data: dict, key: str, field: str):
     if not isinstance(data, dict) or key not in data:
         raise SchemaError(f"{field}: missing required key '{key}'")
@@ -112,13 +121,9 @@ def state_to_json(state: State) -> dict:
 
 
 def state_from_json(data, alg: MultiMatrixAlgebra, field: str) -> State:
-    weights = _require(data, "weights", field)
-    densities = _require(data, "densities", field)
-    if len(weights) != alg.n_blocks or len(densities) != alg.n_blocks:
-        raise SchemaError(
-            f"{field}: expected {alg.n_blocks} weights and densities, got "
-            f"{len(weights)} and {len(densities)}"
-        )
+    # State itself refuses a count other than one weight per block
+    weights = _list(_require(data, "weights", field), None, f"{field}.weights")
+    densities = _list(_require(data, "densities", field), alg.n_blocks, f"{field}.densities")
     mats = []
     for x, (d, rho) in enumerate(zip(alg.block_dims, densities)):
         if rho is None:
@@ -129,17 +134,6 @@ def state_from_json(data, alg: MultiMatrixAlgebra, field: str) -> State:
         state = State(alg, tuple(float(p) for p in weights), tuple(mats))
     except Exception as exc:
         raise SchemaError(f"{field}: {exc}") from exc
-    # PSD within the bound that the support calculus (state.support) tolerates
-    for x, rho in enumerate(state.densities):
-        if rho is None:
-            continue
-        w = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
-        psd = DEFAULT_TOL.support_psd(w[0], float(w[-1]))
-        if not psd:
-            raise SchemaError(
-                f"{field}.densities[{x}]: density is not PSD: least eigenvalue "
-                f"{w[0]:.3e} below {-psd.threshold:.3e}"
-            )
     return state
 
 
@@ -187,19 +181,14 @@ def channel_from_json(data, field: str) -> tuple[Channel, Optional[HomSpec]]:
     source = algebra_from_json(_require(data, "source", field), f"{field}.source")
     target = algebra_from_json(_require(data, "target", field), f"{field}.target")
     if kind == "choi":
-        blocks = _require(data, "blocks", field)
-        if len(blocks) != target.n_blocks:
-            raise SchemaError(f"{field}.blocks: expected {target.n_blocks} rows")
+        blocks = _list(_require(data, "blocks", field), target.n_blocks, f"{field}.blocks")
         tensors = []
         for x, m_x in enumerate(target.block_dims):
-            if len(blocks[x]) != source.n_blocks:
-                raise SchemaError(
-                    f"{field}.blocks[{x}]: expected {source.n_blocks} entries"
-                )
+            row_json = _list(blocks[x], source.n_blocks, f"{field}.blocks[{x}]")
             row = []
             for y, n_y in enumerate(source.block_dims):
                 C = matrix_from_json(
-                    blocks[x][y], n_y * m_x, n_y * m_x, f"{field}.blocks[{x}][{y}]"
+                    row_json[y], n_y * m_x, n_y * m_x, f"{field}.blocks[{x}][{y}]"
                 )
                 row.append(C.reshape(n_y, m_x, n_y, m_x))
             tensors.append(row)
@@ -208,17 +197,17 @@ def channel_from_json(data, field: str) -> tuple[Channel, Optional[HomSpec]]:
         except Exception as exc:
             raise SchemaError(f"{field}: {exc}") from exc
     else:
-        ops = _require(data, "ops", field)
+        ops = _list(_require(data, "ops", field), target.n_blocks, f"{field}.ops")
         grid = []
         for x, m_x in enumerate(target.block_dims):
+            row_json = _list(ops[x], source.n_blocks, f"{field}.ops[{x}]")
             row = []
             for y, n_y in enumerate(source.block_dims):
-                row.append(
-                    [
-                        matrix_from_json(K, m_x, n_y, f"{field}.ops[{x}][{y}]")
-                        for K in ops[x][y]
-                    ]
-                )
+                Ks = _list(row_json[y], None, f"{field}.ops[{x}][{y}]")
+                row.append([
+                    matrix_from_json(K, m_x, n_y, f"{field}.ops[{x}][{y}][{k}]")
+                    for k, K in enumerate(Ks)
+                ])
             grid.append(row)
         try:
             channel = from_kraus(source, target, grid)

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, HomSpec, memo
-from .channel import Channel, LinearMap, _unit_rows, from_hom, is_ucp
+from .channel import Channel, LinearMap, _sandwich, _unit_rows, from_hom, is_ucp
 from .errors import InternalInconsistency, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
@@ -58,23 +58,6 @@ def modular_at(flow: SupportData, t: float, A: AlgebraElement) -> AlgebraElement
         raise ShapeMismatch("element does not belong to the flow's algebra")
     blocks = tuple(U[0] @ B @ dagger(U[0]) for U, B in zip(_flow_unitaries(flow, (t,)), A.blocks))
     return AlgebraElement(flow.state.algebra, blocks)
-
-
-def _sandwich(T: np.ndarray, V: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """The block tensor [..., i, a, j, b] = (W^* F(V E_ij V^*) W)_ab of
-    Ad(W^*) o F o Ad(V), from the block tensor T of F; V and W may be stacks
-    (..., n, n') and (..., m, m') with matching leading axes. The factors act
-    in unit order (i, b, a, j), one product each, so at most two arrays the
-    size of the result are held."""
-    n, m = T.shape[:2]
-    lead, n2, m2 = V.shape[:-2], V.shape[-1], W.shape[-1]
-    X = np.swapaxes(V, -1, -2) @ T.reshape(n, -1)                       # [..., i, (c, l, d)]
-    X = (X.reshape(*lead, -1, m) @ W).reshape(*lead, n2, m, n * m2)     # [..., i, c, (l, b)]
-    X = np.swapaxes(W.conj(), -1, -2)[..., None, :, :] @ X              # [..., i, a, (l, b)]
-    X = np.moveaxis(X.reshape(*lead, n2, m2, n, m2), -2, -4)            # [..., l, i, a, b]
-    X = np.ascontiguousarray(X).reshape(*lead, n, -1)
-    X = (np.swapaxes(V.conj(), -1, -2) @ X).reshape(*lead, n2, n2, m2, m2)  # [..., j, i, a, b]
-    return np.ascontiguousarray(np.moveaxis(X, -4, -2))
 
 
 @dataclass(frozen=True)
@@ -124,11 +107,9 @@ def _corner_map(F: LinearMap, sup_o: SupportData, sup_x: SupportData, tol: Toler
     if faithful:
         chan, omega_r, xi_r = F, sup_o.state, sup_x.state
     else:
+        V, W = sup_x.isometries, sup_o.isometries
         tensors = [
-            [
-                _sandwich(F.tensors[x][y], sup_x.isometries[y], sup_o.isometries[x])
-                for y in sup_x.kept
-            ]
+            [_sandwich(F.tensors[x][y], V[y], dagger(V[y]), dagger(W[x]), W[x]) for y in sup_x.kept]
             for x in sup_o.kept
         ]
         chan = Channel(sup_x.corner_algebra, sup_o.corner_algebra, tensors, tol=tol)
@@ -190,15 +171,13 @@ def ac_condition_algebraic(
     chan = cm.channel
     worst = 0.0
     scale = 1.0
-    for y, n in enumerate(chan.source.block_dims):
+    for y in range(chan.source.n_blocks):
         sig = cm.xi_restricted.densities[y]
-        for x, m in enumerate(chan.target.block_dims):
+        for x in range(chan.target.n_blocks):
             T = chan.tensors[x][y]
             rho = cm.omega_restricted.densities[x]
-            # [i, a, j, b] = (corner(F)(sigma E_ij) rho)_ab and (rho corner(F)(E_ij sigma))_ab
-            lhs = ((sig.T @ T.reshape(n, -1)).reshape(-1, m) @ rho).reshape(T.shape)
-            rhs = np.matmul(sig, np.matmul(rho, T.reshape(n, m, -1)).reshape(n * m, n, m))
-            rhs = rhs.reshape(T.shape)
+            lhs = _sandwich(T, A=sig, R=rho)   # corner(F)(sigma E) rho
+            rhs = _sandwich(T, B=sig, L=rho)   # rho corner(F)(E sigma)
             largest = max(_sq_frobenius(M.swapaxes(1, 2)).max() for M in (lhs, rhs))
             scale = max(scale, float(np.sqrt(largest)))
             lhs -= rhs
@@ -244,7 +223,8 @@ def ac_condition_sampled(
             batch = min(len(times), max(1, budget // T.size))
             for s in range(0, len(times), batch):
                 ts = slice(s, s + batch)
-                X = _sandwich(T, U_x[y][ts], U_o[x][ts])
+                Ux, Uo = U_x[y][ts], U_o[x][ts]
+                X = _sandwich(T, Ux, Ux.conj().swapaxes(-1, -2), Uo.conj().swapaxes(-1, -2), Uo)
                 sq_t[0, ts] += _sq_frobenius(X.swapaxes(-3, -2))
                 X -= T
                 sq_t[1, ts] += _sq_frobenius(X.swapaxes(-3, -2))

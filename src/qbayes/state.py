@@ -189,7 +189,8 @@ def _support(omega: State, tol: Tolerances) -> tuple:
         psd = tol.support_psd(float(w.min(initial=0.0)), float(w.max(initial=0.0)))
         if not psd:
             raise NegativeEigenvalue(
-                f"density in block {x} has eigenvalue {w.min():.3e} below {-psd.threshold:.3e}"
+                f"density in block {x} has eigenvalue {w.min():.3e} below {-psd.threshold:.3e}",
+                block=x,
             )
         keep = w > cutoff
         V = eig.eigenvectors[:, keep][:, ::-1]

@@ -7,10 +7,7 @@ import pytest
 
 from qbayes.algebra import MultiMatrixAlgebra, matrix_units
 from qbayes.bayesinv import (
-    _adjoint_on_units,
     _pairing_residual,
-    _raw,
-    _sandwich,
     battery,
     bayes_inverse,
     compositionality_check,
@@ -21,6 +18,7 @@ from qbayes.bayesinv import (
 from qbayes.channel import (
     Channel,
     LinearMap,
+    _sandwich,
     compose,
     from_hom,
     hs_adjoint,
@@ -429,23 +427,24 @@ def test_battery_contractions_match_einsum(case):
         m, n = pd.rho_w.shape[0], pd.sig_w.shape[0]
         Tc = np.conj(pd.T)
         Pop = np.eye(m) - pd.P_om
-        rawL, rawR = _raw(pd.T, pd.rho_w)
+        Ta = Tc.transpose(1, 0, 3, 2)   # the block tensor of F*
+        rawL, rawR = _sandwich(Ta, A=pd.rho_w), _sandwich(Ta, B=pd.rho_w)
         got = {
-            "V6": _sandwich(pd.shat_w, _adjoint_on_units(pd.T, pd.rho_w, Pop), pd.P_xi),
-            "lhs4": _sandwich(pd.P_xi, rawL, pd.sig_w),
-            "rhs4": _sandwich(pd.sig_w, rawR, pd.P_xi),
+            "V6": _sandwich(Ta, A=pd.rho_w, B=Pop, L=pd.shat_w, R=pd.P_xi),
+            "lhs4": _sandwich(rawL, L=pd.P_xi, R=pd.sig_w),
+            "rhs4": _sandwich(rawR, L=pd.sig_w, R=pd.P_xi),
             "rawL": rawL,
             "rawR": rawR,
-            "GL": GL.tensors[pd.y][pd.x].transpose(0, 2, 1, 3),
-            "GR": GR.tensors[pd.y][pd.x].transpose(0, 2, 1, 3),
-            "KR": _sandwich(pd.P_xi, rawR, pd.shat_w),
+            "GL": GL.tensors[pd.y][pd.x],
+            "GR": GR.tensors[pd.y][pd.x],
+            "KR": _sandwich(rawR, L=pd.P_xi, R=pd.shat_w),
         }
         want = {
             "V6": np.einsum(
                 "kalb,ai,jb,uk,lv->ijuv", Tc, pd.rho_w, Pop, pd.shat_w, pd.P_xi
             ),
-            "lhs4": np.einsum("uk,ijkl,lv->ijuv", pd.P_xi, rawL, pd.sig_w),
-            "rhs4": np.einsum("uk,ijkl,lv->ijuv", pd.sig_w, rawR, pd.P_xi),
+            "lhs4": np.einsum("uk,ijkl,lv->ijuv", pd.P_xi, rawL.transpose(0, 2, 1, 3), pd.sig_w),
+            "rhs4": np.einsum("uk,ijkl,lv->ijuv", pd.sig_w, rawR.transpose(0, 2, 1, 3), pd.P_xi),
             "rawL": np.einsum("kalj,ai->ijkl", Tc, pd.rho_w),
             "rawR": np.einsum("kilb,jb->ijkl", Tc, pd.rho_w),
         }
@@ -459,12 +458,14 @@ def test_battery_contractions_match_einsum(case):
         want["choi_A"] = KL.transpose(0, 2, 1, 3).reshape(m * n, m * n)
         want["choi_B"] = BB.transpose(0, 2, 1, 3).reshape(m * n, m * n)
         sq_rho, sq_shat = pd.sq_rho, pd.sq_shat
-        got["raw"] = _adjoint_on_units(pd.T, sq_rho, sq_rho)
-        got["petz"] = _sandwich(sq_shat, got["raw"], sq_shat)
+        got["raw"] = _sandwich(Ta, A=sq_rho, B=sq_rho)
+        got["petz"] = _sandwich(Ta, A=sq_rho, B=sq_rho, L=sq_shat, R=sq_shat)
         want["raw"] = np.einsum("kalb,ai,jb->ijkl", Tc, sq_rho, sq_rho)
         want["petz"] = np.einsum("uk,ijkl,lv->ijuv", sq_shat, want["raw"], sq_shat)
         for name, value in got.items():
-            np.testing.assert_allclose(value, want[name], rtol=0.0, atol=1e-12, err_msg=name)
+            # the einsums write the unit layout [i, j, k, l] = G(E_ij)_kl
+            ref = want[name] if value.ndim == 2 else want[name].transpose(0, 2, 1, 3)
+            np.testing.assert_allclose(value, ref, rtol=0.0, atol=1e-12, err_msg=name)
 
         # the residuals of conditions (i), (ii) and (v) from the einsum chains
         KR = want["KR"]
@@ -518,16 +519,16 @@ def per_pair_reference(F, omega, tol=DEFAULT_TOL):
             T = F.tensors[x][y]
             # the battery's kernels, so that the arrays are bit for bit the same;
             # test_battery_contractions_match_einsum pins them to their einsums
-            rawL, _ = _raw(T, rho_w)
-            KL = _sandwich(shat_w, rawL, P_xi[y])    # GL(E_ij) P
-            BB = _sandwich(shat_w, rawL, np.eye(n) - P_xi[y])
-            choi_A[(x, y)] = KL.transpose(0, 2, 1, 3).reshape(m * n, m * n)
-            choi_B[(x, y)] = BB.transpose(0, 2, 1, 3).reshape(m * n, m * n)
+            Ta = np.conj(T.transpose(1, 0, 3, 2), order="C")
+            rawL = _sandwich(Ta, A=rho_w)
+            KL = _sandwich(rawL, L=shat_w, R=P_xi[y])    # GL(E_ij) P
+            BB = _sandwich(rawL, L=shat_w, R=np.eye(n) - P_xi[y])
+            choi_A[(x, y)] = KL.reshape(m * n, m * n)
+            choi_B[(x, y)] = BB.reshape(m * n, m * n)
             sq_rho = sup_o.calculus(x, np.sqrt)
             sq_shat = sup_x.calculus(y, sqrt_reciprocal)
-            petz = _sandwich(sq_shat, _adjoint_on_units(T, sq_rho, sq_rho), sq_shat)
-            support_t[(x, y)] = KL.transpose(0, 2, 1, 3)
-            petz_t[(x, y)] = petz.transpose(0, 2, 1, 3)
+            support_t[(x, y)] = KL
+            petz_t[(x, y)] = _sandwich(Ta, sq_rho, sq_rho, sq_shat, sq_shat)
     return xi, P_xi, choi_A, choi_B, support_t, petz_t
 
 

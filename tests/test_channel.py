@@ -12,6 +12,7 @@ from qbayes.algebra import (
 from qbayes.channel import (
     Channel,
     LinearMap,
+    _sandwich,
     ae_deterministic,
     ae_equal,
     compose,
@@ -235,6 +236,37 @@ def test_from_kraus_matches_einsum():
             for K in kraus[x][y]:
                 want += np.einsum("ai,bj->iajb", K, np.conj(K))
             np.testing.assert_allclose(F.tensors[x][y], want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["plain", "stacked"])
+@pytest.mark.parametrize("dropped", [None, "A", "B", "L", "R"])
+def test_sandwich_matches_einsum(dropped, stacked):
+    # E |-> L F(A E B) R with rectangular factors of distinct sizes, each
+    # factor in turn left out (the identity), on a leading stack axis or none
+    rng = np.random.default_rng(13)
+    n, m = 3, 4
+    T = random_complex(rng, n * m, n * m).reshape(n, m, n, m)
+    shapes = {"A": (n, 2), "B": (5, n), "L": (6, m), "R": (m, 7)}
+    if dropped is not None:
+        shapes[dropped] = None
+    lead = (2,) if stacked else ()
+    factors = {}
+    full = {}
+    for name, shape in shapes.items():
+        if shape is None:
+            factors[name] = None
+            full[name] = np.eye(n if name in "AB" else m)
+        else:
+            M = random_complex(rng, int(np.prod(lead + shape[:1])), shape[1])
+            factors[name] = full[name] = M.reshape(*lead, *shape)
+    want = np.einsum(
+        "kcld,...ki,...jl,...ac,...db->...iajb",
+        T, full["A"], full["B"], full["L"], full["R"],
+    )
+    got = _sandwich(T, **factors)
+    assert got.shape == want.shape
+    assert got.flags.c_contiguous
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def test_random_kraus_needs_enough_operators():

@@ -385,6 +385,14 @@ def _analyses_flag(text):
     return lambda data: text
 
 
+def _kraus_ops(ops):
+    # the identity channel in Kraus form, its ops field replaced by ops
+    def edit(data):
+        _kraus_identity(1.0)(data)
+        data["channel"]["ops"] = ops
+    return edit
+
+
 @pytest.mark.parametrize(
     "fixture, edit, code, named",
     [
@@ -419,12 +427,30 @@ def _analyses_flag(text):
          "problem.state"),
         ("multiblock_product", _set_entry(["state", "weights"], [1.0, float("nan")]), 2,
          "problem.state"),
+        # a field that must be a list, given as a number or a list of the wrong shape
+        ("product", _set_entry(["state", "weights"], 5), 2, "problem.state.weights"),
+        ("product", _set_entry(["state", "densities"], 5), 2, "problem.state.densities"),
+        ("product", lambda data: data["state"]["densities"].append(None), 2,
+         "problem.state.densities"),
+        ("battery_pass_no_inverse", _set_entry(["channel", "blocks"], 3), 2,
+         "problem.channel.blocks"),
+        ("battery_pass_no_inverse", _set_entry(["channel", "blocks", 0], 3), 2,
+         "problem.channel.blocks[0]"),
+        ("product", _kraus_ops(3), 2, "problem.channel.ops"),
+        ("product", _kraus_ops([3]), 2, "problem.channel.ops[0]"),
+        ("product", _kraus_ops([[3]]), 2, "problem.channel.ops[0][0]"),
+        ("product", _kraus_ops([]), 2, "problem.channel.ops"),
+        ("product", _kraus_ops([[[[[1.0, 0.0]] * 16, [[1.0, 0.0]]]]]), 2,
+         "problem.channel.ops[0][0][1]"),
     ],
     ids=["string", "bool", "nan", "inf-density", "inf-choi", "choi-x2", "choi-negated",
          "choi-as-is", "kraus-x2", "kraus-as-is", "density-not-psd", "density-rank-deficient",
          "analyses-flag-comma", "analyses-flag-blank", "analyses-flag-empty",
          "analyses-empty", "analyses-object", "analyses-string",
-         "weights-nan", "weights-inf", "weights-nan-second-block"],
+         "weights-nan", "weights-inf", "weights-nan-second-block",
+         "weights-number", "densities-number", "densities-too-many", "choi-blocks-number",
+         "choi-row-number", "kraus-ops-number", "kraus-row-number", "kraus-entry-number",
+         "kraus-ops-empty", "kraus-op-short"],
 )
 def test_malformed_input_fails_closed(tmp_path, capsys, fixture, edit, code, named):
     data = json.loads((FIXTURES / f"{fixture}.json").read_text())
@@ -439,6 +465,26 @@ def test_malformed_input_fails_closed(tmp_path, capsys, fixture, edit, code, nam
         assert err.startswith(f"error: {named}: ")
     if named in ("--analyses", "problem.analyses"):
         assert "expected a non-empty list of analysis names" in err
+
+
+@pytest.mark.parametrize("analysis", ["ac", "takesaki", "bayes-battery", "disintegrate"])
+def test_density_below_the_run_psd_bound_fails_closed(tmp_path, capsys, analysis):
+    # -5e-10 passes the PSD bound at the default eps_rank, not at 1e-11: every
+    # analysis refuses the density before it runs, and names its field
+    density = [[1.0 + 5e-10, 0.0], [0.0, 0.0], [0.0, 0.0], [-5e-10, 0.0]]
+    problem = {
+        "schema": "qbayes-problem/1",
+        "channel": {"kind": "hom", "source": {"blocks": [2]}, "target": {"blocks": [2]},
+                    "mult": [[1]]},
+        "state": {"weights": [1.0], "densities": [density]},
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    argv = ["check", str(path), "--analyses", analysis]
+    assert run_cli(argv, capsys)[0] == 0
+    code, _, err = run_cli(argv + ["--eps-rank", "1e-11"], capsys)
+    assert code == 2
+    assert err.startswith("error: problem.state.densities[0]: ")
 
 
 def test_eps_env_override(capsys, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 import qbayes.modular
 from qbayes import linalg
 from qbayes.algebra import AlgebraElement, MultiMatrixAlgebra, matrix_units
-from qbayes.channel import LinearMap, from_hom, is_ucp
+from qbayes.channel import LinearMap, _sandwich, from_hom, is_ucp
 from qbayes.cli import main
 from qbayes.errors import InternalInconsistency
 from qbayes.generators import (
@@ -169,17 +169,6 @@ def test_corner_map_matches_unit_reference(case):
         worst = max(worst, np.abs(lhs - cm.xi_restricted.weighted_density(y).T).max())
     assert abs(cm.square_residual - worst) <= 1e-12
 
-    # the unit-order sandwich on stacks of rectangular factors, against its einsum
-    rng = np.random.default_rng(5)
-    for row in F.tensors:
-        for T in row:
-            n, m = T.shape[:2]
-            V = random_complex(rng, 2 * n, max(n - 1, 1)).reshape(2, n, -1)
-            W = random_complex(rng, 2 * m, max(m - 1, 1)).reshape(2, m, -1)
-            want = np.einsum("kcld,tki,tlj,tca,tdb->tiajb", T, V, V.conj(), W.conj(), W)
-            got = qbayes.modular._sandwich(T, V, W)
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
-
 
 @pytest.mark.parametrize("case", INSTANCE_CASES.values(), ids=INSTANCE_CASES.keys())
 def test_ac_residuals_match_unit_loops(case):
@@ -202,17 +191,15 @@ def test_ac_residuals_match_unit_loops(case):
     assert abs(algebraic.max_residual - worst) <= 1e-12
 
     # the products of the algebraic test against the einsum strings they replace
-    for y, n in enumerate(chan.source.block_dims):
-        for x, m in enumerate(chan.target.block_dims):
+    for y in range(chan.source.n_blocks):
+        for x in range(chan.target.n_blocks):
             T = chan.tensors[x][y]
-            got = ((sig[y].T @ T.reshape(n, -1)).reshape(-1, m) @ rho[x]).reshape(T.shape)
+            got = _sandwich(T, A=sig[y], R=rho[x])
             want = np.einsum("ki,kajb->ijab", sig[y], T) @ rho[x]
             np.testing.assert_allclose(got.swapaxes(1, 2), want, rtol=0.0, atol=1e-12)
-            got = np.matmul(sig[y], np.matmul(rho[x], T.reshape(n, m, -1)).reshape(n * m, n, m))
+            got = _sandwich(T, B=sig[y], L=rho[x])
             want = rho[x] @ np.einsum("jl,ialb->ijab", sig[y], T)
-            np.testing.assert_allclose(
-                got.reshape(T.shape).swapaxes(1, 2), want, rtol=0.0, atol=1e-12
-            )
+            np.testing.assert_allclose(got.swapaxes(1, 2), want, rtol=0.0, atol=1e-12)
 
     sampled = ac_condition_sampled(F, omega)
     flow_o = modular_flow(algebraic.corner.omega_restricted)
