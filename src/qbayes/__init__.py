@@ -33,11 +33,13 @@ from .channel import (
     ae_deterministic,
     ae_equal,
     compose,
+    from_choi,
     from_hom,
     from_kraus,
     hs_adjoint,
     identity_channel,
     is_ucp,
+    kraus_factor,
     stinespring,
 )
 from .disint import (

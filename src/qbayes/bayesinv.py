@@ -19,7 +19,16 @@ from typing import Optional
 import numpy as np
 
 from .algebra import MultiMatrixAlgebra, memo
-from .channel import Channel, LinearMap, UcpVerdict, _sandwich, compose, identity_channel, is_ucp
+from .channel import (
+    Channel,
+    LinearMap,
+    UcpVerdict,
+    _sandwich,
+    compose,
+    identity_channel,
+    is_ucp,
+    kraus_factor,
+)
 from .errors import ExtensionFailure, InternalInconsistency, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
@@ -88,6 +97,7 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
     sig_ws = [xi.weighted_density(y) for y in range(F.source.n_blocks)]
     # sigma-hat from the support that P_xi projects on, so sigma-hat sigma = P_xi
     shat_ws = [sup_x.calculus(y, np.reciprocal) for y in range(F.source.n_blocks)]
+    F_adj = F.hs_adjoint()
 
     res = {name: 0.0 for name in BATTERY_CONDITIONS if name != "right_map_cp"}
     scale = 1.0
@@ -105,7 +115,7 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
         # (vi) part 1: forced rows vanish against the omega co-support,
         # shat_w F*(rho_w E_ij P_om-perp) P_xi = 0, read from the block
         # tensor of F*, whose source units are the target's
-        Ta = np.conj(T.transpose(1, 0, 3, 2), order="C")
+        Ta = F_adj.tensors[y][x]
         V6 = _sandwich(Ta, A=rho_w, B=np.eye(m) - P_om, L=shat_w, R=P_xi)
         res["off_support_vanishing"] = max(
             res["off_support_vanishing"], float(np.abs(V6).max(initial=0.0))
@@ -113,7 +123,6 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
         del V6
         rawL = _sandwich(Ta, A=rho_w)   # F*(rho_w E_ij)
         rawR = _sandwich(Ta, B=rho_w)   # F*(E_ij rho_w)
-        del Ta
         # (iv) P F*(rho A) sigma = sigma F*(A rho) P on target units A
         lhs4 = _sandwich(rawL, L=P_xi, R=sig_w)
         lhs4 -= _sandwich(rawR, L=sig_w, R=P_xi)
@@ -202,9 +211,8 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
             row_p = []
             for x, m in enumerate(F.target.block_dims):
                 row_s.append(choi_A[(x, y)].reshape(m, n, m, n))  # Ad_P o G^L
-                Ta = np.conj(F.tensors[x][y].transpose(1, 0, 3, 2), order="C")
+                Ta = F_adj.tensors[y][x]
                 row_p.append(_sandwich(Ta, sq_rho[x], sq_rho[x], sq_shat[y], sq_shat[y]))
-                del Ta
             tensors_s.append(row_s)
             tensors_p.append(row_p)
         support_map = LinearMap(F.target, F.source, tensors_s)
@@ -237,10 +245,11 @@ def left_right_bayes(
     shat_ws = [support(xi, tol).calculus(y, np.reciprocal) for y in range(F.source.n_blocks)]
     tensors_l = [[None] * F.target.n_blocks for _ in range(F.source.n_blocks)]
     tensors_r = [[None] * F.target.n_blocks for _ in range(F.source.n_blocks)]
+    F_adj = F.hs_adjoint()
     worst = 0.0
     for x, y in product(range(F.target.n_blocks), range(F.source.n_blocks)):
         T, rho_w, sig_w = F.tensors[x][y], omega.weighted_density(x), xi.weighted_density(y)
-        Ta = np.conj(T.transpose(1, 0, 3, 2), order="C")
+        Ta = F_adj.tensors[y][x]
         S = tensors_l[y][x] = _sandwich(Ta, A=rho_w, L=shat_ws[y])     # shat F*(rho E)
         S_r = tensors_r[y][x] = _sandwich(Ta, B=rho_w, R=shat_ws[y])   # F*(E rho) shat
         # omega(E_ij F(E_kl)) = xi(G^L(E_ij) E_kl), and mirrored for G^R,
@@ -340,6 +349,14 @@ def existence(analysis: BayesAnalysis, free_split: str = "uniform") -> Existence
     forced Choi rows yields the inverse, whose Bayes pairing is then
     re-verified.
 
+    A-hat is the pseudoinverse of the Hermitian part A_h of the corner Choi
+    block A, read from the Kraus factor of F: with F_xy = sum_s K_s . K_s*,
+    A = sum_s u_s w_s^T where u_s = vec((sigma-hat K_s* rho)^T) in A's (a, i)
+    row layout, so A's range lies in the span of the u_s. With Q an
+    orthonormal basis of that span and C = Q* A_h Q, the r x r compression (r
+    the pair's Kraus rank), A-hat = Q C^+ Q*: C^+ cuts the same nonzero
+    eigenvalues at the same eps_rank rule as a pseudoinverse of A_h would.
+
     free_split selects how the leftover co-support mass is spread over the
     free diagonal; any admissible choice yields an a.e.-equivalent inverse.
 
@@ -361,7 +378,9 @@ def existence(analysis: BayesAnalysis, free_split: str = "uniform") -> Existence
 
 def _existence(analysis: BayesAnalysis, free_split: str) -> ExistenceResult:
     F, omega, xi, tol = analysis.F, analysis.omega, analysis.xi, analysis.tol
-    P_xis = support(xi, tol).projection.blocks
+    sup_x = support(xi, tol)
+    P_xis = sup_x.projection.blocks
+    kraus = kraus_factor(F, tol)
     src_dims = F.source.block_dims
     tgt_dims = F.target.block_dims
     w_x = np.array(tgt_dims, dtype=float)
@@ -373,17 +392,24 @@ def _existence(analysis: BayesAnalysis, free_split: str) -> ExistenceResult:
     for y, n_y in enumerate(src_dims):
         if xi.weights[y] <= 0.0:
             continue
+        shat_w = sup_x.calculus(y, np.reciprocal)
         Pxp = np.eye(n_y) - P_xis[y]
         total = np.zeros((n_y, n_y), dtype=complex)
         for x, m_x in enumerate(tgt_dims):
             A_mat = analysis.choi_A[(x, y)]
             B_mat = analysis.choi_B[(x, y)]
             A_mat = (A_mat + dagger(A_mat)) / 2
-            Ahat = pseudoinverse(A_mat, tol)
-            X = dagger(B_mat) @ Ahat @ B_mat
+            # U[(a, i), s] = (sigma-hat K_s* rho)[i, a]
+            K = kraus[x][y]
+            U = (shat_w @ K.conj().swapaxes(1, 2) @ omega.weighted_density(x)).transpose(2, 1, 0)
+            Q = np.linalg.qr(U.reshape(m_x * n_y, len(K)))[0]
+            AQ = A_mat @ Q
+            QB = dagger(Q) @ B_mat
+            CQB = pseudoinverse(dagger(Q) @ AQ, tol) @ QB
+            X = dagger(QB) @ CQB
             sandwich[(x, y)] = X
             total += partial_trace_left(X, m_x, n_y)
-            range_defect = frobenius((np.eye(m_x * n_y) - A_mat @ Ahat) @ B_mat)
+            range_defect = frobenius(B_mat - AQ @ CQB)
             if not tol.close(range_defect, max(1.0, frobenius(B_mat)), 100):
                 raise ExtensionFailure(
                     "forced off-support rows leave the corner range in block "

@@ -16,10 +16,13 @@ map is completely positive iff every Choi block is PSD, and unital iff
 sum_y F_xy(1_{n_y}) = 1_{m_x} for every x.
 
 Maps are built in Kraus form (`from_kraus`, which also backs `from_hom` and
-the identity) or by placing tensors directly, and tests over matrix units
-are contractions of the stored tensors. `LinearMap.from_block_fn`, which
-evaluates a callback on one matrix unit at a time, is the per-unit reference
-constructor that the tests compare against.
+the identity, and keeps its operators on the channel), from Choi blocks
+(`from_choi`, which reads the operators from their eigendecompositions) or
+by placing tensors directly, and tests over matrix units are contractions of
+the stored tensors. `kraus_factor` gives any channel's Kraus operators, kept
+or derived once. `LinearMap.from_block_fn`, which evaluates a callback on one
+matrix unit at a time, is the per-unit reference constructor that the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -94,10 +97,11 @@ class LinearMap:
     """A linear map between multi-matrix algebras, stored blockwise.
 
     No positivity or unitality is assumed; see `Channel` for validated UCP
-    carriers. Instances are immutable by convention.
+    carriers. Instances are immutable by convention, and what is derived from
+    one (its adjoint, its Kraus operators) is kept on it through `memo`.
     """
 
-    __slots__ = ("source", "target", "tensors")
+    __slots__ = ("source", "target", "tensors", "__dict__")
 
     def __init__(self, source: MultiMatrixAlgebra, target: MultiMatrixAlgebra, tensors):
         self.source = source
@@ -181,15 +185,19 @@ class LinearMap:
         """Adjoint for the Hilbert-Schmidt / trace pairing.
 
         For a *-preserving map this is also the bilinear trace adjoint:
-        tr(X F(B)) = tr(F*(X) B) for all X and B.
+        tr(X F(B)) = tr(F*(X) B) for all X and B. Built once and kept on the
+        map, its tensors read-only: each is written once, C-contiguous, by the
+        conjugation itself.
         """
-        tensors = []
-        for y in range(self.source.n_blocks):
-            row = []
-            for x in range(self.target.n_blocks):
-                T = self.tensors[x][y]
-                row.append(np.conj(np.transpose(T, (1, 0, 3, 2))))
-            tensors.append(row)
+        return memo(self, "hs_adjoint", self._hs_adjoint)
+
+    def _hs_adjoint(self) -> "LinearMap":
+        tensors = [
+            [np.conj(self.tensors[x][y].transpose(1, 0, 3, 2), order="C")
+             for x in range(self.target.n_blocks)]
+            for y in range(self.source.n_blocks)
+        ]
+        _read_only(tensors)
         return LinearMap(self.target, self.source, tensors)
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
@@ -237,16 +245,27 @@ class LinearMap:
         return diff <= eps * scale
 
 
+def _read_only(grid) -> None:
+    for row in grid:
+        for T in row:
+            T.setflags(write=False)
+
+
 class Channel(LinearMap):
     """A blockwise linear map whose Choi blocks are Hermitian.
 
     Hermitian Choi blocks are exactly the *-preserving maps; complete
     positivity and unitality are checked separately by `is_ucp`, so that
     non-UCP carriers (adjoints, differences) can still be worked with.
+    `kraus`, when known, holds the Kraus operators of each (x, y) pair as a
+    read-only (r, m_x, n_y) stack, grid kraus[x][y].
     """
 
-    def __init__(self, source, target, tensors, *, tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, source, target, tensors, *, tol: Tolerances = DEFAULT_TOL, kraus=None):
         super().__init__(source, target, tensors)
+        if kraus is not None:
+            _read_only(kraus)
+        self.kraus = kraus
         defect = self.choi_hermiticity_defect()
         scale = max(
             (
@@ -309,8 +328,10 @@ def from_kraus(
     ):
         kraus = [[list(kraus)]]
     tensors = []
+    stacks = []
     for x, m_x in enumerate(target.block_dims):
         row = []
+        stack_row = []
         for y, n_y in enumerate(source.block_dims):
             Ks = [np.asarray(K, dtype=complex) for K in kraus[x][y]]
             for K in Ks:
@@ -318,12 +339,61 @@ def from_kraus(
                     raise ShapeMismatch(
                         f"Kraus operator shape {K.shape} != ({m_x}, {n_y})"
                     )
+            stack = np.array(Ks, dtype=complex).reshape(len(Ks), m_x, n_y)
+            stack_row.append(stack)
             # T[i, a, j, b] = sum_k K_k[a, i] conj(K_k[b, j]), one product over k
-            A = np.array(Ks).reshape(len(Ks), m_x, n_y).transpose(0, 2, 1)
-            A = A.reshape(len(Ks), n_y * m_x)                      # [k, (i, a)]
+            A = stack.transpose(0, 2, 1).reshape(len(Ks), n_y * m_x)   # [k, (i, a)]
             row.append((A.T @ A.conj()).reshape(n_y, m_x, n_y, m_x))
         tensors.append(row)
-    return Channel(source, target, tensors)
+        stacks.append(stack_row)
+    return Channel(source, target, tensors, kraus=stacks)
+
+
+def from_choi(source: MultiMatrixAlgebra, target: MultiMatrixAlgebra, tensors):
+    """(channel, UCP verdict) of the given block tensors. One eigendecomposition
+    of each Choi block gives both the Kraus operators that the channel keeps,
+    cut as `kraus_blocks` cuts them at the default tolerances, and the least
+    eigenvalue and spectral radius that `is_ucp` judges."""
+    F = Channel(source, target, tensors)
+    stacks, floors = [], []
+    for x, m_x in enumerate(target.block_dims):
+        stack_row = []
+        for y, n_y in enumerate(source.block_dims):
+            w, V, low, radius = _choi_eigen(F.choi_block(x, y))
+            stack_row.append(_kraus_stack(w, V, n_y, m_x, DEFAULT_TOL))
+            floors.append((low, radius))
+        stacks.append(stack_row)
+    _read_only(stacks)
+    F.kraus = stacks
+    return F, _ucp_verdict(F, floors, DEFAULT_TOL)
+
+
+def _choi_eigen(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(w, V, low, radius): the eigenpairs of the Hermitian part of a finite
+    Choi block, and the floor that `hermitian_floor` reads from them."""
+    H, defect = hermitian_split(C)
+    w, V = np.linalg.eigh(H)
+    return w, V, float(w.min(initial=0.0)) - defect, float(np.abs(w).max(initial=0.0))
+
+
+def kraus_factor(F: LinearMap, tol: Tolerances = DEFAULT_TOL):
+    """The Kraus operators of each (x, y) pair of F as (r, m_x, n_y) stacks,
+    grid [x][y]: those the channel keeps, else read from the eigendecomposition
+    of each Choi block by `kraus_blocks`, once per tolerance, and kept on F."""
+    kept = getattr(F, "kraus", None)
+    if kept is not None:
+        return kept
+
+    def derive():
+        stacks = [
+            [np.array(kraus_blocks(F, x, y, tol), dtype=complex).reshape(-1, m_x, n_y)
+             for y, n_y in enumerate(F.source.block_dims)]
+            for x, m_x in enumerate(F.target.block_dims)
+        ]
+        _read_only(stacks)
+        return stacks
+
+    return memo(F, ("kraus", tol), derive)
 
 
 def compose(F: LinearMap, G: LinearMap) -> LinearMap:
@@ -358,12 +428,19 @@ class UcpVerdict:
 
 def is_ucp(F: LinearMap, tol: Tolerances = DEFAULT_TOL) -> UcpVerdict:
     """Complete positivity (all Choi blocks PSD) plus unitality."""
+    floors = [
+        hermitian_floor(F.choi_block(x, y))
+        for x in range(F.target.n_blocks) for y in range(F.source.n_blocks)
+    ]
+    return _ucp_verdict(F, floors, tol)
+
+
+def _ucp_verdict(F: LinearMap, floors, tol: Tolerances) -> UcpVerdict:
+    """The UCP verdict of F, given the (low, radius) of each Choi block, as
+    `hermitian_floor` reads them, in (x, y) order."""
     blocks = [(x, y) for x in range(F.target.n_blocks) for y in range(F.source.n_blocks)]
-    lows = np.empty(len(blocks))
-    lam_max = 0.0
-    for k, (x, y) in enumerate(blocks):
-        lows[k], radius = hermitian_floor(F.choi_block(x, y))
-        lam_max = max(lam_max, radius)
+    lows = np.array([low for low, _ in floors], dtype=float)
+    lam_max = max([0.0, *(radius for _, radius in floors)])
     # argmin picks the first NaN if there is one, and then cp fails
     k = int(np.argmin(lows))
     cp = tol.psd(float(lows[k]), lam_max)
@@ -453,9 +530,18 @@ def ae_deterministic(
     modulo the nullspace iff P D(E) P = 0 for every matrix unit E, and
     E_ij* E_ij = E_jj. The defect is taken in the corner of each support
     isometry W: W* F(E_jj) W - (F(E_ij) W)* (F(E_ij) W), every unit at once.
+
+    Decided once per state, map and tolerance, like `corner_map`: the verdict
+    is kept on the state, keyed by the map's identity with the map held.
     """
     if omega.algebra.block_dims != F.target.block_dims:
         raise ShapeMismatch("state does not live on the map's target algebra")
+    return memo(
+        omega, ("deterministic", id(F), tol), lambda: (F, _ae_deterministic(F, omega, tol))
+    )[1]
+
+
+def _ae_deterministic(F: LinearMap, omega: State, tol: Tolerances) -> bool:
     sup = support(omega, tol)
     scale = _map_scale(F)
     worst = 0.0
@@ -492,21 +578,22 @@ class StinespringData:
 
 def kraus_blocks(F: LinearMap, x: int, y: int, tol: Tolerances = DEFAULT_TOL):
     """Kraus operators of the (x, y) component from its Choi eigenbasis."""
-    C = F.choi_block(x, y)
-    n_y = F.source.block_dims[y]
-    m_x = F.target.block_dims[x]
-    eig = hermitian_eigen(C, tol)
-    w, V = eig.eigenvalues, eig.eigenvectors
-    lam_max = max(float(w.max(initial=0.0)), 0.0)
-    if not tol.psd(float(w.min(initial=0.0)), lam_max):
+    eig = hermitian_eigen(F.choi_block(x, y), tol)
+    w = eig.eigenvalues
+    if not tol.psd(float(w.min(initial=0.0)), max(float(w.max(initial=0.0)), 0.0)):
         raise NotCP(f"Choi block ({x},{y}) has eigenvalue {w.min():.3e}")
-    ops = []
-    for idx in np.argsort(-w):
-        if w[idx] <= tol.rank_cutoff(lam_max):
-            continue
-        vec = np.sqrt(w[idx]) * V[:, idx]
-        ops.append(vec.reshape(n_y, m_x).T.copy())
-    return ops
+    n_y, m_x = F.source.block_dims[y], F.target.block_dims[x]
+    return list(_kraus_stack(w, eig.eigenvectors, n_y, m_x, tol))
+
+
+def _kraus_stack(w: np.ndarray, V: np.ndarray, n: int, m: int, tol: Tolerances) -> np.ndarray:
+    """The (r, m, n) stack of Kraus operators sqrt(w_k) v_k, in descending w_k,
+    of a Choi block with eigenpairs (w, V): K_k[a, i] = sqrt(w_k) v_k[(i, a)],
+    for each w_k above the rank cutoff of the block's largest eigenvalue."""
+    order = np.argsort(-w)
+    order = order[w[order] > tol.rank_cutoff(max(float(w.max(initial=0.0)), 0.0))]
+    vecs = (V[:, order] * np.sqrt(w[order])).T
+    return np.ascontiguousarray(vecs.reshape(len(order), n, m).swapaxes(1, 2))
 
 
 def stinespring(F: LinearMap, tol: Tolerances = DEFAULT_TOL) -> StinespringData:

@@ -205,13 +205,17 @@ def _print_report(report: dict, pretty: bool, stream) -> None:
 
 
 def _load(args) -> tuple[dict, Tolerances]:
-    """The problem file's validated problem and the run's tolerances. Each
-    density is judged PSD here by `support`, at those tolerances, so that a
-    refusal names its field; the analyses then read the same decomposition."""
+    """The problem file's validated problem and the run's tolerances, which
+    are read first: the state's weights and traces are judged at them while
+    the problem is parsed, and each density is judged PSD here by `support`,
+    so that a refusal names its field; the analyses then read the same
+    decomposition."""
     with open(args.problem, "r", encoding="utf-8") as fh:
         data = loads(fh.read())
-    problem = problem_from_json(data)
-    tol = _tolerances(args, problem["tolerances"])
+    overrides = data.get("tolerances") if isinstance(data, dict) else None
+    # a tolerances entry that is not an object is refused by the parse
+    tol = _tolerances(args, overrides if isinstance(overrides, dict) else {})
+    problem = problem_from_json(data, tol)
     try:
         support(problem["state"], tol)
     except NegativeEigenvalue as exc:

@@ -20,8 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .algebra import HomSpec, MultiMatrixAlgebra
-from .channel import Channel, from_hom, from_kraus, is_ucp
+from .channel import Channel, from_choi, from_hom, from_kraus, is_ucp
 from .errors import ParseError, SchemaError
+from .linalg import DEFAULT_TOL, Tolerances
 from .state import State
 
 PROBLEM_SCHEMA = "qbayes-problem/1"
@@ -120,7 +121,10 @@ def state_to_json(state: State) -> dict:
     }
 
 
-def state_from_json(data, alg: MultiMatrixAlgebra, field: str) -> State:
+def state_from_json(
+    data, alg: MultiMatrixAlgebra, field: str, tol: Tolerances = DEFAULT_TOL
+) -> State:
+    """The state, its weights and traces judged at tol."""
     # State itself refuses a count other than one weight per block
     weights = _list(_require(data, "weights", field), None, f"{field}.weights")
     densities = _list(_require(data, "densities", field), alg.n_blocks, f"{field}.densities")
@@ -131,7 +135,7 @@ def state_from_json(data, alg: MultiMatrixAlgebra, field: str) -> State:
         else:
             mats.append(matrix_from_json(rho, d, d, f"{field}.densities[{x}]"))
     try:
-        state = State(alg, tuple(float(p) for p in weights), tuple(mats))
+        state = State(alg, tuple(float(p) for p in weights), tuple(mats), tol)
     except Exception as exc:
         raise SchemaError(f"{field}: {exc}") from exc
     return state
@@ -193,7 +197,7 @@ def channel_from_json(data, field: str) -> tuple[Channel, Optional[HomSpec]]:
                 row.append(C.reshape(n_y, m_x, n_y, m_x))
             tensors.append(row)
         try:
-            channel = Channel(source, target, tensors)
+            channel, verdict = from_choi(source, target, tensors)
         except Exception as exc:
             raise SchemaError(f"{field}: {exc}") from exc
     else:
@@ -213,7 +217,7 @@ def channel_from_json(data, field: str) -> tuple[Channel, Optional[HomSpec]]:
             channel = from_kraus(source, target, grid)
         except Exception as exc:
             raise SchemaError(f"{field}: {exc}") from exc
-    verdict = is_ucp(channel)
+        verdict = is_ucp(channel)
     if not verdict:
         raise SchemaError(
             f"{field}: channel is not UCP: min Choi eigenvalue "
@@ -234,8 +238,9 @@ def _check_analyses(analyses, has_hom: bool, field: str) -> None:
             raise SchemaError(f"{field}: '{a}' needs a channel of kind 'hom'")
 
 
-def problem_from_json(data) -> dict:
-    """Validated problem dict: channel, optional hom, state, analyses, tolerances."""
+def problem_from_json(data, tol: Tolerances = DEFAULT_TOL) -> dict:
+    """Validated problem dict: channel, optional hom, state, analyses,
+    tolerances. The state's weights and traces are judged at tol."""
     if not isinstance(data, dict):
         raise SchemaError("problem: expected a JSON object")
     schema = data.get("schema")
@@ -243,7 +248,7 @@ def problem_from_json(data) -> dict:
         raise SchemaError(f"problem.schema: expected '{PROBLEM_SCHEMA}', got {schema!r}")
     channel, hom = channel_from_json(_require(data, "channel", "problem"), "problem.channel")
     state = state_from_json(
-        _require(data, "state", "problem"), channel.target, "problem.state"
+        _require(data, "state", "problem"), channel.target, "problem.state", tol
     )
     analyses = data.get("analyses")
     if analyses is None:

@@ -166,8 +166,18 @@ def ac_condition_algebraic(
     corner(F)(sigma E) rho - rho corner(F)(E sigma) must vanish, where rho
     and sigma are the corner densities of the two restricted (faithful)
     states.
+
+    Decided once per state, map and tolerance, like `corner_map`: the verdict
+    is kept on the state, keyed by the map's identity with the map held, and
+    every caller reads it with its corner map.
     """
     cm = corner_map(F, omega, tol)
+    _, verdict = memo(omega, ("ac", id(F), tol), lambda: (F, _ac_algebraic(cm, tol)))
+    return ACReport(verdict, cm)
+
+
+def _ac_algebraic(cm: CornerMap, tol: Tolerances) -> Verdict:
+    """The algebraic AC verdict on the corner map cm."""
     chan = cm.channel
     worst = 0.0
     scale = 1.0
@@ -182,7 +192,7 @@ def ac_condition_algebraic(
             scale = max(scale, float(np.sqrt(largest)))
             lhs -= rhs
             worst = max(worst, float(np.sqrt(_sq_frobenius(lhs.swapaxes(1, 2)).max())))
-    return ACReport(tol.close(worst, scale), cm)
+    return tol.close(worst, scale)
 
 
 def ac_condition_sampled(

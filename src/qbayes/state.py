@@ -8,7 +8,7 @@ algebra, and the compress/lift maps between them live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,13 +32,16 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class State:
-    """The functional A -> sum_x p_x tr(rho_x A_x)."""
+    """The functional A -> sum_x p_x tr(rho_x A_x). The weights (nonnegative,
+    summing to one) and the density traces are judged at tol, which is not
+    kept."""
 
     algebra: MultiMatrixAlgebra
     weights: tuple[float, ...]
     densities: tuple[Optional[np.ndarray], ...]
+    tol: InitVar[Tolerances] = DEFAULT_TOL
 
-    def __post_init__(self):
+    def __post_init__(self, tol: Tolerances):
         if len(self.weights) != self.algebra.n_blocks:
             raise ShapeMismatch("one weight per block required")
         if len(self.densities) != self.algebra.n_blocks:
@@ -46,9 +49,9 @@ class State:
         weights = tuple(float(p) for p in self.weights)
         object.__setattr__(self, "weights", weights)
         # written with the rule, so that a NaN weight fails
-        if not DEFAULT_TOL.close(np.negative(weights)):
+        if not tol.close(np.negative(weights)):
             raise ShapeMismatch(f"negative or NaN weight in {weights}")
-        if not DEFAULT_TOL.close(abs(sum(weights) - 1.0)):
+        if not tol.close(abs(sum(weights) - 1.0)):
             raise ShapeMismatch(f"weights sum to {sum(weights)}, expected 1")
         dens = []
         for x, (d, p, rho) in enumerate(
@@ -64,7 +67,7 @@ class State:
                 raise ShapeMismatch(f"density shape {rho.shape} != ({d}, {d})")
             if not is_hermitian(rho):
                 raise ShapeMismatch(f"density in block {x} is not Hermitian")
-            if not DEFAULT_TOL.close(abs(np.trace(rho).real - 1.0)):
+            if not tol.close(abs(np.trace(rho).real - 1.0)):
                 raise ShapeMismatch(
                     f"density in block {x} has trace {np.trace(rho).real}"
                 )

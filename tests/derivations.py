@@ -3,10 +3,14 @@
 Each shared input of a check is derived by a private builder and kept on the
 object that owns it: the support and the pulled-back states on the state,
 the channel on the hom, the factorization, the corner map and the Bayes
-battery on the state. `recording()` wraps those builders and records a key
-for each build, so an input derived twice shows up as a repeated key. It
-also counts the eigendecompositions, keyed by shape: each density's is made
-by its support and read from there. From a checkout:
+battery on the state, and the algebraic AC and determinism verdicts of each
+map on the state. `recording()` wraps those builders and records a key for
+each build, so an input derived twice shows up as a repeated key. It also
+counts the eigendecompositions, keyed by shape: each density's is made by its
+support and read from there, each Choi block's by `is_ucp`
+(`hermitian_floor`) or, for a channel read from Choi blocks, once at parse
+(`_choi_eigen`), and the extension's by `pseudoinverse` (through
+`hermitian_eigen`). From a checkout:
 
     PYTHONPATH=src python tests/derivations.py fixtures/product.json [--analyses ac]
 
@@ -30,6 +34,8 @@ import qbayes.state
 
 BUILDERS = {
     "linalg.hermitian_eigen": (qbayes.linalg, "hermitian_eigen", lambda M, *tol: np.shape(M)),
+    "linalg.hermitian_floor": (qbayes.linalg, "hermitian_floor", np.shape),
+    "channel._choi_eigen": (qbayes.channel, "_choi_eigen", np.shape),
     "state._support": (qbayes.state, "_support", lambda omega, tol: (id(omega), tol)),
     "state._pullback": (
         qbayes.state, "_pullback", lambda omega, F, tol: (id(omega), id(F), tol)
@@ -40,6 +46,14 @@ BUILDERS = {
     ),
     "modular._corner_map": (
         qbayes.modular, "_corner_map", lambda F, sup_o, sup_x, tol: (id(F), id(sup_o.state), tol)
+    ),
+    "modular._ac_algebraic": (
+        qbayes.modular,
+        "_ac_algebraic",
+        lambda cm, tol: (id(cm.channel), id(cm.omega_support.state), tol),
+    ),
+    "channel._ae_deterministic": (
+        qbayes.channel, "_ae_deterministic", lambda F, omega, tol: (id(F), id(omega), tol)
     ),
     "bayesinv._battery": (
         qbayes.bayesinv, "_battery", lambda F, omega, tol: (id(F), id(omega), tol)
@@ -99,7 +113,7 @@ def main(argv) -> int:
     with recording() as seen, contextlib.redirect_stdout(io.StringIO()):
         code = qbayes_main(["check", *argv])
     for label, keys in seen.items():
-        print(f"{label:22} {len(keys):4d} builds {len(set(keys)):4d} distinct")
+        print(f"{label:26} {len(keys):4d} builds {len(set(keys)):4d} distinct")
     return code
 
 

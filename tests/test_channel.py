@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,11 +24,15 @@ from qbayes.channel import (
     hs_adjoint,
     identity_channel,
     is_ucp,
+    kraus_blocks,
+    kraus_factor,
     stinespring,
 )
 from qbayes.errors import NotCP, NotHermitian, ShapeMismatch
+from qbayes.jsonio import loads, problem_from_json
 
-from conftest import INSTANCE_CASES
+from conftest import INSTANCE_CASES, fixture_path
+from derivations import recording
 from qbayes.generators import (
     inclusion_hom,
     nonsubalgebra_deterministic_instance,
@@ -34,7 +41,8 @@ from qbayes.generators import (
     random_kraus_channel,
     random_state,
 )
-from qbayes.linalg import dagger, kron, partial_trace_left
+import qbayes.channel
+from qbayes.linalg import DEFAULT_TOL, Tolerances, dagger, kron, partial_trace_left
 from qbayes.state import State, in_nullspace, pullback, support
 
 
@@ -163,6 +171,78 @@ def test_hs_adjoint_pairing_and_involution():
             )
             assert abs(lhs - rhs) < 1e-11
     assert hs_adjoint(Fs).close_to(F, 1e-12)
+
+
+def test_hs_adjoint_is_written_once_and_kept():
+    # each adjoint tensor is written C-contiguous by the conjugation itself,
+    # not copied from a transposed view (which peaked at 2.0x the bytes)
+    F = from_hom(inclusion_hom(8, 8))
+    nbytes = F.tensors[0][0].nbytes
+    gc.collect()
+    tracemalloc.start()
+    try:
+        Fs = F.hs_adjoint()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * nbytes
+    assert F.hs_adjoint() is Fs and hs_adjoint(F) is Fs
+    (T,) = (T for row in Fs.tensors for T in row)
+    assert T.flags.c_contiguous and not T.flags.writeable
+    np.testing.assert_array_equal(T, np.conj(F.tensors[0][0].transpose(1, 0, 3, 2)))
+
+
+def _stacks_reconstruct(F, kraus):
+    """The block tensors sum_s K_s[a, i] conj(K_s[b, j]) of the stacks, against F's."""
+    for x, row in enumerate(kraus):
+        for y, K in enumerate(row):
+            T = np.einsum("sai,sbj->iajb", K, K.conj())
+            np.testing.assert_allclose(T, F.tensors[x][y], rtol=0.0, atol=1e-12)
+            assert not K.flags.writeable
+
+
+def test_kraus_built_channels_keep_their_operators():
+    rng = np.random.default_rng(31)
+    source, target = MultiMatrixAlgebra((2, 1)), MultiMatrixAlgebra((3, 2))
+    F = random_kraus_channel(rng, source, target, 2)
+    assert kraus_factor(F) is F.kraus
+    assert [[len(K) for K in row] for row in F.kraus] == [[2, 2], [2, 2]]
+    _stacks_reconstruct(F, F.kraus)
+    # a hom keeps its slot isometries, one per copy, and the identity its
+    # identities on the diagonal blocks
+    h = random_hom(rng, (2, 1), max_mult=2)
+    G = from_hom(h)
+    assert [[len(K) for K in row] for row in G.kraus] == [list(r) for r in h.multiplicities]
+    _stacks_reconstruct(G, kraus_factor(G))
+    ident = identity_channel(source)
+    assert [[len(K) for K in row] for row in ident.kraus] == [[1, 0], [0, 1]]
+
+
+def test_choi_given_channel_reads_its_operators_at_parse():
+    problem = problem_from_json(loads(fixture_path("nonsubalgebra_pure.json").read_text()))
+    F = problem["channel"]
+    assert kraus_factor(F) is F.kraus
+    _stacks_reconstruct(F, F.kraus)
+    # the operators `kraus_blocks` extracts, up to rounding and phases
+    for K, ref in zip(F.kraus[0][0], kraus_blocks(F, 0, 0)):
+        np.testing.assert_allclose(np.abs(K), np.abs(ref), rtol=0.0, atol=1e-12)
+
+
+def test_other_channels_derive_their_operators_once_per_tolerance():
+    rng = np.random.default_rng(32)
+    alg = MultiMatrixAlgebra((3,))
+    G = random_kraus_channel(rng, alg, alg, 2)
+    F = Channel(alg, alg, G.tensors)  # the same map, built from its tensors
+    assert F.kraus is None
+    target = {"kraus_blocks": (qbayes.channel, "kraus_blocks", lambda F, x, y, tol: tol)}
+    with recording(target) as seen:
+        first = kraus_factor(F)
+        assert kraus_factor(F) is first
+        loose = Tolerances(eps_rank=1e-6)
+        assert kraus_factor(F, loose) is not first
+    assert seen["kraus_blocks"] == [DEFAULT_TOL, loose]
+    assert len(first[0][0]) == 2
+    _stacks_reconstruct(F, first)
 
 
 def test_hs_adjoint_of_embedding_is_partial_trace():

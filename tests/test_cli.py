@@ -487,6 +487,26 @@ def test_density_below_the_run_psd_bound_fails_closed(tmp_path, capsys, analysis
     assert err.startswith("error: problem.state.densities[0]: ")
 
 
+@pytest.mark.parametrize("entry", ["weights", "densities"])
+def test_state_normalization_is_judged_at_the_run_tolerances(tmp_path, capsys, entry):
+    # weights summing to, or a density of trace, 1 + 1e-6 break eps_eq at its
+    # default 1e-8 and pass at 1e-4
+    data = json.loads((FIXTURES / "product.json").read_text())
+    state = data["state"]
+    if entry == "weights":
+        state["weights"] = [p * (1 + 1e-6) for p in state["weights"]]
+    else:
+        rho = state["densities"][0]
+        state["densities"][0] = [[re * (1 + 1e-6), im * (1 + 1e-6)] for re, im in rho]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(["check", str(path)], capsys)
+    assert code == 2 and err.startswith("error: problem.state: ")
+    code, out, _ = run_cli(["check", str(path), "--eps-eq", "1e-4"], capsys)
+    assert code == 0
+    assert json.loads(out)["analyses"]["bayes-battery"]["passed"] is True
+
+
 def test_eps_env_override(capsys, monkeypatch):
     monkeypatch.setenv("QBAYES_EPS_EQ", "1e-6")
     code, out, _ = run_cli(["check", str(FIXTURES / "product.json"),

@@ -5,8 +5,13 @@ the support of each state, the pulled-back states, the hom's channel, the
 factorization of the state along the hom, and the corner map, the Bayes
 battery and the off-support extension of each map and state. A map and state
 whose supports are both full are their own corner, so takesaki's corner
-battery is then the problem's battery. Each analysis still computes its own
-verdict, and the AC tests are run by each analysis that reads them. The
+battery is then the problem's battery. The algebraic AC verdict and the
+determinism verdict of a map and state are decided once as well, and read by
+every analysis that needs them: the battery's off-support condition, `ac` and
+takesaki (b) read one AC verdict; takesaki (c) and `bridge` one determinism
+verdict when the pair is its own corner. Each dual pair still compares two
+separate computations (algebraic against sampled AC, the battery's (vi)
+against its other six conditions, takesaki (b) against `factorize`). The
 caches live on the parsed objects, so nothing of a call outlives `cli.main`.
 """
 
@@ -114,6 +119,21 @@ def test_full_check_builds_each_extension_once(fixture, capsys):
 
 
 @pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+def test_full_check_decides_ac_and_determinism_once(fixture, capsys):
+    # the AC verdict of the problem's pair, read by the battery, `ac` and
+    # takesaki (b), and its determinism verdict, read by takesaki (c) and
+    # `bridge`; a smaller corner is a new pair, whose corner battery decides
+    # its own AC verdict and whose determinism takesaki (c) decides
+    with recording() as seen:
+        assert main(["check", str(fixture)]) == 0
+    capsys.readouterr()
+    own = fixture not in HOM_FIXTURES or fixture.stem in OWN_CORNER
+    for label in ("modular._ac_algebraic", "channel._ae_deterministic"):
+        assert len(seen[label]) == (1 if own else 2), label
+        assert repeats(seen[label]) == [], label
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
 def test_ac_runs_its_algebraic_test_once(fixture, capsys):
     target = {"ac": (qbayes.modular, "ac_condition_algebraic", lambda *a: None)}
     with recording(target) as seen:
@@ -132,8 +152,8 @@ def test_parsed_problem_dies_with_the_call(argv, monkeypatch, capsys, tmp_path):
     build_battery = qbayes.bayesinv._battery
     build_extension = qbayes.bayesinv._existence
 
-    def parse_and_watch(data):
-        problem = parse(data)
+    def parse_and_watch(*args):
+        problem = parse(*args)
         refs.extend(weakref.ref(problem[k]) for k in ("state", "hom", "channel"))
         return problem
 
