@@ -305,24 +305,26 @@ def verify_bayes(
         or G.target.block_dims != F.source.block_dims
     ):
         raise ShapeMismatch("candidate inverse does not have the opposite shape")
-    xi = pullback(omega, F, tol)
+    xi, ucp, state = _ucp_and_transport(F, G, omega, tol)
     worst = 0.0
     for x in range(F.target.n_blocks):
         rho_w = omega.weighted_density(x)
         for y in range(F.source.n_blocks):
             sig_w, S = xi.weighted_density(y), G.tensors[y][x]
             worst = max(worst, _pairing_residual(F.tensors[x][y], rho_w, sig_w, S))
-    ucp = is_ucp(G, tol)
+    return VerifyBayesReport(tol.close(worst, 1.0, 10), ucp, state)
+
+
+def _ucp_and_transport(F: LinearMap, G: LinearMap, omega: State, tol: Tolerances) -> tuple:
+    """(xi, ucp, state): xi = omega o F, the UCP verdict of G, and whether G
+    carries xi back to omega, as both oracles check a candidate G."""
+    xi = pullback(omega, F, tol)
     omega_back = pullback(xi, G, tol)
     state_res = max(
         frobenius(omega_back.weighted_density(x) - omega.weighted_density(x))
         for x in range(omega.algebra.n_blocks)
     )
-    return VerifyBayesReport(
-        pairing=tol.close(worst, 1.0, 10),
-        ucp=ucp,
-        state_preservation=tol.close(state_res, 1.0, 10),
-    )
+    return xi, is_ucp(G, tol), tol.close(state_res, 1.0, 10)
 
 
 @dataclass(frozen=True)

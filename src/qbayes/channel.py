@@ -17,12 +17,13 @@ sum_y F_xy(1_{n_y}) = 1_{m_x} for every x.
 
 Maps are built in Kraus form (`from_kraus`, which also backs `from_hom` and
 the identity, and keeps its operators on the channel), from Choi blocks
-(`from_choi`, which reads the operators from their eigendecompositions) or
-by placing tensors directly, and tests over matrix units are contractions of
-the stored tensors. `kraus_factor` gives any channel's Kraus operators, kept
-or derived once. `LinearMap.from_block_fn`, which evaluates a callback on one
-matrix unit at a time, is the per-unit reference constructor that the tests
-compare against.
+(`from_choi`, which reads the operators and the UCP verdict from their
+eigendecompositions) or by placing tensors directly, and tests over matrix
+units are contractions of the stored tensors. `kraus_factor` gives any
+channel's Kraus operators, kept or derived once, and `is_ucp` judges a map
+once per tolerance. `LinearMap.from_block_fn`, which evaluates a callback on
+one matrix unit at a time, is the per-unit reference constructor that the
+tests compare against.
 """
 
 from __future__ import annotations
@@ -349,23 +350,25 @@ def from_kraus(
     return Channel(source, target, tensors, kraus=stacks)
 
 
-def from_choi(source: MultiMatrixAlgebra, target: MultiMatrixAlgebra, tensors):
-    """(channel, UCP verdict) of the given block tensors. One eigendecomposition
+def from_choi(
+    source: MultiMatrixAlgebra, target: MultiMatrixAlgebra, tensors, tol: Tolerances = DEFAULT_TOL
+) -> Channel:
+    """The channel of the given block tensors, judged at tol. One eigendecomposition
     of each Choi block gives both the Kraus operators that the channel keeps,
-    cut as `kraus_blocks` cuts them at the default tolerances, and the least
-    eigenvalue and spectral radius that `is_ucp` judges."""
-    F = Channel(source, target, tensors)
+    cut as `kraus_blocks` cuts them, and the UCP verdict it keeps for `is_ucp`."""
+    F = Channel(source, target, tensors, tol=tol)
     stacks, floors = [], []
     for x, m_x in enumerate(target.block_dims):
         stack_row = []
         for y, n_y in enumerate(source.block_dims):
             w, V, low, radius = _choi_eigen(F.choi_block(x, y))
-            stack_row.append(_kraus_stack(w, V, n_y, m_x, DEFAULT_TOL))
+            stack_row.append(_kraus_stack(w, V, n_y, m_x, tol))
             floors.append((low, radius))
         stacks.append(stack_row)
     _read_only(stacks)
     F.kraus = stacks
-    return F, _ucp_verdict(F, floors, DEFAULT_TOL)
+    memo(F, ("ucp", tol), lambda: _ucp_verdict(F, tol, floors))
+    return F
 
 
 def _choi_eigen(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -378,7 +381,8 @@ def _choi_eigen(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
 
 def kraus_factor(F: LinearMap, tol: Tolerances = DEFAULT_TOL):
     """The Kraus operators of each (x, y) pair of F as (r, m_x, n_y) stacks,
-    grid [x][y]: those the channel keeps, else read from the eigendecomposition
+    grid [x][y]: those the channel keeps (given in Kraus form, or cut at the
+    tolerances `from_choi` was given), else read from the eigendecomposition
     of each Choi block by `kraus_blocks`, once per tolerance, and kept on F."""
     kept = getattr(F, "kraus", None)
     if kept is not None:
@@ -427,18 +431,17 @@ class UcpVerdict:
 
 
 def is_ucp(F: LinearMap, tol: Tolerances = DEFAULT_TOL) -> UcpVerdict:
-    """Complete positivity (all Choi blocks PSD) plus unitality."""
-    floors = [
-        hermitian_floor(F.choi_block(x, y))
-        for x in range(F.target.n_blocks) for y in range(F.source.n_blocks)
-    ]
-    return _ucp_verdict(F, floors, tol)
+    """Complete positivity (all Choi blocks PSD) plus unitality, judged once per
+    map and tolerance: the verdict is kept on the map."""
+    return memo(F, ("ucp", tol), lambda: _ucp_verdict(F, tol))
 
 
-def _ucp_verdict(F: LinearMap, floors, tol: Tolerances) -> UcpVerdict:
-    """The UCP verdict of F, given the (low, radius) of each Choi block, as
-    `hermitian_floor` reads them, in (x, y) order."""
+def _ucp_verdict(F: LinearMap, tol: Tolerances, floors=None) -> UcpVerdict:
+    """The UCP verdict of F from the (low, radius) of each Choi block in (x, y)
+    order, read by `hermitian_floor` unless given."""
     blocks = [(x, y) for x in range(F.target.n_blocks) for y in range(F.source.n_blocks)]
+    if floors is None:
+        floors = [hermitian_floor(F.choi_block(x, y)) for x, y in blocks]
     lows = np.array([low for low, _ in floors], dtype=float)
     lam_max = max([0.0, *(radius for _, radius in floors)])
     # argmin picks the first NaN if there is one, and then cp fails

@@ -46,6 +46,7 @@ from .jsonio import (
     matrix_to_json,
     problem_from_json,
     state_to_json,
+    tolerances_from_json,
 )
 from .linalg import Tolerances
 from .modular import ac_condition_sampled
@@ -57,8 +58,9 @@ EXIT_INCONSISTENT = 3
 
 
 def _tolerances(args, overrides: dict) -> Tolerances:
-    """eps_eq and eps_rank from the flags, else the problem file, else (eps_eq
-    only) QBAYES_EPS_EQ; a value outside (0, 1) raises SchemaError naming it."""
+    """eps_eq and eps_rank from the flags, else the problem file's validated
+    `tolerances` entries, else (eps_eq only) QBAYES_EPS_EQ; a value outside
+    (0, 1) raises SchemaError naming it."""
     values = {}
     for name, flag, env in (
         ("eps_eq", "--eps-eq", "QBAYES_EPS_EQ"),
@@ -206,15 +208,13 @@ def _print_report(report: dict, pretty: bool, stream) -> None:
 
 def _load(args) -> tuple[dict, Tolerances]:
     """The problem file's validated problem and the run's tolerances, which
-    are read first: the state's weights and traces are judged at them while
-    the problem is parsed, and each density is judged PSD here by `support`,
-    so that a refusal names its field; the analyses then read the same
-    decomposition."""
+    are read first: the channel's UCP test and the state's weights and traces
+    are judged at them while the problem is parsed, and each density is judged
+    PSD here by `support`, so that a refusal names its field; the analyses
+    then read the same decomposition."""
     with open(args.problem, "r", encoding="utf-8") as fh:
         data = loads(fh.read())
-    overrides = data.get("tolerances") if isinstance(data, dict) else None
-    # a tolerances entry that is not an object is refused by the parse
-    tol = _tolerances(args, overrides if isinstance(overrides, dict) else {})
+    tol = _tolerances(args, tolerances_from_json(data))
     problem = problem_from_json(data, tol)
     try:
         support(problem["state"], tol)

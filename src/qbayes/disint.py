@@ -20,7 +20,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .algebra import HomSpec, MultiMatrixAlgebra, memo
-from .bayesinv import battery, bayes_inverse
+from .bayesinv import _ucp_and_transport, battery, bayes_inverse
 from .channel import (
     Channel,
     LinearMap,
@@ -32,7 +32,6 @@ from .channel import (
     compose,
     from_hom,
     identity_channel,
-    is_ucp,
 )
 from .errors import InternalInconsistency, InvalidCertificate, ShapeMismatch
 from .linalg import (
@@ -210,14 +209,7 @@ def verify_disintegration(
     additionally required to hold exactly, and the exact flag marks an
     optimal recovery in every case.
     """
-    xi = pullback(omega, F, tol)
-    ucp = is_ucp(G, tol)
-    omega_back = pullback(xi, G, tol)
-    state_res = max(
-        frobenius(omega_back.weighted_density(x) - omega.weighted_density(x))
-        for x in range(omega.algebra.n_blocks)
-    )
-    state = tol.close(state_res, 1.0, 10)
+    xi, ucp, state = _ucp_and_transport(F, G, omega, tol)
     ident = identity_channel(MultiMatrixAlgebra(F.source.block_dims))
     roundtrip = compose(G, F)
     ae_ok = ae_equal(roundtrip, ident, xi, tol)

@@ -169,12 +169,15 @@ def channel_to_json(F: Channel) -> dict:
     }
 
 
-def channel_from_json(data, field: str) -> tuple[Channel, Optional[HomSpec]]:
+def channel_from_json(
+    data, field: str, tol: Tolerances = DEFAULT_TOL
+) -> tuple[Channel, Optional[HomSpec]]:
     """Parse a channel in hom, Choi, or Kraus form.
 
     Returns the channel together with the HomSpec when the input carried
     one (embedding-only analyses need it). Choi and Kraus inputs must be
-    UCP; a hom is UCP by construction.
+    UCP at tol, the verdict kept on the channel; a hom is UCP by
+    construction.
     """
     kind = _require(data, "kind", field)
     if kind not in ("hom", "choi", "kraus"):
@@ -184,40 +187,32 @@ def channel_from_json(data, field: str) -> tuple[Channel, Optional[HomSpec]]:
         return from_hom(h), h
     source = algebra_from_json(_require(data, "source", field), f"{field}.source")
     target = algebra_from_json(_require(data, "target", field), f"{field}.target")
-    if kind == "choi":
-        blocks = _list(_require(data, "blocks", field), target.n_blocks, f"{field}.blocks")
-        tensors = []
-        for x, m_x in enumerate(target.block_dims):
-            row_json = _list(blocks[x], source.n_blocks, f"{field}.blocks[{x}]")
-            row = []
-            for y, n_y in enumerate(source.block_dims):
-                C = matrix_from_json(
-                    row_json[y], n_y * m_x, n_y * m_x, f"{field}.blocks[{x}][{y}]"
-                )
+    # per block pair, one Choi block or a list of Kraus operators
+    key = "blocks" if kind == "choi" else "ops"
+    rows = _list(_require(data, key, field), target.n_blocks, f"{field}.{key}")
+    grid = []
+    for x, m_x in enumerate(target.block_dims):
+        row_json = _list(rows[x], source.n_blocks, f"{field}.{key}[{x}]")
+        row = []
+        for y, n_y in enumerate(source.block_dims):
+            entry = f"{field}.{key}[{x}][{y}]"
+            if kind == "choi":
+                C = matrix_from_json(row_json[y], n_y * m_x, n_y * m_x, entry)
                 row.append(C.reshape(n_y, m_x, n_y, m_x))
-            tensors.append(row)
-        try:
-            channel, verdict = from_choi(source, target, tensors)
-        except Exception as exc:
-            raise SchemaError(f"{field}: {exc}") from exc
-    else:
-        ops = _list(_require(data, "ops", field), target.n_blocks, f"{field}.ops")
-        grid = []
-        for x, m_x in enumerate(target.block_dims):
-            row_json = _list(ops[x], source.n_blocks, f"{field}.ops[{x}]")
-            row = []
-            for y, n_y in enumerate(source.block_dims):
-                Ks = _list(row_json[y], None, f"{field}.ops[{x}][{y}]")
+            else:
+                Ks = _list(row_json[y], None, entry)
                 row.append([
-                    matrix_from_json(K, m_x, n_y, f"{field}.ops[{x}][{y}][{k}]")
-                    for k, K in enumerate(Ks)
+                    matrix_from_json(K, m_x, n_y, f"{entry}[{k}]") for k, K in enumerate(Ks)
                 ])
-            grid.append(row)
-        try:
+        grid.append(row)
+    try:
+        if kind == "choi":
+            channel = from_choi(source, target, grid, tol)
+        else:
             channel = from_kraus(source, target, grid)
-        except Exception as exc:
-            raise SchemaError(f"{field}: {exc}") from exc
-        verdict = is_ucp(channel)
+    except Exception as exc:
+        raise SchemaError(f"{field}: {exc}") from exc
+    verdict = is_ucp(channel, tol)
     if not verdict:
         raise SchemaError(
             f"{field}: channel is not UCP: min Choi eigenvalue "
@@ -240,13 +235,14 @@ def _check_analyses(analyses, has_hom: bool, field: str) -> None:
 
 def problem_from_json(data, tol: Tolerances = DEFAULT_TOL) -> dict:
     """Validated problem dict: channel, optional hom, state, analyses,
-    tolerances. The state's weights and traces are judged at tol."""
+    tolerances. The channel's UCP test and the state's weights and traces are
+    judged at tol."""
     if not isinstance(data, dict):
         raise SchemaError("problem: expected a JSON object")
     schema = data.get("schema")
     if schema != PROBLEM_SCHEMA:
         raise SchemaError(f"problem.schema: expected '{PROBLEM_SCHEMA}', got {schema!r}")
-    channel, hom = channel_from_json(_require(data, "channel", "problem"), "problem.channel")
+    channel, hom = channel_from_json(_require(data, "channel", "problem"), "problem.channel", tol)
     state = state_from_json(
         _require(data, "state", "problem"), channel.target, "problem.state", tol
     )
@@ -258,16 +254,30 @@ def problem_from_json(data, tol: Tolerances = DEFAULT_TOL) -> dict:
             if hom is not None or a not in HOM_ONLY_ANALYSES
         ]
     _check_analyses(analyses, hom is not None, "problem.analyses")
-    tolerances = data.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise SchemaError("problem.tolerances: expected an object")
     return {
         "channel": channel,
         "hom": hom,
         "state": state,
         "analyses": list(analyses),
-        "tolerances": tolerances,
+        "tolerances": tolerances_from_json(data),
     }
+
+
+def tolerances_from_json(data) -> dict:
+    """The problem's `tolerances` object, {} when absent or when the problem is
+    not an object: each entry is eps_eq or eps_rank, given as a JSON number."""
+    tolerances = data.get("tolerances", {}) if isinstance(data, dict) else {}
+    if not isinstance(tolerances, dict):
+        raise SchemaError("problem.tolerances: expected an object")
+    for key, value in tolerances.items():
+        if key not in ("eps_eq", "eps_rank"):
+            raise SchemaError(f"problem.tolerances.{key}: unknown tolerance, "
+                              "expected eps_eq or eps_rank")
+        # by type, not isinstance: a bool is an int
+        if type(value) not in (int, float):
+            raise SchemaError(f"problem.tolerances.{key}: expected a number, "
+                              f"got {type(value).__name__}")
+    return tolerances
 
 
 def loads(text: str):

@@ -3,8 +3,8 @@
 Each shared input of a check is derived by a private builder and kept on the
 object that owns it: the support and the pulled-back states on the state,
 the channel on the hom, the factorization, the corner map and the Bayes
-battery on the state, and the algebraic AC and determinism verdicts of each
-map on the state. `recording()` wraps those builders and records a key for
+battery on the state, the algebraic AC and determinism verdicts of each map
+on the state, and the UCP verdict of each map at each tolerance on the map. `recording()` wraps those builders and records a key for
 each build, so an input derived twice shows up as a repeated key. It also
 counts the eigendecompositions, keyed by shape: each density's is made by its
 support and read from there, each Choi block's by `is_ucp`
@@ -36,6 +36,9 @@ BUILDERS = {
     "linalg.hermitian_eigen": (qbayes.linalg, "hermitian_eigen", lambda M, *tol: np.shape(M)),
     "linalg.hermitian_floor": (qbayes.linalg, "hermitian_floor", np.shape),
     "channel._choi_eigen": (qbayes.channel, "_choi_eigen", np.shape),
+    "channel._ucp_verdict": (
+        qbayes.channel, "_ucp_verdict", lambda F, tol, *floors: (id(F), tol)
+    ),
     "state._support": (qbayes.state, "_support", lambda omega, tol: (id(omega), tol)),
     "state._pullback": (
         qbayes.state, "_pullback", lambda omega, F, tol: (id(omega), id(F), tol)

@@ -315,6 +315,14 @@ def test_random_kraus_more_outputs_than_operators(tmp_path, capsys):
         ({}, [], "5", 2, "QBAYES_EPS_EQ"),
         ({"eps_eq": 5}, ["--eps-eq", "1e-9"], None, 0, None),
         ({"eps_eq": 1e-9}, [], "abc", 0, None),
+        # an entry that no rule reads, and a value that is not a JSON number,
+        # are refused even where a flag would win
+        ({"eps_rnak": 1e-3}, [], None, 2, "problem.tolerances.eps_rnak"),
+        ({"eps_recon": 1e-3}, [], None, 2, "problem.tolerances.eps_recon"),
+        ({"eps_eq": "1e-6"}, [], None, 2, "problem.tolerances.eps_eq"),
+        ({"eps_eq": "1e-6"}, ["--eps-eq", "1e-9"], None, 2, "problem.tolerances.eps_eq"),
+        ({"eps_rank": True}, ["--eps-rank", "1e-9"], None, 2, "problem.tolerances.eps_rank"),
+        ({"eps_eq": None}, [], None, 2, "problem.tolerances.eps_eq"),
     ],
 )
 def test_tolerances_fail_closed(
@@ -503,6 +511,37 @@ def test_state_normalization_is_judged_at_the_run_tolerances(tmp_path, capsys, e
     code, _, err = run_cli(["check", str(path)], capsys)
     assert code == 2 and err.startswith("error: problem.state: ")
     code, out, _ = run_cli(["check", str(path), "--eps-eq", "1e-4"], capsys)
+    assert code == 0
+    assert json.loads(out)["analyses"]["bayes-battery"]["passed"] is True
+
+
+@pytest.mark.parametrize("wider", ["flag", "file"])
+@pytest.mark.parametrize(
+    "fixture, edit",
+    [
+        ("product", _kraus_identity(1 + 1e-7)),
+        ("battery_pass_no_inverse", _scaled_choi(1 + 1e-7)),
+        ("nonsubalgebra_pure", _scaled_choi(1 + 1e-7)),
+    ],
+    ids=["kraus", "choi-battery-pass-no-inverse", "choi-nonsubalgebra-pure"],
+)
+def test_channel_is_judged_ucp_at_the_run_tolerances(tmp_path, capsys, fixture, edit, wider):
+    # a channel scaled by 1 + 1e-7 misses unitality by a few 1e-7 (4.0e-7 for
+    # the Kraus identity on M_4): refused at the default eps_eq of 1e-8, and
+    # accepted at 1e-5, given by the flag or by the problem file
+    data = json.loads((FIXTURES / f"{fixture}.json").read_text())
+    edit(data)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(["check", str(path)], capsys)
+    assert code == 2 and err.startswith("error: problem.channel: channel is not UCP")
+    argv = ["check", str(path)]
+    if wider == "flag":
+        argv += ["--eps-eq", "1e-5"]
+    else:
+        data["tolerances"] = {"eps_eq": 1e-5}
+        path.write_text(json.dumps(data))
+    code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert json.loads(out)["analyses"]["bayes-battery"]["passed"] is True
 

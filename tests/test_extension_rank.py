@@ -29,15 +29,18 @@ from derivations import BUILDERS, recording
 
 # eigendecompositions of one full `check` (hermitian_eigen, hermitian_floor
 # and the parse's _choi_eigen together), as counted when the extension still
-# pseudo-inverted each dense Choi block
+# pseudo-inverted each dense Choi block, less one Choi block of each map that
+# was judged UCP twice: the corner channel of epr and rankdef_product (built,
+# then its own corner in takesaki's corner battery) and the inverse of
+# nonsubalgebra_pure (verify_bayes, then the bridge)
 DENSE_ROUTE_EIGENDECOMPOSITIONS = {
     "battery_pass_no_inverse": 8,
-    "epr": 9,
+    "epr": 8,
     "multiblock_product": 24,
     "nonproduct_m4": 4,
-    "nonsubalgebra_pure": 10,
+    "nonsubalgebra_pure": 9,
     "product": 7,
-    "rankdef_product": 12,
+    "rankdef_product": 11,
 }
 EIGEN = ("linalg.hermitian_eigen", "linalg.hermitian_floor", "channel._choi_eigen")
 FIXTURE_FILES = sorted(FIXTURES.glob("*.json"))

@@ -52,6 +52,7 @@ from qbayes.linalg import DEFAULT_TOL, Tolerances
 
 from conftest import FIXTURES, INSTANCE_CASES
 from derivations import BUILDERS, recording, repeats
+from test_cli import _kraus_identity
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 HOM_FIXTURES = [
@@ -93,6 +94,43 @@ def test_full_check_runs_each_battery_once(fixture, capsys):
     own = fixture not in HOM_FIXTURES or fixture.stem in OWN_CORNER
     assert len(batteries) == (1 if own else 2)
     assert repeats(batteries) == []
+
+
+def _kraus_identity_file(tmp_path):
+    data = json.loads((FIXTURES / "product.json").read_text())
+    _kraus_identity(1.0)(data)
+    path = tmp_path / "kraus_identity.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _random_kraus_file(tmp_path):
+    # written in Choi form
+    path = tmp_path / "random_kraus.json"
+    argv = ["random", "--dims", "2,2->3", "--kind", "kraus", "--seed", "7", "--out", str(path)]
+    assert main(argv) == 0
+    return path
+
+
+UCP_CASES = {
+    **{path.stem: lambda tmp_path, path=path: path for path in sorted(FIXTURES.glob("*.json"))},
+    "kraus_identity": _kraus_identity_file,
+    "random_kraus": _random_kraus_file,
+}
+
+
+@pytest.mark.parametrize("case", UCP_CASES.values(), ids=UCP_CASES.keys())
+def test_full_check_judges_each_map_ucp_once(case, tmp_path, capsys):
+    # a Kraus or Choi input is judged at parse and read again as its own
+    # corner, a corner channel is judged when built and read again as the
+    # corner pair's own corner, and a constructed inverse is judged by
+    # verify_bayes and read again by the bridge
+    path = case(tmp_path)
+    with recording() as seen:
+        assert main(["check", str(path)]) == 0
+    capsys.readouterr()
+    verdicts = seen["channel._ucp_verdict"]
+    assert verdicts and repeats(verdicts) == []
 
 
 @pytest.mark.parametrize("case", INSTANCE_CASES.values(), ids=INSTANCE_CASES.keys())
