@@ -5,12 +5,9 @@ __version__ = "0.1.0"
 
 from .algebra import (
     AlgebraElement,
-    CentralSupportPair,
     HomSpec,
     MultiMatrixAlgebra,
     apply_hom,
-    central_projections,
-    central_support_pairs,
     matrix_unit,
     matrix_units,
     unit,
@@ -21,7 +18,6 @@ from .bayesinv import (
     ExistenceResult,
     battery,
     bayes_inverse,
-    compositionality_check,
     existence,
     left_right_bayes,
     verify_bayes,
@@ -29,18 +25,15 @@ from .bayesinv import (
 from .channel import (
     Channel,
     LinearMap,
-    StinespringData,
     ae_deterministic,
     ae_equal,
     compose,
     from_choi,
     from_hom,
     from_kraus,
-    hs_adjoint,
     identity_channel,
     is_ucp,
     kraus_factor,
-    stinespring,
 )
 from .disint import (
     DisintegrationResult,
@@ -90,11 +83,8 @@ from .modular import (
 from .state import (
     State,
     SupportData,
-    compress,
     evaluate,
     in_nullspace,
-    is_faithful,
-    lift,
     pullback,
     support,
 )

@@ -23,7 +23,10 @@ def memo(owner, key, build: Callable):
 
     The value lives exactly as long as the owner. It must not refer back to
     the owner: a cycle would outlive the last outside reference until the
-    cyclic collector runs.
+    cyclic collector runs. A result per map is keyed by the map itself: a
+    `LinearMap` hashes by identity and the key holds it, so its id cannot be
+    reused while the result lives, and a `HomSpec` hashes by value, so equal
+    homs share one result.
     """
     cache = owner.__dict__.setdefault("_memo", {})
     if key not in cache:
@@ -134,16 +137,6 @@ def matrix_units(alg: MultiMatrixAlgebra) -> Iterator[AlgebraElement]:
                 yield matrix_unit(alg, x, i, j)
 
 
-def central_projections(alg: MultiMatrixAlgebra) -> list[AlgebraElement]:
-    """Minimal central projections, one per block; they sum to the unit."""
-    out = []
-    for x in range(alg.n_blocks):
-        blocks = [np.zeros((d, d), dtype=complex) for d in alg.block_dims]
-        np.fill_diagonal(blocks[x], 1.0)
-        out.append(AlgebraElement(alg, tuple(blocks)))
-    return out
-
-
 @dataclass(frozen=True)
 class HomSpec:
     """Standard-form unital *-homomorphism, given by its multiplicity matrix.
@@ -216,37 +209,3 @@ def apply_hom(h: HomSpec, B: AlgebraElement) -> AlgebraElement:
             )
         blocks.append(out)
     return AlgebraElement(h.target, tuple(blocks))
-
-
-@dataclass(frozen=True)
-class CentralSupportPair:
-    """Data of one (target i, source j) pair with c_ij != 0.
-
-    projection is P_i Q_j: the identity on the (i, j) sub-block of target
-    block i, zero elsewhere.
-    """
-
-    i: int
-    j: int
-    offset: int
-    size: int
-    projection: AlgebraElement
-
-
-def central_support_pairs(h: HomSpec) -> list[CentralSupportPair]:
-    out = []
-    for i in range(h.target.n_blocks):
-        for j, offset, size in h.sub_block_layout(i):
-            blocks = [np.zeros((d, d), dtype=complex) for d in h.target.block_dims]
-            for r in range(offset, offset + size):
-                blocks[i][r, r] = 1.0
-            out.append(
-                CentralSupportPair(
-                    i=i,
-                    j=j,
-                    offset=offset,
-                    size=size,
-                    projection=AlgebraElement(h.target, tuple(blocks)),
-                )
-            )
-    return out

@@ -18,14 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import MultiMatrixAlgebra, memo
+from .algebra import memo
 from .channel import (
     Channel,
     LinearMap,
     UcpVerdict,
     _sandwich,
-    compose,
-    identity_channel,
     is_ucp,
     kraus_factor,
 )
@@ -80,12 +78,12 @@ def battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> BayesA
     forced-row vanishing with the corner intertwining test.
 
     Run once per state, map and tolerance, like `corner_map`: the outcome is
-    kept on the state, keyed by the map's identity with the map held, and its
-    arrays are read-only. A disagreement raises before anything is kept.
+    kept on the state, and its arrays are read-only. A disagreement raises
+    before anything is kept.
     """
     if omega.algebra.block_dims != F.target.block_dims:
         raise ShapeMismatch("state does not live on the channel's target algebra")
-    _, fields = memo(omega, ("battery", id(F), tol), lambda: (F, _battery(F, omega, tol)))
+    fields = memo(omega, ("battery", F, tol), lambda: _battery(F, omega, tol))
     return BayesAnalysis(F, omega, tol, *fields)
 
 
@@ -342,7 +340,7 @@ class ExistenceResult:
     margin = property(lambda self: 0.0 - self.inequality.residual)
 
 
-def existence(analysis: BayesAnalysis, free_split: str = "uniform") -> ExistenceResult:
+def existence(analysis: BayesAnalysis) -> ExistenceResult:
     """Decide and, when possible, construct a full UCP Bayesian inverse.
 
     Requires a passed battery, and runs at its tolerance. Per source block y,
@@ -359,26 +357,21 @@ def existence(analysis: BayesAnalysis, free_split: str = "uniform") -> Existence
     the pair's Kraus rank), A-hat = Q C^+ Q*: C^+ cuts the same nonzero
     eigenvalues at the same eps_rank rule as a pseudoinverse of A_h would.
 
-    free_split selects how the leftover co-support mass is spread over the
-    free diagonal; any admissible choice yields an a.e.-equivalent inverse.
+    The leftover co-support mass is spread uniformly over the free diagonal;
+    any admissible split yields an a.e.-equivalent inverse.
 
-    Run once per state, map, tolerance and split, like `battery`: the result
-    is kept on the state, keyed by the map's identity with the map held, and
-    its arrays are read-only.
+    Run once per state, map and tolerance, like `battery`: the result is kept
+    on the state, and its arrays are read-only.
     """
-    if free_split not in ("uniform", "ramp"):
-        raise ValueError(f"unknown free_split {free_split!r}")
     if not analysis.passed:
         raise ValueError("existence() requires a passed battery")
-    F = analysis.F
-    _, result = memo(
-        analysis.omega, ("existence", id(F), analysis.tol, free_split),
-        lambda: (F, _frozen(_existence(analysis, free_split))),
+    return memo(
+        analysis.omega, ("existence", analysis.F, analysis.tol),
+        lambda: _frozen(_existence(analysis)),
     )
-    return result
 
 
-def _existence(analysis: BayesAnalysis, free_split: str) -> ExistenceResult:
+def _existence(analysis: BayesAnalysis) -> ExistenceResult:
     F, omega, xi, tol = analysis.F, analysis.omega, analysis.xi, analysis.tol
     sup_x = support(xi, tol)
     P_xis = sup_x.projection.blocks
@@ -440,12 +433,8 @@ def _existence(analysis: BayesAnalysis, free_split: str) -> ExistenceResult:
         for x, m_x in enumerate(tgt_dims):
             A_mat = analysis.choi_A[(x, y)]
             B_mat = analysis.choi_B[(x, y)]
-            if free_split == "uniform":
-                diag = np.full(m_x, 1.0 / m_x)
-            else:
-                diag = np.arange(1, m_x + 1, dtype=float)
-                diag /= diag.sum()
-            D_mat = sandwich[(x, y)] + np.kron(np.diag(diag * w_x[x]), delta_psd)
+            diag = np.diag(np.full(m_x, 1.0 / m_x) * w_x[x])
+            D_mat = sandwich[(x, y)] + np.kron(diag, delta_psd)
             C = A_mat + B_mat + dagger(B_mat) + D_mat
             tensors[y][x] = C.reshape(m_x, n_y, m_x, n_y)
     inverse = Channel(F.target, F.source, tensors, tol=tol)
@@ -479,54 +468,3 @@ def bayes_inverse(
         return False, None, analysis, None
     result = existence(analysis)
     return result.exists, result.inverse, analysis, result
-
-
-@dataclass(frozen=True)
-class CompositionalityReport:
-    identity_ok: bool
-    composite_ok: bool
-    composite_residual: float
-    uniqueness_ae_ok: Optional[bool]
-    extensions_differ: Optional[bool]
-
-
-def compositionality_check(
-    F: LinearMap,
-    G: LinearMap,
-    omega: State,
-    tol: Tolerances = DEFAULT_TOL,
-) -> CompositionalityReport:
-    """Functoriality checks for Bayesian inverses.
-
-    (1) the identity channel inverts itself, (2) the composite of the two
-    inverses inverts the composite channel, and (3) any two inverses of the
-    same pair agree almost everywhere, while exact equality may fail off
-    the support.
-    """
-    ident = identity_channel(MultiMatrixAlgebra(omega.algebra.block_dims))
-    identity_ok = verify_bayes(ident, ident, omega, tol).ok
-
-    xi = pullback(omega, F, tol)
-    ok_f, Fbar, analysis_f, _ = bayes_inverse(F, omega, tol)
-    ok_g, Gbar, _, _ = bayes_inverse(G, xi, tol)
-    if not (ok_f and ok_g):
-        raise ValueError("compositionality check needs two invertible inputs")
-    comp = compose(F, G)
-    candidate = compose(Gbar, Fbar)
-    report = verify_bayes(comp, candidate, omega, tol)
-
-    uniqueness = None
-    differ = None
-    alt = existence(analysis_f, free_split="ramp")
-    if alt.exists and alt.inverse is not None:
-        from .channel import ae_equal
-
-        uniqueness = ae_equal(Fbar, alt.inverse, xi, tol)
-        differ = not tol.close(*Fbar.distance(alt.inverse))
-    return CompositionalityReport(
-        identity_ok=identity_ok,
-        composite_ok=report.ok,
-        composite_residual=report.pairing_residual,
-        uniqueness_ae_ok=uniqueness,
-        extensions_differ=differ,
-    )

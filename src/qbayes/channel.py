@@ -145,10 +145,6 @@ class LinearMap:
             tensors.append(row)
         return cls(source, target, tensors)
 
-    @classmethod
-    def identity(cls, alg: MultiMatrixAlgebra) -> "LinearMap":
-        return cls(alg, alg, identity_channel(alg).tensors)
-
     # -- basic operations --------------------------------------------------
 
     def apply(self, B: AlgebraElement) -> AlgebraElement:
@@ -235,15 +231,6 @@ class LinearMap:
         pairs = [(x, y) for x in range(self.target.n_blocks) for y in range(self.source.n_blocks)]
         diff = max(frobenius(self.tensors[x][y] - other.tensors[x][y]) for x, y in pairs)
         return diff, max(max(frobenius(self.tensors[x][y]) for x, y in pairs), 1.0)
-
-    def close_to(self, other: "LinearMap", eps: float) -> bool:
-        if (
-            other.source.block_dims != self.source.block_dims
-            or other.target.block_dims != self.target.block_dims
-        ):
-            return False
-        diff, scale = self.distance(other)
-        return diff <= eps * scale
 
 
 def _read_only(grid) -> None:
@@ -408,10 +395,6 @@ def compose(F: LinearMap, G: LinearMap) -> LinearMap:
     return out
 
 
-def hs_adjoint(F: LinearMap) -> LinearMap:
-    return F.hs_adjoint()
-
-
 @dataclass(frozen=True)
 class UcpVerdict:
     """Outcome of the UCP test: cp judges the least Choi eigenvalue, found in
@@ -535,13 +518,11 @@ def ae_deterministic(
     isometry W: W* F(E_jj) W - (F(E_ij) W)* (F(E_ij) W), every unit at once.
 
     Decided once per state, map and tolerance, like `corner_map`: the verdict
-    is kept on the state, keyed by the map's identity with the map held.
+    is kept on the state.
     """
     if omega.algebra.block_dims != F.target.block_dims:
         raise ShapeMismatch("state does not live on the map's target algebra")
-    return memo(
-        omega, ("deterministic", id(F), tol), lambda: (F, _ae_deterministic(F, omega, tol))
-    )[1]
+    return memo(omega, ("deterministic", F, tol), lambda: _ae_deterministic(F, omega, tol))
 
 
 def _ae_deterministic(F: LinearMap, omega: State, tol: Tolerances) -> bool:
@@ -556,27 +537,6 @@ def _ae_deterministic(F: LinearMap, omega: State, tol: Tolerances) -> bool:
             defect = dagger(W) @ FW[range(n), range(n)] - FW.conj().swapaxes(-1, -2) @ FW
             worst = max(worst, float(_sq_frobenius(defect).max()))
     return tol.close(np.sqrt(worst), scale, scale).ok
-
-
-@dataclass(frozen=True)
-class StinespringFactor:
-    """Dilation data of one target block: F_x = V* pi(.) V.
-
-    pi is the standard multiplicity embedding of the source into a single
-    matrix block of size d_x = sum_y r_xy n_y (r_xy = rank of the (x, y)
-    Choi block), and V is a d_x x m_x isometry, V* V = identity_{m_x}.
-    """
-
-    target_index: int
-    representation: HomSpec
-    isometry: np.ndarray
-    kraus: tuple[tuple[np.ndarray, ...], ...]
-
-
-@dataclass(frozen=True)
-class StinespringData:
-    factors: tuple[StinespringFactor, ...]
-    reconstruction_residual: float
 
 
 def kraus_blocks(F: LinearMap, x: int, y: int, tol: Tolerances = DEFAULT_TOL):
@@ -597,43 +557,3 @@ def _kraus_stack(w: np.ndarray, V: np.ndarray, n: int, m: int, tol: Tolerances) 
     order = order[w[order] > tol.rank_cutoff(max(float(w.max(initial=0.0)), 0.0))]
     vecs = (V[:, order] * np.sqrt(w[order])).T
     return np.ascontiguousarray(vecs.reshape(len(order), n, m).swapaxes(1, 2))
-
-
-def stinespring(F: LinearMap, tol: Tolerances = DEFAULT_TOL) -> StinespringData:
-    """Stinespring dilation per target block, from Choi eigendecompositions."""
-    verdict = is_ucp(F, tol)
-    if not verdict.cp_ok:
-        raise NotCP(
-            f"channel is not CP: Choi block {verdict.witness_block} has "
-            f"eigenvalue {verdict.min_choi_eigenvalue:.3e}"
-        )
-    factors = []
-    worst = 0.0
-    for x, m_x in enumerate(F.target.block_dims):
-        kraus_per_y = [kraus_blocks(F, x, y, tol) for y in range(F.source.n_blocks)]
-        ranks = [len(ops) for ops in kraus_per_y]
-        d_x = sum(r * n for r, n in zip(ranks, F.source.block_dims))
-        if d_x == 0:
-            raise NotCP(f"target block {x} receives the zero map")
-        rep = HomSpec(F.source, MultiMatrixAlgebra((d_x,)), (tuple(ranks),))
-        V = np.vstack(
-            [dagger(K) for ops in kraus_per_y for K in ops]
-        )
-        factors.append(
-            StinespringFactor(
-                target_index=x,
-                representation=rep,
-                isometry=V,
-                kraus=tuple(tuple(ops) for ops in kraus_per_y),
-            )
-        )
-        # reconstruction on all source matrix units: pi(E_ij) = 1_r (x) E_ij in
-        # the slot of block y, so V* pi(E_ij) V = sum_k Vy[k, i]^* Vy[k, j]
-        offset = 0
-        for y, n_y in enumerate(F.source.block_dims):
-            Vy = V[offset : offset + ranks[y] * n_y].reshape(ranks[y], n_y * m_x)
-            offset += ranks[y] * n_y
-            recon = (dagger(Vy) @ Vy).reshape(n_y, m_x, n_y, m_x)  # [i, a, j, b]
-            recon -= F.tensors[x][y]
-            worst = max(worst, float(np.sqrt(_sq_frobenius(recon.swapaxes(1, 2)).max())))
-    return StinespringData(factors=tuple(factors), reconstruction_residual=worst)

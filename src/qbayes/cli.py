@@ -48,7 +48,7 @@ from .jsonio import (
     state_to_json,
     tolerances_from_json,
 )
-from .linalg import Tolerances
+from .linalg import EPS_RECON, Tolerances
 from .modular import ac_condition_sampled
 from .state import support
 
@@ -172,7 +172,7 @@ def _report(analyses: dict, tol: Tolerances, timing: dict) -> dict:
         "tolerances": {
             "eps_rank": tol.eps_rank,
             "eps_eq": tol.eps_eq,
-            "eps_recon": tol.eps_recon,
+            "eps_recon": EPS_RECON,
         },
         "analyses": analyses,
         "timing": timing,

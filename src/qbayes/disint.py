@@ -85,7 +85,7 @@ def factorize(
     """
     if omega.algebra.block_dims != h.target.block_dims:
         raise ShapeMismatch("state does not live on the hom's target algebra")
-    _, split = memo(omega, ("factorize", id(h), tol), lambda: (h, _factorize(h, omega, tol)))
+    split = memo(omega, ("factorize", h, tol), lambda: _factorize(h, omega, tol))
     return FactorizationCertificate(h, omega, *split)
 
 
@@ -143,9 +143,7 @@ def _factorize(h: HomSpec, omega: State, tol: Tolerances) -> tuple:
 
 
 def build_disintegration(
-    cert: FactorizationCertificate,
-    h: Optional[HomSpec] = None,
-    tol: Tolerances = DEFAULT_TOL,
+    cert: FactorizationCertificate, tol: Tolerances = DEFAULT_TOL
 ) -> Channel:
     """Recovery channel from a valid certificate.
 
@@ -158,7 +156,7 @@ def build_disintegration(
         raise InvalidCertificate(
             f"certificate residuals {cert.residuals} exceed tolerance"
         )
-    h = cert.hom if h is None else h
+    h = cert.hom
     s = h.target.n_blocks
     # tensors[j][i][p, a, q, b] = G_ji(E_pq)_ab
     tensors = [
@@ -228,15 +226,8 @@ class CondexpReport:
     mixing: Verdict
     mus: dict[tuple[int, int], float]
     lambdas: dict[tuple[int, int], float]
-    hom: HomSpec
-    recovery: Optional[Channel]
 
     ok = property(lambda self: all((self.off_diagonal, self.product, self.sigma_match, self.mixing)))
-
-    @cached_property
-    def expectation(self) -> Optional[Channel]:
-        """from_hom(h) o recovery, composed when first read."""
-        return None if self.recovery is None else compose(from_hom(self.hom), self.recovery)
 
 
 def condexp_characterize(
@@ -247,8 +238,9 @@ def condexp_characterize(
     Independently of `factorize`, each weighted diagonal sub-block must (a)
     carry no cross-column mass and (b) split as its own two partial traces,
     with the source factor proportional to the pulled-back density. On
-    success the report keeps the recovery channel, from which the canonical
-    expectation is composed when it is read.
+    success the `factorize` certificate must pass too, else the two routes
+    disagree and InternalInconsistency is raised; the recovery channel and
+    its expectation are `disintegrate`'s.
     """
     if omega.algebra.block_dims != h.target.block_dims:
         raise ShapeMismatch("state does not live on the hom's target algebra")
@@ -303,7 +295,6 @@ def condexp_characterize(
         tol.close(off_res), tol.close(prod_res),
         tol.close(sigma_res, 1.0, 10), tol.close(mixing_res, 1.0, 10),
     )
-    recovery = None
     if all(verdicts):
         cert = factorize(h, omega, tol)
         if not cert.ok:
@@ -311,8 +302,7 @@ def condexp_characterize(
                 "sub-block characterization passed but the factorization "
                 f"certificate failed with residuals {cert.residuals}"
             )
-        recovery = build_disintegration(cert, tol=tol)
-    return CondexpReport(*verdicts, mus=mus, lambdas=lambdas, hom=h, recovery=recovery)
+    return CondexpReport(*verdicts, mus=mus, lambdas=lambdas)
 
 
 @dataclass(frozen=True)

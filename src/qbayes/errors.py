@@ -13,7 +13,12 @@ class QBayesError(Exception):
 
 
 class NotHermitian(QBayesError):
-    """Input matrix is not Hermitian within tolerance."""
+    """Input matrix is not Hermitian within tolerance; block is the index of
+    the state's block whose density it is, if any."""
+
+    def __init__(self, message: str, block: Optional[int] = None):
+        super().__init__(message)
+        self.block = block
 
 
 class NoConvergence(QBayesError):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import HomSpec, MultiMatrixAlgebra
 from .channel import Channel, from_choi, from_hom, from_kraus, is_ucp
-from .errors import ParseError, SchemaError
+from .errors import NotHermitian, ParseError, SchemaError
 from .linalg import DEFAULT_TOL, Tolerances
 from .state import State
 
@@ -96,6 +96,15 @@ def _list(value, n: Optional[int], field: str) -> list:
     return value
 
 
+def _entries(values: list, kinds: tuple, expected: str, field: str) -> tuple:
+    """values as a tuple, each entry's type one of kinds: by type, not
+    isinstance, since a bool is an int."""
+    for k, value in enumerate(values):
+        if type(value) not in kinds:
+            raise SchemaError(f"{field}[{k}]: expected {expected}, got {value!r}")
+    return tuple(values)
+
+
 def _require(data: dict, key: str, field: str):
     if not isinstance(data, dict) or key not in data:
         raise SchemaError(f"{field}: missing required key '{key}'")
@@ -106,8 +115,9 @@ def algebra_from_json(data, field: str) -> MultiMatrixAlgebra:
     blocks = _require(data, "blocks", field)
     if not isinstance(blocks, list) or not blocks:
         raise SchemaError(f"{field}.blocks: expected a nonempty list of dimensions")
+    dims = _entries(blocks, (int,), "an integer", f"{field}.blocks")
     try:
-        return MultiMatrixAlgebra(tuple(int(b) for b in blocks))
+        return MultiMatrixAlgebra(dims)
     except Exception as exc:
         raise SchemaError(f"{field}.blocks: {exc}") from exc
 
@@ -124,9 +134,10 @@ def state_to_json(state: State) -> dict:
 def state_from_json(
     data, alg: MultiMatrixAlgebra, field: str, tol: Tolerances = DEFAULT_TOL
 ) -> State:
-    """The state, its weights and traces judged at tol."""
+    """The state, its weights, Hermiticity and traces judged at tol."""
     # State itself refuses a count other than one weight per block
     weights = _list(_require(data, "weights", field), None, f"{field}.weights")
+    weights = _entries(weights, (int, float), "a number", f"{field}.weights")
     densities = _list(_require(data, "densities", field), alg.n_blocks, f"{field}.densities")
     mats = []
     for x, (d, rho) in enumerate(zip(alg.block_dims, densities)):
@@ -135,10 +146,11 @@ def state_from_json(
         else:
             mats.append(matrix_from_json(rho, d, d, f"{field}.densities[{x}]"))
     try:
-        state = State(alg, tuple(float(p) for p in weights), tuple(mats), tol)
+        return State(alg, weights, tuple(mats), tol)
+    except NotHermitian as exc:
+        raise SchemaError(f"{field}.densities[{exc.block}]: {exc}") from exc
     except Exception as exc:
         raise SchemaError(f"{field}: {exc}") from exc
-    return state
 
 
 def hom_to_json(h: HomSpec) -> dict:
@@ -149,9 +161,13 @@ def hom_to_json(h: HomSpec) -> dict:
 def hom_from_json(data, field: str) -> HomSpec:
     source = algebra_from_json(_require(data, "source", field), f"{field}.source")
     target = algebra_from_json(_require(data, "target", field), f"{field}.target")
-    mult = _require(data, "mult", field)
+    rows = _list(_require(data, "mult", field), None, f"{field}.mult")
+    mult = tuple(
+        _entries(_list(row, None, f"{field}.mult[{i}]"), (int,), "an integer", f"{field}.mult[{i}]")
+        for i, row in enumerate(rows)
+    )
     try:
-        return HomSpec(source, target, tuple(tuple(int(c) for c in row) for row in mult))
+        return HomSpec(source, target, mult)
     except Exception as exc:
         raise SchemaError(f"{field}.mult: {exc}") from exc
 

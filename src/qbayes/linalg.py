@@ -26,6 +26,8 @@ from .errors import (
 
 # Absolute fallback used whenever a relative threshold has a ~zero reference.
 ABS_FLOOR = 1e-12
+# Relative bound on the reconstruction defect of an eigendecomposition.
+EPS_RECON = 1e-10
 
 
 @dataclass(frozen=True)
@@ -53,15 +55,13 @@ class Tolerances:
 
     eps_rank : relative cutoff below which an eigenvalue counts as zero
     eps_eq   : relative Frobenius threshold for matrix equality
-    eps_recon: spectral reconstruction bound for eigendecompositions
     """
 
     eps_rank: float = 1e-9
     eps_eq: float = 1e-8
-    eps_recon: float = 1e-10
 
     def __post_init__(self):
-        for name in ("eps_rank", "eps_eq", "eps_recon"):
+        for name in ("eps_rank", "eps_eq"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie strictly in (0, 1), got {value}")
@@ -175,11 +175,11 @@ def hermitian_eigen(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> HermitianEi
         raise NoConvergence(str(exc)) from exc
     eig = HermitianEigen(eigenvalues=w, eigenvectors=V)
     scale = max(frobenius(M), ABS_FLOOR)
-    if frobenius(eig.reconstruct() - H) > tol.eps_recon * scale:
-        raise NoConvergence("spectral reconstruction exceeded eps_recon")
+    if frobenius(eig.reconstruct() - H) > EPS_RECON * scale:
+        raise NoConvergence("spectral reconstruction exceeded EPS_RECON")
     n = M.shape[0]
-    if frobenius(dagger(V) @ V - np.eye(n)) > tol.eps_recon * n:
-        raise NoConvergence("eigenvector matrix is not unitary within eps_recon")
+    if frobenius(dagger(V) @ V - np.eye(n)) > EPS_RECON * n:
+        raise NoConvergence("eigenvector matrix is not unitary within EPS_RECON")
     return eig
 
 

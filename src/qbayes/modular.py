@@ -84,9 +84,9 @@ def corner_map(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> Cor
     """compress o F o lift: lift and compress are the Kraus maps Ad(V) and
     Ad(V^*) of the support isometries of the pulled-back and target states.
 
-    Built once per state, map and tolerance: the map is keyed by identity and
-    held, so the key stays unique. The kept fields hold None in place of
-    omega, their owner, when the pair is its own corner.
+    Built once per state, map and tolerance and kept on the state. The kept
+    fields hold None in place of omega, their owner, when the pair is its own
+    corner.
     """
     if isinstance(F, HomSpec):
         F = from_hom(F)
@@ -94,8 +94,8 @@ def corner_map(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> Cor
         raise ShapeMismatch("state does not live on the map's target algebra")
     sup_o = support(omega, tol)
     sup_x = support(pullback(omega, F, tol), tol)
-    _, (chan, omega_r, xi_r, worst) = memo(
-        omega, ("corner", id(F), tol), lambda: (F, _corner_map(F, sup_o, sup_x, tol))
+    chan, omega_r, xi_r, worst = memo(
+        omega, ("corner", F, tol), lambda: _corner_map(F, sup_o, sup_x, tol)
     )
     return CornerMap(sup_o, sup_x, chan, omega if omega_r is None else omega_r, xi_r, worst)
 
@@ -168,11 +168,10 @@ def ac_condition_algebraic(
     states.
 
     Decided once per state, map and tolerance, like `corner_map`: the verdict
-    is kept on the state, keyed by the map's identity with the map held, and
-    every caller reads it with its corner map.
+    is kept on the state, and every caller reads it with its corner map.
     """
     cm = corner_map(F, omega, tol)
-    _, verdict = memo(omega, ("ac", id(F), tol), lambda: (F, _ac_algebraic(cm, tol)))
+    verdict = memo(omega, ("ac", F, tol), lambda: _ac_algebraic(cm, tol))
     return ACReport(verdict, cm)
 
 

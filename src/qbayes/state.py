@@ -19,7 +19,7 @@ from .algebra import (
     MultiMatrixAlgebra,
     memo,
 )
-from .errors import NegativeEigenvalue, ShapeMismatch
+from .errors import NegativeEigenvalue, NotHermitian, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -33,8 +33,8 @@ from .linalg import (
 @dataclass(frozen=True)
 class State:
     """The functional A -> sum_x p_x tr(rho_x A_x). The weights (nonnegative,
-    summing to one) and the density traces are judged at tol, which is not
-    kept."""
+    summing to one), the densities' Hermiticity and their traces are judged
+    at tol, which is not kept."""
 
     algebra: MultiMatrixAlgebra
     weights: tuple[float, ...]
@@ -65,8 +65,8 @@ class State:
             rho = np.asarray(rho, dtype=complex)
             if rho.shape != (d, d):
                 raise ShapeMismatch(f"density shape {rho.shape} != ({d}, {d})")
-            if not is_hermitian(rho):
-                raise ShapeMismatch(f"density in block {x} is not Hermitian")
+            if not is_hermitian(rho, tol):
+                raise NotHermitian(f"density in block {x} is not Hermitian", block=x)
             if not tol.close(abs(np.trace(rho).real - 1.0)):
                 raise ShapeMismatch(
                     f"density in block {x} has trace {np.trace(rho).real}"
@@ -220,20 +220,6 @@ def _support(omega: State, tol: Tolerances) -> tuple:
     )
 
 
-def is_faithful(omega: State, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return support(omega, tol).is_full()
-
-
-def compress(omega: State, A: AlgebraElement, tol: Tolerances = DEFAULT_TOL) -> AlgebraElement:
-    """Corner coordinates of the two-sided support compression of A."""
-    return support(omega, tol).compress(A)
-
-
-def lift(omega: State, C: AlgebraElement, tol: Tolerances = DEFAULT_TOL) -> AlgebraElement:
-    """Non-unital inclusion of a corner element back into the ambient algebra."""
-    return support(omega, tol).lift(C)
-
-
 def in_nullspace(
     omega: State,
     A: AlgebraElement,
@@ -254,8 +240,7 @@ def pullback(omega: State, F, tol: Tolerances = DEFAULT_TOL) -> State:
 
     Computed through the predual action on weighted densities; weights and
     densities are renormalized per block, and blocks whose induced weight
-    vanishes are dropped. Computed once per state, map and tolerance: the
-    map is keyed by identity and held, so the key stays unique.
+    vanishes are dropped. Computed once per state, map and tolerance.
     """
     from .channel import from_hom
 
@@ -263,7 +248,7 @@ def pullback(omega: State, F, tol: Tolerances = DEFAULT_TOL) -> State:
         F = from_hom(F)
     if F.target.block_dims != omega.algebra.block_dims:
         raise ShapeMismatch("state does not live on the channel's target")
-    return memo(omega, ("pullback", id(F), tol), lambda: (F, _pullback(omega, F, tol)))[1]
+    return memo(omega, ("pullback", F, tol), lambda: _pullback(omega, F, tol))
 
 
 def _pullback(omega: State, F, tol: Tolerances) -> State:

@@ -6,14 +6,14 @@ import pytest
 from qbayes.algebra import HomSpec, MultiMatrixAlgebra
 from qbayes.channel import from_hom
 from qbayes.generators import (
-    epr_instance,
     inclusion_hom,
-    nonproduct_faithful_instance,
     product_state_for_hom,
     random_kraus_channel,
     random_state,
 )
 from qbayes.state import State
+
+from instances import epr_instance, nonproduct_faithful_instance
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 

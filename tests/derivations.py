@@ -64,7 +64,7 @@ BUILDERS = {
     "bayesinv._existence": (
         qbayes.bayesinv,
         "_existence",
-        lambda analysis, split: (id(analysis.F), id(analysis.omega), analysis.tol, split),
+        lambda analysis: (id(analysis.F), id(analysis.omega), analysis.tol),
     ),
 }
 

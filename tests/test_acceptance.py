@@ -26,25 +26,27 @@ from qbayes.disint import (
 )
 from qbayes.errors import InternalInconsistency
 from qbayes.generators import (
-    epr_instance,
     inclusion_hom,
-    nonproduct_faithful_instance,
-    product_instance,
     product_state_for_hom,
     random_density,
     random_hom,
     random_kraus_channel,
     random_psd,
     random_state,
-    rankdef_product_instance,
 )
 from qbayes.jsonio import loads, problem_from_json
 from qbayes.linalg import dagger, frobenius, pseudoinverse
 from qbayes.modular import ac_condition_algebraic, ac_condition_sampled, modular_at, modular_flow
-from qbayes.state import State, evaluate
+from qbayes.state import State, evaluate, support
 
 from conftest import FIXTURES
 from feasibility import bayes_feasibility
+from instances import (
+    epr_instance,
+    nonproduct_faithful_instance,
+    product_instance,
+    rankdef_product_instance,
+)
 from oracles import random_unitary
 
 
@@ -373,13 +375,11 @@ def test_criterion_10_existence_inequality():
     F2 = from_hom(h)
     analysis2 = battery(F2, omega2)
     res2 = existence(analysis2)
-    from qbayes.state import is_faithful
-
     pass_side = (
         analysis2.passed
         and res2.exists
         and res2.verification.ok
-        and not is_faithful(omega2)
+        and not support(omega2).is_full()
     )
     report(
         10,

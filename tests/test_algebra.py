@@ -6,8 +6,6 @@ from qbayes.algebra import (
     HomSpec,
     MultiMatrixAlgebra,
     apply_hom,
-    central_projections,
-    central_support_pairs,
     matrix_units,
     unit,
     zero,
@@ -53,17 +51,6 @@ def test_matrix_units_span():
     assert (recon - A).norm() < 1e-12
 
 
-def test_central_projections():
-    alg = MultiMatrixAlgebra((2, 3))
-    projs = central_projections(alg)
-    np.testing.assert_allclose(projs[0].blocks[0], np.eye(2))
-    np.testing.assert_allclose(projs[0].blocks[1], np.zeros((3, 3)))
-    total = projs[0] + projs[1]
-    assert (total - unit(alg)).norm() < 1e-14
-    assert (projs[0] @ projs[1]).norm() < 1e-14
-    assert (projs[0] @ projs[0] - projs[0]).norm() < 1e-14
-
-
 def test_homspec_unitality_enforced():
     src = MultiMatrixAlgebra((2, 3))
     HomSpec(src, MultiMatrixAlgebra((5,)), ((1, 1),))
@@ -101,35 +88,12 @@ def test_apply_hom_star_homomorphism_properties():
         assert (apply_hom(h, s * B1) - s * apply_hom(h, B1)).norm() < 1e-12
 
 
-def test_central_support_pairs_single_block():
-    h = HomSpec(MultiMatrixAlgebra((2,)), MultiMatrixAlgebra((4,)), ((2,),))
-    pairs = central_support_pairs(h)
-    assert len(pairs) == 1
-    assert pairs[0].size == 4
-    np.testing.assert_allclose(pairs[0].projection.blocks[0], np.eye(4))
-
-
-def test_central_support_pairs_diagonal():
-    src = MultiMatrixAlgebra((1, 1))
-    h = HomSpec(src, MultiMatrixAlgebra((2,)), ((1, 1),))
-    pairs = central_support_pairs(h)
-    assert [(p.i, p.j, p.offset, p.size) for p in pairs] == [(0, 0, 0, 1), (0, 1, 1, 1)]
-    np.testing.assert_allclose(pairs[0].projection.blocks[0], np.diag([1.0, 0.0]))
-    np.testing.assert_allclose(pairs[1].projection.blocks[0], np.diag([0.0, 1.0]))
-
-
-def test_central_support_pairs_sum_to_central_projection():
-    rng = np.random.default_rng(3)
-    for trial in range(5):
-        h = random_hom(rng, (2, 1, 3), max_mult=2)
-        pairs = central_support_pairs(h)
-        projs = central_projections(h.target)
-        for i in range(h.target.n_blocks):
-            total = zero(h.target)
-            for p in pairs:
-                if p.i == i:
-                    total = total + p.projection
-            assert (total - projs[i]).norm() < 1e-13
+def central_projections(alg):
+    """The minimal central projections, one per block."""
+    return [
+        AlgebraElement(alg, tuple(np.eye(d) * (y == x) for y, d in enumerate(alg.block_dims)))
+        for x in range(alg.n_blocks)
+    ]
 
 
 def test_source_central_images_commute_with_target_projections():

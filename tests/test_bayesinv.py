@@ -10,7 +10,6 @@ from qbayes.bayesinv import (
     _pairing_residual,
     battery,
     bayes_inverse,
-    compositionality_check,
     existence,
     left_right_bayes,
     verify_bayes,
@@ -21,25 +20,21 @@ from qbayes.channel import (
     _sandwich,
     compose,
     from_hom,
-    hs_adjoint,
     identity_channel,
     is_ucp,
 )
 from qbayes.disint import bayes_disint_bridge
 from qbayes.errors import ShapeMismatch
 from qbayes.generators import (
-    epr_instance,
     inclusion_hom,
-    nonproduct_faithful_instance,
-    product_instance,
     product_state_for_hom,
     random_hom,
     random_state,
-    rankdef_product_instance,
 )
 from qbayes.jsonio import loads, problem_from_json
 from qbayes.linalg import (
     DEFAULT_TOL,
+    Tolerances,
     dagger,
     frobenius,
     herm_fun,
@@ -50,8 +45,15 @@ from qbayes.linalg import (
 )
 from qbayes.state import State, evaluate, pullback, support
 
+from compositionality import compositionality_check
 from conftest import INSTANCE_CASES, fixture_path, two_cutoff_instance
 from feasibility import bayes_feasibility
+from instances import (
+    epr_instance,
+    nonproduct_faithful_instance,
+    product_instance,
+    rankdef_product_instance,
+)
 from oracles import random_unitary
 
 
@@ -231,7 +233,8 @@ def test_petz_formula_matches_on_faithful_instances():
         analysis = battery(F, omega)
         assert analysis.passed
         assert analysis.petz_map is not None
-        assert analysis.support_map.close_to(analysis.petz_map, 1e-9)
+        distance = analysis.support_map.distance(analysis.petz_map)
+        assert Tolerances(eps_eq=1e-9).close(*distance)
         report = verify_bayes(F, Channel(F.target, F.source, analysis.petz_map.tensors), omega)
         assert report.pairing_residual < 1e-8
 
@@ -300,22 +303,13 @@ def test_existence_requires_passed_battery():
         existence(analysis)
 
 
-def test_existence_rejects_unknown_split_before_any_work():
-    # the pinned counterexample has no inverse, so the split is never read
-    # while an inverse is built
-    analysis = battery(*pinned_counterexample())
-    assert analysis.passed and not existence(analysis).exists
-    with pytest.raises(ValueError, match="unknown free_split 'bogus'"):
-        existence(analysis, free_split="bogus")
-
-
 def test_verify_bayes_rejects_corrupted_candidate():
     h, omega = product_instance()
     F = from_hom(h)
     ok, inverse, _, _ = bayes_inverse(F, omega)
     assert ok
     # corrupt: naive normalized adjoint is not the inverse
-    Fs = hs_adjoint(F)
+    Fs = F.hs_adjoint()
     tensors = [[0.5 * Fs.tensors[0][0]]]
     candidate = LinearMap(F.target, F.source, tensors)
     report = verify_bayes(F, candidate, omega)
@@ -376,6 +370,7 @@ def test_compositionality_two_extensions_differ_off_support():
     report = compositionality_check(F, from_hom(h_inner), omega)
     assert report.identity_ok
     assert report.composite_ok
+    assert report.second_inverse_ok
     assert report.uniqueness_ae_ok is True
     assert report.extensions_differ is True
 

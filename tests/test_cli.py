@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qbayes.cli import main
+from qbayes.errors import SchemaError
 from qbayes.jsonio import (
     PROBLEM_SCHEMA,
     canonical_dumps,
@@ -15,6 +16,7 @@ from qbayes.jsonio import (
     problem_from_json,
     state_to_json,
 )
+from qbayes.linalg import Tolerances
 
 from conftest import FIXTURES, two_cutoff_instance
 
@@ -450,6 +452,18 @@ def _kraus_ops(ops):
         ("product", _kraus_ops([]), 2, "problem.channel.ops"),
         ("product", _kraus_ops([[[[[1.0, 0.0]] * 16, [[1.0, 0.0]]]]]), 2,
          "problem.channel.ops[0][0][1]"),
+        # integers and weights by JSON type: a float, a string or a bool is refused
+        ("product", _set_entry(["channel", "source", "blocks"], [2.7]), 2,
+         "problem.channel.source.blocks[0]"),
+        ("product", _set_entry(["channel", "source", "blocks"], ["2"]), 2,
+         "problem.channel.source.blocks[0]"),
+        ("product", _set_entry(["channel", "source", "blocks"], [True]), 2,
+         "problem.channel.source.blocks[0]"),
+        ("product", _set_entry(["channel", "mult"], [[2.9]]), 2, "problem.channel.mult[0][0]"),
+        ("product", _set_entry(["channel", "mult"], [["2"]]), 2, "problem.channel.mult[0][0]"),
+        ("product", _set_entry(["channel", "mult"], [2]), 2, "problem.channel.mult[0]"),
+        ("product", _set_entry(["state", "weights"], ["1.0"]), 2, "problem.state.weights[0]"),
+        ("product", _set_entry(["state", "weights"], [True]), 2, "problem.state.weights[0]"),
     ],
     ids=["string", "bool", "nan", "inf-density", "inf-choi", "choi-x2", "choi-negated",
          "choi-as-is", "kraus-x2", "kraus-as-is", "density-not-psd", "density-rank-deficient",
@@ -458,7 +472,8 @@ def _kraus_ops(ops):
          "weights-nan", "weights-inf", "weights-nan-second-block",
          "weights-number", "densities-number", "densities-too-many", "choi-blocks-number",
          "choi-row-number", "kraus-ops-number", "kraus-row-number", "kraus-entry-number",
-         "kraus-ops-empty", "kraus-op-short"],
+         "kraus-ops-empty", "kraus-op-short", "blocks-float", "blocks-string", "blocks-bool",
+         "mult-float", "mult-string", "mult-row-number", "weights-string", "weights-bool"],
 )
 def test_malformed_input_fails_closed(tmp_path, capsys, fixture, edit, code, named):
     data = json.loads((FIXTURES / f"{fixture}.json").read_text())
@@ -513,6 +528,22 @@ def test_state_normalization_is_judged_at_the_run_tolerances(tmp_path, capsys, e
     code, out, _ = run_cli(["check", str(path), "--eps-eq", "1e-4"], capsys)
     assert code == 0
     assert json.loads(out)["analyses"]["bayes-battery"]["passed"] is True
+
+
+def test_density_hermiticity_is_judged_at_the_run_tolerances(tmp_path, capsys):
+    # an imaginary 1e-7 on one off-diagonal entry of product's density breaks
+    # Hermiticity at the default eps_eq of 1e-8, and the state is read at 1e-5
+    data = json.loads((FIXTURES / "product.json").read_text())
+    data["state"]["densities"][0][1][1] += 1e-7  # entry [0, 1] of the 4 x 4 density
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(["check", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error: problem.state.densities[0]: density in block 0 is not Hermitian")
+    with pytest.raises(SchemaError, match=r"^problem\.state\.densities\[0\]: "):
+        problem_from_json(data)
+    rho = problem_from_json(data, Tolerances(eps_eq=1e-5))["state"].densities[0]
+    assert rho[0, 1] == 0.0 + 1e-7j and rho[1, 0] == 0.0
 
 
 @pytest.mark.parametrize("wider", ["flag", "file"])

@@ -14,14 +14,10 @@ from qbayes.disint import (
     verify_disintegration,
 )
 from qbayes.errors import InvalidCertificate
-from qbayes.linalg import dagger, frobenius
+from qbayes.linalg import Tolerances, dagger, frobenius
 from qbayes.modular import corner_map
 from qbayes.generators import (
-    epr_instance,
     inclusion_hom,
-    nonproduct_faithful_instance,
-    nonsubalgebra_deterministic_instance,
-    product_instance,
     product_state_for_hom,
     random_complex,
     random_hom,
@@ -30,7 +26,16 @@ from qbayes.generators import (
 from qbayes.state import State, evaluate, pullback, state_from_weighted
 
 from conftest import fixture_path
+from instances import (
+    epr_instance,
+    nonproduct_faithful_instance,
+    nonsubalgebra_deterministic_instance,
+    product_instance,
+)
 from pair_loops import corner_hom_pairs
+
+# the equality threshold of the expectations' identities
+CLOSE = Tolerances(eps_eq=1e-9)
 
 
 def test_factorize_product_extracts_tau():
@@ -174,7 +179,7 @@ def test_expectation_properties_product():
     F = from_hom(h)
     # idempotence on matrix units
     EE = compose(E, E)
-    assert EE.close_to(E, 1e-9)
+    assert CLOSE.close(*EE.distance(E))
     # fixes the embedded subalgebra and is bimodular over it
     src_units = list(matrix_units(h.source))
     tgt_units = list(matrix_units(h.target))
@@ -236,11 +241,13 @@ def test_condexp_agrees_with_factorize():
 
 
 def test_condexp_emits_expectation():
+    # a passing condexp verdict comes with an expectation: disintegrate's,
+    # the one route to the recovery
     h, omega = product_instance()
-    rep = condexp_characterize(h, omega)
-    assert rep.expectation is not None
-    EE = compose(rep.expectation, rep.expectation)
-    assert EE.close_to(rep.expectation, 1e-9)
+    assert condexp_characterize(h, omega).ok
+    E = disintegrate(h, omega).expectation
+    assert E is not None
+    assert CLOSE.close(*compose(E, E).distance(E))
 
 
 def test_certificate_arithmetic():

@@ -12,15 +12,11 @@ from qbayes.channel import LinearMap, _sandwich, from_hom, is_ucp
 from qbayes.cli import main
 from qbayes.errors import InternalInconsistency
 from qbayes.generators import (
-    epr_instance,
     inclusion_hom,
-    nonproduct_faithful_instance,
-    product_instance,
     product_state_for_hom,
     random_complex,
     random_kraus_channel,
     random_state,
-    rankdef_product_instance,
 )
 from qbayes.modular import (
     DEFAULT_T_SAMPLES,
@@ -36,6 +32,12 @@ from qbayes.state import State, evaluate, pullback, support
 
 from conftest import FIXTURES, INSTANCE_CASES
 from derivations import BUILDERS, recording
+from instances import (
+    epr_instance,
+    nonproduct_faithful_instance,
+    product_instance,
+    rankdef_product_instance,
+)
 
 
 def random_element(rng, alg):

@@ -13,7 +13,6 @@ from qbayes.bayesinv import battery
 from qbayes.channel import Channel, LinearMap, ae_deterministic, from_hom, from_kraus
 from qbayes.disint import bayes_disint_bridge, takesaki_battery
 from qbayes.generators import (
-    nonsubalgebra_deterministic_instance,
     product_state_for_hom,
     random_complex,
     random_density,
@@ -27,6 +26,7 @@ from qbayes.modular import corner_map
 from qbayes.state import State, state_from_weighted
 
 from conftest import FIXTURES, HOM_CASES, INSTANCE_CASES
+from instances import nonsubalgebra_deterministic_instance
 from pair_loops import ae_deterministic_pairs, corner_hom_pairs
 
 FIXTURE_NAMES = sorted(path.name for path in FIXTURES.glob("*.json"))

@@ -6,21 +6,15 @@ from qbayes.bayesinv import battery
 from qbayes.channel import ae_deterministic, identity_channel
 from qbayes.errors import NegativeEigenvalue, ShapeMismatch
 from qbayes.generators import (
-    epr_instance,
     inclusion_hom,
     random_complex,
     random_kraus_channel,
     random_state,
 )
 from qbayes.modular import ac_condition_sampled
-from qbayes.state import (
-    State,
-    evaluate,
-    in_nullspace,
-    is_faithful,
-    pullback,
-    support,
-)
+from qbayes.state import State, evaluate, in_nullspace, pullback, support
+
+from instances import epr_instance
 
 
 def test_state_validation():
@@ -109,6 +103,8 @@ def test_support_random_rank_deficient():
         lhs = evaluate(omega, P @ E @ P)
         rhs = evaluate(omega, E)
         assert abs(lhs - rhs) < 1e-10
+        # lift undoes compress up to the two-sided support projection
+        assert (sup.lift(sup.compress(E)) - P @ E @ P).norm() < 1e-10
     # density absorbed by the projection blockwise
     for x, rho in enumerate(omega.densities):
         np.testing.assert_allclose(rho @ P.blocks[x], rho, atol=1e-10)
@@ -121,24 +117,12 @@ def test_restricted_state_is_faithful():
     omega = random_state(rng, alg, ranks=(2,))
     sup = support(omega)
     restricted = sup.restricted_state()
-    assert is_faithful(restricted)
+    assert support(restricted).is_full()
     # compress/lift invariance on matrix units
     for E in matrix_units(alg):
         lhs = evaluate(restricted, sup.compress(E))
         rhs = evaluate(omega, E)
         assert abs(lhs - rhs) < 1e-10
-
-
-def test_module_level_compress_lift_round_trip():
-    from qbayes.state import compress, lift
-
-    rng = np.random.default_rng(8)
-    alg = MultiMatrixAlgebra((3,))
-    omega = random_state(rng, alg, ranks=(2,))
-    P = support(omega).projection
-    A = AlgebraElement(alg, (random_complex(rng, 3, 3),))
-    back = lift(omega, compress(omega, A))
-    assert (back - P @ A @ P).norm() < 1e-10
 
 
 def test_zero_weight_blocks_dropped():
