@@ -61,12 +61,10 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    HermitianEigen,
     Tolerances,
     Verdict,
     hermitian_eigen,
     herm_fun,
-    kron,
     partial_trace_left,
     partial_trace_right,
     pseudoinverse,

@@ -4,7 +4,7 @@ A multi-matrix algebra is a finite direct sum of full complex matrix blocks.
 Elements carry one block per factor. Unital *-homomorphisms between two such
 algebras are stored in standard form via their multiplicity matrix: block i
 of the image is the block-diagonal stack of (identity_{c_ij} (x) B_j) in
-ascending j, using the multiplicity-left Kronecker convention of `linalg`.
+ascending j, using the multiplicity-left Kronecker convention of `np.kron`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ShapeMismatch
-from .linalg import dagger, frobenius, kron
+from .linalg import dagger, frobenius
 
 
 def memo(owner, key, build: Callable):
@@ -50,10 +50,6 @@ class MultiMatrixAlgebra:
     @property
     def n_blocks(self) -> int:
         return len(self.block_dims)
-
-    @property
-    def dim(self) -> int:
-        return sum(d * d for d in self.block_dims)
 
     def to_dict(self) -> dict:
         return {"blocks": list(self.block_dims)}
@@ -167,10 +163,6 @@ class HomSpec:
                     f"sum_j c_ij n_j = {total} != {m_i}"
                 )
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(self.multiplicities, dtype=int)
-
     def sub_block_layout(self, i: int) -> list[tuple[int, int, int]]:
         """(j, offset, size) of each source sub-block inside target block i.
 
@@ -204,8 +196,6 @@ def apply_hom(h: HomSpec, B: AlgebraElement) -> AlgebraElement:
         out = np.zeros((m_i, m_i), dtype=complex)
         for j, offset, size in h.sub_block_layout(i):
             c = h.multiplicities[i][j]
-            out[offset : offset + size, offset : offset + size] = kron(
-                np.eye(c), B.blocks[j]
-            )
+            out[offset : offset + size, offset : offset + size] = np.kron(np.eye(c), B.blocks[j])
         blocks.append(out)
     return AlgebraElement(h.target, tuple(blocks))

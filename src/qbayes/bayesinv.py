@@ -23,6 +23,7 @@ from .channel import (
     Channel,
     LinearMap,
     UcpVerdict,
+    _read_only,
     _sandwich,
     is_ucp,
     kraus_factor,
@@ -222,12 +223,8 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
             )
 
     # every later caller reads the kept arrays, so none may write to them
-    kept = [*choi_A.values(), *choi_B.values()]
-    for M in (support_map, petz_map):
-        if M is not None:
-            kept += [T for row in M.tensors for T in row]
-    for T in kept:
-        T.setflags(write=False)
+    maps = [M.tensors for M in (support_map, petz_map) if M is not None]
+    _read_only([choi_A.values(), choi_B.values()], *maps)
     return xi, verdicts, passed, choi_A, choi_B, support_map, petz_map
 
 
@@ -287,7 +284,6 @@ class VerifyBayesReport:
     state_preservation: Verdict
 
     ok = property(lambda self: self.pairing.ok and self.ucp.ok and self.state_preservation.ok)
-    pairing_residual = property(lambda self: self.pairing.residual)
 
 
 def verify_bayes(
@@ -367,7 +363,7 @@ def existence(analysis: BayesAnalysis) -> ExistenceResult:
         raise ValueError("existence() requires a passed battery")
     return memo(
         analysis.omega, ("existence", analysis.F, analysis.tol),
-        lambda: _frozen(_existence(analysis)),
+        lambda: _existence(analysis),
     )
 
 
@@ -415,6 +411,7 @@ def _existence(analysis: BayesAnalysis) -> ExistenceResult:
         gap = float(np.linalg.eigvalsh(Pxp - total).min(initial=0.0))
         margin = float(np.minimum(margin, gap))  # a NaN gap stays NaN
     inequality = tol.psd(margin, 1.0, 10)
+    _read_only([trace_blocks.values()])
     if not inequality.ok:
         return ExistenceResult(inequality, trace_blocks, inverse=None, verification=None)
 
@@ -438,25 +435,16 @@ def _existence(analysis: BayesAnalysis) -> ExistenceResult:
             C = A_mat + B_mat + dagger(B_mat) + D_mat
             tensors[y][x] = C.reshape(m_x, n_y, m_x, n_y)
     inverse = Channel(F.target, F.source, tensors, tol=tol)
+    _read_only(inverse.tensors)
     verification = verify_bayes(F, inverse, omega, tol)
     if not verification.ok:
         raise ExtensionFailure(
             "constructed extension failed verification: "
-            f"pairing {verification.pairing_residual:.3e}, "
+            f"pairing {verification.pairing.residual:.3e}, "
             f"state transport {verification.state_preservation.residual:.3e}, "
             f"ucp ok {bool(verification.ucp)}"
         )
     return ExistenceResult(inequality, trace_blocks, inverse, verification)
-
-
-def _frozen(result: ExistenceResult) -> ExistenceResult:
-    """result with its arrays read-only: every later caller reads the kept one."""
-    kept = list(result.trace_blocks.values())
-    if result.inverse is not None:
-        kept += [T for row in result.inverse.tensors for T in row]
-    for T in kept:
-        T.setflags(write=False)
-    return result
 
 
 def bayes_inverse(

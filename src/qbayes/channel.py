@@ -158,26 +158,6 @@ class LinearMap:
             blocks.append(out)
         return AlgebraElement(self.target, tuple(blocks))
 
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        """self o other; other feeds into self."""
-        if other.target.block_dims != self.source.block_dims:
-            raise ShapeMismatch("maps are not composable")
-        tensors = []
-        for x in range(self.target.n_blocks):
-            row = []
-            for z in range(other.source.n_blocks):
-                # out[(k, l), (a, b)] = sum_y other_yz[(k, l), (j, c)] self_xy[(j, c), (a, b)],
-                # one gemm per intermediate block y
-                out = _unit_rows(other.tensors[0][z]) @ _unit_rows(self.tensors[x][0])
-                for y in range(1, self.source.n_blocks):
-                    out += _unit_rows(other.tensors[y][z]) @ _unit_rows(self.tensors[x][y])
-                n = other.source.block_dims[z]
-                m = self.target.block_dims[x]
-                out = out.reshape(n, n, m, m).transpose(0, 2, 1, 3)
-                row.append(np.ascontiguousarray(out))
-            tensors.append(row)
-        return LinearMap(other.source, self.target, tensors)
-
     def hs_adjoint(self) -> "LinearMap":
         """Adjoint for the Hilbert-Schmidt / trace pairing.
 
@@ -233,10 +213,13 @@ class LinearMap:
         return diff, max(max(frobenius(self.tensors[x][y]) for x, y in pairs), 1.0)
 
 
-def _read_only(grid) -> None:
-    for row in grid:
-        for T in row:
-            T.setflags(write=False)
+def _read_only(*grids) -> None:
+    """Mark every array of the given grids (iterables of rows of arrays)
+    read-only: what is kept for later callers must not be written to."""
+    for grid in grids:
+        for row in grid:
+            for T in row:
+                T.setflags(write=False)
 
 
 class Channel(LinearMap):
@@ -306,15 +289,8 @@ def from_kraus(
     target: MultiMatrixAlgebra,
     kraus,
 ) -> Channel:
-    """Channel from Kraus operators, F_xy(B) = sum_k K B K^*.
-
-    `kraus` is either a flat list of m x n matrices (both algebras single
-    blocks) or a grid kraus[x][y] of lists of (m_x x n_y) matrices.
-    """
-    if source.n_blocks == 1 and target.n_blocks == 1 and kraus and isinstance(
-        kraus[0], np.ndarray
-    ):
-        kraus = [[list(kraus)]]
+    """Channel from Kraus operators, F_xy(B) = sum_k K B K^*, given as a grid
+    kraus[x][y] of lists of (m_x x n_y) matrices."""
     tensors = []
     stacks = []
     for x, m_x in enumerate(target.block_dims):
@@ -388,11 +364,25 @@ def kraus_factor(F: LinearMap, tol: Tolerances = DEFAULT_TOL):
 
 
 def compose(F: LinearMap, G: LinearMap) -> LinearMap:
-    """F o G. Preserves Channel-ness when both are channels."""
-    out = F.compose(G)
-    if isinstance(F, Channel) and isinstance(G, Channel):
-        return Channel(out.source, out.target, out.tensors)
-    return out
+    """F o G, G feeding into F; a Channel when both are channels."""
+    if G.target.block_dims != F.source.block_dims:
+        raise ShapeMismatch("maps are not composable")
+    tensors = []
+    for x in range(F.target.n_blocks):
+        row = []
+        for z in range(G.source.n_blocks):
+            # out[(k, l), (a, b)] = sum_y G_yz[(k, l), (j, c)] F_xy[(j, c), (a, b)],
+            # one gemm per intermediate block y
+            out = _unit_rows(G.tensors[0][z]) @ _unit_rows(F.tensors[x][0])
+            for y in range(1, F.source.n_blocks):
+                out += _unit_rows(G.tensors[y][z]) @ _unit_rows(F.tensors[x][y])
+            n = G.source.block_dims[z]
+            m = F.target.block_dims[x]
+            out = out.reshape(n, n, m, m).transpose(0, 2, 1, 3)
+            row.append(np.ascontiguousarray(out))
+        tensors.append(row)
+    cls = Channel if isinstance(F, Channel) and isinstance(G, Channel) else LinearMap
+    return cls(G.source, F.target, tensors)
 
 
 @dataclass(frozen=True)
@@ -405,8 +395,6 @@ class UcpVerdict:
     witness_block: Optional[tuple[int, int]]
 
     ok = property(lambda self: self.cp.ok and self.unital.ok)
-    cp_ok = property(lambda self: self.cp.ok)
-    unital_ok = property(lambda self: self.unital.ok)
     min_choi_eigenvalue = property(lambda self: 0.0 - self.cp.residual)
 
     def __bool__(self) -> bool:
@@ -541,12 +529,11 @@ def _ae_deterministic(F: LinearMap, omega: State, tol: Tolerances) -> bool:
 
 def kraus_blocks(F: LinearMap, x: int, y: int, tol: Tolerances = DEFAULT_TOL):
     """Kraus operators of the (x, y) component from its Choi eigenbasis."""
-    eig = hermitian_eigen(F.choi_block(x, y), tol)
-    w = eig.eigenvalues
+    w, V = hermitian_eigen(F.choi_block(x, y), tol)
     if not tol.psd(float(w.min(initial=0.0)), max(float(w.max(initial=0.0)), 0.0)):
         raise NotCP(f"Choi block ({x},{y}) has eigenvalue {w.min():.3e}")
     n_y, m_x = F.source.block_dims[y], F.target.block_dims[x]
-    return list(_kraus_stack(w, eig.eigenvectors, n_y, m_x, tol))
+    return list(_kraus_stack(w, V, n_y, m_x, tol))
 
 
 def _kraus_stack(w: np.ndarray, V: np.ndarray, n: int, m: int, tol: Tolerances) -> np.ndarray:

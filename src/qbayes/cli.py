@@ -97,8 +97,8 @@ def _run_analyses(problem: dict, tol: Tolerances) -> tuple[dict, dict]:
             algebraic = sampled.algebraic
             out["ac"] = {
                 "verdict": bool(algebraic.ok),
-                "max_residual": algebraic.max_residual,
-                "sampled_residual": sampled.max_residual,
+                "max_residual": algebraic.verdict.residual,
+                "sampled_residual": sampled.verdict.residual,
             }
         elif name == "takesaki":
             rep = takesaki_battery(hom, state, tol)
@@ -149,7 +149,7 @@ def _run_analyses(problem: dict, tol: Tolerances) -> tuple[dict, dict]:
                 entry["margin"] = res.margin
                 if res.exists:
                     entry["inverse"] = channel_to_json(res.inverse)
-                    entry["pairing_residual"] = res.verification.pairing_residual
+                    entry["pairing_residual"] = res.verification.pairing.residual
             else:
                 entry["exists"] = False
             out["bayes-existence"] = entry
@@ -245,7 +245,7 @@ def cmd_invert(args) -> int:
         exists, inverse, analysis, result = bayes_inverse(problem["channel"], problem["state"], tol)
         entry = {"mode": "bayes", "battery_passed": analysis.passed, "exists": exists}
         if exists:
-            entry["pairing_residual"] = result.verification.pairing_residual
+            entry["pairing_residual"] = result.verification.pairing.residual
             entry["margin"] = result.margin
             constructed = inverse
     else:

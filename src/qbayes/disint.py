@@ -41,7 +41,6 @@ from .linalg import (
     _sq_frobenius,
     dagger,
     frobenius,
-    kron,
     partial_trace_left,
     partial_trace_right,
 )
@@ -91,7 +90,7 @@ def factorize(
 
 def _factorize(h: HomSpec, omega: State, tol: Tolerances) -> tuple:
     """The certificate fields after `hom` and `omega`."""
-    xi = pullback(omega, h, tol)
+    xi = pullback(omega, from_hom(h), tol)
     tau: dict[tuple[int, int], np.ndarray] = {}
     lambdas: dict[tuple[int, int], float] = {}
     mus: dict[tuple[int, int], float] = {}
@@ -116,7 +115,7 @@ def _factorize(h: HomSpec, omega: State, tol: Tolerances) -> tuple:
             if q_j > 0.0:
                 t = partial_trace_right(S, c, n_j) / q_j
                 sigma_j = xi.densities[j]
-                recon = q_j * kron(t, sigma_j)
+                recon = q_j * np.kron(t, sigma_j)
                 res["reconstruction"] = max(res["reconstruction"], frobenius(S - recon))
             else:
                 t = np.zeros((c, c), dtype=complex)
@@ -195,8 +194,6 @@ class DisintegrationReport:
     exact_left_inverse: Verdict
     ok: bool
 
-    state_preservation_residual = property(lambda self: self.state_preservation.residual)
-
 
 def verify_disintegration(
     F: LinearMap, G: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL
@@ -237,14 +234,15 @@ def condexp_characterize(
 
     Independently of `factorize`, each weighted diagonal sub-block must (a)
     carry no cross-column mass and (b) split as its own two partial traces,
-    with the source factor proportional to the pulled-back density. On
-    success the `factorize` certificate must pass too, else the two routes
-    disagree and InternalInconsistency is raised; the recovery channel and
-    its expectation are `disintegrate`'s.
+    with the source factor proportional to the pulled-back density. The
+    `factorize` certificate must reach the same verdict, else the two routes
+    disagree and InternalInconsistency is raised, naming the failing
+    residuals of each; the recovery channel and its expectation are
+    `disintegrate`'s.
     """
     if omega.algebra.block_dims != h.target.block_dims:
         raise ShapeMismatch("state does not live on the hom's target algebra")
-    xi = pullback(omega, h, tol)
+    xi = pullback(omega, from_hom(h), tol)
     off_res = 0.0
     prod_res = 0.0
     sigma_res = 0.0
@@ -271,7 +269,7 @@ def condexp_characterize(
                 continue
             tau_part = partial_trace_right(S, c, n_j)
             sigma_part = partial_trace_left(S, c, n_j)
-            prod_res = max(prod_res, frobenius(S - kron(tau_part, sigma_part) / t))
+            prod_res = max(prod_res, frobenius(S - np.kron(tau_part, sigma_part) / t))
             if xi.weights[j] > 0.0:
                 sigma_res = max(
                     sigma_res, frobenius(sigma_part / t - xi.densities[j])
@@ -291,18 +289,25 @@ def condexp_characterize(
         )
         mixing_res = max(mixing_res, abs(col - xi.weights[j]))
 
-    verdicts = (
-        tol.close(off_res), tol.close(prod_res),
-        tol.close(sigma_res, 1.0, 10), tol.close(mixing_res, 1.0, 10),
-    )
-    if all(verdicts):
-        cert = factorize(h, omega, tol)
-        if not cert.ok:
-            raise InternalInconsistency(
-                "sub-block characterization passed but the factorization "
-                f"certificate failed with residuals {cert.residuals}"
-            )
-    return CondexpReport(*verdicts, mus=mus, lambdas=lambdas)
+    verdicts = {
+        "off_diagonal": tol.close(off_res), "product": tol.close(prod_res),
+        "sigma_match": tol.close(sigma_res, 1.0, 10), "mixing": tol.close(mixing_res, 1.0, 10),
+    }
+    report = CondexpReport(**verdicts, mus=mus, lambdas=lambdas)
+    cert = factorize(h, omega, tol)
+    if cert.ok != report.ok:
+        raise InternalInconsistency(
+            f"sub-block characterization ({report.ok}; failing: {_failing(verdicts)}) "
+            f"disagrees with the factorization certificate ({cert.ok}; failing: "
+            f"{_failing(cert.verdicts)})"
+        )
+    return report
+
+
+def _failing(verdicts: dict[str, Verdict]) -> str:
+    """The failing verdicts as 'name residual > threshold', or 'none'."""
+    failing = [f"{k} {v.residual:.3e} > {v.threshold:.3e}" for k, v in verdicts.items() if not v.ok]
+    return ", ".join(failing) or "none"
 
 
 @dataclass(frozen=True)
@@ -355,10 +360,6 @@ class TakesakiReport:
     intertwining: Verdict
     corner_disintegration: bool
     full_disintegration: bool
-
-    corner_hom = property(lambda self: self.multiplicative.ok)
-    corner_hom_residual = property(lambda self: self.multiplicative.residual)
-    corner_intertwining = property(lambda self: self.intertwining.ok)
 
 
 def takesaki_battery(

@@ -34,12 +34,9 @@ class NegativeEigenvalue(QBayesError):
         self.block = block
 
 
-class DimensionMismatch(QBayesError):
-    """Matrix dimensions do not factor or align as required."""
-
-
 class ShapeMismatch(QBayesError):
-    """Element, state, or channel shapes do not match their algebra."""
+    """Element, state, channel or matrix shapes do not match their algebra,
+    or do not factor as required."""
 
 
 class NotCP(QBayesError):

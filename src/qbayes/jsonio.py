@@ -67,23 +67,19 @@ def matrix_from_json(data, rows: int, cols: int, field: str) -> np.ndarray:
             if np.isfinite(pairs).all():
                 # the pairs' bits as they are, signed zeros included
                 return pairs.view(complex).reshape(rows, cols)
-    # the per-entry loop names the first offending entry
-    out = np.zeros(rows * cols, dtype=complex)
+    # some entry is refused: name the first malformed one, else the first one
+    # that is not finite
     for idx, pair in enumerate(data):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise SchemaError(f"{field}[{idx}]: expected an [re, im] pair")
-        re, im = pair
-        if type(re) not in (int, float) or type(im) not in (int, float):
+        if type(pair[0]) not in (int, float) or type(pair[1]) not in (int, float):
             raise SchemaError(f"{field}[{idx}]: expected two numbers, got {pair!r}")
         try:
-            out[idx] = complex(re, im)
+            complex(*pair)
         except OverflowError:
             raise SchemaError(f"{field}[{idx}]: entry {pair!r} is not finite") from None
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size:
-        idx = int(bad[0])
-        raise SchemaError(f"{field}[{idx}]: entry {data[idx]!r} is not finite")
-    return out.reshape(rows, cols)
+    idx = next(i for i, pair in enumerate(data) if not all(map(math.isfinite, pair)))
+    raise SchemaError(f"{field}[{idx}]: entry {data[idx]!r} is not finite")
 
 
 def _list(value, n: Optional[int], field: str) -> list:
@@ -250,9 +246,9 @@ def _check_analyses(analyses, has_hom: bool, field: str) -> None:
 
 
 def problem_from_json(data, tol: Tolerances = DEFAULT_TOL) -> dict:
-    """Validated problem dict: channel, optional hom, state, analyses,
-    tolerances. The channel's UCP test and the state's weights and traces are
-    judged at tol."""
+    """Validated problem dict: channel, optional hom, state and analyses. The
+    channel's UCP test and the state's weights and traces are judged at tol;
+    the problem's own tolerances are read by `tolerances_from_json`."""
     if not isinstance(data, dict):
         raise SchemaError("problem: expected a JSON object")
     schema = data.get("schema")
@@ -275,7 +271,6 @@ def problem_from_json(data, tol: Tolerances = DEFAULT_TOL) -> dict:
         "hom": hom,
         "state": state,
         "analyses": list(analyses),
-        "tolerances": tolerances_from_json(data),
     }
 
 

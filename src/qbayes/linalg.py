@@ -1,12 +1,12 @@
 """Dense complex-matrix kernel.
 
 Hermitian spectral decomposition, support-restricted functional calculus,
-Moore-Penrose pseudoinverse, Kronecker products, and partial traces. All
-functions take and return plain complex numpy arrays and never modify their
-inputs.
+Moore-Penrose pseudoinverse, and partial traces. All functions take and
+return plain complex numpy arrays and never modify their inputs.
 
-Index convention for Kronecker products and partial traces: the LEFT factor
-is the multiplicity factor, kron(A, B)[(i, k), (j, l)] = A[i, j] * B[k, l].
+Kronecker products are `np.kron`'s, and the partial traces follow its index
+convention: the LEFT factor is the multiplicity factor,
+np.kron(A, B)[(i, k), (j, l)] = A[i, j] * B[k, l].
 """
 
 from __future__ import annotations
@@ -17,12 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NegativeEigenvalue,
-    NoConvergence,
-    NotHermitian,
-)
+from .errors import NegativeEigenvalue, NoConvergence, NotHermitian, ShapeMismatch
 
 # Absolute fallback used whenever a relative threshold has a ~zero reference.
 ABS_FLOOR = 1e-12
@@ -146,22 +141,12 @@ def is_hermitian(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     return diff <= tol.eps_eq * frobenius(M) or diff <= ABS_FLOOR
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Spectral data V diag(w) V* of a Hermitian matrix, w ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ dagger(self.eigenvectors)
-
-
-def hermitian_eigen(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix with validated reconstruction."""
+def hermitian_eigen(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """(w, V) with M = V diag(w) V*, w ascending, for a Hermitian matrix M, with
+    validated reconstruction."""
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
+        raise ShapeMismatch(f"expected a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix contains NaN or Inf entries")
     if not is_hermitian(M, tol):
@@ -173,14 +158,13 @@ def hermitian_eigen(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> HermitianEi
         w, V = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NoConvergence(str(exc)) from exc
-    eig = HermitianEigen(eigenvalues=w, eigenvectors=V)
     scale = max(frobenius(M), ABS_FLOOR)
-    if frobenius(eig.reconstruct() - H) > EPS_RECON * scale:
+    if frobenius((V * w) @ dagger(V) - H) > EPS_RECON * scale:
         raise NoConvergence("spectral reconstruction exceeded EPS_RECON")
     n = M.shape[0]
     if frobenius(dagger(V) @ V - np.eye(n)) > EPS_RECON * n:
         raise NoConvergence("eigenvector matrix is not unitary within EPS_RECON")
-    return eig
+    return w, V
 
 
 def herm_fun(
@@ -194,8 +178,7 @@ def herm_fun(
     so f is never evaluated off the support. Realizes sqrt(M), M^{it},
     and general complex powers M^z on the support.
     """
-    eig = hermitian_eigen(M, tol)
-    w, V = eig.eigenvalues, eig.eigenvectors
+    w, V = hermitian_eigen(M, tol)
     wmax = max(float(w.max(initial=0.0)), 0.0)
     cutoff = tol.eps_rank * wmax
     if not tol.support_psd(float(w.min(initial=0.0)), wmax):
@@ -214,15 +197,10 @@ def pseudoinverse(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return herm_fun(M, lambda w: 1.0 / w, tol)
 
 
-def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product, left factor = multiplicity factor."""
-    return np.kron(np.asarray(A), np.asarray(B))
-
-
 def _split_indices(M: np.ndarray, k: int, n: int) -> np.ndarray:
     M = np.asarray(M)
     if M.shape != (k * n, k * n):
-        raise DimensionMismatch(
+        raise ShapeMismatch(
             f"matrix of shape {M.shape} does not factor as ({k}*{n}, {k}*{n})"
         )
     return M.reshape(k, n, k, n)

@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, HomSpec, memo
-from .channel import Channel, LinearMap, _sandwich, _unit_rows, from_hom, is_ucp
+from .algebra import AlgebraElement, memo
+from .channel import Channel, LinearMap, _sandwich, _unit_rows, is_ucp
 from .errors import InternalInconsistency, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
@@ -88,8 +88,6 @@ def corner_map(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> Cor
     fields hold None in place of omega, their owner, when the pair is its own
     corner.
     """
-    if isinstance(F, HomSpec):
-        F = from_hom(F)
     if omega.algebra.block_dims != F.target.block_dims:
         raise ShapeMismatch("state does not live on the map's target algebra")
     sup_o = support(omega, tol)
@@ -149,7 +147,6 @@ class ACReport:
     algebraic: Optional["ACReport"] = None
 
     ok = property(lambda self: self.verdict.ok)
-    max_residual = property(lambda self: self.verdict.residual)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -197,14 +194,13 @@ def _ac_algebraic(cm: CornerMap, tol: Tolerances) -> Verdict:
 def ac_condition_sampled(
     F: LinearMap,
     omega: State,
-    t_samples: Sequence[float] = DEFAULT_T_SAMPLES,
     tol: Tolerances = DEFAULT_TOL,
 ) -> ACReport:
     """Sampled-t intertwining test, cross-validated against the algebraic one.
 
     Checks corner(F) o flow_xi^t = flow_omega^t o corner(F) on corner matrix
-    units at each sampled t. The default sample set includes an irrational
-    time to avoid accidental periodicity of rational spectra.
+    units at each t of DEFAULT_T_SAMPLES, which includes an irrational time
+    to avoid accidental periodicity of rational spectra.
 
     With U_t and U'_t the flow unitaries of xi and omega, the Frobenius norm
     is unitarily invariant, so ||C(U_t E U_t^*) - U'_t C(E) U'_t^*|| =
@@ -215,7 +211,7 @@ def ac_condition_sampled(
     algebraic = ac_condition_algebraic(F, omega, tol)
     cm = algebraic.corner
     chan = cm.channel
-    times = tuple(t_samples)
+    times = DEFAULT_T_SAMPLES
     U_o = _flow_unitaries(modular_flow(cm.omega_restricted, tol), times)
     U_x = _flow_unitaries(modular_flow(cm.xi_restricted, tol), times)
     budget = sum(T.size for row in chan.tensors for T in row)
@@ -244,7 +240,7 @@ def ac_condition_sampled(
     if sampled.ok != algebraic.ok:
         raise InternalInconsistency(
             "AC verdicts disagree: "
-            f"algebraic={algebraic.ok} (residual {algebraic.max_residual:.3e}), "
+            f"algebraic={algebraic.ok} (residual {algebraic.verdict.residual:.3e}), "
             f"sampled={sampled.ok} (residual {worst:.3e})"
         )
     return ACReport(sampled, cm, algebraic)

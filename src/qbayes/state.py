@@ -13,12 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import (
-    AlgebraElement,
-    HomSpec,
-    MultiMatrixAlgebra,
-    memo,
-)
+from .algebra import AlgebraElement, MultiMatrixAlgebra, memo
 from .errors import NegativeEigenvalue, NotHermitian, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
@@ -179,7 +174,7 @@ def _support(omega: State, tol: Tolerances) -> tuple:
     """The SupportData fields after `state`, which refer only to arrays."""
     alg = omega.algebra
     eigs = [hermitian_eigen(omega.weighted_density(x), tol) for x in range(alg.n_blocks)]
-    lam_max = max(float(eig.eigenvalues.max(initial=0.0)) for eig in eigs)
+    lam_max = max(float(w.max(initial=0.0)) for w, _ in eigs)
     cutoff = tol.rank_cutoff(lam_max)
 
     proj_blocks = []
@@ -187,8 +182,7 @@ def _support(omega: State, tol: Tolerances) -> tuple:
     spectra: list[tuple[np.ndarray, np.ndarray]] = []
     kept = []
     corner_dims = []
-    for x, (d, eig) in enumerate(zip(alg.block_dims, eigs)):
-        w = eig.eigenvalues
+    for x, (d, (w, V)) in enumerate(zip(alg.block_dims, eigs)):
         psd = tol.support_psd(float(w.min(initial=0.0)), float(w.max(initial=0.0)))
         if not psd:
             raise NegativeEigenvalue(
@@ -196,7 +190,7 @@ def _support(omega: State, tol: Tolerances) -> tuple:
                 block=x,
             )
         keep = w > cutoff
-        V = eig.eigenvectors[:, keep][:, ::-1]
+        V = V[:, keep][:, ::-1]
         spectra.append((w[keep][::-1], V))
         rank = V.shape[1]
         if rank == 0:
@@ -236,16 +230,12 @@ def in_nullspace(
 
 
 def pullback(omega: State, F, tol: Tolerances = DEFAULT_TOL) -> State:
-    """The state omega o F on the source of F (a Channel or HomSpec).
+    """The state omega o F on the source of the map F.
 
     Computed through the predual action on weighted densities; weights and
     densities are renormalized per block, and blocks whose induced weight
     vanishes are dropped. Computed once per state, map and tolerance.
     """
-    from .channel import from_hom
-
-    if isinstance(F, HomSpec):
-        F = from_hom(F)
     if F.target.block_dims != omega.algebra.block_dims:
         raise ShapeMismatch("state does not live on the channel's target")
     return memo(omega, ("pullback", F, tol), lambda: _pullback(omega, F, tol))

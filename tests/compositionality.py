@@ -68,7 +68,7 @@ def compositionality_check(
     return CompositionalityReport(
         identity_ok=identity_ok,
         composite_ok=report.ok,
-        composite_residual=report.pairing_residual,
+        composite_residual=report.pairing.residual,
         second_inverse_ok=verify_bayes(F, second, omega, tol).ok,
         uniqueness_ae_ok=ae_equal(Fbar, second, xi, tol),
         extensions_differ=not tol.close(*Fbar.distance(second)),

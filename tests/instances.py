@@ -60,7 +60,7 @@ def nonsubalgebra_deterministic_instance() -> tuple[Channel, State]:
     target = MultiMatrixAlgebra((4,))
     place = np.vstack([np.eye(2), np.zeros((2, 2))])
     lower = (np.eye(2) / np.sqrt(2), np.diag([0.5, -0.5]), np.array([[0.0, 0.5], [0.5, 0.0]]))
-    F = from_kraus(source, target, [place] + [np.vstack([np.zeros((2, 2)), L]) for L in lower])
+    F = from_kraus(source, target, [[[place] + [np.vstack([np.zeros((2, 2)), L]) for L in lower]]])
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
     omega = State(target, (1.0,), (rho,))

@@ -235,7 +235,7 @@ def test_criterion_05_petz_bayes_oracle():
         if not analysis.passed:
             continue
         petz = Channel(F.target, F.source, analysis.petz_map.tensors)
-        residual = verify_bayes(F, petz, omega).pairing_residual
+        residual = verify_bayes(F, petz, omega).pairing.residual
         worst = max(worst, residual)
         checked += 1
     report(
@@ -295,11 +295,11 @@ def test_criterion_07_epr_fixture():
     ac = ac_condition_algebraic(from_hom(h), omega).ok
     tk = takesaki_battery(h, omega)
     ce = condexp_characterize(h, omega).ok
-    ok = ac and not tk.corner_hom and not tk.full_disintegration and not ce
+    ok = ac and not tk.multiplicative.ok and not tk.full_disintegration and not ce
     report(
         7,
         ok,
-        f"EPR fixture: intertwining={ac}, corner-hom={tk.corner_hom}, "
+        f"EPR fixture: intertwining={ac}, corner-hom={tk.multiplicative.ok}, "
         f"disintegration={tk.full_disintegration}, condexp={ce}",
     )
 
@@ -308,11 +308,11 @@ def test_criterion_08_reverse_counterexample():
     h, omega = nonproduct_faithful_instance()
     ac = ac_condition_algebraic(from_hom(h), omega).ok
     tk = takesaki_battery(h, omega)
-    ok = tk.corner_hom and not ac and not tk.full_disintegration
+    ok = tk.multiplicative.ok and not ac and not tk.full_disintegration
     report(
         8,
         ok,
-        f"reverse fixture: corner-hom={tk.corner_hom}, intertwining={ac}, "
+        f"reverse fixture: corner-hom={tk.multiplicative.ok}, intertwining={ac}, "
         f"disintegration={tk.full_disintegration}",
     )
 
@@ -386,7 +386,7 @@ def test_criterion_10_existence_inequality():
         fail_side and pass_side,
         f"pinned no-inverse fixture (margin {res.margin:+.3f}, oracle "
         f"infeasible) and non-faithful fixture with verified extension "
-        f"(pairing {res2.verification.pairing_residual:.1e})",
+        f"(pairing {res2.verification.pairing.residual:.1e})",
     )
 
 

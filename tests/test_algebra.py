@@ -25,7 +25,7 @@ def test_algebra_validation():
         MultiMatrixAlgebra(())
     with pytest.raises(ShapeMismatch):
         MultiMatrixAlgebra((2, 0))
-    assert MultiMatrixAlgebra((2, 3)).dim == 13
+    assert sum(d * d for d in MultiMatrixAlgebra((2, 3)).block_dims) == 13
 
 
 def test_matrix_units_count_and_orthogonality():

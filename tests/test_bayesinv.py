@@ -38,7 +38,6 @@ from qbayes.linalg import (
     dagger,
     frobenius,
     herm_fun,
-    kron,
     partial_trace_left,
     partial_trace_right,
     pseudoinverse,
@@ -110,7 +109,7 @@ def test_left_right_bayes_product_partial_trace():
     tau = np.diag([0.3, 0.7])
     for E in matrix_units(h.target):
         expected = partial_trace_right(
-            kron(tau, np.eye(2)) @ E.blocks[0], 2, 2
+            np.kron(tau, np.eye(2)) @ E.blocks[0], 2, 2
         ).T  # tr_k over the tau factor leaves the source block
         # direct formula: G(A) = tr_k((tau (x) 1) A)
         got = GL.apply(E).blocks[0]
@@ -236,7 +235,7 @@ def test_petz_formula_matches_on_faithful_instances():
         distance = analysis.support_map.distance(analysis.petz_map)
         assert Tolerances(eps_eq=1e-9).close(*distance)
         report = verify_bayes(F, Channel(F.target, F.source, analysis.petz_map.tensors), omega)
-        assert report.pairing_residual < 1e-8
+        assert report.pairing.residual < 1e-8
 
 
 def test_unitary_conjugation_battery_and_inverse():
@@ -269,7 +268,7 @@ def test_existence_rankdef_product_constructs_and_verifies():
     assert result.exists
     assert result.margin >= -1e-9
     assert result.verification.ok
-    assert result.verification.pairing_residual < 1e-8
+    assert result.verification.pairing.residual < 1e-8
     assert is_ucp(result.inverse)
     feas = bayes_feasibility(F, omega)
     assert feas.feasible is True
@@ -314,7 +313,7 @@ def test_verify_bayes_rejects_corrupted_candidate():
     candidate = LinearMap(F.target, F.source, tensors)
     report = verify_bayes(F, candidate, omega)
     assert not report.ok
-    assert report.pairing_residual > 1e-3
+    assert report.pairing.residual > 1e-3
 
 
 def test_verify_bayes_identity():
@@ -324,7 +323,7 @@ def test_verify_bayes_identity():
     ident = identity_channel(alg)
     report = verify_bayes(ident, ident, omega)
     assert report.ok
-    assert report.pairing_residual < 1e-12
+    assert report.pairing.residual < 1e-12
 
 
 def test_verify_bayes_shape_check():

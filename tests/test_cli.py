@@ -204,7 +204,7 @@ def test_invert_bayes_round_trip(tmp_path, capsys):
     problem = problem_from_json(loads((FIXTURES / "product.json").read_text()))
     written, _ = channel_from_json(loads(out_path.read_text()), "channel")
     report = verify_bayes(problem["channel"], written, problem["state"])
-    assert report.pairing_residual == residual1
+    assert report.pairing.residual == residual1
 
 
 def test_invert_disint_epr_no_file(tmp_path, capsys):

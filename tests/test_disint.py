@@ -2,6 +2,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import qbayes.disint
 from qbayes.algebra import HomSpec, MultiMatrixAlgebra, matrix_units, unit
 from qbayes.channel import LinearMap, compose, from_hom, identity_channel, is_ucp
 from qbayes.disint import (
@@ -13,8 +14,9 @@ from qbayes.disint import (
     takesaki_battery,
     verify_disintegration,
 )
+from qbayes.cli import main
 from qbayes.errors import InvalidCertificate
-from qbayes.linalg import Tolerances, dagger, frobenius
+from qbayes.linalg import Tolerances, Verdict, dagger, frobenius
 from qbayes.modular import corner_map
 from qbayes.generators import (
     inclusion_hom,
@@ -160,7 +162,7 @@ def test_verify_disintegration_detects_wrong_tau():
     G_bad = build_disintegration(bad_cert)
     report = verify_disintegration(from_hom(h), G_bad, omega)
     assert not report.ok
-    assert report.state_preservation_residual > 1e-3
+    assert report.state_preservation.residual > 1e-3
 
 
 def test_verify_disintegration_identity():
@@ -240,6 +242,24 @@ def test_condexp_agrees_with_factorize():
     assert agree == 30
 
 
+@pytest.mark.parametrize("fixture, certificate_ok", [("product", False), ("epr", True)])
+def test_broken_factorize_route_exits_3(fixture, certificate_ok, monkeypatch, capsys):
+    # condexp reads the certificate whichever verdict its sub-block test
+    # reaches, so a certificate that answers the other way alarms both ways
+    factorize = qbayes.disint.factorize
+    verdict = Verdict(0.0, 1.0) if certificate_ok else Verdict(1.0, 0.0)
+
+    def broken(*args):
+        cert = factorize(*args)
+        return dataclasses.replace(cert, verdicts=dict.fromkeys(cert.verdicts, verdict))
+
+    monkeypatch.setattr(qbayes.disint, "factorize", broken)
+    assert main(["check", str(fixture_path(f"{fixture}.json")), "--analyses", "condexp"]) == 3
+    err = capsys.readouterr().err
+    assert f"({not certificate_ok}; failing: " in err
+    assert f"disagrees with the factorization certificate ({certificate_ok}; failing: " in err
+
+
 def test_condexp_emits_expectation():
     # a passing condexp verdict comes with an expectation: disintegrate's,
     # the one route to the recovery
@@ -276,8 +296,8 @@ def test_certificate_arithmetic():
 def test_takesaki_epr():
     h, omega = epr_instance()
     rep = takesaki_battery(h, omega)
-    assert rep.corner_intertwining
-    assert not rep.corner_hom
+    assert rep.intertwining.ok
+    assert not rep.multiplicative.ok
     assert not rep.corner_disintegration
     assert not rep.full_disintegration
 
@@ -285,16 +305,16 @@ def test_takesaki_epr():
 def test_takesaki_reverse_counterexample():
     h, omega = nonproduct_faithful_instance()
     rep = takesaki_battery(h, omega)
-    assert rep.corner_hom
-    assert not rep.corner_intertwining
+    assert rep.multiplicative.ok
+    assert not rep.intertwining.ok
     assert not rep.full_disintegration
 
 
 def test_takesaki_product_all_true():
     h, omega = product_instance()
     rep = takesaki_battery(h, omega)
-    assert rep.corner_hom
-    assert rep.corner_intertwining
+    assert rep.multiplicative.ok
+    assert rep.intertwining.ok
     assert rep.corner_disintegration
     assert rep.full_disintegration
 
@@ -323,7 +343,7 @@ def test_takesaki_multiblock_randomized():
         # the verdict of test (a) against the loop over pairs of corner units
         F = from_hom(h)
         cm = corner_map(F, omega)
-        assert rep.corner_hom == corner_hom_pairs(cm.channel)[0]
+        assert rep.multiplicative.ok == corner_hom_pairs(cm.channel)[0]
 
         # its residual, unit by unit: the largest ||R(E)* R(E)|| over corner
         # units E and target blocks, with R(E) = Q_o h(V_x E V_x*) V_o
@@ -335,7 +355,7 @@ def test_takesaki_multiblock_randomized():
                 W = sup_o.isometries[x]
                 R = image.blocks[x] @ W - W @ (dagger(W) @ image.blocks[x] @ W)
                 worst = max(worst, frobenius(dagger(R) @ R))
-        assert abs(rep.corner_hom_residual - worst) <= 1e-12
+        assert abs(rep.multiplicative.residual - worst) <= 1e-12
 
 
 def test_bridge_fixtures():
@@ -397,7 +417,7 @@ def test_uniform_branch_zero_weight_column():
     assert cert.ok
     G = build_disintegration(cert)
     assert is_ucp(G)
-    xi = pullback(omega, h)
+    xi = pullback(omega, from_hom(h))
     assert xi.weights[1] == 0.0
     report = verify_disintegration(from_hom(h), G, omega)
     assert report.ok

@@ -190,7 +190,7 @@ def test_ac_residuals_match_unit_loops(case):
                     lhs = np.einsum("iajb,ij->ab", T, sig[y] @ E) @ rho[x]
                     rhs = rho[x] @ np.einsum("iajb,ij->ab", T, E @ sig[y])
                     worst = max(worst, np.linalg.norm(lhs - rhs))
-    assert abs(algebraic.max_residual - worst) <= 1e-12
+    assert abs(algebraic.verdict.residual - worst) <= 1e-12
 
     # the products of the algebraic test against the einsum strings they replace
     for y in range(chan.source.n_blocks):
@@ -211,7 +211,7 @@ def test_ac_residuals_match_unit_loops(case):
         for t in DEFAULT_T_SAMPLES
         for E in matrix_units(chan.source)
     )
-    assert abs(sampled.max_residual - worst) <= 1e-12
+    assert abs(sampled.verdict.residual - worst) <= 1e-12
 
 
 def test_corner_map_epr_compresses_to_scalar():
@@ -239,7 +239,7 @@ def test_ac_product_true():
     h, omega = product_instance()
     report = ac_condition_algebraic(from_hom(h), omega)
     assert report.ok
-    assert report.max_residual < 1e-12
+    assert report.verdict.residual < 1e-12
 
 
 def test_ac_epr_true_nonproduct_false():
@@ -248,7 +248,7 @@ def test_ac_epr_true_nonproduct_false():
     h2, omega2 = nonproduct_faithful_instance()
     report = ac_condition_algebraic(from_hom(h2), omega2)
     assert not report.ok
-    assert report.max_residual > 1e-3
+    assert report.verdict.residual > 1e-3
 
 
 def test_ac_rankdef_product_true():
@@ -352,7 +352,7 @@ def _flip_omega_flow(monkeypatch) -> list:
 def test_broken_sampled_route_raises(monkeypatch):
     # the product fixture satisfies AC, and its sampled residual is tiny
     problem = problem_from_json(json.loads((FIXTURES / "product.json").read_text()))
-    assert ac_condition_sampled(problem["channel"], problem["state"]).max_residual < 1e-12
+    assert ac_condition_sampled(problem["channel"], problem["state"]).verdict.residual < 1e-12
     omega_sides = _flip_omega_flow(monkeypatch)
     with pytest.raises(InternalInconsistency, match="AC verdicts disagree"):
         ac_condition_sampled(problem["channel"], problem["state"])
@@ -391,15 +391,15 @@ def two_pass_spectra(omega, tol=DEFAULT_TOL):
     the eigenpairs above it."""
     blocks = range(omega.algebra.n_blocks)
     lam_max = max(
-        float(hermitian_eigen(omega.weighted_density(x), tol).eigenvalues.max(initial=0.0))
+        float(hermitian_eigen(omega.weighted_density(x), tol)[0].max(initial=0.0))
         for x in blocks
     )
     cutoff = tol.eps_rank * max(lam_max, ABS_FLOOR)
     spectra = []
     for x in blocks:
-        eig = hermitian_eigen(omega.weighted_density(x), tol)
-        keep = eig.eigenvalues > cutoff
-        spectra.append((eig.eigenvalues[keep][::-1], eig.eigenvectors[:, keep][:, ::-1]))
+        w, V = hermitian_eigen(omega.weighted_density(x), tol)
+        keep = w > cutoff
+        spectra.append((w[keep][::-1], V[:, keep][:, ::-1]))
     return spectra
 
 

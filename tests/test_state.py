@@ -3,7 +3,7 @@ import pytest
 
 from qbayes.algebra import AlgebraElement, MultiMatrixAlgebra, matrix_unit, matrix_units, unit
 from qbayes.bayesinv import battery
-from qbayes.channel import ae_deterministic, identity_channel
+from qbayes.channel import ae_deterministic, from_hom, identity_channel
 from qbayes.errors import NegativeEigenvalue, ShapeMismatch
 from qbayes.generators import (
     inclusion_hom,
@@ -165,13 +165,13 @@ def test_pullback_product_is_partial_trace():
     tau = np.diag([0.3, 0.7])
     sigma = np.diag([0.6, 0.4])
     omega = State(h.target, (1.0,), (np.kron(tau, sigma),))
-    xi = pullback(omega, h)
+    xi = pullback(omega, from_hom(h))
     np.testing.assert_allclose(xi.densities[0], sigma, atol=1e-12)
 
 
 def test_pullback_epr_is_maximally_mixed():
     h, omega = epr_instance()
-    xi = pullback(omega, h)
+    xi = pullback(omega, from_hom(h))
     np.testing.assert_allclose(xi.densities[0], np.eye(2) / 2, atol=1e-12)
 
 
