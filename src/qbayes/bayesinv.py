@@ -25,6 +25,7 @@ from .channel import (
     UcpVerdict,
     _read_only,
     _sandwich,
+    certificate_factor,
     is_ucp,
     kraus_factor,
 )
@@ -38,7 +39,8 @@ from .linalg import (
     frobenius,
     hermitian_floor,
     partial_trace_left,
-    pseudoinverse,
+    support_eigen,
+    support_mask,
 )
 from .modular import ac_condition_algebraic
 from .state import State, pullback, support
@@ -356,6 +358,17 @@ def existence(analysis: BayesAnalysis) -> ExistenceResult:
     The leftover co-support mass is spread uniformly over the free diagonal;
     any admissible split yields an a.e.-equivalent inverse.
 
+    The inverse carries a Kraus factor of each Choi block A + B + B* + D, which
+    `is_ucp` checks as a certificate: with (S, c) the eigenpairs of C, the
+    columns Q S_k c_k^{1/2} + B* Q S_k c_k^{-1/2} for every c_k the
+    pseudoinverse keeps (only the first term for the other c_k >= 0) give
+    the Schur completion, and the eigen-directions of the spread co-support
+    mass give its Kronecker term. For a Choi-given F the factor's Q also
+    spans the images of the eigen-directions that F's kept operators cut and
+    of its negative ones, and (S, c) are read on that span, while C^+ stays
+    that of the kept operators; the c_k below -`Tolerances.negligible` give
+    the operators that the inverse subtracts (`Channel.negative`).
+
     Run once per state, map and tolerance, like `battery`: the result is kept
     on the state, and its arrays are read-only.
     """
@@ -372,6 +385,9 @@ def _existence(analysis: BayesAnalysis) -> ExistenceResult:
     sup_x = support(xi, tol)
     P_xis = sup_x.projection.blocks
     kraus = kraus_factor(F, tol)
+    # the operators of F's signed factor beyond those kept (a Choi-given F's
+    # small and negative eigen-directions), whose images the inverse's factor spans
+    full, negative = certificate_factor(F) or (kraus, None)
     src_dims = F.source.block_dims
     tgt_dims = F.target.block_dims
     w_x = np.array(tgt_dims, dtype=float)
@@ -379,6 +395,7 @@ def _existence(analysis: BayesAnalysis) -> ExistenceResult:
 
     trace_blocks: dict[int, np.ndarray] = {}
     sandwich: dict[tuple[int, int], np.ndarray] = {}
+    factors: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     margin = np.inf
     for y, n_y in enumerate(src_dims):
         if xi.weights[y] <= 0.0:
@@ -392,13 +409,32 @@ def _existence(analysis: BayesAnalysis) -> ExistenceResult:
             A_mat = (A_mat + dagger(A_mat)) / 2
             # U[(a, i), s] = (sigma-hat K_s* rho)[i, a]
             K = kraus[x][y]
-            U = (shat_w @ K.conj().swapaxes(1, 2) @ omega.weighted_density(x)).transpose(2, 1, 0)
+            rho_w = omega.weighted_density(x)
+            U = (shat_w @ K.conj().swapaxes(1, 2) @ rho_w).transpose(2, 1, 0)
             Q = np.linalg.qr(U.reshape(m_x * n_y, len(K)))[0]
             AQ = A_mat @ Q
             QB = dagger(Q) @ B_mat
-            CQB = pseudoinverse(dagger(Q) @ AQ, tol) @ QB
+            # C^+ as `pseudoinverse` builds it, from eigenpairs kept for the factor
+            c, S, keep = support_eigen(dagger(Q) @ AQ, tol)
+            c_inv = np.zeros(len(c), dtype=complex)
+            c_inv[keep] = 1.0 / c[keep]
+            CQB = ((S * c_inv) @ dagger(S)) @ QB
             X = dagger(QB) @ CQB
             sandwich[(x, y)] = X
+            extra = full[x][y][len(K):]
+            if negative is not None:
+                extra = np.concatenate([extra, negative[x][y]])
+            if len(extra):
+                # span Q and the images of the extra operators, and the
+                # eigenpairs of A's compression to it
+                Ue = (shat_w @ extra.conj().swapaxes(1, 2) @ rho_w).transpose(2, 1, 0)
+                Q = np.linalg.qr(np.hstack([Q, Ue.reshape(m_x * n_y, len(extra))]))[0]
+                QB = dagger(Q) @ B_mat
+                c, S = np.linalg.eigh(dagger(Q) @ A_mat @ Q)
+                c_inv = np.zeros(len(c), dtype=complex)
+                keep = support_mask(c, tol)
+                c_inv[keep] = 1.0 / c[keep]
+            factors[(x, y)] = _schur_factor(Q, QB, c, S, c_inv, tol)
             total += partial_trace_left(X, m_x, n_y)
             range_defect = frobenius(B_mat - AQ @ CQB)
             if not tol.close(range_defect, max(1.0, frobenius(B_mat)), 100):
@@ -416,17 +452,28 @@ def _existence(analysis: BayesAnalysis) -> ExistenceResult:
         return ExistenceResult(inequality, trace_blocks, inverse=None, verification=None)
 
     tensors = [[None] * F.target.n_blocks for _ in range(F.source.n_blocks)]
+    # Kraus operators K[a, i] = L[(i, a), k] of the factor L of each Choi block
+    kraus = [[None] * F.target.n_blocks for _ in range(F.source.n_blocks)]
+    negatives = [[None] * F.target.n_blocks for _ in range(F.source.n_blocks)]
     for y, n_y in enumerate(src_dims):
         if xi.weights[y] <= 0.0:
             # no pairing constraint: spread the normalized trace uniformly,
-            # E_ij |-> delta_ij (w_x / m_x) 1
+            # E_ij |-> delta_ij (w_x / m_x) 1, factored by the scaled identity
             for x, m_x in enumerate(tgt_dims):
                 tensors[y][x] = np.eye(m_x * n_y).reshape(m_x, n_y, m_x, n_y) * (w_x[x] / m_x)
+                L = np.eye(m_x * n_y) * np.sqrt(w_x[x] / m_x)
+                kraus[y][x] = L.T.reshape(-1, m_x, n_y).swapaxes(1, 2)
+                negatives[y][x] = np.zeros((0, n_y, m_x), dtype=complex)
             continue
         Pxp = np.eye(n_y) - P_xis[y]
         delta = Pxp - trace_blocks[y]
         dw, dV = np.linalg.eigh((delta + dagger(delta)) / 2)
         delta_psd = (dV * np.clip(dw, 0.0, None)) @ dagger(dV)
+        # delta_psd = spread spread*, less the directions of negligible dw: their
+        # mass in the inverse's Choi blocks, (w_x / sqrt(m_x)) ||dw|| <= ABS_FLOOR / 2
+        # in Frobenius norm, is left to the certificate's residual
+        big = dw > tol.negligible(n_y)
+        spread = dV[:, big] * np.sqrt(dw[big])
         for x, m_x in enumerate(tgt_dims):
             A_mat = analysis.choi_A[(x, y)]
             B_mat = analysis.choi_B[(x, y)]
@@ -434,7 +481,16 @@ def _existence(analysis: BayesAnalysis) -> ExistenceResult:
             D_mat = sandwich[(x, y)] + np.kron(diag, delta_psd)
             C = A_mat + B_mat + dagger(B_mat) + D_mat
             tensors[y][x] = C.reshape(m_x, n_y, m_x, n_y)
-    inverse = Channel(F.target, F.source, tensors, tol=tol)
+            # kron(diag, delta_psd) = sum over i and k of (e_i (x) s_k)(e_i (x) s_k)*,
+            # s_k the columns of sqrt(w_x / m_x) spread
+            L, N = factors[(x, y)]
+            if spread.size:
+                E = np.zeros((m_x, n_y, m_x, spread.shape[1]), dtype=complex)   # [i, a, i', k]
+                E[range(m_x), :, range(m_x)] = spread * np.sqrt(w_x[x] / m_x)
+                L = np.hstack([L, E.reshape(m_x * n_y, -1)])
+            kraus[y][x] = L.T.reshape(-1, m_x, n_y).swapaxes(1, 2)
+            negatives[y][x] = N.T.reshape(-1, m_x, n_y).swapaxes(1, 2)
+    inverse = Channel(F.target, F.source, tensors, tol=tol, kraus=kraus, negative=negatives)
     _read_only(inverse.tensors)
     verification = verify_bayes(F, inverse, omega, tol)
     if not verification.ok:
@@ -445,6 +501,18 @@ def _existence(analysis: BayesAnalysis) -> ExistenceResult:
             f"ucp ok {bool(verification.ucp)}"
         )
     return ExistenceResult(inequality, trace_blocks, inverse, verification)
+
+
+def _schur_factor(Q, QB, c, S, c_inv, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """(L, N), the columns of the inverse's factor for the forced rows of a
+    block: with (S, c) the eigenpairs of C = Q* A Q and c_inv the inverses
+    C^+ keeps, L = Q S c^{1/2} + B* Q S c_inv^{1/2} (a negative c_k gives a
+    zero column), so that L L* = Q Q* A Q Q* + B + B* + B* Q C^+ Q* B where
+    A's range lies in span Q and B's in A's, and N = Q S |c|^{1/2} for every
+    c_k below -`Tolerances.negligible`."""
+    L = Q @ (S * np.sqrt(np.maximum(c, 0.0))) + dagger(QB) @ (S * np.sqrt(c_inv.real))
+    below = c < -tol.negligible(len(c))
+    return L, Q @ (S[:, below] * np.sqrt(-c[below]))
 
 
 def bayes_inverse(

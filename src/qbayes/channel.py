@@ -21,9 +21,11 @@ the identity, and keeps its operators on the channel), from Choi blocks
 eigendecompositions) or by placing tensors directly, and tests over matrix
 units are contractions of the stored tensors. `kraus_factor` gives any
 channel's Kraus operators, kept or derived once, and `is_ucp` judges a map
-once per tolerance. `LinearMap.from_block_fn`, which evaluates a callback on
-one matrix unit at a time, is the per-unit reference constructor that the
-tests compare against.
+once per tolerance: complete positivity from a Kraus factor of the map, as a
+certificate checked against its Choi blocks, so that no Choi block of a map
+that carries a factor is eigendecomposed. `LinearMap.from_block_fn`, which
+evaluates a callback on one matrix unit at a time, is the per-unit reference
+constructor that the tests compare against.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .linalg import (
     Verdict,
     _sq_frobenius,
     dagger,
+    failing,
     frobenius,
     hermitian_eigen,
     hermitian_floor,
@@ -229,14 +232,25 @@ class Channel(LinearMap):
     positivity and unitality are checked separately by `is_ucp`, so that
     non-UCP carriers (adjoints, differences) can still be worked with.
     `kraus`, when known, holds the Kraus operators of each (x, y) pair as a
-    read-only (r, m_x, n_y) stack, grid kraus[x][y].
+    read-only (r, m_x, n_y) stack, grid kraus[x][y]: a constructor that knows
+    a factor of its map passes it, and `is_ucp` certifies the map from it.
+    `negative`, when given, holds stacks N in the same grid that the map
+    subtracts, each Choi block being sum K K* - sum N N*: the negative
+    eigen-directions of a channel read from Choi blocks, carried into the maps
+    built from it.
     """
 
-    def __init__(self, source, target, tensors, *, tol: Tolerances = DEFAULT_TOL, kraus=None):
+    def __init__(
+        self, source, target, tensors, *, tol: Tolerances = DEFAULT_TOL, kraus=None, negative=None
+    ):
         super().__init__(source, target, tensors)
-        if kraus is not None:
-            _read_only(kraus)
-        self.kraus = kraus
+        kraus, negative = (
+            None if grid is None
+            else [[np.ascontiguousarray(K, dtype=complex) for K in row] for row in grid]
+            for grid in (kraus, negative)
+        )
+        _read_only(*(grid for grid in (kraus, negative) if grid is not None))
+        self.kraus, self.negative = kraus, negative
         defect = self.choi_hermiticity_defect()
         scale = max(
             (
@@ -317,19 +331,27 @@ def from_choi(
     source: MultiMatrixAlgebra, target: MultiMatrixAlgebra, tensors, tol: Tolerances = DEFAULT_TOL
 ) -> Channel:
     """The channel of the given block tensors, judged at tol. One eigendecomposition
-    of each Choi block gives both the Kraus operators that the channel keeps,
-    cut as `kraus_blocks` cuts them, and the UCP verdict it keeps for `is_ucp`."""
+    of each Choi block gives the Kraus operators that the channel keeps, cut
+    as `kraus_blocks` cuts them, the UCP verdict it keeps for `is_ucp`, and the
+    signed factor that certifies the maps built from it (`certificate_factor`)."""
     F = Channel(source, target, tensors, tol=tol)
-    stacks, floors = [], []
+    stacks, full, negative, floors = [], [], [], []
     for x, m_x in enumerate(target.block_dims):
-        stack_row = []
+        stack_row, full_row, negative_row = [], [], []
         for y, n_y in enumerate(source.block_dims):
             w, V, low, radius = _choi_eigen(F.choi_block(x, y))
-            stack_row.append(_kraus_stack(w, V, n_y, m_x, tol))
+            cutoff = tol.rank_cutoff(max(float(w.max(initial=0.0)), 0.0))
+            negligible = tol.negligible(len(w))
+            stack_row.append(_kraus_stack(w, V, n_y, m_x, cutoff))
+            full_row.append(_kraus_stack(w, V, n_y, m_x, min(cutoff, negligible)))
+            negative_row.append(_kraus_stack(-w, V, n_y, m_x, negligible))
             floors.append((low, radius))
         stacks.append(stack_row)
-    _read_only(stacks)
+        full.append(full_row)
+        negative.append(negative_row)
+    _read_only(stacks, full, negative)
     F.kraus = stacks
+    memo(F, "factor", lambda: (full, negative))
     memo(F, ("ucp", tol), lambda: _ucp_verdict(F, tol, floors))
     return F
 
@@ -340,6 +362,19 @@ def _choi_eigen(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     H, defect = hermitian_split(C)
     w, V = np.linalg.eigh(H)
     return w, V, float(w.min(initial=0.0)) - defect, float(np.abs(w).max(initial=0.0))
+
+
+def certificate_factor(F: LinearMap) -> Optional[tuple]:
+    """(K, N): the grids [x][y] of (r, m_x, n_y) stacks from which `is_ucp`
+    certifies F, its Choi blocks being sum K K* - sum N N* up to what the
+    certificate reads as residual; N is None when F subtracts nothing. A
+    channel carries (kraus, negative). One read from Choi blocks is factored
+    by the eigen-directions of its parse: K every w above the lesser of the
+    rank cutoff and `Tolerances.negligible`, so that its kept operators come
+    first, N every w below -negligible; those left out hold at most ABS_FLOOR
+    / 2 of a block in Frobenius norm. None for a map that carries no factor."""
+    kept = getattr(F, "kraus", None)
+    return memo(F, "factor", lambda: None if kept is None else (kept, F.negative))
 
 
 def kraus_factor(F: LinearMap, tol: Tolerances = DEFAULT_TOL):
@@ -387,34 +422,53 @@ def compose(F: LinearMap, G: LinearMap) -> LinearMap:
 
 @dataclass(frozen=True)
 class UcpVerdict:
-    """Outcome of the UCP test: cp judges the least Choi eigenvalue, found in
-    witness_block, and unital the largest ||sum_y F_xy(1) - 1||."""
+    """Outcome of the UCP test: cp judges a lower bound of the least Choi
+    eigenvalue, worst in witness_block, and unital the largest
+    ||sum_y F_xy(1) - 1||."""
 
     cp: Verdict
     unital: Verdict
     witness_block: Optional[tuple[int, int]]
 
     ok = property(lambda self: self.cp.ok and self.unital.ok)
-    min_choi_eigenvalue = property(lambda self: 0.0 - self.cp.residual)
 
     def __bool__(self) -> bool:
         return self.ok
 
+    def failing(self) -> str:
+        """The failing parts as 'name residual > threshold', or 'none'."""
+        return failing({
+            f"complete positivity in block {self.witness_block}": self.cp,
+            "unitality": self.unital,
+        })
+
 
 def is_ucp(F: LinearMap, tol: Tolerances = DEFAULT_TOL) -> UcpVerdict:
     """Complete positivity (all Choi blocks PSD) plus unitality, judged once per
-    map and tolerance: the verdict is kept on the map."""
+    map and tolerance: the verdict is kept on the map.
+
+    CP is certified from the map's factor (`certificate_factor`): with L and
+    N the operators of a block as columns, Weyl's inequality bounds the least
+    eigenvalue of the Choi block C below by lambda_min(L L* - N N*) -
+    ||C - L L* + N N*||_F, so a wrong factor can only fail the test. A
+    channel read from Choi blocks keeps the verdict of its parse-time
+    eigendecomposition instead, and a map that carries no factor is judged on
+    the least eigenvalue of each Choi block (`hermitian_floor`)."""
     return memo(F, ("ucp", tol), lambda: _ucp_verdict(F, tol))
 
 
 def _ucp_verdict(F: LinearMap, tol: Tolerances, floors=None) -> UcpVerdict:
     """The UCP verdict of F from the (low, radius) of each Choi block in (x, y)
-    order, read by `hermitian_floor` unless given."""
+    order, or, unless they are given, from the certificate of its factor."""
     blocks = [(x, y) for x in range(F.target.n_blocks) for y in range(F.source.n_blocks)]
-    if floors is None:
-        floors = [hermitian_floor(F.choi_block(x, y)) for x, y in blocks]
-    lows = np.array([low for low, _ in floors], dtype=float)
-    lam_max = max([0.0, *(radius for _, radius in floors)])
+    factor = certificate_factor(F) if floors is None else None
+    if factor is not None:
+        lows, lam_max = _certificate(F, *factor, blocks)
+    else:
+        if floors is None:
+            floors = [hermitian_floor(F.choi_block(x, y)) for x, y in blocks]
+        lows, lam_max = [low for low, _ in floors], max([0.0, *(radius for _, radius in floors)])
+    lows = np.array(lows, dtype=float)
     # argmin picks the first NaN if there is one, and then cp fails
     k = int(np.argmin(lows))
     cp = tol.psd(float(lows[k]), lam_max)
@@ -428,6 +482,38 @@ def _ucp_verdict(F: LinearMap, tol: Tolerances, floors=None) -> UcpVerdict:
         unital_res = max(unital_res, frobenius(img - np.eye(m_x)))
     unital = tol.close(unital_res, max(1.0, max(F.target.block_dims) ** 0.5))
     return UcpVerdict(cp=cp, unital=unital, witness_block=blocks[k])
+
+
+def _certificate(F: LinearMap, kraus, negative, blocks) -> tuple[list, float]:
+    """(lows, radius) from the (r, m, n) stacks kraus[x][y] and negative[x][y]
+    of F: for each Choi block C in blocks, low = lambda_min(L L* - N N*) -
+    ||C - L L* + N N*||_F, with columns L[(i, a), k] = K_k[a, i] and N
+    likewise, a lower bound of the least eigenvalue of C's Hermitian part (NaN
+    when C is not finite); radius the largest eigenvalue of the blocks' L* L
+    (L L* where r > m n), from one eigvalsh of the Gram matrices of each size.
+    O((m n)^2 r) work a block."""
+    lows, grams = [], {}
+    for x, y in blocks:
+        C, K = F.choi_block(x, y), kraus[x][y]
+        Lt = K.transpose(0, 2, 1).reshape(len(K), len(C))   # [k, (i, a)]
+        Lc = Lt.conj()
+        D = Lt.T @ Lc
+        gram = Lc @ Lt.T if len(K) <= len(C) else D.copy()
+        grams.setdefault(len(gram), []).append(gram)
+        D -= C
+        floor = 0.0
+        if negative is not None and len(negative[x][y]):
+            Nt = negative[x][y].transpose(0, 2, 1).reshape(-1, len(C))
+            D -= Nt.T @ Nt.conj()
+            # L L* - N N* = Z J Z* with Z = [L, N] = Q R and J = diag(1, -1), whose
+            # least eigenvalue, at most 0, is that of R J R*
+            R = np.linalg.qr(np.vstack([Lt, Nt]).T, mode="r")
+            J = np.repeat([1.0, -1.0], [len(Lt), len(Nt)])
+            floor = min(float(np.linalg.eigvalsh((R * J) @ dagger(R)).min()), 0.0)
+        d = D.view(np.float64).ravel()
+        lows.append(floor - float(np.sqrt(d @ d)))
+    radii = [float(np.linalg.eigvalsh(np.array(g)).max(initial=0.0)) for g in grams.values()]
+    return lows, max([0.0, *radii])
 
 
 def _map_scale(D: LinearMap) -> float:
@@ -530,17 +616,18 @@ def _ae_deterministic(F: LinearMap, omega: State, tol: Tolerances) -> bool:
 def kraus_blocks(F: LinearMap, x: int, y: int, tol: Tolerances = DEFAULT_TOL):
     """Kraus operators of the (x, y) component from its Choi eigenbasis."""
     w, V = hermitian_eigen(F.choi_block(x, y), tol)
-    if not tol.psd(float(w.min(initial=0.0)), max(float(w.max(initial=0.0)), 0.0)):
+    w_max = max(float(w.max(initial=0.0)), 0.0)
+    if not tol.psd(float(w.min(initial=0.0)), w_max):
         raise NotCP(f"Choi block ({x},{y}) has eigenvalue {w.min():.3e}")
     n_y, m_x = F.source.block_dims[y], F.target.block_dims[x]
-    return list(_kraus_stack(w, V, n_y, m_x, tol))
+    return list(_kraus_stack(w, V, n_y, m_x, tol.rank_cutoff(w_max)))
 
 
-def _kraus_stack(w: np.ndarray, V: np.ndarray, n: int, m: int, tol: Tolerances) -> np.ndarray:
+def _kraus_stack(w: np.ndarray, V: np.ndarray, n: int, m: int, floor: float) -> np.ndarray:
     """The (r, m, n) stack of Kraus operators sqrt(w_k) v_k, in descending w_k,
     of a Choi block with eigenpairs (w, V): K_k[a, i] = sqrt(w_k) v_k[(i, a)],
-    for each w_k above the rank cutoff of the block's largest eigenvalue."""
+    for each w_k above floor."""
     order = np.argsort(-w)
-    order = order[w[order] > tol.rank_cutoff(max(float(w.max(initial=0.0)), 0.0))]
+    order = order[w[order] > floor]
     vecs = (V[:, order] * np.sqrt(w[order])).T
     return np.ascontiguousarray(vecs.reshape(len(order), n, m).swapaxes(1, 2))

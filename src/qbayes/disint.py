@@ -40,6 +40,7 @@ from .linalg import (
     Verdict,
     _sq_frobenius,
     dagger,
+    failing,
     frobenius,
     partial_trace_left,
     partial_trace_right,
@@ -157,9 +158,13 @@ def build_disintegration(
         )
     h = cert.hom
     s = h.target.n_blocks
-    # tensors[j][i][p, a, q, b] = G_ji(E_pq)_ab
+    # tensors[j][i][p, a, q, b] = G_ji(E_pq)_ab, and kraus[j][i] its operators
     tensors = [
         [np.zeros((m_i, n_j, m_i, n_j), dtype=complex) for m_i in h.target.block_dims]
+        for n_j in h.source.block_dims
+    ]
+    kraus = [
+        [np.zeros((0, n_j, m_i), dtype=complex) for m_i in h.target.block_dims]
         for n_j in h.source.block_dims
     ]
     for j, n_j in enumerate(h.source.block_dims):
@@ -167,8 +172,11 @@ def build_disintegration(
         for i, m_i in enumerate(h.target.block_dims):
             c = h.multiplicities[i][j]
             if stack == 0:
-                # block j is missed by the embedding: E |-> tr(E) 1 / (s m_i)
+                # block j is missed by the embedding: E |-> tr(E) 1 / (s m_i), whose
+                # operators are the matrix units E_ab / sqrt(s m_i)
                 tensors[j][i] = np.eye(m_i * n_j).reshape(m_i, n_j, m_i, n_j) / (s * m_i)
+                units = np.eye(n_j * m_i).reshape(n_j * m_i, n_j, m_i)
+                kraus[j][i] = units / np.sqrt(s * m_i)
             elif c > 0:
                 # the tau-weighted partial trace E_{(w, a), (u, b)} |-> tau[u, w] E_ab
                 # on the (i, j) sub-block, with a uniform tau where q_j = 0
@@ -180,7 +188,17 @@ def build_disintegration(
                 tensors[j][i][offset : offset + size, :, offset : offset + size, :] = (
                     slot.transpose(0, 2, 3, 1, 4, 5).reshape(size, n_j, size, n_j)
                 )
-    return Channel(h.target, h.source, tensors, tol=tol)
+                # with tau = sum_k t_k t_k*, t_k = sqrt(w_k) v_k over its eigenpairs
+                # (a zero t_k where w_k < 0), the slot operators
+                # K_k[a, (w, b)] = conj(t_k[w]) delta_ab
+                tw, tV = np.linalg.eigh((tau + dagger(tau)) / 2)
+                t = tV * np.sqrt(np.maximum(tw, 0.0))
+                ops = np.zeros((c, n_j, m_i), dtype=complex)
+                ops[:, :, offset : offset + size] = (
+                    t.conj().T[:, None, :, None] * np.eye(n_j)[None, :, None, :]
+                ).reshape(-1, n_j, size)
+                kraus[j][i] = ops
+    return Channel(h.target, h.source, tensors, tol=tol, kraus=kraus)
 
 
 @dataclass(frozen=True)
@@ -297,17 +315,11 @@ def condexp_characterize(
     cert = factorize(h, omega, tol)
     if cert.ok != report.ok:
         raise InternalInconsistency(
-            f"sub-block characterization ({report.ok}; failing: {_failing(verdicts)}) "
+            f"sub-block characterization ({report.ok}; failing: {failing(verdicts)}) "
             f"disagrees with the factorization certificate ({cert.ok}; failing: "
-            f"{_failing(cert.verdicts)})"
+            f"{failing(cert.verdicts)})"
         )
     return report
-
-
-def _failing(verdicts: dict[str, Verdict]) -> str:
-    """The failing verdicts as 'name residual > threshold', or 'none'."""
-    failing = [f"{k} {v.residual:.3e} > {v.threshold:.3e}" for k, v in verdicts.items() if not v.ok]
-    return ", ".join(failing) or "none"
 
 
 @dataclass(frozen=True)

@@ -226,11 +226,7 @@ def channel_from_json(
         raise SchemaError(f"{field}: {exc}") from exc
     verdict = is_ucp(channel, tol)
     if not verdict:
-        raise SchemaError(
-            f"{field}: channel is not UCP: min Choi eigenvalue "
-            f"{verdict.min_choi_eigenvalue:.3e} in block {verdict.witness_block}, "
-            f"unitality residual {verdict.unital.residual:.3e}"
-        )
+        raise SchemaError(f"{field}: channel is not UCP: {verdict.failing()}")
     return channel, None
 
 

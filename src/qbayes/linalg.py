@@ -43,6 +43,12 @@ class Verdict:
         return self.ok
 
 
+def failing(verdicts: dict[str, Verdict]) -> str:
+    """The failing verdicts as 'name residual > threshold', or 'none'."""
+    parts = [f"{k} {v.residual:.3e} > {v.threshold:.3e}" for k, v in verdicts.items() if not v.ok]
+    return ", ".join(parts) or "none"
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical thresholds used throughout the library, and the rules that
@@ -70,6 +76,12 @@ class Tolerances:
         """The eigenvalue or block mass at or below which a value counts as zero,
         relative to the largest one, lam_max."""
         return self.eps_rank * max(lam_max, ABS_FLOOR)
+
+    def negligible(self, n: int) -> float:
+        """The eigenvalue at or below which any of n orthonormal eigen-directions
+        together hold at most ABS_FLOOR / 2 in Frobenius norm, half the absolute
+        floor of every rule: ABS_FLOOR / (2 sqrt(n)), for n >= 1."""
+        return ABS_FLOOR / (2 * math.sqrt(max(n, 1)))
 
     def psd(self, low, radius, factor=1) -> Verdict:
         """A matrix with least eigenvalue `low` and spectral radius `radius`
@@ -167,6 +179,28 @@ def hermitian_eigen(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.nd
     return w, V
 
 
+def support_eigen(
+    M: np.ndarray, tol: Tolerances = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, V, keep): the eigenpairs of a PSD matrix M, as `hermitian_eigen`
+    gives them, and the mask of its support, the eigenvalues above eps_rank *
+    max(eigenvalue). A least eigenvalue below the support calculus' PSD bound
+    raises NegativeEigenvalue."""
+    w, V = hermitian_eigen(M, tol)
+    wmax = max(float(w.max(initial=0.0)), 0.0)
+    if not tol.support_psd(float(w.min(initial=0.0)), wmax):
+        raise NegativeEigenvalue(
+            f"eigenvalue {w.min():.3e} below -eps_rank * lambda_max = {-tol.eps_rank * wmax:.3e}"
+        )
+    return w, V, support_mask(w, tol)
+
+
+def support_mask(w: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """The support of a PSD matrix with eigenvalues w: those above eps_rank *
+    max(eigenvalue)."""
+    return w > tol.eps_rank * max(float(w.max(initial=0.0)), 0.0)
+
+
 def herm_fun(
     M: np.ndarray,
     f: Callable[[np.ndarray], np.ndarray],
@@ -178,14 +212,7 @@ def herm_fun(
     so f is never evaluated off the support. Realizes sqrt(M), M^{it},
     and general complex powers M^z on the support.
     """
-    w, V = hermitian_eigen(M, tol)
-    wmax = max(float(w.max(initial=0.0)), 0.0)
-    cutoff = tol.eps_rank * wmax
-    if not tol.support_psd(float(w.min(initial=0.0)), wmax):
-        raise NegativeEigenvalue(
-            f"eigenvalue {w.min():.3e} below -eps_rank * lambda_max = {-cutoff:.3e}"
-        )
-    keep = w > cutoff
+    w, V, keep = support_eigen(M, tol)
     fw = np.zeros(len(w), dtype=complex)
     if np.any(keep):
         fw[keep] = f(w[keep])

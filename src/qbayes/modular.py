@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, memo
-from .channel import Channel, LinearMap, _sandwich, _unit_rows, is_ucp
+from .channel import Channel, LinearMap, _sandwich, _unit_rows, certificate_factor, is_ucp
 from .errors import InternalInconsistency, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
@@ -110,15 +110,24 @@ def _corner_map(F: LinearMap, sup_o: SupportData, sup_x: SupportData, tol: Toler
             [_sandwich(F.tensors[x][y], V[y], dagger(V[y]), dagger(W[x]), W[x]) for y in sup_x.kept]
             for x in sup_o.kept
         ]
-        chan = Channel(sup_x.corner_algebra, sup_o.corner_algebra, tensors, tol=tol)
+        # the corner is factored by W* K V and W* N V, K and N the stacks of F's factor
+        factor = certificate_factor(F)
+        kraus, negative = (
+            None if grid is None
+            else [[dagger(W[x]) @ grid[x][y] @ V[y] for y in sup_x.kept] for x in sup_o.kept]
+            for grid in (factor or (None, None))
+        )
+        chan = Channel(
+            sup_x.corner_algebra, sup_o.corner_algebra, tensors, tol=tol,
+            kraus=kraus, negative=negative,
+        )
         omega_r, xi_r = sup_o.restricted_state(), sup_x.restricted_state()
 
     verdict = is_ucp(chan, tol)
     if not verdict:
         raise InternalInconsistency(
             "corner compression of a state-preserving UCP map failed the UCP "
-            f"test (min Choi eigenvalue {verdict.min_choi_eigenvalue:.3e}, "
-            f"unitality residual {verdict.unital.residual:.3e})"
+            f"test: {verdict.failing()}"
         )
     # commuting square on corner matrix units, omega_r(F'(E_ij)) = xi_r(E_ij):
     # sum_x tr(p_x rho_x F'_xy(E_ij)) = q_y sigma_y[j, i], one product per block

@@ -7,9 +7,10 @@ battery on the state, the algebraic AC and determinism verdicts of each map
 on the state, and the UCP verdict of each map at each tolerance on the map. `recording()` wraps those builders and records a key for
 each build, so an input derived twice shows up as a repeated key. It also
 counts the eigendecompositions, keyed by shape: each density's is made by its
-support and read from there, each Choi block's by `is_ucp`
+support and read from there, a Choi block's by the battery's CP floor
 (`hermitian_floor`) or, for a channel read from Choi blocks, once at parse
-(`_choi_eigen`), and the extension's by `pseudoinverse` (through
+(`_choi_eigen`; `is_ucp` certifies every other map from its Kraus factor),
+and the extension's compressions by `support_eigen` (through
 `hermitian_eigen`). From a checkout:
 
     PYTHONPATH=src python tests/derivations.py fixtures/product.json [--analyses ac]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -488,6 +489,32 @@ def test_malformed_input_fails_closed(tmp_path, capsys, fixture, edit, code, nam
         assert err.startswith(f"error: {named}: ")
     if named in ("--analyses", "problem.analyses"):
         assert "expected a non-empty list of analysis names" in err
+
+
+@pytest.mark.parametrize(
+    "fixture, edit, named",
+    [("product", _kraus_identity(2.0), "unitality"),
+     ("battery_pass_no_inverse", _scaled_choi(-1.0), "complete positivity in block (0, 0)")],
+    ids=["kraus-not-unital", "choi-not-cp"],
+)
+def test_ucp_refusal_names_only_the_failing_part(tmp_path, capsys, fixture, edit, named):
+    # the identity with Kraus operator 2: CP, so only unitality is named; a
+    # negated Choi block is not CP, and its unit image -1 is not unital either
+    data = json.loads((FIXTURES / f"{fixture}.json").read_text())
+    edit(data)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(["check", str(path), "--analyses", "bayes-battery"], capsys)
+    assert code == 2
+    number = r"\d\.\d{3}e[+-]\d{2}"
+    assert re.fullmatch(
+        rf"error: problem\.channel: channel is not UCP: {re.escape(named)} {number} > {number}"
+        rf"(, unitality {number} > {number})?\n",
+        err,
+    )
+    assert err.count("unitality") == 1
+    if named == "unitality":
+        assert "complete positivity" not in err
 
 
 @pytest.mark.parametrize("analysis", ["ac", "takesaki", "bayes-battery", "disintegrate"])

@@ -3,16 +3,19 @@
 `bayesinv.existence` reads the range of each corner Choi block A from the
 Kraus factor of the map: with F_xy = sum_s K_s . K_s*, A = sum_s u_s w_s^T,
 so A's range lies in the span of the r vectors u_s, r the pair's Kraus rank.
-Every matrix the extension hands to `pseudoinverse` is the r x r compression
-of A onto that span, never the (m n) x (m n) block itself. The factor costs
-no eigendecomposition: a map built in Kraus form (a hom among them) keeps
-its operators, and a channel read from Choi blocks gets them from the one
-decomposition per block that parsing runs anyway, which also gives the UCP
-verdict in place of `is_ucp`'s `hermitian_floor`.
+Every matrix the extension pseudo-inverts (through `support_eigen`, whose
+eigenpairs also give the inverse's Kraus factor) is the r x r compression of
+A onto that span, never the (m n) x (m n) block itself. The factor costs no
+eigendecomposition: a map built in Kraus form (a hom among them) keeps its
+operators, and a channel read from Choi blocks gets them from the one
+decomposition per block that parsing runs anyway, which also gives its UCP
+verdict. Every other map's UCP verdict is certified from its factor, so the
+battery's CP floor (vii) is the one dense route left on a Choi block.
 """
 
 import contextlib
 import io
+import sys
 
 import numpy as np
 import pytest
@@ -28,21 +31,28 @@ from conftest import FIXTURES
 from derivations import BUILDERS, recording
 
 # eigendecompositions of one full `check` (hermitian_eigen, hermitian_floor
-# and the parse's _choi_eigen together), as counted when the extension still
-# pseudo-inverted each dense Choi block, less one Choi block of each map that
-# was judged UCP twice: the corner channel of epr and rankdef_product (built,
-# then its own corner in takesaki's corner battery) and the inverse of
-# nonsubalgebra_pure (verify_bayes, then the bridge)
+# and the parse's _choi_eigen together): the densities' supports, the
+# extension's compressions, a Choi-given channel's parse and the battery's CP
+# floor (vii). No Choi block of a corner map, inverse or recovery is
+# decomposed, as `is_ucp` certifies each from its Kraus factor; when the
+# dense route still judged them, the counts were higher by the corner map's
+# blocks (1 each; 4 for multiblock_product), the inverse's (1 for
+# nonsubalgebra_pure, 1 for product and rankdef_product, 4 for
+# multiblock_product) and the recovery's (1 for product and rankdef_product,
+# 4 for multiblock_product)
 DENSE_ROUTE_EIGENDECOMPOSITIONS = {
-    "battery_pass_no_inverse": 8,
-    "epr": 8,
-    "multiblock_product": 24,
-    "nonproduct_m4": 4,
-    "nonsubalgebra_pure": 9,
-    "product": 7,
-    "rankdef_product": 11,
+    "battery_pass_no_inverse": 7,
+    "epr": 7,
+    "multiblock_product": 12,
+    "nonproduct_m4": 3,
+    "nonsubalgebra_pure": 7,
+    "product": 4,
+    "rankdef_product": 8,
 }
 EIGEN = ("linalg.hermitian_eigen", "linalg.hermitian_floor", "channel._choi_eigen")
+# records the function that calls hermitian_floor: frame 0 is this key and
+# frame 1 the wrapper that `recording` puts in its place
+CALLER = (qbayes.linalg, "hermitian_floor", lambda C: sys._getframe(2).f_code.co_name)
 FIXTURE_FILES = sorted(FIXTURES.glob("*.json"))
 
 
@@ -54,7 +64,7 @@ def _check(fixture, targets):
 
 @pytest.mark.parametrize("fixture", FIXTURE_FILES, ids=lambda p: p.stem)
 def test_existence_pseudo_inverts_only_kraus_rank_compressions(fixture):
-    seen = _check(fixture, {"pinv": (qbayes.linalg, "pseudoinverse", lambda M, *tol: np.shape(M))})
+    seen = _check(fixture, {"pinv": (qbayes.linalg, "support_eigen", lambda M, *tol: np.shape(M))})
     problem = problem_from_json(loads(fixture.read_text()))
     F, omega = problem["channel"], problem["state"]
     kraus = kraus_factor(F)
@@ -86,3 +96,10 @@ def test_the_kraus_factor_adds_no_eigendecomposition(fixture):
         assert seen["channel._choi_eigen"] == blocks
     else:
         assert seen["channel._choi_eigen"] == []
+
+
+@pytest.mark.parametrize("fixture", FIXTURE_FILES, ids=lambda p: p.stem)
+def test_only_the_battery_floor_eigendecomposes_a_choi_block(fixture):
+    # the battery's CP floor (vii) of Ad_P o G^R is the one dense Choi route
+    seen = _check(fixture, {"floor": CALLER})
+    assert seen["floor"] and set(seen["floor"]) == {"_battery"}
