@@ -7,9 +7,6 @@ from .algebra import (
     AlgebraElement,
     HomSpec,
     MultiMatrixAlgebra,
-    apply_hom,
-    matrix_unit,
-    matrix_units,
     unit,
     zero,
 )
@@ -82,7 +79,6 @@ from .state import (
     State,
     SupportData,
     evaluate,
-    in_nullspace,
     pullback,
     support,
 )

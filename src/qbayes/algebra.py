@@ -10,7 +10,7 @@ ascending j, using the multiplicity-left Kronecker convention of `np.kron`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -118,21 +118,6 @@ def zero(alg: MultiMatrixAlgebra) -> AlgebraElement:
     return AlgebraElement(alg, tuple(np.zeros((d, d), dtype=complex) for d in alg.block_dims))
 
 
-def matrix_unit(alg: MultiMatrixAlgebra, x: int, i: int, j: int) -> AlgebraElement:
-    """E_ij in block x, zero elsewhere."""
-    blocks = [np.zeros((d, d), dtype=complex) for d in alg.block_dims]
-    blocks[x][i, j] = 1.0
-    return AlgebraElement(alg, tuple(blocks))
-
-
-def matrix_units(alg: MultiMatrixAlgebra) -> Iterator[AlgebraElement]:
-    """The sum_x m_x^2 matrix units, a Hilbert-Schmidt orthonormal basis."""
-    for x, d in enumerate(alg.block_dims):
-        for i in range(d):
-            for j in range(d):
-                yield matrix_unit(alg, x, i, j)
-
-
 @dataclass(frozen=True)
 class HomSpec:
     """Standard-form unital *-homomorphism, given by its multiplicity matrix.
@@ -185,17 +170,3 @@ class HomSpec:
             "target": self.target.to_dict(),
             "mult": [list(row) for row in self.multiplicities],
         }
-
-
-def apply_hom(h: HomSpec, B: AlgebraElement) -> AlgebraElement:
-    """Standard-form image: block i is the stack of (1_{c_ij} (x) B_j)."""
-    if B.algebra.block_dims != h.source.block_dims:
-        raise ShapeMismatch("element does not belong to the hom's source algebra")
-    blocks = []
-    for i, m_i in enumerate(h.target.block_dims):
-        out = np.zeros((m_i, m_i), dtype=complex)
-        for j, offset, size in h.sub_block_layout(i):
-            c = h.multiplicities[i][j]
-            out[offset : offset + size, offset : offset + size] = np.kron(np.eye(c), B.blocks[j])
-        blocks.append(out)
-    return AlgebraElement(h.target, tuple(blocks))

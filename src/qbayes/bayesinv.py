@@ -25,7 +25,6 @@ from .channel import (
     UcpVerdict,
     _read_only,
     _sandwich,
-    certificate_factor,
     is_ucp,
     kraus_factor,
 )
@@ -68,8 +67,6 @@ class BayesAnalysis:
     passed: bool
     choi_A: dict[tuple[int, int], np.ndarray]
     choi_B: dict[tuple[int, int], np.ndarray]
-    support_map: Optional[LinearMap]   # Ad_{P_xi} o G^L when the battery passes
-    petz_map: Optional[LinearMap]      # Ad_sqrt(sigma-hat) o F* o Ad_sqrt(rho)
 
 
 def battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> BayesAnalysis:
@@ -200,9 +197,9 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
         )
     passed = all(flags)
 
-    support_map = None
-    petz_map = None
     if passed:
+        # the support map Ad_{P_xi} o G^L must be the Petz map
+        # Ad_sqrt(sigma-hat) o F* o Ad_sqrt(rho)
         tensors_s = []
         tensors_p = []
         sq_rho = [sup_o.calculus(x, np.sqrt) for x in range(F.target.n_blocks)]
@@ -225,9 +222,8 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
             )
 
     # every later caller reads the kept arrays, so none may write to them
-    maps = [M.tensors for M in (support_map, petz_map) if M is not None]
-    _read_only([choi_A.values(), choi_B.values()], *maps)
-    return xi, verdicts, passed, choi_A, choi_B, support_map, petz_map
+    _read_only([choi_A.values(), choi_B.values()])
+    return xi, verdicts, passed, choi_A, choi_B
 
 
 def left_right_bayes(
@@ -387,7 +383,9 @@ def _existence(analysis: BayesAnalysis) -> ExistenceResult:
     kraus = kraus_factor(F, tol)
     # the operators of F's signed factor beyond those kept (a Choi-given F's
     # small and negative eigen-directions), whose images the inverse's factor spans
-    full, negative = certificate_factor(F) or (kraus, None)
+    full, negative = (
+        (kraus, None) if getattr(F, "kraus", None) is None else (F.kraus, F.negative)
+    )
     src_dims = F.source.block_dims
     tgt_dims = F.target.block_dims
     w_x = np.array(tgt_dims, dtype=float)

@@ -17,13 +17,14 @@ sum_y F_xy(1_{n_y}) = 1_{m_x} for every x.
 
 Maps are built in Kraus form (`from_kraus`, which also backs `from_hom` and
 the identity, and keeps its operators on the channel), from Choi blocks
-(`from_choi`, which reads the operators and the UCP verdict from their
+(`from_choi`, which reads a signed factor and the UCP verdict from their
 eigendecompositions) or by placing tensors directly, and tests over matrix
-units are contractions of the stored tensors. `kraus_factor` gives any
-channel's Kraus operators, kept or derived once, and `is_ucp` judges a map
-once per tolerance: complete positivity from a Kraus factor of the map, as a
-certificate checked against its Choi blocks, so that no Choi block of a map
-that carries a factor is eigendecomposed. `LinearMap.from_block_fn`, which
+units are contractions of the stored tensors. A channel keeps its factor
+(`Channel.kraus`, `Channel.negative`); `kraus_factor` gives any channel's
+Kraus operators, kept or derived once, and `is_ucp` judges a map once per
+tolerance: complete positivity from the map's factor, as a certificate
+checked against its Choi blocks, so that no Choi block of a map that
+carries a factor is eigendecomposed. `LinearMap.from_block_fn`, which
 evaluates a callback on one matrix unit at a time, is the per-unit reference
 constructor that the tests compare against.
 """
@@ -231,13 +232,12 @@ class Channel(LinearMap):
     Hermitian Choi blocks are exactly the *-preserving maps; complete
     positivity and unitality are checked separately by `is_ucp`, so that
     non-UCP carriers (adjoints, differences) can still be worked with.
-    `kraus`, when known, holds the Kraus operators of each (x, y) pair as a
-    read-only (r, m_x, n_y) stack, grid kraus[x][y]: a constructor that knows
-    a factor of its map passes it, and `is_ucp` certifies the map from it.
-    `negative`, when given, holds stacks N in the same grid that the map
-    subtracts, each Choi block being sum K K* - sum N N*: the negative
-    eigen-directions of a channel read from Choi blocks, carried into the maps
-    built from it.
+    `kraus` and `negative` are the map's factor, from which `is_ucp`
+    certifies it: read-only (r, m_x, n_y) stacks in the grid [x][y], each
+    Choi block being sum K K* - sum N N*. A constructor that knows a factor
+    of its map passes it. `negative`, None for a factor given without one,
+    holds the negative eigen-directions of a channel read from Choi blocks
+    (`from_choi`), carried into the maps built from it.
     """
 
     def __init__(
@@ -331,9 +331,14 @@ def from_choi(
     source: MultiMatrixAlgebra, target: MultiMatrixAlgebra, tensors, tol: Tolerances = DEFAULT_TOL
 ) -> Channel:
     """The channel of the given block tensors, judged at tol. One eigendecomposition
-    of each Choi block gives the Kraus operators that the channel keeps, cut
-    as `kraus_blocks` cuts them, the UCP verdict it keeps for `is_ucp`, and the
-    signed factor that certifies the maps built from it (`certificate_factor`)."""
+    of each Choi block gives the channel's signed factor (`Channel.kraus` and
+    `Channel.negative`), the Kraus operators that `kraus_factor` returns at tol
+    and the UCP verdict it keeps for `is_ucp`. The factor's K are the
+    eigen-directions above the lesser of the rank cutoff and
+    `Tolerances.negligible`, in descending eigenvalue, so that the operators
+    cut as `kraus_blocks` cuts them are its first ones, and its N those below
+    -negligible; the directions left out hold at most ABS_FLOOR / 2 of a block
+    in Frobenius norm."""
     F = Channel(source, target, tensors, tol=tol)
     stacks, full, negative, floors = [], [], [], []
     for x, m_x in enumerate(target.block_dims):
@@ -342,16 +347,17 @@ def from_choi(
             w, V, low, radius = _choi_eigen(F.choi_block(x, y))
             cutoff = tol.rank_cutoff(max(float(w.max(initial=0.0)), 0.0))
             negligible = tol.negligible(len(w))
-            stack_row.append(_kraus_stack(w, V, n_y, m_x, cutoff))
-            full_row.append(_kraus_stack(w, V, n_y, m_x, min(cutoff, negligible)))
+            K = _kraus_stack(w, V, n_y, m_x, min(cutoff, negligible))
+            full_row.append(K)
+            stack_row.append(K[: np.count_nonzero(w > cutoff)])
             negative_row.append(_kraus_stack(-w, V, n_y, m_x, negligible))
             floors.append((low, radius))
         stacks.append(stack_row)
         full.append(full_row)
         negative.append(negative_row)
     _read_only(stacks, full, negative)
-    F.kraus = stacks
-    memo(F, "factor", lambda: (full, negative))
+    F.kraus, F.negative = full, negative
+    memo(F, ("kraus", tol), lambda: stacks)
     memo(F, ("ucp", tol), lambda: _ucp_verdict(F, tol, floors))
     return F
 
@@ -364,26 +370,14 @@ def _choi_eigen(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     return w, V, float(w.min(initial=0.0)) - defect, float(np.abs(w).max(initial=0.0))
 
 
-def certificate_factor(F: LinearMap) -> Optional[tuple]:
-    """(K, N): the grids [x][y] of (r, m_x, n_y) stacks from which `is_ucp`
-    certifies F, its Choi blocks being sum K K* - sum N N* up to what the
-    certificate reads as residual; N is None when F subtracts nothing. A
-    channel carries (kraus, negative). One read from Choi blocks is factored
-    by the eigen-directions of its parse: K every w above the lesser of the
-    rank cutoff and `Tolerances.negligible`, so that its kept operators come
-    first, N every w below -negligible; those left out hold at most ABS_FLOOR
-    / 2 of a block in Frobenius norm. None for a map that carries no factor."""
-    kept = getattr(F, "kraus", None)
-    return memo(F, "factor", lambda: None if kept is None else (kept, F.negative))
-
-
 def kraus_factor(F: LinearMap, tol: Tolerances = DEFAULT_TOL):
     """The Kraus operators of each (x, y) pair of F as (r, m_x, n_y) stacks,
-    grid [x][y]: those the channel keeps (given in Kraus form, or cut at the
-    tolerances `from_choi` was given), else read from the eigendecomposition
-    of each Choi block by `kraus_blocks`, once per tolerance, and kept on F."""
+    grid [x][y]: the channel's `kraus` when it carries no `negative`, else
+    those read from the eigendecomposition of each Choi block by `kraus_blocks`,
+    once per tolerance, and kept on F. A channel read from Choi blocks keeps
+    the first operators of its factor, cut at the tolerances it was given."""
     kept = getattr(F, "kraus", None)
-    if kept is not None:
+    if kept is not None and F.negative is None:
         return kept
 
     def derive():
@@ -447,13 +441,14 @@ def is_ucp(F: LinearMap, tol: Tolerances = DEFAULT_TOL) -> UcpVerdict:
     """Complete positivity (all Choi blocks PSD) plus unitality, judged once per
     map and tolerance: the verdict is kept on the map.
 
-    CP is certified from the map's factor (`certificate_factor`): with L and
-    N the operators of a block as columns, Weyl's inequality bounds the least
-    eigenvalue of the Choi block C below by lambda_min(L L* - N N*) -
-    ||C - L L* + N N*||_F, so a wrong factor can only fail the test. A
-    channel read from Choi blocks keeps the verdict of its parse-time
-    eigendecomposition instead, and a map that carries no factor is judged on
-    the least eigenvalue of each Choi block (`hermitian_floor`)."""
+    CP is certified from the channel's factor (`Channel.kraus` and
+    `Channel.negative`): with L and N the operators of a block as columns,
+    Weyl's inequality bounds the least eigenvalue of the Choi block C below by
+    lambda_min(L L* - N N*) - ||C - L L* + N N*||_F, so a wrong factor can
+    only fail the test. A channel read from Choi blocks keeps the verdict of
+    its parse-time eigendecomposition at the tolerances it was given, and a
+    map that carries no factor is judged on the least eigenvalue of each Choi
+    block (`hermitian_floor`)."""
     return memo(F, ("ucp", tol), lambda: _ucp_verdict(F, tol))
 
 
@@ -461,9 +456,8 @@ def _ucp_verdict(F: LinearMap, tol: Tolerances, floors=None) -> UcpVerdict:
     """The UCP verdict of F from the (low, radius) of each Choi block in (x, y)
     order, or, unless they are given, from the certificate of its factor."""
     blocks = [(x, y) for x in range(F.target.n_blocks) for y in range(F.source.n_blocks)]
-    factor = certificate_factor(F) if floors is None else None
-    if factor is not None:
-        lows, lam_max = _certificate(F, *factor, blocks)
+    if floors is None and getattr(F, "kraus", None) is not None:
+        lows, lam_max = _certificate(F, F.kraus, F.negative, blocks)
     else:
         if floors is None:
             floors = [hermitian_floor(F.choi_block(x, y)) for x, y in blocks]
@@ -554,7 +548,7 @@ def ae_equal(
     verdict_pairing = tol.close(worst, scale).ok
 
     # omega((D E)* (D E)) = sum_x tr((D_xy(E) p_x rho_x) D_xy(E)*) for every unit E
-    # of block y, set against ||D E||^2 as `in_nullspace` does for one element
+    # of block y, set against ||D E||^2
     verdict_nullspace = True
     for y in range(D.source.n_blocks):
         value = 0.0

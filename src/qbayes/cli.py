@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 import time
 from typing import Optional
@@ -59,17 +58,13 @@ EXIT_INCONSISTENT = 3
 
 def _tolerances(args, overrides: dict) -> Tolerances:
     """eps_eq and eps_rank from the flags, else the problem file's validated
-    `tolerances` entries, else (eps_eq only) QBAYES_EPS_EQ; a value outside
-    (0, 1) raises SchemaError naming it."""
+    `tolerances` entries; a value outside (0, 1) raises SchemaError naming
+    it."""
     values = {}
-    for name, flag, env in (
-        ("eps_eq", "--eps-eq", "QBAYES_EPS_EQ"),
-        ("eps_rank", "--eps-rank", None),
-    ):
+    for name, flag in (("eps_eq", "--eps-eq"), ("eps_rank", "--eps-rank")):
         sources = (
             (flag, getattr(args, name, None)),
             (f"problem.tolerances.{name}", overrides.get(name)),
-            (env, os.environ.get(env) if env else None),
         )
         for source, raw in sources:
             if raw is not None:
@@ -213,7 +208,11 @@ def _load(args) -> tuple[dict, Tolerances]:
     PSD here by `support`, so that a refusal names its field; the analyses
     then read the same decomposition."""
     with open(args.problem, "r", encoding="utf-8") as fh:
-        data = loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{args.problem}: {exc}") from exc
+    data = loads(text)
     tol = _tolerances(args, tolerances_from_json(data))
     problem = problem_from_json(data, tol)
     try:
@@ -344,9 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--analyses", help="comma-separated subset to run")
     p_check.add_argument("--eps-eq", type=float, dest="eps_eq")
     p_check.add_argument("--eps-rank", type=float, dest="eps_rank")
-    group = p_check.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", help="JSON report (default)")
-    group.add_argument("--pretty", action="store_true", help="human-readable report")
+    p_check.add_argument("--pretty", action="store_true", help="human-readable report")
     p_check.set_defaults(func=cmd_check)
 
     p_inv = sub.add_parser("invert", help="construct and write an inverse channel")
@@ -374,7 +371,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, SchemaError, FileNotFoundError) as exc:
+    # an unreadable or unwritable path (missing, a directory) names itself
+    except (ParseError, SchemaError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except InternalInconsistency as exc:

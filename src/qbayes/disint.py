@@ -61,11 +61,8 @@ class FactorizationCertificate:
     """
 
     hom: HomSpec
-    omega: State
     xi: State
     tau: dict[tuple[int, int], np.ndarray]
-    lambdas: dict[tuple[int, int], float]
-    mus: dict[tuple[int, int], float]
     verdicts: dict[str, Verdict]
 
     ok = property(lambda self: all(v.ok for v in self.verdicts.values()))
@@ -86,15 +83,14 @@ def factorize(
     if omega.algebra.block_dims != h.target.block_dims:
         raise ShapeMismatch("state does not live on the hom's target algebra")
     split = memo(omega, ("factorize", h, tol), lambda: _factorize(h, omega, tol))
-    return FactorizationCertificate(h, omega, *split)
+    return FactorizationCertificate(h, *split)
 
 
 def _factorize(h: HomSpec, omega: State, tol: Tolerances) -> tuple:
-    """The certificate fields after `hom` and `omega`."""
+    """The certificate fields after `hom`."""
     xi = pullback(omega, from_hom(h), tol)
     tau: dict[tuple[int, int], np.ndarray] = {}
     lambdas: dict[tuple[int, int], float] = {}
-    mus: dict[tuple[int, int], float] = {}
     res = {"off_diagonal": 0.0, "reconstruction": 0.0, "trace_sum": 0.0, "mixing": 0.0}
 
     for i, m_i in enumerate(h.target.block_dims):
@@ -122,10 +118,7 @@ def _factorize(h: HomSpec, omega: State, tol: Tolerances) -> tuple:
                 t = np.zeros((c, c), dtype=complex)
                 res["reconstruction"] = max(res["reconstruction"], frobenius(S))
             tau[(i, j)] = t
-            lam = float(np.trace(t).real)
-            lambdas[(i, j)] = lam
-            p_i = omega.weights[i]
-            mus[(i, j)] = lam * q_j / p_i if p_i > 0.0 else 0.0
+            lambdas[(i, j)] = float(np.trace(t).real)
 
     for j, n_j in enumerate(h.source.block_dims):
         if xi.weights[j] <= 0.0:
@@ -139,7 +132,7 @@ def _factorize(h: HomSpec, omega: State, tol: Tolerances) -> tuple:
         )
         res["mixing"] = max(res["mixing"], abs(row - omega.weights[i]))
 
-    return xi, tau, lambdas, mus, {k: tol.close(v) for k, v in res.items()}
+    return xi, tau, {k: tol.close(v) for k, v in res.items()}
 
 
 def build_disintegration(
@@ -203,12 +196,11 @@ def build_disintegration(
 
 @dataclass(frozen=True)
 class DisintegrationReport:
-    """Outcome of the independent disintegration oracle; ok requires the exact
-    left inverse only when the source is a single block."""
+    """Outcome of the independent disintegration oracle; ok requires G o F = id
+    a.e., and the exact left inverse only when the source is a single block."""
 
     ucp: UcpVerdict
     state_preservation: Verdict
-    ae_left_inverse_ok: bool
     exact_left_inverse: Verdict
     ok: bool
 
@@ -228,7 +220,7 @@ def verify_disintegration(
     ae_ok = ae_equal(roundtrip, ident, xi, tol)
     exact = tol.close(*roundtrip.distance(ident))
     ok = ucp.ok and state.ok and ae_ok and (exact.ok or F.source.n_blocks > 1)
-    return DisintegrationReport(ucp, state, ae_ok, exact, ok)
+    return DisintegrationReport(ucp, state, exact, ok)
 
 
 @dataclass(frozen=True)
@@ -239,8 +231,6 @@ class CondexpReport:
     product: Verdict
     sigma_match: Verdict
     mixing: Verdict
-    mus: dict[tuple[int, int], float]
-    lambdas: dict[tuple[int, int], float]
 
     ok = property(lambda self: all((self.off_diagonal, self.product, self.sigma_match, self.mixing)))
 
@@ -265,7 +255,6 @@ def condexp_characterize(
     prod_res = 0.0
     sigma_res = 0.0
     mus: dict[tuple[int, int], float] = {}
-    lambdas: dict[tuple[int, int], float] = {}
 
     for i in range(h.target.n_blocks):
         W = omega.weighted_density(i)
@@ -283,7 +272,6 @@ def condexp_characterize(
             if t <= tol.rank_cutoff(1.0):
                 prod_res = max(prod_res, frobenius(S))
                 mus[(i, j)] = 0.0
-                lambdas[(i, j)] = 0.0
                 continue
             tau_part = partial_trace_right(S, c, n_j)
             sigma_part = partial_trace_left(S, c, n_j)
@@ -293,7 +281,6 @@ def condexp_characterize(
                     sigma_res, frobenius(sigma_part / t - xi.densities[j])
                 )
             mus[(i, j)] = t / p_i if p_i > 0.0 else 0.0
-            lambdas[(i, j)] = t / xi.weights[j] if xi.weights[j] > 0.0 else 0.0
 
     mixing_res = 0.0
     for i in range(h.target.n_blocks):
@@ -311,7 +298,7 @@ def condexp_characterize(
         "off_diagonal": tol.close(off_res), "product": tol.close(prod_res),
         "sigma_match": tol.close(sigma_res, 1.0, 10), "mixing": tol.close(mixing_res, 1.0, 10),
     }
-    report = CondexpReport(**verdicts, mus=mus, lambdas=lambdas)
+    report = CondexpReport(**verdicts)
     cert = factorize(h, omega, tol)
     if cert.ok != report.ok:
         raise InternalInconsistency(

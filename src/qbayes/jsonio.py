@@ -296,7 +296,10 @@ def loads(text: str):
 
 def canonical_dumps(obj) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True) + "\n"`, byte for byte,
-    where each numpy array in obj stands for its `matrix_to_json` list.
+    where each numpy array in obj stands for its `matrix_to_json` list. obj
+    is built of dicts with string keys, lists, strings, numbers, booleans,
+    None and arrays; anything else, a tuple or a key that is not a string,
+    raises TypeError.
 
     With an indent, the json module falls back to its pure-Python encoder,
     which makes one string per token; this emitter writes each array with
@@ -316,22 +319,6 @@ def _float_str(x: float) -> str:
     if x == -math.inf:
         return "-Infinity"
     return float.__repr__(x)
-
-
-def _key_str(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_str(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _emit_array(a: np.ndarray, nl: str, out: list) -> None:
@@ -368,7 +355,7 @@ def _emit(obj, nl: str, out: list) -> None:
         out.append(_float_str(obj))
     elif isinstance(obj, np.ndarray):
         _emit_array(obj, nl, out)
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, list):
         if not obj:
             out.append("[]")
             return
@@ -386,7 +373,7 @@ def _emit(obj, nl: str, out: list) -> None:
         inner = nl + "  "
         sep = "{" + inner
         for key, value in sorted(obj.items()):
-            out.append(f"{sep}{_encode_str(_key_str(key))}: ")
+            out.append(f"{sep}{_encode_str(key)}: ")
             _emit(value, inner, out)
             sep = "," + inner
         out.append(nl + "}")

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, memo
-from .channel import Channel, LinearMap, _sandwich, _unit_rows, certificate_factor, is_ucp
+from .channel import Channel, LinearMap, _sandwich, _unit_rows, is_ucp
 from .errors import InternalInconsistency, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
@@ -77,7 +77,6 @@ class CornerMap:
     channel: Channel
     omega_restricted: State
     xi_restricted: State
-    square_residual: float
 
 
 def corner_map(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> CornerMap:
@@ -92,10 +91,10 @@ def corner_map(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> Cor
         raise ShapeMismatch("state does not live on the map's target algebra")
     sup_o = support(omega, tol)
     sup_x = support(pullback(omega, F, tol), tol)
-    chan, omega_r, xi_r, worst = memo(
+    chan, omega_r, xi_r = memo(
         omega, ("corner", F, tol), lambda: _corner_map(F, sup_o, sup_x, tol)
     )
-    return CornerMap(sup_o, sup_x, chan, omega if omega_r is None else omega_r, xi_r, worst)
+    return CornerMap(sup_o, sup_x, chan, omega if omega_r is None else omega_r, xi_r)
 
 
 def _corner_map(F: LinearMap, sup_o: SupportData, sup_x: SupportData, tol: Tolerances) -> tuple:
@@ -111,11 +110,10 @@ def _corner_map(F: LinearMap, sup_o: SupportData, sup_x: SupportData, tol: Toler
             for x in sup_o.kept
         ]
         # the corner is factored by W* K V and W* N V, K and N the stacks of F's factor
-        factor = certificate_factor(F)
         kraus, negative = (
             None if grid is None
             else [[dagger(W[x]) @ grid[x][y] @ V[y] for y in sup_x.kept] for x in sup_o.kept]
-            for grid in (factor or (None, None))
+            for grid in (getattr(F, "kraus", None), getattr(F, "negative", None))
         )
         chan = Channel(
             sup_x.corner_algebra, sup_o.corner_algebra, tensors, tol=tol,
@@ -143,7 +141,7 @@ def _corner_map(F: LinearMap, sup_o: SupportData, sup_x: SupportData, tol: Toler
         raise InternalInconsistency(
             f"corner square does not commute, residual {worst:.3e}"
         )
-    return chan, None if faithful else omega_r, xi_r, worst
+    return chan, None if faithful else omega_r, xi_r
 
 
 @dataclass(frozen=True)

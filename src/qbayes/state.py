@@ -214,21 +214,6 @@ def _support(omega: State, tol: Tolerances) -> tuple:
     )
 
 
-def in_nullspace(
-    omega: State,
-    A: AlgebraElement,
-    tol: Tolerances = DEFAULT_TOL,
-    scale: float = 0.0,
-) -> bool:
-    """Nullspace membership: omega(A* A) vanishes relative to ||A||^2.
-
-    `scale` optionally widens the reference when A itself is a residual of
-    a larger computation (so numerical noise is not misclassified).
-    """
-    value = evaluate(omega, A.adjoint() @ A).real
-    return tol.nullspace(value, max(A.norm(), scale)).ok
-
-
 def pullback(omega: State, F, tol: Tolerances = DEFAULT_TOL) -> State:
     """The state omega o F on the source of the map F.
 

@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 
-from qbayes.algebra import MultiMatrixAlgebra, matrix_units
+from qbayes.algebra import MultiMatrixAlgebra
 from qbayes.bayesinv import battery, existence, verify_bayes
 from qbayes.channel import (
     Channel,
@@ -47,7 +47,7 @@ from instances import (
     product_instance,
     rankdef_product_instance,
 )
-from oracles import random_unitary
+from oracles import matrix_units, petz_map, random_unitary
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -234,7 +234,7 @@ def test_criterion_05_petz_bayes_oracle():
         analysis = battery(F, omega)
         if not analysis.passed:
             continue
-        petz = Channel(F.target, F.source, analysis.petz_map.tensors)
+        petz = Channel(F.target, F.source, petz_map(F, omega).tensors)
         residual = verify_bayes(F, petz, omega).pairing.residual
         worst = max(worst, residual)
         checked += 1
@@ -406,9 +406,11 @@ def test_criterion_11_subblock_equivalence():
         if cert.ok != ce.ok:
             mismatches += 1
         xi = cert.xi
+        # the mixing coefficient lambda_ij = tr tau_ij, 0 for a missing sub-block
+        lam = {key: np.trace(t).real for key, t in cert.tau.items()}
         for i in range(h.target.n_blocks):
             row = sum(
-                cert.lambdas.get((i, j), 0.0) * xi.weights[j]
+                lam.get((i, j), 0.0) * xi.weights[j]
                 for j in range(h.source.n_blocks)
             )
             worst_arith = max(worst_arith, abs(row - omega.weights[i]))

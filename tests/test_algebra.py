@@ -5,15 +5,13 @@ from qbayes.algebra import (
     AlgebraElement,
     HomSpec,
     MultiMatrixAlgebra,
-    apply_hom,
-    matrix_units,
     unit,
     zero,
 )
 from qbayes.errors import ShapeMismatch
 from qbayes.generators import random_complex, random_hom
 
-from oracles import hs_inner
+from oracles import apply_hom, hs_inner, matrix_units
 
 
 def random_element(rng, alg):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qbayes.algebra import MultiMatrixAlgebra, matrix_units
+from qbayes.algebra import MultiMatrixAlgebra
 from qbayes.bayesinv import (
     _pairing_residual,
     battery,
@@ -23,6 +23,7 @@ from qbayes.channel import (
     identity_channel,
     is_ucp,
 )
+from qbayes.cli import main
 from qbayes.disint import bayes_disint_bridge
 from qbayes.errors import ShapeMismatch
 from qbayes.generators import (
@@ -53,7 +54,7 @@ from instances import (
     product_instance,
     rankdef_product_instance,
 )
-from oracles import random_unitary
+from oracles import matrix_units, petz_map, random_unitary, support_map
 
 
 def pinned_counterexample():
@@ -143,7 +144,7 @@ def test_battery_product_passes_with_partial_trace_formula():
         assert rep.residual < 1e-10
     tau = np.diag([0.3, 0.7])
     for E in matrix_units(h.target):
-        got = analysis.support_map.apply(E).blocks[0]
+        got = support_map(analysis).apply(E).blocks[0]
         direct = np.einsum("uw,wsut->st", tau, E.blocks[0].reshape(2, 2, 2, 2))
         np.testing.assert_allclose(got, direct, atol=1e-9)
 
@@ -231,11 +232,21 @@ def test_petz_formula_matches_on_faithful_instances():
         F = from_hom(h)
         analysis = battery(F, omega)
         assert analysis.passed
-        assert analysis.petz_map is not None
-        distance = analysis.support_map.distance(analysis.petz_map)
-        assert Tolerances(eps_eq=1e-9).close(*distance)
-        report = verify_bayes(F, Channel(F.target, F.source, analysis.petz_map.tensors), omega)
+        petz = petz_map(F, omega)
+        assert Tolerances(eps_eq=1e-9).close(*support_map(analysis).distance(petz))
+        report = verify_bayes(F, Channel(F.target, F.source, petz.tensors), omega)
         assert report.pairing.residual < 1e-8
+
+
+def test_a_support_map_off_the_petz_map_raises(monkeypatch, capsys):
+    # a passed battery cross-checks its support map Ad_P o G^L against the
+    # Petz map; a distance beyond the threshold is a bug alarm
+    monkeypatch.setattr(LinearMap, "distance", lambda self, other: (1.0, 1.0))
+    argv = ["check", str(fixture_path("product.json")), "--analyses", "bayes-battery"]
+    assert main(argv) == 3
+    assert "recovery formula does not match the corner inverse although the battery passed" in (
+        capsys.readouterr().err
+    )
 
 
 def test_unitary_conjugation_battery_and_inverse():
@@ -499,13 +510,12 @@ def test_battery_contractions_match_einsum(case):
 
 
 def per_pair_reference(F, omega, tol=DEFAULT_TOL):
-    """Choi blocks, support map and Petz map tensors of the battery, with the
-    pseudoinverse and both square roots read afresh from the supports for
-    every (x, y) pair."""
+    """The Choi blocks of the battery, with the pseudoinverse read afresh from
+    the support for every (x, y) pair."""
     xi = pullback(omega, F, tol)
-    sup_o, sup_x = support(omega, tol), support(xi, tol)
+    sup_x = support(xi, tol)
     P_xi = sup_x.projection.blocks
-    choi_A, choi_B, support_t, petz_t = {}, {}, {}, {}
+    choi_A, choi_B = {}, {}
     for x, m in enumerate(F.target.block_dims):
         rho_w = omega.weighted_density(x)
         for y, n in enumerate(F.source.block_dims):
@@ -519,11 +529,7 @@ def per_pair_reference(F, omega, tol=DEFAULT_TOL):
             BB = _sandwich(rawL, L=shat_w, R=np.eye(n) - P_xi[y])
             choi_A[(x, y)] = KL.reshape(m * n, m * n)
             choi_B[(x, y)] = BB.reshape(m * n, m * n)
-            sq_rho = sup_o.calculus(x, np.sqrt)
-            sq_shat = sup_x.calculus(y, sqrt_reciprocal)
-            support_t[(x, y)] = KL
-            petz_t[(x, y)] = _sandwich(Ta, sq_rho, sq_rho, sq_shat, sq_shat)
-    return xi, P_xi, choi_A, choi_B, support_t, petz_t
+    return xi, P_xi, choi_A, choi_B
 
 
 def existence_reference(F, xi, P_xi, choi_A, choi_B, tol=DEFAULT_TOL):
@@ -559,16 +565,12 @@ def existence_reference(F, xi, P_xi, choi_A, choi_B, tol=DEFAULT_TOL):
 def test_battery_and_existence_match_per_pair_reference(case):
     F, omega = case()
     analysis = battery(F, omega)
-    xi, P_xi, choi_A, choi_B, support_t, petz_t = per_pair_reference(F, omega)
+    xi, P_xi, choi_A, choi_B = per_pair_reference(F, omega)
     for key in choi_A:
         assert np.array_equal(analysis.choi_A[key], choi_A[key])
         assert np.array_equal(analysis.choi_B[key], choi_B[key])
     if not analysis.passed:
-        assert analysis.support_map is None and analysis.petz_map is None
         return
-    for (x, y), T in support_t.items():
-        assert np.array_equal(analysis.support_map.tensors[y][x], T)
-        assert np.array_equal(analysis.petz_map.tensors[y][x], petz_t[(x, y)])
     result = existence(analysis)
     assert result.exists
     # the extension reads A-hat as Q C^+ Q* from the Kraus factor, the

@@ -22,11 +22,11 @@ from qbayes.algebra import MultiMatrixAlgebra
 from qbayes.bayesinv import bayes_inverse
 from qbayes.channel import (
     Channel,
-    certificate_factor,
     from_choi,
     from_hom,
     from_kraus,
     is_ucp,
+    kraus_factor,
 )
 from qbayes.cli import main
 from qbayes.disint import disintegrate
@@ -126,15 +126,15 @@ def test_a_choi_given_factor_keeps_every_nonnegative_direction():
     small = 0.9 * DEFAULT_TOL.rank_cutoff(w[-1])
     C = C + small * (V[:, :4] @ V[:, :4].conj().T)
     G = from_choi(F.source, F.target, [[C.reshape(F.tensors[0][0].shape)]])
-    kraus, negative = certificate_factor(G)
-    assert len(G.kraus[0][0]) == len(F.kraus[0][0]) == 2
+    kraus, negative = G.kraus, G.negative
+    assert len(kraus_factor(G)[0][0]) == len(F.kraus[0][0]) == 2
     assert len(kraus[0][0]) == 6 and len(negative[0][0]) == 0
-    assert not is_ucp(with_factor(G, G.tensors, G.kraus)).cp.ok
+    assert not is_ucp(with_factor(G, G.tensors, kraus_factor(G))).cp.ok
     certified = is_ucp(with_factor(G, G.tensors, kraus, negative)).cp
     assert certified.ok and certified.residual < 1e-3 * small
     # a map given without a factor is judged on its least Choi eigenvalues
     bare = Channel(G.source, G.target, G.tensors)
-    assert certificate_factor(bare) is None
+    assert bare.kraus is None
     assert is_ucp(bare) == dense_ucp(bare)
 
 

@@ -92,6 +92,39 @@ def test_check_malformed_json(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+def _utf16_file(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")  # a UTF-16 byte-order mark, no UTF-8 text
+    return ["check", str(path)], path
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda tmp_path: (["check", str(tmp_path)], tmp_path),
+        _utf16_file,
+        lambda tmp_path: (["invert", str(FIXTURES / "product.json"), "--mode", "bayes",
+                           "--out", str(tmp_path)], tmp_path),
+        lambda tmp_path: (["random", "--dims", "2->4", "--kind", "product", "--seed", "1",
+                           "--out", str(tmp_path)], tmp_path),
+    ],
+    ids=["check-directory", "check-not-utf8", "invert-out-directory", "random-out-directory"],
+)
+def test_unusable_paths_fail_closed(tmp_path, capsys, case):
+    argv, path = case(tmp_path)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and str(path) in err
+    assert out == ""
+
+
+def test_missing_problem_file_fails_closed(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    code, _, err = run_cli(["check", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and str(path) in err
+
+
 def test_check_schema_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": "qbayes-problem/1", "channel": {"kind": "nope"}}))
@@ -314,8 +347,8 @@ def test_random_kraus_more_outputs_than_operators(tmp_path, capsys):
         ({"eps_eq": [1e-9]}, [], None, 2, "problem.tolerances.eps_eq"),
         ({}, ["--eps-eq", "5"], None, 2, "--eps-eq"),
         ({}, ["--eps-rank", "0"], None, 2, "--eps-rank"),
-        ({}, [], "abc", 2, "QBAYES_EPS_EQ"),
-        ({}, [], "5", 2, "QBAYES_EPS_EQ"),
+        ({}, [], "abc", 0, None),
+        ({}, [], "5", 0, None),
         ({"eps_eq": 5}, ["--eps-eq", "1e-9"], None, 0, None),
         ({"eps_eq": 1e-9}, [], "abc", 0, None),
         # an entry that no rule reads, and a value that is not a JSON number,
@@ -331,7 +364,7 @@ def test_random_kraus_more_outputs_than_operators(tmp_path, capsys):
 def test_tolerances_fail_closed(
     tmp_path, capsys, monkeypatch, tolerances, flags, env, code, named
 ):
-    # the flag wins over the problem file, which wins over QBAYES_EPS_EQ
+    # the flag wins over the problem file; QBAYES_EPS_EQ is not read
     data = json.loads((FIXTURES / "product.json").read_text())
     data["tolerances"] = tolerances
     path = tmp_path / "problem.json"
@@ -340,10 +373,13 @@ def test_tolerances_fail_closed(
         monkeypatch.delenv("QBAYES_EPS_EQ", raising=False)
     else:
         monkeypatch.setenv("QBAYES_EPS_EQ", env)
-    got, _, err = run_cli(["check", str(path), "--analyses", "ac"] + flags, capsys)
+    got, out, err = run_cli(["check", str(path), "--analyses", "ac"] + flags, capsys)
     assert got == code
     if named is not None:
         assert err.startswith(f"error: {named}: ")
+    else:
+        eps_eq = float(flags[1]) if flags[:1] == ["--eps-eq"] else tolerances.get("eps_eq", Tolerances().eps_eq)
+        assert json.loads(out)["tolerances"]["eps_eq"] == eps_eq
 
 
 def _scaled_choi(factor):
@@ -605,11 +641,12 @@ def test_channel_is_judged_ucp_at_the_run_tolerances(tmp_path, capsys, fixture, 
 
 
 def test_eps_env_override(capsys, monkeypatch):
+    # the variable QBAYES_EPS_EQ no longer overrides the eps_eq default
     monkeypatch.setenv("QBAYES_EPS_EQ", "1e-6")
     code, out, _ = run_cli(["check", str(FIXTURES / "product.json"),
                             "--analyses", "ac"], capsys)
     assert code == 0
-    assert json.loads(out)["tolerances"]["eps_eq"] == 1e-6
+    assert json.loads(out)["tolerances"]["eps_eq"] == Tolerances().eps_eq
 
 
 def test_console_entry_point():

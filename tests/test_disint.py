@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import qbayes.disint
-from qbayes.algebra import HomSpec, MultiMatrixAlgebra, matrix_units, unit
+from qbayes.algebra import HomSpec, MultiMatrixAlgebra, unit
 from qbayes.channel import LinearMap, compose, from_hom, identity_channel, is_ucp
 from qbayes.disint import (
     bayes_disint_bridge,
@@ -34,6 +34,7 @@ from instances import (
     nonsubalgebra_deterministic_instance,
     product_instance,
 )
+from oracles import matrix_units
 from pair_loops import corner_hom_pairs
 
 # the equality threshold of the expectations' identities
@@ -45,8 +46,9 @@ def test_factorize_product_extracts_tau():
     cert = factorize(h, omega)
     assert cert.ok
     np.testing.assert_allclose(cert.tau[(0, 0)], np.diag([0.3, 0.7]), atol=1e-12)
-    assert abs(cert.lambdas[(0, 0)] - 1.0) < 1e-12
-    assert abs(cert.mus[(0, 0)] - 1.0) < 1e-12
+    # the mixing coefficient lambda = tr tau, and mu = lambda q / p
+    assert abs(np.trace(cert.tau[(0, 0)]) - 1.0) < 1e-12
+    assert abs(np.trace(cert.tau[(0, 0)]) * cert.xi.weights[0] / omega.weights[0] - 1.0) < 1e-12
 
 
 def test_factorize_epr_fails_with_residual():
@@ -222,7 +224,7 @@ def test_condexp_agrees_with_factorize():
     h, omega = product_instance()
     rep = condexp_characterize(h, omega)
     assert rep.ok
-    assert abs(rep.mus[(0, 0)] - 1.0) < 1e-10
+    assert rep.mixing.residual < 1e-10
     h2, omega2 = epr_instance()
     rep2 = condexp_characterize(h2, omega2)
     assert not rep2.ok
@@ -278,9 +280,11 @@ def test_certificate_arithmetic():
         cert = factorize(h, omega)
         assert cert.ok
         xi = cert.xi
+        # the mixing coefficient lambda_ij = tr tau_ij, 0 for a missing sub-block
+        lam = {key: np.trace(t).real for key, t in cert.tau.items()}
         for i in range(h.target.n_blocks):
             row = sum(
-                cert.lambdas.get((i, j), 0.0) * xi.weights[j]
+                lam.get((i, j), 0.0) * xi.weights[j]
                 for j in range(h.source.n_blocks)
             )
             assert abs(row - omega.weights[i]) < 1e-8
@@ -288,7 +292,7 @@ def test_certificate_arithmetic():
             if xi.weights[j] <= 0:
                 continue
             col = sum(
-                cert.lambdas.get((i, j), 0.0) for i in range(h.target.n_blocks)
+                lam.get((i, j), 0.0) for i in range(h.target.n_blocks)
             )
             assert abs(col - 1.0) < 1e-8
 

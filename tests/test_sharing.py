@@ -201,10 +201,8 @@ def test_parsed_problem_dies_with_the_call(argv, monkeypatch, capsys, tmp_path):
 
     def battery_and_watch(*args):
         fields = build_battery(*args)
-        _, _, _, choi_A, choi_B, support_map, _ = fields
-        arrays = [*choi_A.values(), *choi_B.values()]
-        arrays += [T for row in support_map.tensors for T in row]  # both batteries pass
-        battery_refs.extend(weakref.ref(T) for T in arrays)
+        _, _, _, choi_A, choi_B = fields
+        battery_refs.extend(weakref.ref(T) for T in [*choi_A.values(), *choi_B.values()])
         return fields
 
     def extension_and_watch(*args):
@@ -231,10 +229,9 @@ def test_parsed_problem_dies_with_the_call(argv, monkeypatch, capsys, tmp_path):
         # channel and the pulled-back state
         assert len(refs) == (5 if argv[0] == "check" else 3)
         # the problem's battery, which takesaki's corner battery reads, keeps
-        # two Choi blocks and a support-map tensor per each of 2 x 2 block
-        # pairs; its extension keeps a mass block per weighted source block
-        # and the inverse's 2 x 2 tensors
-        assert len(battery_refs) == (18 if argv[0] == "check" else 0)
+        # two Choi blocks per each of 2 x 2 block pairs; its extension keeps a
+        # mass block per weighted source block and the inverse's 2 x 2 tensors
+        assert len(battery_refs) == (14 if argv[0] == "check" else 0)
         refs += battery_refs
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
@@ -341,10 +338,7 @@ def test_disagreeing_battery_raises_on_every_call(monkeypatch):
 
 
 def _kept_arrays(analysis) -> list:
-    maps = [M for M in (analysis.support_map, analysis.petz_map) if M is not None]
-    return [*analysis.choi_A.values(), *analysis.choi_B.values()] + [
-        T for M in maps for row in M.tensors for T in row
-    ]
+    return [*analysis.choi_A.values(), *analysis.choi_B.values()]
 
 
 def test_battery_is_kept_per_map_and_tolerance():
@@ -387,7 +381,7 @@ def test_kept_battery_is_read_only(capsys, tmp_path):
     h, omega = rankdef_product_instance()
     F = from_hom(h)
     analysis = battery(F, omega)
-    assert analysis.passed and analysis.support_map is not None
+    assert analysis.passed
     assert not any(T.flags.writeable for T in _kept_arrays(analysis))
     # the readers of the kept arrays write to none of them
     assert existence(analysis).exists

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbayes.algebra import AlgebraElement, MultiMatrixAlgebra, matrix_unit, matrix_units, unit
+from qbayes.algebra import AlgebraElement, MultiMatrixAlgebra, unit
 from qbayes.bayesinv import battery
 from qbayes.channel import ae_deterministic, from_hom, identity_channel
 from qbayes.errors import NegativeEigenvalue, ShapeMismatch
@@ -12,9 +12,10 @@ from qbayes.generators import (
     random_state,
 )
 from qbayes.modular import ac_condition_sampled
-from qbayes.state import State, evaluate, in_nullspace, pullback, support
+from qbayes.state import State, evaluate, pullback, support
 
 from instances import epr_instance
+from oracles import in_nullspace, matrix_unit, matrix_units
 
 
 def test_state_validation():
