@@ -23,6 +23,7 @@ from .channel import (
     Channel,
     LinearMap,
     UcpVerdict,
+    _factor,
     _read_only,
     _sandwich,
     is_ucp,
@@ -383,9 +384,7 @@ def _existence(analysis: BayesAnalysis) -> ExistenceResult:
     kraus = kraus_factor(F, tol)
     # the operators of F's signed factor beyond those kept (a Choi-given F's
     # small and negative eigen-directions), whose images the inverse's factor spans
-    full, negative = (
-        (kraus, None) if getattr(F, "kraus", None) is None else (F.kraus, F.negative)
-    )
+    full, negative = _factor(F, tol)
     src_dims = F.source.block_dims
     tgt_dims = F.target.block_dims
     w_x = np.array(tgt_dims, dtype=float)

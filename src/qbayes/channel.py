@@ -16,17 +16,16 @@ map is completely positive iff every Choi block is PSD, and unital iff
 sum_y F_xy(1_{n_y}) = 1_{m_x} for every x.
 
 Maps are built in Kraus form (`from_kraus`, which also backs `from_hom` and
-the identity, and keeps its operators on the channel), from Choi blocks
-(`from_choi`, which reads a signed factor and the UCP verdict from their
-eigendecompositions) or by placing tensors directly, and tests over matrix
-units are contractions of the stored tensors. A channel keeps its factor
-(`Channel.kraus`, `Channel.negative`); `kraus_factor` gives any channel's
-Kraus operators, kept or derived once, and `is_ucp` judges a map once per
-tolerance: complete positivity from the map's factor, as a certificate
-checked against its Choi blocks, so that no Choi block of a map that
-carries a factor is eigendecomposed. `LinearMap.from_block_fn`, which
-evaluates a callback on one matrix unit at a time, is the per-unit reference
-constructor that the tests compare against.
+the identity), from Choi blocks (`from_choi`) or by placing tensors
+directly, and tests over matrix units are contractions of the stored
+tensors. Every map has one signed factor, read through `_factor`: the one a
+channel carries (`Channel.kraus`, `Channel.negative`), or else the one read
+once per tolerance from its Choi blocks. `kraus_factor` gives a map's Kraus
+operators from it, and `is_ucp` judges a map once per tolerance by one rule:
+complete positivity certified from its factor against its Choi blocks.
+`LinearMap.from_block_fn`, which evaluates a callback on one matrix unit at
+a time, is the per-unit reference constructor that the tests compare
+against.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from .linalg import (
     failing,
     frobenius,
     hermitian_eigen,
-    hermitian_floor,
     hermitian_split,
     partial_trace_left,
 )
@@ -234,9 +232,9 @@ class Channel(LinearMap):
     non-UCP carriers (adjoints, differences) can still be worked with.
     `kraus` and `negative` are the map's factor, from which `is_ucp`
     certifies it: read-only (r, m_x, n_y) stacks in the grid [x][y], each
-    Choi block being sum K K* - sum N N*. A constructor that knows a factor
-    of its map passes it. `negative`, None for a factor given without one,
-    holds the negative eigen-directions of a channel read from Choi blocks
+    Choi block being sum K K* - sum N N*, passed by a constructor that knows
+    one (else None). `negative`, None for a factor given without one, holds
+    the negative eigen-directions of a channel read from Choi blocks
     (`from_choi`), carried into the maps built from it.
     """
 
@@ -330,66 +328,69 @@ def from_kraus(
 def from_choi(
     source: MultiMatrixAlgebra, target: MultiMatrixAlgebra, tensors, tol: Tolerances = DEFAULT_TOL
 ) -> Channel:
-    """The channel of the given block tensors, judged at tol. One eigendecomposition
-    of each Choi block gives the channel's signed factor (`Channel.kraus` and
-    `Channel.negative`), the Kraus operators that `kraus_factor` returns at tol
-    and the UCP verdict it keeps for `is_ucp`. The factor's K are the
-    eigen-directions above the lesser of the rank cutoff and
-    `Tolerances.negligible`, in descending eigenvalue, so that the operators
-    cut as `kraus_blocks` cuts them are its first ones, and its N those below
-    -negligible; the directions left out hold at most ABS_FLOOR / 2 of a block
-    in Frobenius norm."""
+    """The channel of the given block tensors, judged Hermitian at tol, with the
+    signed factor that `_choi_factor` reads at tol."""
     F = Channel(source, target, tensors, tol=tol)
-    stacks, full, negative, floors = [], [], [], []
-    for x, m_x in enumerate(target.block_dims):
-        stack_row, full_row, negative_row = [], [], []
-        for y, n_y in enumerate(source.block_dims):
-            w, V, low, radius = _choi_eigen(F.choi_block(x, y))
-            cutoff = tol.rank_cutoff(max(float(w.max(initial=0.0)), 0.0))
-            negligible = tol.negligible(len(w))
-            K = _kraus_stack(w, V, n_y, m_x, min(cutoff, negligible))
-            full_row.append(K)
-            stack_row.append(K[: np.count_nonzero(w > cutoff)])
-            negative_row.append(_kraus_stack(-w, V, n_y, m_x, negligible))
-            floors.append((low, radius))
-        stacks.append(stack_row)
-        full.append(full_row)
-        negative.append(negative_row)
-    _read_only(stacks, full, negative)
-    F.kraus, F.negative = full, negative
-    memo(F, ("kraus", tol), lambda: stacks)
-    memo(F, ("ucp", tol), lambda: _ucp_verdict(F, tol, floors))
+    F.kraus, F.negative = _choi_factor(F, tol)
     return F
 
 
-def _choi_eigen(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """(w, V, low, radius): the eigenpairs of the Hermitian part of a finite
-    Choi block, and the floor that `hermitian_floor` reads from them."""
-    H, defect = hermitian_split(C)
-    w, V = np.linalg.eigh(H)
-    return w, V, float(w.min(initial=0.0)) - defect, float(np.abs(w).max(initial=0.0))
+def _choi_factor(F: LinearMap, tol: Tolerances) -> tuple[list, list]:
+    """(K, N), the signed factor of F read from one eigendecomposition of the
+    Hermitian part of each Choi block, as read-only (r, m_x, n_y) stacks in the
+    grid [x][y]: K the eigen-directions above the lesser of the rank cutoff and
+    `Tolerances.negligible`, in descending eigenvalue, N those below
+    -negligible, so that the directions left out hold at most ABS_FLOOR / 2 of
+    a block in Frobenius norm. A block that is not finite gets empty stacks,
+    and its certificate reads NaN."""
+    kraus, negative = ([[None] * F.source.n_blocks for _ in F.target.block_dims] for _ in range(2))
+    for x, m_x in enumerate(F.target.block_dims):
+        for y, n_y in enumerate(F.source.block_dims):
+            H, defect = hermitian_split(F.choi_block(x, y))
+            w, V = np.zeros(0), np.zeros((len(H), 0), dtype=complex)
+            if np.isfinite(defect):
+                w, V = np.linalg.eigh(H)
+            negligible = tol.negligible(len(H))
+            cut = min(tol.rank_cutoff(float(w.max(initial=0.0))), negligible)
+            kraus[x][y] = _kraus_stack(w, V, n_y, m_x, cut)
+            negative[x][y] = _kraus_stack(-w, V, n_y, m_x, negligible)
+    _read_only(kraus, negative)
+    return kraus, negative
+
+
+def _factor(F: LinearMap, tol: Tolerances) -> tuple[list, Optional[list]]:
+    """(L, N), the one signed factor of F, each Choi block being sum L L* -
+    sum N N*: a channel's `kraus` and `negative`, or, for a map that carries
+    none, the one `_choi_factor` reads, once per tolerance and kept on F."""
+    if isinstance(F, Channel) and F.kraus is not None:
+        return F.kraus, F.negative
+    return memo(F, ("factor", tol), lambda: _choi_factor(F, tol))
 
 
 def kraus_factor(F: LinearMap, tol: Tolerances = DEFAULT_TOL):
-    """The Kraus operators of each (x, y) pair of F as (r, m_x, n_y) stacks,
-    grid [x][y]: the channel's `kraus` when it carries no `negative`, else
-    those read from the eigendecomposition of each Choi block by `kraus_blocks`,
-    once per tolerance, and kept on F. A channel read from Choi blocks keeps
-    the first operators of its factor, cut at the tolerances it was given."""
-    kept = getattr(F, "kraus", None)
-    if kept is not None and F.negative is None:
-        return kept
+    """The Kraus operators of each (x, y) pair of F as read-only (r, m_x, n_y)
+    stacks, grid [x][y], from F's factor (`_factor`): the factor itself when
+    it subtracts nothing (N is None), else, once per tolerance and kept on F,
+    its operators whose squared norm lies above the rank cutoff of the
+    block's largest (the leading ones of a factor read from Choi blocks).
+    Raises NotCP when the factor does not certify F CP at tol."""
+    kraus, negative = _factor(F, tol)
+    if negative is None:
+        return kraus
 
-    def derive():
+    def cut():
+        verdict = is_ucp(F, tol)
+        if not verdict.cp:
+            raise NotCP(f"the map's factor does not certify it CP: {verdict.failing()}")
+        norms = [[_sq_frobenius(K) for K in row] for row in kraus]
         stacks = [
-            [np.array(kraus_blocks(F, x, y, tol), dtype=complex).reshape(-1, m_x, n_y)
-             for y, n_y in enumerate(F.source.block_dims)]
-            for x, m_x in enumerate(F.target.block_dims)
+            [K[sq > tol.rank_cutoff(float(sq.max(initial=0.0)))] for K, sq in zip(Ks, sqs)]
+            for Ks, sqs in zip(kraus, norms)
         ]
         _read_only(stacks)
         return stacks
 
-    return memo(F, ("kraus", tol), derive)
+    return memo(F, ("kraus", tol), cut)
 
 
 def compose(F: LinearMap, G: LinearMap) -> LinearMap:
@@ -441,28 +442,19 @@ def is_ucp(F: LinearMap, tol: Tolerances = DEFAULT_TOL) -> UcpVerdict:
     """Complete positivity (all Choi blocks PSD) plus unitality, judged once per
     map and tolerance: the verdict is kept on the map.
 
-    CP is certified from the channel's factor (`Channel.kraus` and
-    `Channel.negative`): with L and N the operators of a block as columns,
-    Weyl's inequality bounds the least eigenvalue of the Choi block C below by
-    lambda_min(L L* - N N*) - ||C - L L* + N N*||_F, so a wrong factor can
-    only fail the test. A channel read from Choi blocks keeps the verdict of
-    its parse-time eigendecomposition at the tolerances it was given, and a
-    map that carries no factor is judged on the least eigenvalue of each Choi
-    block (`hermitian_floor`)."""
+    CP is certified from the map's one factor (`_factor`): with L and N the
+    operators of a block as columns, Weyl's inequality bounds the least
+    eigenvalue of the Choi block C below by lambda_min(L L* - N N*) -
+    ||C - L L* + N N*||_F, so a wrong factor can only fail the test. No Choi
+    block is eigendecomposed for the verdict, except once per tolerance to
+    read the factor of a map that carries none."""
     return memo(F, ("ucp", tol), lambda: _ucp_verdict(F, tol))
 
 
-def _ucp_verdict(F: LinearMap, tol: Tolerances, floors=None) -> UcpVerdict:
-    """The UCP verdict of F from the (low, radius) of each Choi block in (x, y)
-    order, or, unless they are given, from the certificate of its factor."""
+def _ucp_verdict(F: LinearMap, tol: Tolerances) -> UcpVerdict:
+    """The UCP verdict of F, its CP part from the certificate of its factor."""
     blocks = [(x, y) for x in range(F.target.n_blocks) for y in range(F.source.n_blocks)]
-    if floors is None and getattr(F, "kraus", None) is not None:
-        lows, lam_max = _certificate(F, F.kraus, F.negative, blocks)
-    else:
-        if floors is None:
-            floors = [hermitian_floor(F.choi_block(x, y)) for x, y in blocks]
-        lows, lam_max = [low for low, _ in floors], max([0.0, *(radius for _, radius in floors)])
-    lows = np.array(lows, dtype=float)
+    lows, lam_max = _certificate(F, *_factor(F, tol), blocks)
     # argmin picks the first NaN if there is one, and then cp fails
     k = int(np.argmin(lows))
     cp = tol.psd(float(lows[k]), lam_max)
@@ -478,7 +470,7 @@ def _ucp_verdict(F: LinearMap, tol: Tolerances, floors=None) -> UcpVerdict:
     return UcpVerdict(cp=cp, unital=unital, witness_block=blocks[k])
 
 
-def _certificate(F: LinearMap, kraus, negative, blocks) -> tuple[list, float]:
+def _certificate(F: LinearMap, kraus, negative, blocks) -> tuple[np.ndarray, float]:
     """(lows, radius) from the (r, m, n) stacks kraus[x][y] and negative[x][y]
     of F: for each Choi block C in blocks, low = lambda_min(L L* - N N*) -
     ||C - L L* + N N*||_F, with columns L[(i, a), k] = K_k[a, i] and N
@@ -507,7 +499,7 @@ def _certificate(F: LinearMap, kraus, negative, blocks) -> tuple[list, float]:
         d = D.view(np.float64).ravel()
         lows.append(floor - float(np.sqrt(d @ d)))
     radii = [float(np.linalg.eigvalsh(np.array(g)).max(initial=0.0)) for g in grams.values()]
-    return lows, max([0.0, *radii])
+    return np.array(lows, dtype=float), max([0.0, *radii])
 
 
 def _map_scale(D: LinearMap) -> float:

@@ -279,6 +279,8 @@ def _parse_dims(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def cmd_random(args) -> int:
     src, tgt = _parse_dims(args.dims)
+    if args.seed < 0:
+        raise SchemaError(f"--seed: expected a non-negative integer, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     kind = args.kind
     if kind in ("product", "nonproduct", "rankdef"):

@@ -183,22 +183,22 @@ def support_eigen(
     M: np.ndarray, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(w, V, keep): the eigenpairs of a PSD matrix M, as `hermitian_eigen`
-    gives them, and the mask of its support, the eigenvalues above eps_rank *
-    max(eigenvalue). A least eigenvalue below the support calculus' PSD bound
-    raises NegativeEigenvalue."""
+    gives them, and the mask of its support (`support_mask`). A least
+    eigenvalue below the support calculus' PSD bound raises
+    NegativeEigenvalue."""
     w, V = hermitian_eigen(M, tol)
-    wmax = max(float(w.max(initial=0.0)), 0.0)
-    if not tol.support_psd(float(w.min(initial=0.0)), wmax):
+    psd = tol.support_psd(float(w.min(initial=0.0)), max(float(w.max(initial=0.0)), 0.0))
+    if not psd:
         raise NegativeEigenvalue(
-            f"eigenvalue {w.min():.3e} below -eps_rank * lambda_max = {-tol.eps_rank * wmax:.3e}"
+            f"eigenvalue {w.min():.3e} below the PSD bound -{psd.threshold:.3e}"
         )
     return w, V, support_mask(w, tol)
 
 
 def support_mask(w: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """The support of a PSD matrix with eigenvalues w: those above eps_rank *
-    max(eigenvalue)."""
-    return w > tol.eps_rank * max(float(w.max(initial=0.0)), 0.0)
+    """The support of a PSD matrix with eigenvalues w: those above the rank
+    cutoff of the largest (`Tolerances.rank_cutoff`)."""
+    return w > tol.rank_cutoff(float(w.max(initial=0.0)))
 
 
 def herm_fun(
@@ -208,9 +208,10 @@ def herm_fun(
 ) -> np.ndarray:
     """Apply f to the spectrum of a PSD matrix, restricted to its support.
 
-    Eigenvalues at or below eps_rank * max(eigenvalue) are mapped to zero,
-    so f is never evaluated off the support. Realizes sqrt(M), M^{it},
-    and general complex powers M^z on the support.
+    Eigenvalues at or below the rank cutoff of the largest
+    (`Tolerances.rank_cutoff`) are mapped to zero, so f is never evaluated
+    off the support. Realizes sqrt(M), M^{it}, and general complex powers
+    M^z on the support.
     """
     w, V, keep = support_eigen(M, tol)
     fw = np.zeros(len(w), dtype=complex)

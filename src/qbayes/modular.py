@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, memo
-from .channel import Channel, LinearMap, _sandwich, _unit_rows, is_ucp
+from .channel import Channel, LinearMap, _factor, _sandwich, _unit_rows, is_ucp
 from .errors import InternalInconsistency, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
@@ -113,7 +113,7 @@ def _corner_map(F: LinearMap, sup_o: SupportData, sup_x: SupportData, tol: Toler
         kraus, negative = (
             None if grid is None
             else [[dagger(W[x]) @ grid[x][y] @ V[y] for y in sup_x.kept] for x in sup_o.kept]
-            for grid in (getattr(F, "kraus", None), getattr(F, "negative", None))
+            for grid in _factor(F, tol)
         )
         chan = Channel(
             sup_x.corner_algebra, sup_o.corner_algebra, tensors, tol=tol,

@@ -8,9 +8,11 @@ on the state, and the UCP verdict of each map at each tolerance on the map. `rec
 each build, so an input derived twice shows up as a repeated key. It also
 counts the eigendecompositions, keyed by shape: each density's is made by its
 support and read from there, a Choi block's by the battery's CP floor
-(`hermitian_floor`) or, for a channel read from Choi blocks, once at parse
-(`_choi_eigen`; `is_ucp` certifies every other map from its Kraus factor),
-and the extension's compressions by `support_eigen` (through
+(`hermitian_floor`) or, where a map's factor is read from its Choi blocks,
+once per map and tolerance (`_choi_factor`, keyed by the shapes of the
+blocks it decomposes: a channel read from Choi blocks at parse, or a map
+built without a factor; `is_ucp` certifies every map from its factor), and
+the extension's compressions by `support_eigen` (through
 `hermitian_eigen`). From a checkout:
 
     PYTHONPATH=src python tests/derivations.py fixtures/product.json [--analyses ac]
@@ -36,10 +38,13 @@ import qbayes.state
 BUILDERS = {
     "linalg.hermitian_eigen": (qbayes.linalg, "hermitian_eigen", lambda M, *tol: np.shape(M)),
     "linalg.hermitian_floor": (qbayes.linalg, "hermitian_floor", np.shape),
-    "channel._choi_eigen": (qbayes.channel, "_choi_eigen", np.shape),
-    "channel._ucp_verdict": (
-        qbayes.channel, "_ucp_verdict", lambda F, tol, *floors: (id(F), tol)
+    "channel._choi_factor": (
+        qbayes.channel,
+        "_choi_factor",
+        lambda F, tol: [F.choi_block(x, y).shape
+                        for x in range(F.target.n_blocks) for y in range(F.source.n_blocks)],
     ),
+    "channel._ucp_verdict": (qbayes.channel, "_ucp_verdict", lambda F, tol: (id(F), tol)),
     "state._support": (qbayes.state, "_support", lambda omega, tol: (id(omega), tol)),
     "state._pullback": (
         qbayes.state, "_pullback", lambda omega, F, tol: (id(omega), id(F), tol)

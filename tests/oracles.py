@@ -14,7 +14,7 @@ from typing import Iterator
 import numpy as np
 
 from qbayes.algebra import AlgebraElement, HomSpec, MultiMatrixAlgebra
-from qbayes.channel import LinearMap, UcpVerdict, _ucp_verdict
+from qbayes.channel import LinearMap, UcpVerdict
 from qbayes.errors import ShapeMismatch
 from qbayes.generators import random_complex
 from qbayes.linalg import DEFAULT_TOL, Tolerances, dagger, herm_fun, hermitian_floor
@@ -83,14 +83,22 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
 
 def dense_ucp(F: LinearMap, tol: Tolerances = DEFAULT_TOL) -> UcpVerdict:
     """The UCP verdict of F from one dense eigendecomposition of each Choi
-    block (`hermitian_floor`: its least eigenvalue less its Hermiticity
-    defect), not kept on F."""
-    floors = [
-        hermitian_floor(F.choi_block(x, y))
-        for x in range(F.target.n_blocks)
-        for y in range(F.source.n_blocks)
-    ]
-    return _ucp_verdict(F, tol, floors)
+    block, not kept on F: cp judges the least eigenvalue of each block less
+    its Hermiticity defect (`hermitian_floor`) against the largest
+    |eigenvalue| of the blocks, and unital the largest ||sum_y F_xy(1) - 1||,
+    at the thresholds `is_ucp` applies."""
+    blocks = [(x, y) for x in range(F.target.n_blocks) for y in range(F.source.n_blocks)]
+    floors = [hermitian_floor(F.choi_block(x, y)) for x, y in blocks]
+    lows = np.array([low for low, _ in floors])
+    # argmin picks the first NaN if there is one, and then cp fails
+    k = int(np.argmin(lows))
+    cp = tol.psd(float(lows[k]), max([0.0, *(radius for _, radius in floors)]))
+    unital_res = max(
+        np.linalg.norm(sum(np.einsum("iaib->ab", T) for T in row) - np.eye(m))
+        for row, m in zip(F.tensors, F.target.block_dims)
+    )
+    unital = tol.close(float(unital_res), max(1.0, max(F.target.block_dims) ** 0.5))
+    return UcpVerdict(cp=cp, unital=unital, witness_block=blocks[k])
 
 
 def support_map(analysis) -> LinearMap:

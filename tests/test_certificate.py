@@ -8,6 +8,9 @@ least eigenvalue. The tests check it against that route: it passes wherever
 the dense route passes on random Kraus channels and on every corner map,
 inverse and recovery built from the fixtures and the seed-1 ladder; a
 planted negative Choi eigenvalue fails both; and a forged factor fails it.
+It is the one rule: a `choi` input, a map built without a factor and a
+composed map are certified too, from the factor read from their Choi
+blocks, and the dense route is left only to the tests.
 """
 
 import contextlib
@@ -15,6 +18,8 @@ import io
 
 import numpy as np
 import pytest
+import qbayes.channel
+import qbayes.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,9 +27,11 @@ from qbayes.algebra import MultiMatrixAlgebra
 from qbayes.bayesinv import bayes_inverse
 from qbayes.channel import (
     Channel,
+    compose,
     from_choi,
     from_hom,
     from_kraus,
+    identity_channel,
     is_ucp,
     kraus_factor,
 )
@@ -36,6 +43,7 @@ from qbayes.linalg import DEFAULT_TOL
 from qbayes.modular import corner_map
 
 from conftest import FIXTURES
+from derivations import recording
 from instances import product_instance, rankdef_product_instance
 from oracles import dense_ucp
 
@@ -132,10 +140,33 @@ def test_a_choi_given_factor_keeps_every_nonnegative_direction():
     assert not is_ucp(with_factor(G, G.tensors, kraus_factor(G))).cp.ok
     certified = is_ucp(with_factor(G, G.tensors, kraus, negative)).cp
     assert certified.ok and certified.residual < 1e-3 * small
-    # a map given without a factor is judged on its least Choi eigenvalues
+    # a map given without a factor is certified from the factor read from its
+    # Choi blocks, and the dense route reaches the same verdict
     bare = Channel(G.source, G.target, G.tensors)
     assert bare.kraus is None
-    assert is_ucp(bare) == dense_ucp(bare)
+    dense, cert = dense_ucp(bare).cp, is_ucp(bare).cp
+    assert dense.ok and cert.ok
+    assert cert.residual <= dense.threshold
+
+
+@pytest.mark.parametrize("fixture", ["battery_pass_no_inverse", "nonsubalgebra_pure"])
+def test_every_map_is_judged_by_the_one_certificate(fixture):
+    # a parsed `choi` channel, a channel built bare from its tensors and a
+    # composed map are each certified once, from their factor, and no Choi
+    # block is judged on its least eigenvalue
+    targets = {
+        "certificate": (qbayes.channel, "_certificate", lambda F, kraus, negative, blocks: id(F)),
+        "floor": (qbayes.linalg, "hermitian_floor", np.shape),
+    }
+    data = loads((FIXTURES / f"{fixture}.json").read_text())
+    with recording(targets) as seen:
+        F = problem_from_json(data)["channel"]
+        bare = Channel(F.source, F.target, F.tensors)
+        composed = compose(identity_channel(F.target), F)
+        for M in (F, bare, composed):
+            assert is_ucp(M).ok
+        assert seen["certificate"] == [id(F), id(bare), id(composed)]
+    assert seen["floor"] == []
 
 
 def _with_small_directions(F, frac, count):

@@ -239,13 +239,13 @@ def test_other_channels_derive_their_operators_once_per_tolerance():
     G = random_kraus_channel(rng, alg, alg, 2)
     F = Channel(alg, alg, G.tensors)  # the same map, built from its tensors
     assert F.kraus is None
-    target = {"kraus_blocks": (qbayes.channel, "kraus_blocks", lambda F, x, y, tol: tol)}
+    target = {"_choi_factor": (qbayes.channel, "_choi_factor", lambda F, tol: tol)}
     with recording(target) as seen:
         first = kraus_factor(F)
         assert kraus_factor(F) is first
         loose = Tolerances(eps_rank=1e-6)
         assert kraus_factor(F, loose) is not first
-    assert seen["kraus_blocks"] == [DEFAULT_TOL, loose]
+    assert seen["_choi_factor"] == [DEFAULT_TOL, loose]
     assert len(first[0][0]) == 2
     _stacks_reconstruct(F, first)
 

@@ -316,6 +316,20 @@ def test_random_generator_contracts(tmp_path, capsys):
     assert is_ucp(problem["channel"])
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--dims", "2->4", "--seed", "-1"], "--seed: expected a non-negative integer, got -1"),
+        (["--dims", "2-4", "--seed", "1"], "--dims: expected 'n1,n2->m1,m2', got '2-4'"),
+        (["--dims", "0->4", "--seed", "1"], "--dims: dimensions must be positive in '0->4'"),
+    ],
+    ids=["negative-seed", "dims-without-arrow", "zero-dim"],
+)
+def test_random_bad_arguments_fail_closed(flags, message, capsys):
+    code, out, err = run_cli(["random", "--kind", "product", *flags], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_random_check_pipeline(tmp_path, capsys):
     path = tmp_path / "p.json"
     run_cli(["random", "--dims", "2->4", "--kind", "product", "--seed", "3",

@@ -8,9 +8,9 @@ eigenpairs also give the inverse's Kraus factor) is the r x r compression of
 A onto that span, never the (m n) x (m n) block itself. The factor costs no
 eigendecomposition: a map built in Kraus form (a hom among them) keeps its
 operators, and a channel read from Choi blocks gets them from the one
-decomposition per block that parsing runs anyway, which also gives its UCP
-verdict. Every other map's UCP verdict is certified from its factor, so the
-battery's CP floor (vii) is the one dense route left on a Choi block.
+decomposition per block that parsing runs to read its factor. Every map's
+UCP verdict is certified from its factor, so the battery's CP floor (vii)
+is the one dense route left on a Choi block.
 """
 
 import contextlib
@@ -31,7 +31,7 @@ from conftest import FIXTURES
 from derivations import BUILDERS, recording
 
 # eigendecompositions of one full `check` (hermitian_eigen, hermitian_floor
-# and the parse's _choi_eigen together): the densities' supports, the
+# and the blocks of the parse's _choi_factor together): the densities' supports, the
 # extension's compressions, a Choi-given channel's parse and the battery's CP
 # floor (vii). No Choi block of a corner map, inverse or recovery is
 # decomposed, as `is_ucp` certifies each from its Kraus factor; when the
@@ -49,7 +49,7 @@ DENSE_ROUTE_EIGENDECOMPOSITIONS = {
     "product": 4,
     "rankdef_product": 8,
 }
-EIGEN = ("linalg.hermitian_eigen", "linalg.hermitian_floor", "channel._choi_eigen")
+EIGEN = ("linalg.hermitian_eigen", "linalg.hermitian_floor", "channel._choi_factor")
 # records the function that calls hermitian_floor: frame 0 is this key and
 # frame 1 the wrapper that `recording` puts in its place
 CALLER = (qbayes.linalg, "hermitian_floor", lambda C: sys._getframe(2).f_code.co_name)
@@ -87,15 +87,17 @@ def test_existence_pseudo_inverts_only_kraus_rank_compressions(fixture):
 @pytest.mark.parametrize("fixture", FIXTURE_FILES, ids=lambda p: p.stem)
 def test_the_kraus_factor_adds_no_eigendecomposition(fixture):
     seen = _check(fixture, {label: BUILDERS[label] for label in EIGEN})
-    assert sum(len(seen[label]) for label in EIGEN) == DENSE_ROUTE_EIGENDECOMPOSITIONS[fixture.stem]
+    factor_blocks = sum(len(blocks) for blocks in seen["channel._choi_factor"])
+    count = len(seen["linalg.hermitian_eigen"]) + len(seen["linalg.hermitian_floor"]) + factor_blocks
+    assert count == DENSE_ROUTE_EIGENDECOMPOSITIONS[fixture.stem]
     # a Choi-given channel is decomposed once per Choi block, at parse
     data = loads(fixture.read_text())
     if data["channel"]["kind"] == "choi":
         F = problem_from_json(data)["channel"]
         blocks = [(n * m, n * m) for m in F.target.block_dims for n in F.source.block_dims]
-        assert seen["channel._choi_eigen"] == blocks
+        assert seen["channel._choi_factor"] == [blocks]
     else:
-        assert seen["channel._choi_eigen"] == []
+        assert seen["channel._choi_factor"] == []
 
 
 @pytest.mark.parametrize("fixture", FIXTURE_FILES, ids=lambda p: p.stem)

@@ -13,6 +13,7 @@ from qbayes.linalg import (
     partial_trace_left,
     partial_trace_right,
     pseudoinverse,
+    support_mask,
 )
 
 from oracles import matrix_power_it
@@ -81,8 +82,21 @@ def test_herm_fun_identity_reproduces_support_part():
 
 
 def test_herm_fun_rejects_negative():
-    with pytest.raises(NegativeEigenvalue):
+    # the message names the bound that `support_psd` applies, floored at ABS_FLOOR
+    with pytest.raises(NegativeEigenvalue, match="below the PSD bound -1.000e-09"):
         herm_fun(np.diag([1.0, -0.5]), np.sqrt)
+    with pytest.raises(NegativeEigenvalue, match="below the PSD bound -1.000e-12"):
+        herm_fun(np.diag([1e-14, -2e-12]), np.sqrt)
+
+
+def test_support_mask_cuts_at_the_rank_cutoff():
+    # the cut is floored at ABS_FLOOR like every other rank cut: eps_rank x
+    # max(1e-14, 1e-12) = 1e-21 keeps 1e-14 and drops 1e-22
+    tol = Tolerances()
+    w = np.array([1e-22, 1e-14])
+    assert support_mask(w, tol).tolist() == [False, True]
+    w = np.array([-1e-3, 0.0, 1e-8, 2.0])
+    assert support_mask(w, tol).tolist() == (w > tol.rank_cutoff(2.0)).tolist() == [0, 0, 1, 1]
 
 
 def test_imaginary_power_unitary_on_support():
