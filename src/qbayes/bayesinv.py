@@ -24,6 +24,7 @@ from .channel import (
     LinearMap,
     UcpVerdict,
     _factor,
+    _kept,
     _read_only,
     _sandwich,
     is_ucp,
@@ -378,6 +379,15 @@ def existence(analysis: BayesAnalysis) -> ExistenceResult:
 
 
 def _existence(analysis: BayesAnalysis) -> ExistenceResult:
+    """The result that `existence` keeps. Each Choi block C = A + B + B* + D
+    of the inverse is built with exact zeros: every real or imaginary part of
+    C at or below `Tolerances.negligible` of its 2 (m n)^2 parts is set to
+    0.0 before the inverse is verified, so the verification, the UCP
+    certificate and every written copy read the same block. Those parts hold
+    at most ABS_FLOOR / 2 of a block in Frobenius norm, the budget that the
+    spread's left-out directions also keep, so together they stay within the
+    certificate's ABS_FLOOR floor. The factor's operators beyond the kept
+    ones are those `_kept` leaves out, wherever F's factor lists them."""
     F, omega, xi, tol = analysis.F, analysis.omega, analysis.xi, analysis.tol
     sup_x = support(xi, tol)
     P_xis = sup_x.projection.blocks
@@ -418,9 +428,9 @@ def _existence(analysis: BayesAnalysis) -> ExistenceResult:
             CQB = ((S * c_inv) @ dagger(S)) @ QB
             X = dagger(QB) @ CQB
             sandwich[(x, y)] = X
-            extra = full[x][y][len(K):]
+            extra = ()
             if negative is not None:
-                extra = np.concatenate([extra, negative[x][y]])
+                extra = np.concatenate([full[x][y][~_kept(full[x][y], tol)], negative[x][y]])
             if len(extra):
                 # span Q and the images of the extra operators, and the
                 # eigenpairs of A's compression to it
@@ -477,6 +487,10 @@ def _existence(analysis: BayesAnalysis) -> ExistenceResult:
             diag = np.diag(np.full(m_x, 1.0 / m_x) * w_x[x])
             D_mat = sandwich[(x, y)] + np.kron(diag, delta_psd)
             C = A_mat + B_mat + dagger(B_mat) + D_mat
+            # sigma-hat, P_xi and the Schur completion cancel only to roundoff
+            # where the slice map has zeros: those parts, -0.0 too, read 0.0
+            parts = C.view(np.float64)
+            parts[np.abs(parts) <= tol.negligible(parts.size)] = 0.0
             tensors[y][x] = C.reshape(m_x, n_y, m_x, n_y)
             # kron(diag, delta_psd) = sum over i and k of (e_i (x) s_k)(e_i (x) s_k)*,
             # s_k the columns of sqrt(w_x / m_x) spread

@@ -53,6 +53,7 @@ from .linalg import (
     hermitian_eigen,
     hermitian_split,
     partial_trace_left,
+    support_mask,
 )
 from .state import State, support
 
@@ -371,8 +372,8 @@ def kraus_factor(F: LinearMap, tol: Tolerances = DEFAULT_TOL):
     """The Kraus operators of each (x, y) pair of F as read-only (r, m_x, n_y)
     stacks, grid [x][y], from F's factor (`_factor`): the factor itself when
     it subtracts nothing (N is None), else, once per tolerance and kept on F,
-    its operators whose squared norm lies above the rank cutoff of the
-    block's largest (the leading ones of a factor read from Choi blocks).
+    its operators that `_kept` keeps, those whose squared norm lies above the
+    rank cutoff of the block's largest.
     Raises NotCP when the factor does not certify F CP at tol."""
     kraus, negative = _factor(F, tol)
     if negative is None:
@@ -382,15 +383,18 @@ def kraus_factor(F: LinearMap, tol: Tolerances = DEFAULT_TOL):
         verdict = is_ucp(F, tol)
         if not verdict.cp:
             raise NotCP(f"the map's factor does not certify it CP: {verdict.failing()}")
-        norms = [[_sq_frobenius(K) for K in row] for row in kraus]
-        stacks = [
-            [K[sq > tol.rank_cutoff(float(sq.max(initial=0.0)))] for K, sq in zip(Ks, sqs)]
-            for Ks, sqs in zip(kraus, norms)
-        ]
+        stacks = [[K[_kept(K, tol)] for K in row] for row in kraus]
         _read_only(stacks)
         return stacks
 
     return memo(F, ("kraus", tol), cut)
+
+
+def _kept(K: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The mask of the operators of an (r, m, n) stack K that `kraus_factor`
+    keeps from a factor that subtracts: those whose squared norm lies above
+    the rank cutoff of the stack's largest, wherever they stand in K."""
+    return support_mask(_sq_frobenius(K), tol)
 
 
 def compose(F: LinearMap, G: LinearMap) -> LinearMap:

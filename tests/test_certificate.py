@@ -202,6 +202,28 @@ def test_the_inverse_of_a_choi_given_channel_is_certified_over_its_cut_direction
     assert cert.cp.residual <= dense.cp.threshold
 
 
+def test_the_inverse_spans_the_cut_operators_wherever_the_factor_lists_them():
+    # product.json's hom factor with one operator of squared norm 3e-10,
+    # below the rank cutoff, planted first in one copy and last in the other;
+    # empty negative stacks make `kraus_factor` cut it, and both inverses span
+    # its image beside the kept operators', so their certificates read the same
+    problem = problem_from_json(loads((FIXTURES / "product.json").read_text()))
+    F, omega = problem["channel"], problem["state"]
+    K = F.kraus[0][0]
+    planted = random_complex(np.random.default_rng(0), *K.shape[1:])
+    planted *= np.sqrt(3e-10) / np.linalg.norm(planted)
+    tensors = from_kraus(F.source, F.target, [[[*K, planted]]]).tensors
+    none = [[np.zeros((0, *K.shape[1:]), dtype=complex)]]
+    residuals = []
+    for stack in ([planted, *K], [*K, planted]):
+        G = with_factor(F, tensors, [[np.array(stack)]], none)
+        assert len(kraus_factor(G)[0][0]) == len(K)
+        exists, inverse, _, _ = bayes_inverse(G, omega)
+        assert exists
+        residuals.append(is_ucp(inverse).cp.residual)
+    assert residuals[0] == residuals[1]
+
+
 def test_the_corner_of_a_choi_given_channel_keeps_its_accepted_negative_eigenvalues(tmp_path):
     # two Choi eigenvalues at -0.9 x the PSD threshold, in the corner that the
     # rank-deficient state keeps and orthogonal to the hom's range: parsing

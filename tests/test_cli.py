@@ -9,6 +9,7 @@ import pytest
 
 from qbayes.cli import main
 from qbayes.errors import SchemaError
+from qbayes.generators import product_state_for_hom, random_hom
 from qbayes.jsonio import (
     PROBLEM_SCHEMA,
     canonical_dumps,
@@ -219,26 +220,87 @@ def test_fixture_round_trip(fixture):
             np.testing.assert_array_equal(rho, reparsed["state"].densities[x])
 
 
-def test_invert_bayes_round_trip(tmp_path, capsys):
-    out_path = tmp_path / "inverse.json"
-    code, out, _ = run_cli(
-        ["invert", str(FIXTURES / "product.json"), "--mode", "bayes", "--out", str(out_path)],
+def _rankdef_6_12(tmp_path, capsys):
+    """The 6 -> 12 rank-deficient inclusion of seed 3: most entries of its
+    inverse's Choi blocks are zeros that the construction reaches only to
+    roundoff."""
+    path = tmp_path / "rankdef-6_12.json"
+    code, _, _ = run_cli(
+        ["random", "--dims", "6->12", "--kind", "rankdef", "--seed", "3", "--out", str(path)],
         capsys,
     )
     assert code == 0
-    entry = json.loads(out)["analyses"]["invert"]
-    assert entry["exists"] is True
-    assert out_path.exists()
-    residual1 = entry["pairing_residual"]
+    return path
 
-    # verify the written channel reproduces the residual bit-for-bit
+
+def _multiblock_hom(tmp_path, capsys):
+    """A Bratteli hom from M_2 + M_1 + M_2 into two blocks, product state."""
+    rng = np.random.default_rng(0)
+    h = random_hom(rng, (2, 1, 2))
+    path = tmp_path / "multiblock-hom.json"
+    path.write_text(canonical_dumps({
+        "schema": PROBLEM_SCHEMA,
+        "channel": hom_to_json(h),
+        "state": state_to_json(product_state_for_hom(rng, h)),
+    }))
+    return path
+
+
+def _parts_at_or_below_the_floor(channel: dict) -> np.ndarray:
+    """The real and imaginary parts of an emitted channel's Choi blocks at or
+    below their block's floor, `Tolerances.negligible` of its part count."""
+    small = [np.zeros(0)]
+    for row in channel["blocks"]:
+        for block in row:
+            parts = np.array(block, dtype=float).ravel()
+            small.append(parts[np.abs(parts) <= Tolerances().negligible(parts.size)])
+    return np.concatenate(small)
+
+
+def test_invert_bayes_round_trip(tmp_path, capsys):
+    # the written channel reproduces the reported residual bit-for-bit, also
+    # for an inverse whose roundoff the construction sets to zero: the
+    # verification reads the blocks that are written
     from qbayes.bayesinv import verify_bayes
     from qbayes.jsonio import channel_from_json
 
-    problem = problem_from_json(loads((FIXTURES / "product.json").read_text()))
-    written, _ = channel_from_json(loads(out_path.read_text()), "channel")
-    report = verify_bayes(problem["channel"], written, problem["state"])
-    assert report.pairing.residual == residual1
+    for problem_path in (FIXTURES / "product.json", _rankdef_6_12(tmp_path, capsys)):
+        out_path = tmp_path / "inverse.json"
+        code, out, _ = run_cli(
+            ["invert", str(problem_path), "--mode", "bayes", "--out", str(out_path)], capsys
+        )
+        assert code == 0
+        entry = json.loads(out)["analyses"]["invert"]
+        assert entry["exists"] is True
+        assert out_path.exists()
+
+        problem = problem_from_json(loads(problem_path.read_text()))
+        written, _ = channel_from_json(loads(out_path.read_text()), "channel")
+        report = verify_bayes(problem["channel"], written, problem["state"])
+        assert report.pairing.residual == entry["pairing_residual"]
+        out_path.unlink()
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [*(lambda tmp_path, capsys, path=path: path for path in ALL_FIXTURES),
+     _rankdef_6_12, _multiblock_hom],
+    ids=[*(path.stem for path in ALL_FIXTURES), "ladder-6_12-rankdef", "multiblock-hom"],
+)
+def test_no_emitted_inverse_carries_roundoff_at_the_floor(problem, tmp_path, capsys):
+    # the inverse in the check report and in the invert file, where one exists
+    path = problem(tmp_path, capsys)
+    out_path = tmp_path / "inverse.json"
+    _, out, _ = run_cli(["check", str(path), "--analyses", "bayes-existence"], capsys)
+    emitted = [json.loads(out)["analyses"]["bayes-existence"].get("inverse")]
+    code, _, _ = run_cli(["invert", str(path), "--mode", "bayes", "--out", str(out_path)], capsys)
+    assert code == 0
+    if out_path.exists():
+        emitted.append(json.loads(out_path.read_text()))
+    for channel in filter(None, emitted):
+        # each part at or below the floor is 0.0, not -0.0
+        small = _parts_at_or_below_the_floor(channel)
+        assert not small.any() and not np.signbit(small).any()
 
 
 def test_invert_disint_epr_no_file(tmp_path, capsys):
