@@ -302,8 +302,10 @@ def canonical_dumps(obj) -> str:
     raises TypeError.
 
     With an indent, the json module falls back to its pure-Python encoder,
-    which makes one string per token; this emitter writes each array with
-    one string per distinct float instead.
+    which makes one string per token. This emitter formats each distinct
+    [re, im] pair of an array once and appends one reference per element
+    (see `_emit_array`), so that the final join is the only copy of the
+    text.
     """
     out: list[str] = []
     _emit(obj, "\n", out)
@@ -322,21 +324,38 @@ def _float_str(x: float) -> str:
 
 
 def _emit_array(a: np.ndarray, nl: str, out: list) -> None:
-    """Append the [re, im] pair list of an array, formatting each distinct
-    float once; an empty array, NaN or an infinity takes the general path."""
+    """Append the [re, im] pair list of an array, one string per element
+    and each distinct pair formatted once; an empty array, NaN or an
+    infinity takes the general path.
+
+    A pair is keyed by the bit patterns of its two floats, so that -0.0 and
+    0.0 keep their own strings, and the distinct pairs are numbered by one
+    stable lexsort of those keys. Each distinct pair's string carries the
+    separator before it, which the first element trades for the opening
+    bracket: out gains one reference per element, and the join in
+    `canonical_dumps` is the one copy of the text."""
     f = _flat(a).view(float)
-    if not f.size or not np.isfinite(f).all():
+    if not f.size:
+        return _emit(matrix_to_json(a), nl, out)
+    bits = f.view(np.int64)
+    order = np.lexsort((bits[1::2], bits[0::2]))
+    re, im = bits[0::2][order], bits[1::2][order]
+    new = np.empty(order.size, dtype=bool)
+    new[0] = True
+    np.not_equal(re[1:], re[:-1], out=new[1:])
+    new[1:] |= im[1:] != im[:-1]
+    which = np.empty(order.size, dtype=np.int64)
+    which[order] = np.cumsum(new) - 1
+    pairs = f.reshape(-1, 2)[order[new]]
+    if not np.isfinite(pairs).all():
         return _emit(matrix_to_json(a), nl, out)
     inner = nl + "  "
-    head, mid, tail = f"[{inner}  %s,{inner}  %s{inner}]".split("%s")
-    # keyed by bit pattern, so that -0.0 and 0.0 keep their own strings
-    bits, index = np.unique(f.view(np.int64), return_inverse=True)
-    strs = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)
-    parts = np.empty(2 * f.size - 1, dtype=object)
-    parts[0::2] = strs[index]
-    parts[1::4] = mid
-    parts[3::4] = f"{tail},{inner}{head}"
-    out.append(f"[{inner}{head}{''.join(parts.tolist())}{tail}{nl}]")
+    head, mid, tail = f",{inner}[{inner}  %s,{inner}  %s{inner}]".split("%s")
+    texts = np.array([f"{head}{x!r}{mid}{y!r}{tail}" for x, y in pairs.tolist()], dtype=object)
+    parts = texts[which].tolist()
+    parts[0] = "[" + parts[0][1:]
+    out += parts
+    out.append(nl + "]")
 
 
 def _emit(obj, nl: str, out: list) -> None:

@@ -46,18 +46,33 @@ def test_canonical_dumps_refuses_tuples_and_keys_that_are_not_strings(obj):
         canonical_dumps(obj)
 
 
-@pytest.mark.parametrize("fixture", ALL_FIXTURES, ids=lambda p: p.stem)
+# beside the fixtures, a generated instance whose Choi blocks (72 x 72) are
+# of the size that the benchmark's inclusion ladder prints
+GENERATED = {"random-6-12-rankdef": ["random", "--dims", "6->12", "--kind", "rankdef",
+                                     "--seed", "1"]}
+
+
+@pytest.mark.parametrize("fixture", [*ALL_FIXTURES, *GENERATED], ids=lambda p: getattr(p, "stem", p))
 def test_canonical_dumps_on_fixture_reports(fixture, tmp_path, capsys):
-    # the problem, its report, and every channel that invert writes
-    docs = [json.loads(fixture.read_text())]
+    # the problem, its report, and every channel that invert writes: the
+    # report and the channels as the CLI wrote them from arrays, and each
+    # document again from its parse
+    if fixture in GENERATED:
+        argv, fixture = GENERATED[fixture], tmp_path / "problem.json"
+        assert main([*argv, "--out", str(fixture)]) == 0
+    texts = [fixture.read_text()]
     assert main(["check", str(fixture)]) == 0
-    docs.append(json.loads(capsys.readouterr().out))
+    written = capsys.readouterr().out
+    docs = [json.loads(texts[0]), json.loads(written)]
+    assert written == reference_dumps(docs[1])
     for mode in ("bayes", "disint"):
         out = tmp_path / f"{mode}.json"
         main(["invert", str(fixture), "--mode", mode, "--out", str(out)])
         capsys.readouterr()
         if out.exists():
-            docs.append(json.loads(out.read_text()))
+            written = out.read_text()
+            docs.append(json.loads(written))
+            assert written == reference_dumps(docs[-1])
     for doc in docs:
         assert canonical_dumps(doc) == reference_dumps(doc)
 
@@ -86,26 +101,41 @@ FINITE_SPECIALS = [-0.0, 0.0, 5e-324, -5e-324, -1.1125369292536007e-308, 1e16, -
 finite_floats = st.sampled_from(FINITE_SPECIALS) | st.floats(allow_nan=False,
                                                              allow_infinity=False)
 non_finite = st.sampled_from([math.nan, math.inf, -math.inf, 1.8e308, -1.8e308])
-ARRAY_SHAPES = [(0,), (0, 0), (1,), (2,), (7,), (3, 3), (2, 5), (4, 4)]
+ARRAY_SHAPES = [(0,), (0, 0), (1,), (2,), (7,), (3, 3), (2, 5), (4, 4), (12, 12)]
 
 
-def complex_arrays(elements):
-    """Complex arrays of several shapes, with their transposes and real parts."""
+def complex_arrays(pairs):
+    """Complex arrays of several shapes, each entry an (re, im) drawn from
+    pairs, with their transposes and real parts."""
     def fill(shape):
-        size = 2 * math.prod(shape)
-        return st.lists(elements, min_size=size, max_size=size).map(
+        size = math.prod(shape)
+        return st.lists(pairs, min_size=size, max_size=size).map(
             lambda v: np.array(v, dtype=float).reshape(shape + (2,)).view(complex)[..., 0]
         )
     arrays = st.sampled_from(ARRAY_SHAPES).flatmap(fill)
     return arrays | arrays.map(lambda a: a.T) | arrays.map(lambda a: a.real)
 
 
-# few distinct values per array (a pool), any finite ones, or some non-finite
+def swapped_and_signed(a, b):
+    """[a, b] beside [b, a], and -0.0 beside 0.0 in both slots: a pair key
+    that confuses the order of a pair or the sign of a zero writes one
+    pair's text for another."""
+    return [(a, b), (b, a), (0.0, a), (-0.0, a), (a, 0.0), (a, -0.0)]
+
+
+def both(elements):
+    return st.tuples(elements, elements)
+
+
+# few distinct values per array (a pool of floats, or of pairs that differ
+# only by order or by the sign of a zero), any finite ones, or some non-finite
 arrays = (
     st.lists(finite_floats, min_size=1, max_size=3).flatmap(
-        lambda pool: complex_arrays(st.sampled_from(pool)))
-    | complex_arrays(finite_floats)
-    | complex_arrays(finite_floats | non_finite)
+        lambda pool: complex_arrays(both(st.sampled_from(pool))))
+    | both(finite_floats).flatmap(
+        lambda ab: complex_arrays(st.sampled_from(swapped_and_signed(*ab))))
+    | complex_arrays(both(finite_floats))
+    | complex_arrays(both(finite_floats | non_finite))
 )
 documents = st.recursive(
     scalars | arrays,
