@@ -23,6 +23,7 @@ from .channel import (
     Channel,
     LinearMap,
     UcpVerdict,
+    _exact_zeros,
     _factor,
     _kept,
     _read_only,
@@ -68,7 +69,6 @@ class BayesAnalysis:
     conditions: dict[str, Verdict]
     passed: bool
     choi_A: dict[tuple[int, int], np.ndarray]
-    choi_B: dict[tuple[int, int], np.ndarray]
 
 
 def battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> BayesAnalysis:
@@ -102,12 +102,11 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
     res = {name: 0.0 for name in BATTERY_CONDITIONS if name != "right_map_cp"}
     scale = 1.0
     choi_A: dict[tuple[int, int], np.ndarray] = {}
-    choi_B: dict[tuple[int, int], np.ndarray] = {}
     cp_lam_max = 0.0
     cp_min_eig = 0.0
 
     # Each (m n)^2 array of a pair is dropped once the last condition that
-    # reads it is scored; only the two Choi blocks outlive the pair.
+    # reads it is scored; only the corner Choi block outlives the pair.
     for x, y in product(range(F.target.n_blocks), range(F.source.n_blocks)):
         T, rho_w, P_om = F.tensors[x][y], rho_ws[x], sup_o.projection.blocks[x]
         sig_w, shat_w, P_xi = sig_ws[y], shat_ws[y], sup_x.projection.blocks[y]
@@ -130,9 +129,7 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
             res["adjoint_sandwich_symmetry"], float(np.abs(lhs4).max(initial=0.0))
         )
         del lhs4
-        # forced rows GL(E_ij)(1 - P) off the xi support, for the existence
-        # stage, and the corner Choi matrix of GL(E_ij) P
-        choi_B[(x, y)] = _sandwich(rawL, L=shat_w, R=np.eye(n) - P_xi).reshape(m * n, m * n)
+        # the corner Choi matrix of GL(E_ij) P
         KL = _sandwich(rawL, L=shat_w, R=P_xi)
         A_mat = choi_A[(x, y)] = KL.reshape(m * n, m * n)
         del rawL
@@ -201,31 +198,23 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
 
     if passed:
         # the support map Ad_{P_xi} o G^L must be the Petz map
-        # Ad_sqrt(sigma-hat) o F* o Ad_sqrt(rho)
-        tensors_s = []
-        tensors_p = []
+        # Ad_sqrt(sigma-hat) o F* o Ad_sqrt(rho), compared pair by pair
         sq_rho = [sup_o.calculus(x, np.sqrt) for x in range(F.target.n_blocks)]
         sq_shat = [sup_x.calculus(y, lambda w: np.sqrt(1.0 / w)) for y in range(F.source.n_blocks)]
-        for y, n in enumerate(F.source.block_dims):
-            row_s = []
-            row_p = []
-            for x, m in enumerate(F.target.block_dims):
-                row_s.append(choi_A[(x, y)].reshape(m, n, m, n))  # Ad_P o G^L
-                Ta = F_adj.tensors[y][x]
-                row_p.append(_sandwich(Ta, sq_rho[x], sq_rho[x], sq_shat[y], sq_shat[y]))
-            tensors_s.append(row_s)
-            tensors_p.append(row_p)
-        support_map = LinearMap(F.target, F.source, tensors_s)
-        petz_map = LinearMap(F.target, F.source, tensors_p)
-        if not tol.close(*support_map.distance(petz_map), 100):
+        diff, size = 0.0, 1.0
+        for (x, y), A_mat in choi_A.items():
+            petz = _sandwich(F_adj.tensors[y][x], sq_rho[x], sq_rho[x], sq_shat[y], sq_shat[y])
+            diff = max(diff, frobenius(A_mat.reshape(petz.shape) - petz))
+            size = max(size, frobenius(A_mat))
+        if not tol.close(diff, size, 100):
             raise InternalInconsistency(
                 "recovery formula does not match the corner inverse "
                 "although the battery passed"
             )
 
     # every later caller reads the kept arrays, so none may write to them
-    _read_only([choi_A.values(), choi_B.values()])
-    return xi, verdicts, passed, choi_A, choi_B
+    _read_only([choi_A.values()])
+    return xi, verdicts, passed, choi_A
 
 
 def left_right_bayes(
@@ -340,10 +329,12 @@ def existence(analysis: BayesAnalysis) -> ExistenceResult:
     """Decide and, when possible, construct a full UCP Bayesian inverse.
 
     Requires a passed battery, and runs at its tolerance. Per source block y,
-    the compressed mass sum_x tr_x(B* A-hat B) must stay below the xi
-    co-support projection; when it does, a Schur-complement completion of the
-    forced Choi rows yields the inverse, whose Bayes pairing is then
-    re-verified.
+    the compressed mass sum_x tr_x(B* A-hat B) of the forced Choi rows B must
+    stay below the xi co-support projection; when it does, a Schur-complement
+    completion of those rows yields the inverse, whose Bayes pairing is then
+    re-verified. One pass over the source blocks decides and builds: the
+    forced rows are built there, and one eigendecomposition of each
+    co-support gap gives both the margin and the spread.
 
     A-hat is the pseudoinverse of the Hermitian part A_h of the corner Choi
     block A, read from the Kraus factor of F: with F_xy = sum_s K_s . K_s*,
@@ -379,47 +370,58 @@ def existence(analysis: BayesAnalysis) -> ExistenceResult:
 
 
 def _existence(analysis: BayesAnalysis) -> ExistenceResult:
-    """The result that `existence` keeps. Each Choi block C = A + B + B* + D
-    of the inverse is built with exact zeros: every real or imaginary part of
-    C at or below `Tolerances.negligible` of its 2 (m n)^2 parts is set to
-    0.0 before the inverse is verified, so the verification, the UCP
-    certificate and every written copy read the same block. Those parts hold
-    at most ABS_FLOOR / 2 of a block in Frobenius norm, the budget that the
-    spread's left-out directions also keep, so together they stay within the
-    certificate's ABS_FLOOR floor. The factor's operators beyond the kept
-    ones are those `_kept` leaves out, wherever F's factor lists them."""
+    """The result that `existence` keeps. Each Choi block C = A + B + B* + D is
+    built with exact zeros (`_exact_zeros`) before the inverse is verified,
+    so the verification, the certificate and every written copy read one
+    block; with the spread's left-out directions, each ABS_FLOOR / 2 of a
+    block, they stay within the certificate's ABS_FLOOR floor. The factor's
+    operators beyond the kept ones are those `_kept` leaves out, wherever F's
+    factor lists them."""
     F, omega, xi, tol = analysis.F, analysis.omega, analysis.xi, analysis.tol
     sup_x = support(xi, tol)
-    P_xis = sup_x.projection.blocks
+    F_adj = F.hs_adjoint()
     kraus = kraus_factor(F, tol)
     # the operators of F's signed factor beyond those kept (a Choi-given F's
     # small and negative eigen-directions), whose images the inverse's factor spans
     full, negative = _factor(F, tol)
-    src_dims = F.source.block_dims
     tgt_dims = F.target.block_dims
     w_x = np.array(tgt_dims, dtype=float)
     w_x /= w_x.sum()
 
     trace_blocks: dict[int, np.ndarray] = {}
-    sandwich: dict[tuple[int, int], np.ndarray] = {}
-    factors: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    tensors = [[None] * F.target.n_blocks for _ in range(F.source.n_blocks)]
+    # Kraus operators K[a, i] = L[(i, a), k] of the factor L of each Choi block
+    ops = [[None] * F.target.n_blocks for _ in range(F.source.n_blocks)]
+    negatives = [[None] * F.target.n_blocks for _ in range(F.source.n_blocks)]
     margin = np.inf
-    for y, n_y in enumerate(src_dims):
+    for y, n_y in enumerate(F.source.block_dims):
         if xi.weights[y] <= 0.0:
+            # no pairing constraint: spread the normalized trace uniformly,
+            # E_ij |-> delta_ij (w_x / m_x) 1, factored by the scaled identity
+            for x, m_x in enumerate(tgt_dims):
+                tensors[y][x] = np.eye(m_x * n_y).reshape(m_x, n_y, m_x, n_y) * (w_x[x] / m_x)
+                L = np.eye(m_x * n_y) * np.sqrt(w_x[x] / m_x)
+                ops[y][x] = L.T.reshape(-1, m_x, n_y).swapaxes(1, 2)
+                negatives[y][x] = np.zeros((0, n_y, m_x), dtype=complex)
             continue
         shat_w = sup_x.calculus(y, np.reciprocal)
-        Pxp = np.eye(n_y) - P_xis[y]
+        Pxp = np.eye(n_y) - sup_x.projection.blocks[y]
         total = np.zeros((n_y, n_y), dtype=complex)
+        # per target block, A + B + B*, X = B* A-hat B and the Schur factor;
+        # every other (m n)^2 array of a pair is dropped after its last reader,
+        # and sums are taken in place, in an order that keeps the inverse's bits
+        pairs = []
         for x, m_x in enumerate(tgt_dims):
+            rho_w = omega.weighted_density(x)
             A_mat = analysis.choi_A[(x, y)]
-            B_mat = analysis.choi_B[(x, y)]
-            A_mat = (A_mat + dagger(A_mat)) / 2
+            # forced rows GL(E_ij)(1 - P) off the xi support
+            B_mat = _sandwich(F_adj.tensors[y][x], A=rho_w, L=shat_w, R=Pxp).reshape(A_mat.shape)
+            A_h = (A_mat + dagger(A_mat)) / 2
             # U[(a, i), s] = (sigma-hat K_s* rho)[i, a]
             K = kraus[x][y]
-            rho_w = omega.weighted_density(x)
             U = (shat_w @ K.conj().swapaxes(1, 2) @ rho_w).transpose(2, 1, 0)
             Q = np.linalg.qr(U.reshape(m_x * n_y, len(K)))[0]
-            AQ = A_mat @ Q
+            AQ = A_h @ Q
             QB = dagger(Q) @ B_mat
             # C^+ as `pseudoinverse` builds it, from eigenpairs kept for the factor
             c, S, keep = support_eigen(dagger(Q) @ AQ, tol)
@@ -427,21 +429,19 @@ def _existence(analysis: BayesAnalysis) -> ExistenceResult:
             c_inv[keep] = 1.0 / c[keep]
             CQB = ((S * c_inv) @ dagger(S)) @ QB
             X = dagger(QB) @ CQB
-            sandwich[(x, y)] = X
-            extra = ()
-            if negative is not None:
-                extra = np.concatenate([full[x][y][~_kept(full[x][y], tol)], negative[x][y]])
+            extra = () if negative is None else np.concatenate(
+                [full[x][y][~_kept(full[x][y], tol)], negative[x][y]])
             if len(extra):
                 # span Q and the images of the extra operators, and the
                 # eigenpairs of A's compression to it
                 Ue = (shat_w @ extra.conj().swapaxes(1, 2) @ rho_w).transpose(2, 1, 0)
                 Q = np.linalg.qr(np.hstack([Q, Ue.reshape(m_x * n_y, len(extra))]))[0]
                 QB = dagger(Q) @ B_mat
-                c, S = np.linalg.eigh(dagger(Q) @ A_mat @ Q)
+                c, S = np.linalg.eigh(dagger(Q) @ A_h @ Q)
                 c_inv = np.zeros(len(c), dtype=complex)
                 keep = support_mask(c, tol)
                 c_inv[keep] = 1.0 / c[keep]
-            factors[(x, y)] = _schur_factor(Q, QB, c, S, c_inv, tol)
+            del A_h
             total += partial_trace_left(X, m_x, n_y)
             range_defect = frobenius(B_mat - AQ @ CQB)
             if not tol.close(range_defect, max(1.0, frobenius(B_mat)), 100):
@@ -449,32 +449,15 @@ def _existence(analysis: BayesAnalysis) -> ExistenceResult:
                     "forced off-support rows leave the corner range in block "
                     f"({x},{y}), defect {range_defect:.3e}"
                 )
-        total = (total + dagger(total)) / 2
-        trace_blocks[y] = total
-        gap = float(np.linalg.eigvalsh(Pxp - total).min(initial=0.0))
-        margin = float(np.minimum(margin, gap))  # a NaN gap stays NaN
-    inequality = tol.psd(margin, 1.0, 10)
-    _read_only([trace_blocks.values()])
-    if not inequality.ok:
-        return ExistenceResult(inequality, trace_blocks, inverse=None, verification=None)
-
-    tensors = [[None] * F.target.n_blocks for _ in range(F.source.n_blocks)]
-    # Kraus operators K[a, i] = L[(i, a), k] of the factor L of each Choi block
-    kraus = [[None] * F.target.n_blocks for _ in range(F.source.n_blocks)]
-    negatives = [[None] * F.target.n_blocks for _ in range(F.source.n_blocks)]
-    for y, n_y in enumerate(src_dims):
-        if xi.weights[y] <= 0.0:
-            # no pairing constraint: spread the normalized trace uniformly,
-            # E_ij |-> delta_ij (w_x / m_x) 1, factored by the scaled identity
-            for x, m_x in enumerate(tgt_dims):
-                tensors[y][x] = np.eye(m_x * n_y).reshape(m_x, n_y, m_x, n_y) * (w_x[x] / m_x)
-                L = np.eye(m_x * n_y) * np.sqrt(w_x[x] / m_x)
-                kraus[y][x] = L.T.reshape(-1, m_x, n_y).swapaxes(1, 2)
-                negatives[y][x] = np.zeros((0, n_y, m_x), dtype=complex)
-            continue
-        Pxp = np.eye(n_y) - P_xis[y]
-        delta = Pxp - trace_blocks[y]
+            C = A_mat + B_mat
+            C += dagger(B_mat)
+            pairs.append((C, X, _schur_factor(Q, QB, c, S, c_inv, tol)))
+            del B_mat
+        trace_blocks[y] = total = (total + dagger(total)) / 2
+        # the gap's one decomposition: least eigenvalue the margin, positive part the spread
+        delta = Pxp - total
         dw, dV = np.linalg.eigh((delta + dagger(delta)) / 2)
+        margin = float(np.minimum(margin, dw.min(initial=0.0)))  # a NaN gap stays NaN
         delta_psd = (dV * np.clip(dw, 0.0, None)) @ dagger(dV)
         # delta_psd = spread spread*, less the directions of negligible dw: their
         # mass in the inverse's Choi blocks, (w_x / sqrt(m_x)) ||dw|| <= ABS_FLOOR / 2
@@ -482,26 +465,26 @@ def _existence(analysis: BayesAnalysis) -> ExistenceResult:
         big = dw > tol.negligible(n_y)
         spread = dV[:, big] * np.sqrt(dw[big])
         for x, m_x in enumerate(tgt_dims):
-            A_mat = analysis.choi_A[(x, y)]
-            B_mat = analysis.choi_B[(x, y)]
+            # C = A + B + B* + (X + kron(diag, delta_psd)), summed in place
+            C, X, (L, N) = pairs.pop(0)
             diag = np.diag(np.full(m_x, 1.0 / m_x) * w_x[x])
-            D_mat = sandwich[(x, y)] + np.kron(diag, delta_psd)
-            C = A_mat + B_mat + dagger(B_mat) + D_mat
-            # sigma-hat, P_xi and the Schur completion cancel only to roundoff
-            # where the slice map has zeros: those parts, -0.0 too, read 0.0
-            parts = C.view(np.float64)
-            parts[np.abs(parts) <= tol.negligible(parts.size)] = 0.0
+            X += np.kron(diag, delta_psd)
+            C += X
+            _exact_zeros(C, tol)
             tensors[y][x] = C.reshape(m_x, n_y, m_x, n_y)
             # kron(diag, delta_psd) = sum over i and k of (e_i (x) s_k)(e_i (x) s_k)*,
             # s_k the columns of sqrt(w_x / m_x) spread
-            L, N = factors[(x, y)]
             if spread.size:
                 E = np.zeros((m_x, n_y, m_x, spread.shape[1]), dtype=complex)   # [i, a, i', k]
                 E[range(m_x), :, range(m_x)] = spread * np.sqrt(w_x[x] / m_x)
                 L = np.hstack([L, E.reshape(m_x * n_y, -1)])
-            kraus[y][x] = L.T.reshape(-1, m_x, n_y).swapaxes(1, 2)
+            ops[y][x] = L.T.reshape(-1, m_x, n_y).swapaxes(1, 2)
             negatives[y][x] = N.T.reshape(-1, m_x, n_y).swapaxes(1, 2)
-    inverse = Channel(F.target, F.source, tensors, tol=tol, kraus=kraus, negative=negatives)
+    inequality = tol.psd(margin, 1.0, 10)
+    _read_only([trace_blocks.values()])
+    if not inequality.ok:
+        return ExistenceResult(inequality, trace_blocks, inverse=None, verification=None)
+    inverse = Channel(F.target, F.source, tensors, tol=tol, kraus=ops, negative=negatives)
     _read_only(inverse.tensors)
     verification = verify_bayes(F, inverse, omega, tol)
     if not verification.ok:

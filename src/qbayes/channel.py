@@ -225,6 +225,15 @@ def _read_only(*grids) -> None:
                 T.setflags(write=False)
 
 
+def _exact_zeros(C: np.ndarray, tol: Tolerances) -> None:
+    """Set to 0.0, in place, each real or imaginary part (a -0.0 too) of a
+    constructed channel's complex Choi block or block tensor C at or below
+    `Tolerances.negligible` of its part count: the roundoff of the map's
+    zeros, at most ABS_FLOOR / 2 of the block in Frobenius norm."""
+    parts = C.view(np.float64)
+    parts[np.abs(parts) <= tol.negligible(parts.size)] = 0.0
+
+
 class Channel(LinearMap):
     """A blockwise linear map whose Choi blocks are Hermitian.
 

@@ -25,6 +25,7 @@ from .channel import (
     Channel,
     LinearMap,
     UcpVerdict,
+    _exact_zeros,
     _map_scale,
     _sandwich,
     ae_deterministic,
@@ -143,7 +144,9 @@ def build_disintegration(
     Source sub-blocks with positive weight are recovered by the
     tau-weighted partial trace; zero-weight columns fall back to a uniform
     tau so the channel stays unital, and source blocks missed by the
-    embedding entirely get the normalized-trace branch.
+    embedding entirely get the normalized-trace branch. Each block tensor is
+    built with exact zeros, as the Bayes inverse's are (`_exact_zeros`),
+    before the channel is built and verified.
     """
     if not cert.ok:
         raise InvalidCertificate(
@@ -167,7 +170,7 @@ def build_disintegration(
             if stack == 0:
                 # block j is missed by the embedding: E |-> tr(E) 1 / (s m_i), whose
                 # operators are the matrix units E_ab / sqrt(s m_i)
-                tensors[j][i] = np.eye(m_i * n_j).reshape(m_i, n_j, m_i, n_j) / (s * m_i)
+                tensors[j][i][:] = np.eye(m_i * n_j).reshape(m_i, n_j, m_i, n_j) / (s * m_i)
                 units = np.eye(n_j * m_i).reshape(n_j * m_i, n_j, m_i)
                 kraus[j][i] = units / np.sqrt(s * m_i)
             elif c > 0:
@@ -191,6 +194,7 @@ def build_disintegration(
                     t.conj().T[:, None, :, None] * np.eye(n_j)[None, :, None, :]
                 ).reshape(-1, n_j, size)
                 kraus[j][i] = ops
+            _exact_zeros(tensors[j][i], tol)
     return Channel(h.target, h.source, tensors, tol=tol, kraus=kraus)
 
 

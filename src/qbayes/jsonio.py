@@ -314,19 +314,15 @@ def canonical_dumps(obj) -> str:
 
 
 def _float_str(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
+    if x - x == 0.0:   # finite
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0.0 else "-Infinity"
 
 
 def _emit_array(a: np.ndarray, nl: str, out: list) -> None:
     """Append the [re, im] pair list of an array, one string per element
-    and each distinct pair formatted once; an empty array, NaN or an
-    infinity takes the general path.
+    and each distinct pair formatted once (NaN and the infinities as
+    `_float_str` writes them); an empty array writes [].
 
     A pair is keyed by the bit patterns of its two floats, so that -0.0 and
     0.0 keep their own strings, and the distinct pairs are numbered by one
@@ -336,7 +332,8 @@ def _emit_array(a: np.ndarray, nl: str, out: list) -> None:
     `canonical_dumps` is the one copy of the text."""
     f = _flat(a).view(float)
     if not f.size:
-        return _emit(matrix_to_json(a), nl, out)
+        out.append("[]")
+        return
     bits = f.view(np.int64)
     order = np.lexsort((bits[1::2], bits[0::2]))
     re, im = bits[0::2][order], bits[1::2][order]
@@ -346,12 +343,10 @@ def _emit_array(a: np.ndarray, nl: str, out: list) -> None:
     new[1:] |= im[1:] != im[:-1]
     which = np.empty(order.size, dtype=np.int64)
     which[order] = np.cumsum(new) - 1
-    pairs = f.reshape(-1, 2)[order[new]]
-    if not np.isfinite(pairs).all():
-        return _emit(matrix_to_json(a), nl, out)
     inner = nl + "  "
     head, mid, tail = f",{inner}[{inner}  %s,{inner}  %s{inner}]".split("%s")
-    texts = np.array([f"{head}{x!r}{mid}{y!r}{tail}" for x, y in pairs.tolist()], dtype=object)
+    texts = np.array([f"{head}{_float_str(x)}{mid}{_float_str(y)}{tail}"
+                      for x, y in f.reshape(-1, 2)[order[new]].tolist()], dtype=object)
     parts = texts[which].tolist()
     parts[0] = "[" + parts[0][1:]
     out += parts

@@ -23,7 +23,8 @@ SHA-256 of stderr, of stdout with its `timing` object cut out, of each
 written file and of the problem file. Beside each digest it keeps the
 document's leaves by JSON path: scalars as they are, a matrix (a list of
 [re, im] pairs) as a short digest, so that `--compare` can name the paths
-that changed. Every call runs in one working directory with relative
+that changed and, for each path pattern whose numbers moved, the largest
+absolute and relative change of those numbers. Every call runs in one working directory with relative
 paths, so that no path of this machine enters a record. BLAS is pinned to
 one thread before numpy loads: residuals can move in their last digits
 with the thread count, and the header records the numpy version, the BLAS
@@ -41,6 +42,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import platform
 import re
 import shutil
@@ -219,7 +221,7 @@ def compare(a_file: Path, b_file: Path) -> int:
             print(f"header {key}: {a['header'].get(key)!r} -> {b['header'].get(key)!r}")
     calls_a = {c["id"]: c for c in a["calls"]}
     calls_b = {c["id"]: c for c in b["calls"]}
-    changed, paths = 0, Counter()
+    changed, paths, moves = 0, Counter(), {}
     for call_id in sorted(set(calls_a) | set(calls_b)):
         ca, cb = calls_a.get(call_id), calls_b.get(call_id)
         if ca is None or cb is None:
@@ -239,12 +241,21 @@ def compare(a_file: Path, b_file: Path) -> int:
             notes.append(f"{doc} at {len(moved)} paths" + (f": {', '.join(moved[:6])}" if moved else
                                                            " (same values, other bytes)"))
             paths.update({f"{doc} {pattern(p)}" for p in moved})
+            for p in moved:
+                va, vb = la.get(p), lb.get(p)
+                if type(va) in (int, float) and type(vb) in (int, float):
+                    step = abs(vb - va)
+                    rel = step / abs(va) if va else math.inf
+                    most = moves.get(f"{doc} {pattern(p)}", (0.0, 0.0))
+                    moves[f"{doc} {pattern(p)}"] = (max(most[0], step), max(most[1], rel))
         if notes:
             changed += 1
             print(f"{call_id}: " + "; ".join(notes))
     print(f"{changed} of {len(set(calls_a) | set(calls_b))} calls changed")
     for path, n in sorted(paths.items()):
-        print(f"  {n:5d} calls changed at {path}")
+        most = moves.get(path)
+        moved = f" (largest change {most[0]:.3g} absolute, {most[1]:.3g} relative)" if most else ""
+        print(f"  {n:5d} calls changed at {path}{moved}")
     return 1 if changed else 0
 
 

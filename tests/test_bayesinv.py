@@ -43,7 +43,7 @@ from qbayes.linalg import (
     partial_trace_right,
     pseudoinverse,
 )
-from qbayes.state import State, evaluate, pullback, support
+from qbayes.state import State, SupportData, evaluate, pullback, support
 
 from compositionality import compositionality_check
 from conftest import INSTANCE_CASES, fixture_path, two_cutoff_instance
@@ -172,14 +172,17 @@ def test_battery_choi_split():
     F = from_hom(h)
     analysis = battery(F, omega)
     assert analysis.passed
-    # A + B equals the unsplit forced-row Choi sum (support + co-support parts)
+    inverse = existence(analysis).inverse
+    # the inverse's rows on the xi support are the forced rows A + B, the
+    # unsplit G^L (support + co-support parts), and their corner is A
     GL, _ = left_right_bayes(F, omega)
     for pd in pair_operands(F, omega):
         m = pd.rho_w.shape[0]
         n = pd.sig_w.shape[0]
-        full = GL.tensors[pd.y][pd.x].reshape(m * n, m * n)
-        split = analysis.choi_A[(pd.x, pd.y)] + analysis.choi_B[(pd.x, pd.y)]
-        assert frobenius(full - split) < 1e-12
+        rows = _sandwich(inverse.tensors[pd.y][pd.x], L=pd.P_xi)
+        assert frobenius(rows - GL.tensors[pd.y][pd.x]) < 1e-12
+        corner = _sandwich(rows, R=pd.P_xi).reshape(m * n, m * n)
+        assert frobenius(corner - analysis.choi_A[(pd.x, pd.y)]) < 1e-12
 
 
 def test_two_cutoff_identity_inverts_itself():
@@ -240,8 +243,13 @@ def test_petz_formula_matches_on_faithful_instances():
 
 def test_a_support_map_off_the_petz_map_raises(monkeypatch, capsys):
     # a passed battery cross-checks its support map Ad_P o G^L against the
-    # Petz map; a distance beyond the threshold is a bug alarm
-    monkeypatch.setattr(LinearMap, "distance", lambda self, other: (1.0, 1.0))
+    # Petz map pair by pair; a distance beyond the threshold is a bug alarm.
+    # Only the Petz map reads sqrt(rho): doubled, its tensors read 4 times A
+    calculus = SupportData.calculus
+    monkeypatch.setattr(
+        SupportData, "calculus",
+        lambda self, x, f: calculus(self, x, f) * (2.0 if f is np.sqrt else 1.0),
+    )
     argv = ["check", str(fixture_path("product.json")), "--analyses", "bayes-battery"]
     assert main(argv) == 3
     assert "recovery formula does not match the corner inverse although the battery passed" in (
@@ -296,14 +304,47 @@ def test_existence_pinned_counterexample():
     assert feas.feasible is False
 
 
+def co_support_gaps(result, xi):
+    """The Hermitian part of each weighted source block's co-support gap
+    (1 - P_xi) - sum_x tr_x(B* A-hat B), the one matrix that `existence`
+    decomposes per block."""
+    projections = support(xi).projection.blocks
+    for y, total in result.trace_blocks.items():
+        delta = np.eye(len(total)) - projections[y] - total
+        yield (delta + dagger(delta)) / 2
+
+
+def test_margin_is_read_from_the_decomposition_of_the_gap():
+    F, omega = pinned_counterexample()
+    analysis = battery(F, omega)
+    result = existence(analysis)
+    assert not result.exists
+    least = min(np.linalg.eigh(gap)[0].min() for gap in co_support_gaps(result, analysis.xi))
+    assert result.margin == min(least, 0.0)
+
+
 def test_existence_fails_closed_on_a_nan_gap(monkeypatch):
-    # a NaN least eigenvalue of the co-support gap must not read as an inverse
+    # a NaN least eigenvalue of the co-support gap must not read as an
+    # inverse: the gap's one eigendecomposition, which gives both the margin
+    # and the spread, returns NaN eigenvalues on a fresh copy of the instance
+    h, omega = rankdef_product_instance()
+    first = battery(from_hom(h), omega)
+    gaps = list(co_support_gaps(existence(first), first.xi))
     h, omega = rankdef_product_instance()
     analysis = battery(from_hom(h), omega)
     assert analysis.passed
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: np.full(len(M), np.nan))
+    eigh, hit = np.linalg.eigh, []
+
+    def nan_gap(M):
+        w, V = eigh(M)
+        if any(np.array_equal(M, gap) for gap in gaps):
+            hit.append(M)
+            w = np.full(len(w), np.nan)
+        return w, V
+
+    monkeypatch.setattr(np.linalg, "eigh", nan_gap)
     result = existence(analysis)
-    assert not result.exists and np.isnan(result.margin)
+    assert len(hit) == len(gaps) and not result.exists and np.isnan(result.margin)
 
 
 def test_existence_requires_passed_battery():
@@ -459,7 +500,9 @@ def test_battery_contractions_match_einsum(case):
         KL = np.einsum("ijkl,lu->ijku", want["GL"], pd.P_xi)
         BB = np.einsum("ijkl,lu->ijku", want["GL"], np.eye(n) - pd.P_xi)
         got["choi_A"] = analysis.choi_A[(pd.x, pd.y)]
-        got["choi_B"] = analysis.choi_B[(pd.x, pd.y)]
+        # the forced rows as `existence` builds them
+        forced = _sandwich(Ta, A=pd.rho_w, L=pd.shat_w, R=np.eye(n) - pd.P_xi)
+        got["choi_B"] = forced.reshape(m * n, m * n)
         want["choi_A"] = KL.transpose(0, 2, 1, 3).reshape(m * n, m * n)
         want["choi_B"] = BB.transpose(0, 2, 1, 3).reshape(m * n, m * n)
         sq_rho, sq_shat = pd.sq_rho, pd.sq_shat
@@ -566,9 +609,15 @@ def test_battery_and_existence_match_per_pair_reference(case):
     F, omega = case()
     analysis = battery(F, omega)
     xi, P_xi, choi_A, choi_B = per_pair_reference(F, omega)
-    for key in choi_A:
+    F_adj = F.hs_adjoint()
+    for pd in pair_operands(F, omega):
+        key, m, n = (pd.x, pd.y), len(pd.rho_w), len(pd.sig_w)
         assert np.array_equal(analysis.choi_A[key], choi_A[key])
-        assert np.array_equal(analysis.choi_B[key], choi_B[key])
+        # `existence` builds the forced rows in one contraction, bit for bit
+        # the reference's two
+        Ta = F_adj.tensors[pd.y][pd.x]
+        forced = _sandwich(Ta, A=pd.rho_w, L=pd.shat_w, R=np.eye(n) - pd.P_xi)
+        assert np.array_equal(forced.reshape(m * n, m * n), choi_B[key])
     if not analysis.passed:
         return
     result = existence(analysis)

@@ -288,15 +288,21 @@ def test_invert_bayes_round_trip(tmp_path, capsys):
     ids=[*(path.stem for path in ALL_FIXTURES), "ladder-6_12-rankdef", "multiblock-hom"],
 )
 def test_no_emitted_inverse_carries_roundoff_at_the_floor(problem, tmp_path, capsys):
-    # the inverse in the check report and in the invert file, where one exists
+    # the inverse and the recovery, each in the check report and in the invert
+    # file, where one exists
     path = problem(tmp_path, capsys)
-    out_path = tmp_path / "inverse.json"
-    _, out, _ = run_cli(["check", str(path), "--analyses", "bayes-existence"], capsys)
-    emitted = [json.loads(out)["analyses"]["bayes-existence"].get("inverse")]
-    code, _, _ = run_cli(["invert", str(path), "--mode", "bayes", "--out", str(out_path)], capsys)
-    assert code == 0
-    if out_path.exists():
-        emitted.append(json.loads(out_path.read_text()))
+    emitted = []
+    for analysis, key, mode in (("bayes-existence", "inverse", "bayes"),
+                                ("disintegrate", "recovery", "disint")):
+        code, out, _ = run_cli(["check", str(path), "--analyses", analysis], capsys)
+        if code == 2 and mode == "disint":   # only a hom's recovery is constructed
+            continue
+        emitted.append(json.loads(out)["analyses"][analysis].get(key))
+        out_path = tmp_path / f"{key}.json"
+        code, _, _ = run_cli(["invert", str(path), "--mode", mode, "--out", str(out_path)], capsys)
+        assert code == 0
+        if out_path.exists():
+            emitted.append(json.loads(out_path.read_text()))
     for channel in filter(None, emitted):
         # each part at or below the floor is 0.0, not -0.0
         small = _parts_at_or_below_the_floor(channel)

@@ -30,7 +30,7 @@ import qbayes.disint
 import qbayes.modular
 from qbayes.algebra import HomSpec
 from qbayes.bayesinv import battery, bayes_inverse, existence
-from qbayes.channel import from_hom, identity_channel
+from qbayes.channel import _sandwich, from_hom, identity_channel
 from qbayes.cli import main
 from qbayes.disint import disintegrate, factorize
 from qbayes.errors import InternalInconsistency
@@ -44,6 +44,7 @@ from qbayes.jsonio import (
     state_to_json,
 )
 from qbayes.linalg import DEFAULT_TOL, Tolerances
+from qbayes.state import support
 
 from compositionality import compositionality_check
 from conftest import FIXTURES, INSTANCE_CASES
@@ -201,8 +202,8 @@ def test_parsed_problem_dies_with_the_call(argv, monkeypatch, capsys, tmp_path):
 
     def battery_and_watch(*args):
         fields = build_battery(*args)
-        _, _, _, choi_A, choi_B = fields
-        battery_refs.extend(weakref.ref(T) for T in [*choi_A.values(), *choi_B.values()])
+        _, _, _, choi_A = fields
+        battery_refs.extend(weakref.ref(T) for T in choi_A.values())
         return fields
 
     def extension_and_watch(*args):
@@ -229,9 +230,10 @@ def test_parsed_problem_dies_with_the_call(argv, monkeypatch, capsys, tmp_path):
         # channel and the pulled-back state
         assert len(refs) == (5 if argv[0] == "check" else 3)
         # the problem's battery, which takesaki's corner battery reads, keeps
-        # two Choi blocks per each of 2 x 2 block pairs; its extension keeps a
-        # mass block per weighted source block and the inverse's 2 x 2 tensors
-        assert len(battery_refs) == (14 if argv[0] == "check" else 0)
+        # a corner Choi block per each of 2 x 2 block pairs; its extension
+        # keeps a mass block per weighted source block and the inverse's 2 x 2
+        # tensors
+        assert len(battery_refs) == (10 if argv[0] == "check" else 0)
         refs += battery_refs
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
@@ -338,7 +340,7 @@ def test_disagreeing_battery_raises_on_every_call(monkeypatch):
 
 
 def _kept_arrays(analysis) -> list:
-    return [*analysis.choi_A.values(), *analysis.choi_B.values()]
+    return list(analysis.choi_A.values())
 
 
 def test_battery_is_kept_per_map_and_tolerance():
@@ -358,7 +360,6 @@ def test_battery_is_kept_per_map_and_tolerance():
         assert first.conditions == unshared.conditions
         assert first.passed == unshared.passed
         assert first.choi_A.keys() == unshared.choi_A.keys()
-        assert first.choi_B.keys() == unshared.choi_B.keys()
         pairs = zip(_kept_arrays(first), _kept_arrays(unshared), strict=True)
         assert all(np.array_equal(a, b) for a, b in pairs)
 
@@ -375,6 +376,32 @@ def test_results_are_keyed_by_the_map_itself():
     assert len(seen["disint._factorize"]) == 1
     assert again.hom is twin and again.tau is first.tau
     assert len(seen["bayesinv._battery"]) == 2
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+def test_no_kept_battery_holds_forced_rows(fixture, monkeypatch, capsys):
+    # every battery of a full check, takesaki's corner batteries and the
+    # failing ones included, keeps only its corner Choi blocks, whose rows
+    # vanish off the xi support: the forced rows are built where `existence`
+    # reads them
+    kept = []
+    build_battery = qbayes.bayesinv._battery
+
+    def battery_and_keep(*args):
+        kept.append(build_battery(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(qbayes.bayesinv, "_battery", battery_and_keep)
+    assert main(["check", str(fixture)]) == 0
+    capsys.readouterr()
+    assert kept
+    for xi, _, _, choi_A in kept:
+        P_xi = support(xi).projection.blocks
+        for (x, y), A in choi_A.items():
+            n = len(P_xi[y])
+            m = len(A) // n
+            off = _sandwich(A.reshape(m, n, m, n), R=np.eye(n) - P_xi[y])
+            assert np.abs(off).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(A).max(initial=0.0))
 
 
 def test_kept_battery_is_read_only(capsys, tmp_path):
