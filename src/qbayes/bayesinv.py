@@ -23,6 +23,7 @@ from .channel import (
     Channel,
     LinearMap,
     UcpVerdict,
+    _compressed_eigvalsh,
     _exact_zeros,
     _factor,
     _kept,
@@ -39,7 +40,6 @@ from .linalg import (
     _sq_frobenius,
     dagger,
     frobenius,
-    hermitian_floor,
     partial_trace_left,
     support_eigen,
     support_mask,
@@ -90,91 +90,104 @@ def battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> BayesA
 
 
 def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
-    """The BayesAnalysis fields after F and omega."""
+    """The BayesAnalysis fields after F and omega, read from F's signed factor
+    (`_factor`), r operators on a pair. Each tensor a condition or the Petz
+    check reads is the Choi matrix X* Y of a map E |-> sum_s U_s E W_s: one
+    rank-r product of the (r, m n) flattenings of X_s = conj(U_s^T) and
+    Y_s = W_s, the negative operators' Y_s negated. The CP floor (vii) reads
+    the Hermitian part Z J Z* of choi_R = X* Y, Z = [X*, Y*] and J half the
+    swap of Z's halves, from R J R*, Z = Q R, of side at most 2r: min(0, its
+    least eigenvalue) less choi_R's Hermiticity defect, and the radius its
+    largest |eigenvalue|."""
     xi = pullback(omega, F, tol)
     sup_o, sup_x = support(omega, tol), support(xi, tol)
     rho_ws = [omega.weighted_density(x) for x in range(F.target.n_blocks)]
     sig_ws = [xi.weighted_density(y) for y in range(F.source.n_blocks)]
     # sigma-hat from the support that P_xi projects on, so sigma-hat sigma = P_xi
     shat_ws = [sup_x.calculus(y, np.reciprocal) for y in range(F.source.n_blocks)]
-    F_adj = F.hs_adjoint()
+    kraus, negative = _factor(F, tol)
 
     res = {name: 0.0 for name in BATTERY_CONDITIONS if name != "right_map_cp"}
     scale = 1.0
     choi_A: dict[tuple[int, int], np.ndarray] = {}
+    signed: dict[tuple[int, int], tuple] = {}
     cp_lam_max = 0.0
     cp_min_eig = 0.0
 
     # Each (m n)^2 array of a pair is dropped once the last condition that
     # reads it is scored; only the corner Choi block outlives the pair.
     for x, y in product(range(F.target.n_blocks), range(F.source.n_blocks)):
-        T, rho_w, P_om = F.tensors[x][y], rho_ws[x], sup_o.projection.blocks[x]
+        rho_w, P_om = rho_ws[x], sup_o.projection.blocks[x]
         sig_w, shat_w, P_xi = sig_ws[y], shat_ws[y], sup_x.projection.blocks[y]
         m, n = len(rho_w), len(sig_w)
+        # the pair's operators, the negative ones last, and their signs
+        neg = () if negative is None else negative[x][y]
+        K = np.concatenate([kraus[x][y], neg]) if len(neg) else kraus[x][y]
+        sign = np.repeat([1.0, -1.0], [len(K) - len(neg), len(neg)]) if len(neg) else None
+        signed[(x, y)] = K, sign
+        # the stacks of the corner maps: K P_xi and rho K sigma-hat
+        KP = K @ P_xi
+        rKs = rho_w @ K @ shat_w
         # (vi) part 1: forced rows vanish against the omega co-support,
-        # shat_w F*(rho_w E_ij P_om-perp) P_xi = 0, read from the block
-        # tensor of F*, whose source units are the target's
-        Ta = F_adj.tensors[y][x]
-        V6 = _sandwich(Ta, A=rho_w, B=np.eye(m) - P_om, L=shat_w, R=P_xi)
+        # shat_w F*(rho_w E_ij P_om-perp) P_xi = 0
+        V6 = _choi(rKs, KP - P_om @ KP, sign)
         res["off_support_vanishing"] = max(
             res["off_support_vanishing"], float(np.abs(V6).max(initial=0.0))
         )
         del V6
-        rawL = _sandwich(Ta, A=rho_w)   # F*(rho_w E_ij)
-        rawR = _sandwich(Ta, B=rho_w)   # F*(E_ij rho_w)
-        # (iv) P F*(rho A) sigma = sigma F*(A rho) P on target units A
-        lhs4 = _sandwich(rawL, L=P_xi, R=sig_w)
-        lhs4 -= _sandwich(rawR, L=sig_w, R=P_xi)
-        res["adjoint_sandwich_symmetry"] = max(
-            res["adjoint_sandwich_symmetry"], float(np.abs(lhs4).max(initial=0.0))
-        )
-        del lhs4
-        # the corner Choi matrix of GL(E_ij) P
-        KL = _sandwich(rawL, L=shat_w, R=P_xi)
-        A_mat = choi_A[(x, y)] = KL.reshape(m * n, m * n)
-        del rawL
-        KR = _sandwich(rawR, L=P_xi, R=shat_w)   # P GR(E_ij)
-        del rawR
-        scale = max(scale, float(np.abs(KL).max(initial=0.0)),
-                    float(np.abs(KR).max(initial=0.0)))
-
+        # the corner Choi matrices of GL(E_ij) P and P GR(E_ij)
+        A_mat = choi_A[(x, y)] = _choi(rKs, KP, sign)
+        choi_R = _choi(KP, rKs, sign)
+        scale = max(scale, float(np.abs(A_mat).max(initial=0.0)),
+                    float(np.abs(choi_R).max(initial=0.0)))
         # (ii) left and right corner maps coincide
         res["left_equals_right"] = max(
-            res["left_equals_right"], float(np.abs(KL - KR).max(initial=0.0))
+            res["left_equals_right"], float(np.abs(A_mat - choi_R).max(initial=0.0))
         )
-        del KL
         # (i) *-preservation of Ad_P o G^R: K(E_ji) = K(E_ij)^*
-        choi_R = KR.reshape(m * n, m * n)
-        del KR
         star = dagger(choi_R)
         star -= choi_R
+        del choi_R
         res["right_map_star_preserving"] = max(
             res["right_map_star_preserving"],
             float(np.abs(star).max(initial=0.0)),
         )
+        defect = frobenius(star)
         del star
         # (iii) hermiticity of the corner Choi matrix
         res["choi_hermitian"] = max(
             res["choi_hermitian"], frobenius(A_mat - dagger(A_mat))
         )
-        # (vii) complete positivity of Ad_P o G^R
-        low, radius = hermitian_floor(choi_R)
-        del choi_R
+        # (vii) complete positivity of Ad_P o G^R, from the 2r x 2r compression
+        low = radius = np.nan
+        if np.isfinite(defect):
+            r = len(K)
+            Y = rKs if sign is None else rKs * sign[:, None, None]
+            Z = dagger(np.concatenate([KP, Y]).reshape(2 * r, m * n))
+            w = _compressed_eigvalsh(Z, (np.eye(2 * r, k=r) + np.eye(2 * r, k=-r)) / 2)
+            low = min(float(w.min(initial=0.0)), 0.0) - defect
+            radius = float(np.abs(w).max(initial=0.0))
         cp_lam_max = max(cp_lam_max, radius)
         cp_min_eig = float(np.minimum(cp_min_eig, low))  # a NaN block stays NaN
+        # (iv) P F*(rho A) sigma = sigma F*(A rho) P on target units A: the
+        # two sides are Z and Z*, Z the Choi matrix of the first
+        Z = _choi(rho_w @ KP, K @ sig_w, sign)
+        Z -= dagger(Z)
+        res["adjoint_sandwich_symmetry"] = max(
+            res["adjoint_sandwich_symmetry"], float(np.abs(Z).max(initial=0.0))
+        )
         # (v) F(sigma B) rho = rho F(B sigma) for B = P E_kl P in the xi-support
-        # corner, all k, l at once
-        lhs5 = _sandwich(T, A=sig_w @ P_xi, B=P_xi, R=rho_w)   # F(sigma B) rho
-        rhs5 = _sandwich(T, A=P_xi, B=P_xi @ sig_w, L=rho_w)   # rho F(B sigma)
-        largest = max(_sq_frobenius(M.swapaxes(1, 2)).max() for M in (lhs5, rhs5))
-        scale = max(scale, float(np.sqrt(largest)))
-        lhs5 -= rhs5
-        del rhs5
+        # corner, all k, l at once: the two sides are Z and Z*, on source units
+        Kh = K.conj().swapaxes(1, 2)
+        Z = _choi((P_xi @ sig_w) @ Kh, P_xi @ Kh @ rho_w, sign)
+        units = Z.reshape(n, m, n, m).swapaxes(1, 2)
+        scale = max(scale, float(np.sqrt(_sq_frobenius(units).max())))
+        Z -= dagger(Z)
         res["density_intertwining"] = max(
             res["density_intertwining"],
-            float(np.sqrt(_sq_frobenius(lhs5.swapaxes(1, 2)).max())),
+            float(np.sqrt(_sq_frobenius(units).max())),
         )
-        del lhs5
+        del Z, units
 
     verdicts = {name: tol.close(residual, scale) for name, residual in res.items()}
     verdicts["right_map_cp"] = tol.psd(cp_min_eig, cp_lam_max)
@@ -203,8 +216,9 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
         sq_shat = [sup_x.calculus(y, lambda w: np.sqrt(1.0 / w)) for y in range(F.source.n_blocks)]
         diff, size = 0.0, 1.0
         for (x, y), A_mat in choi_A.items():
-            petz = _sandwich(F_adj.tensors[y][x], sq_rho[x], sq_rho[x], sq_shat[y], sq_shat[y])
-            diff = max(diff, frobenius(A_mat.reshape(petz.shape) - petz))
+            K, sign = signed[(x, y)]
+            S = sq_rho[x] @ K @ sq_shat[y]
+            diff = max(diff, frobenius(A_mat - _choi(S, S, sign)))
             size = max(size, frobenius(A_mat))
         if not tol.close(diff, size, 100):
             raise InternalInconsistency(
@@ -215,6 +229,14 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
     # every later caller reads the kept arrays, so none may write to them
     _read_only([choi_A.values()])
     return xi, verdicts, passed, choi_A
+
+
+def _choi(X: np.ndarray, Y: np.ndarray, sign) -> np.ndarray:
+    """X* Y of the (r, m n) flattenings of two (r, m, n) stacks, Y's rows times
+    sign (None: all +1): the Choi matrix of E |-> sum_s sign_s U_s E W_s."""
+    shape = (len(X), X.shape[1] * X.shape[2])
+    Y = Y.reshape(shape)
+    return dagger(X.reshape(shape)) @ (Y if sign is None else sign[:, None] * Y)
 
 
 def left_right_bayes(
@@ -455,8 +477,7 @@ def _existence(analysis: BayesAnalysis) -> ExistenceResult:
             del B_mat
         trace_blocks[y] = total = (total + dagger(total)) / 2
         # the gap's one decomposition: least eigenvalue the margin, positive part the spread
-        delta = Pxp - total
-        dw, dV = np.linalg.eigh((delta + dagger(delta)) / 2)
+        dw, dV = np.linalg.eigh(Pxp - total)
         margin = float(np.minimum(margin, dw.min(initial=0.0)))  # a NaN gap stays NaN
         delta_psd = (dV * np.clip(dw, 0.0, None)) @ dagger(dV)
         # delta_psd = spread spread*, less the directions of negligible dw: their

@@ -504,15 +504,22 @@ def _certificate(F: LinearMap, kraus, negative, blocks) -> tuple[np.ndarray, flo
         if negative is not None and len(negative[x][y]):
             Nt = negative[x][y].transpose(0, 2, 1).reshape(-1, len(C))
             D -= Nt.T @ Nt.conj()
-            # L L* - N N* = Z J Z* with Z = [L, N] = Q R and J = diag(1, -1), whose
-            # least eigenvalue, at most 0, is that of R J R*
-            R = np.linalg.qr(np.vstack([Lt, Nt]).T, mode="r")
-            J = np.repeat([1.0, -1.0], [len(Lt), len(Nt)])
-            floor = min(float(np.linalg.eigvalsh((R * J) @ dagger(R)).min()), 0.0)
+            # L L* - N N* = Z J Z* with Z = [L, N] and J = diag(1, -1), whose
+            # least eigenvalue, at most 0, is that of its compression
+            J = np.diag(np.repeat([1.0, -1.0], [len(Lt), len(Nt)]))
+            floor = min(float(_compressed_eigvalsh(np.vstack([Lt, Nt]).T, J).min()), 0.0)
         d = D.view(np.float64).ravel()
         lows.append(floor - float(np.sqrt(d @ d)))
     radii = [float(np.linalg.eigvalsh(np.array(g)).max(initial=0.0)) for g in grams.values()]
     return np.array(lows, dtype=float), max([0.0, *radii])
+
+
+def _compressed_eigvalsh(Z: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """The eigenvalues of R J R*, for Z = Q R with R of side min(Z's shape)
+    by Z's column count: those of Z J Z*, J Hermitian, less zeros, from a
+    matrix no wider than Z."""
+    R = np.linalg.qr(Z, mode="r")
+    return np.linalg.eigvalsh(R @ J @ dagger(R))
 
 
 def _map_scale(D: LinearMap) -> float:

@@ -136,17 +136,6 @@ def hermitian_split(C: np.ndarray) -> tuple[np.ndarray, float]:
     return D, defect
 
 
-def hermitian_floor(C: np.ndarray) -> tuple[float, float]:
-    """(low, radius): the least eigenvalue of the Hermitian part of C (at most
-    0) less the Hermiticity defect, and the largest |eigenvalue|. Both are NaN
-    when C is not finite, so that a PSD test against them fails."""
-    H, defect = hermitian_split(C)
-    if not math.isfinite(defect):
-        return np.nan, np.nan
-    w = np.linalg.eigvalsh(H)
-    return float(w.min(initial=0.0)) - defect, float(np.abs(w).max(initial=0.0))
-
-
 def is_hermitian(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     """||M - M*|| within eps_eq of ||M||, with an absolute fallback near zero."""
     diff = frobenius(M - dagger(M))

@@ -199,7 +199,8 @@ def _support(omega: State, tol: Tolerances) -> tuple:
             continue
         if rank == d:
             V = np.eye(d, dtype=complex)  # faithful block: identity embedding
-        proj_blocks.append(V @ dagger(V))
+        P = V @ dagger(V)
+        proj_blocks.append((P + dagger(P)) / 2)   # Hermitian bit for bit, for eigh's readers
         isometries.append(V)
         kept.append(x)
         corner_dims.append(rank)

@@ -24,7 +24,10 @@ written file and of the problem file. Beside each digest it keeps the
 document's leaves by JSON path: scalars as they are, a matrix (a list of
 [re, im] pairs) as a short digest, so that `--compare` can name the paths
 that changed and, for each path pattern whose numbers moved, the largest
-absolute and relative change of those numbers. Every call runs in one working directory with relative
+absolute and relative change of those numbers. Its last line counts the
+calls whose exit code, stderr or verdict booleans changed (a call present
+on one side only among them) apart from those where only numbers or bytes
+moved. Every call runs in one working directory with relative
 paths, so that no path of this machine enters a record. BLAS is pinned to
 one thread before numpy loads: residuals can move in their last digits
 with the thread count, and the header records the numpy version, the BLAS
@@ -221,17 +224,19 @@ def compare(a_file: Path, b_file: Path) -> int:
             print(f"header {key}: {a['header'].get(key)!r} -> {b['header'].get(key)!r}")
     calls_a = {c["id"]: c for c in a["calls"]}
     calls_b = {c["id"]: c for c in b["calls"]}
-    changed, paths, moves = 0, Counter(), {}
+    changed, answers, paths, moves = 0, 0, Counter(), {}
     for call_id in sorted(set(calls_a) | set(calls_b)):
         ca, cb = calls_a.get(call_id), calls_b.get(call_id)
         if ca is None or cb is None:
             print(f"{call_id}: only in {'B' if ca is None else 'A'}")
             changed += 1
+            answers += 1
             continue
         notes = []
         for field in ("problem", "exit", "stderr", "verdicts"):
             if ca.get(field) != cb.get(field):
                 notes.append(field)
+        answers += any(ca.get(f) != cb.get(f) for f in ("exit", "stderr", "verdicts"))
         for doc in ("stdout", "written"):
             da, db = ca.get(doc) or {}, cb.get(doc) or {}
             if da.get("sha256") == db.get("sha256"):
@@ -256,6 +261,8 @@ def compare(a_file: Path, b_file: Path) -> int:
         most = moves.get(path)
         moved = f" (largest change {most[0]:.3g} absolute, {most[1]:.3g} relative)" if most else ""
         print(f"  {n:5d} calls changed at {path}{moved}")
+    print(f"{answers} calls changed their exit code, stderr or verdict booleans; "
+          f"{changed - answers} changed only in numbers or bytes")
     return 1 if changed else 0
 
 

@@ -7,13 +7,16 @@ battery on the state, the algebraic AC and determinism verdicts of each map
 on the state, and the UCP verdict of each map at each tolerance on the map. `recording()` wraps those builders and records a key for
 each build, so an input derived twice shows up as a repeated key. It also
 counts the eigendecompositions, keyed by shape: each density's is made by its
-support and read from there, a Choi block's by the battery's CP floor
-(`hermitian_floor`) or, where a map's factor is read from its Choi blocks,
+support and read from there, the compression of a Choi block by the
+battery's CP floor and by the certificate of a factor that subtracts
+(`_compressed_eigvalsh`, keyed by the side it decomposes), a Choi block's
+own only where a map's factor is read from its Choi blocks,
 once per map and tolerance (`_choi_factor`, keyed by the shapes of the
 blocks it decomposes: a channel read from Choi blocks at parse, or a map
 built without a factor; `is_ucp` certifies every map from its factor), and
 the extension's compressions by `support_eigen` (through
-`hermitian_eigen`). From a checkout:
+`hermitian_eigen`). `eigendecompositions()` records every numpy
+eigendecomposition with the function that made it. From a checkout:
 
     PYTHONPATH=src python tests/derivations.py fixtures/product.json [--analyses ac]
 
@@ -37,7 +40,9 @@ import qbayes.state
 
 BUILDERS = {
     "linalg.hermitian_eigen": (qbayes.linalg, "hermitian_eigen", lambda M, *tol: np.shape(M)),
-    "linalg.hermitian_floor": (qbayes.linalg, "hermitian_floor", np.shape),
+    "channel._compressed_eigvalsh": (
+        qbayes.channel, "_compressed_eigvalsh", lambda Z, J: min(np.shape(Z))
+    ),
     "channel._choi_factor": (
         qbayes.channel,
         "_choi_factor",
@@ -109,6 +114,29 @@ def recording(targets=BUILDERS):
         for mod, name, original in reversed(patched):
             setattr(mod, name, original)
         held.clear()
+
+
+@contextlib.contextmanager
+def eigendecompositions():
+    """Yield [(caller, side), ...]: each `np.linalg.eigh` and `eigvalsh` call
+    made while open, by the name of the function that made it and the side of
+    the matrix it decomposed."""
+    seen = []
+    originals = {name: getattr(np.linalg, name) for name in ("eigh", "eigvalsh")}
+
+    def wrap(original):
+        def recorded(M, *args, **kwargs):
+            seen.append((sys._getframe(1).f_code.co_name, np.shape(M)[-1]))
+            return original(M, *args, **kwargs)
+        return recorded
+
+    for name, original in originals.items():
+        setattr(np.linalg, name, wrap(original))
+    try:
+        yield seen
+    finally:
+        for name, original in originals.items():
+            setattr(np.linalg, name, original)
 
 
 def repeats(keys) -> list:

@@ -1,11 +1,14 @@
 """The named worked examples of the tests, each a fresh (hom or channel,
-state) pair; the shipped fixtures hold the same examples as problem files."""
+state) pair; the shipped fixtures hold the same examples as problem files.
+`with_small_directions` rewrites a map as a `choi` channel with planted
+small or negative eigen-directions."""
 
 import numpy as np
 
 from qbayes.algebra import HomSpec, MultiMatrixAlgebra
-from qbayes.channel import Channel, from_kraus
+from qbayes.channel import Channel, from_choi, from_kraus
 from qbayes.generators import inclusion_hom
+from qbayes.linalg import DEFAULT_TOL
 from qbayes.state import State
 
 
@@ -65,3 +68,21 @@ def nonsubalgebra_deterministic_instance() -> tuple[Channel, State]:
     rho[0, 0] = 1.0
     omega = State(target, (1.0,), (rho,))
     return F, omega
+
+
+def with_small_directions(F, frac, count):
+    """F read back from its Choi blocks, each given `count` null directions of
+    eigenvalue frac x the block's PSD threshold (rank cutoff at frac > 0)."""
+    blocks = []
+    for x, row in enumerate(F.tensors):
+        blocks.append([])
+        for T in row:
+            C = T.reshape(T.shape[0] * T.shape[1], -1)
+            w, V = np.linalg.eigh(C)
+            if frac < 0:
+                size = DEFAULT_TOL.psd(0.0, w[-1]).threshold
+            else:
+                size = DEFAULT_TOL.rank_cutoff(w[-1])
+            Z = V[:, :count]
+            blocks[x].append((C + frac * size * Z @ Z.conj().T).reshape(T.shape))
+    return from_choi(F.source, F.target, blocks)

@@ -4,11 +4,13 @@ Each one is small and independent of the library's kernels: the matrix
 units of an algebra, the standard-form image of an element under a hom,
 nullspace membership under a state, the support and Petz maps of a
 Bayes battery, the Hilbert-Schmidt pairing of two algebra elements, the imaginary power of a PSD matrix through the support
-functional calculus, a Haar-like random unitary, and the dense UCP verdict
+functional calculus, a Haar-like random unitary, the dense UCP verdict
 that reads every Choi block's least eigenvalue, the reference for
-`is_ucp`'s certificate.
+`is_ucp`'s certificate, and the dense Bayes battery that reads F's block
+tensors through einsum, the reference for the battery read from the factor.
 """
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -17,8 +19,8 @@ from qbayes.algebra import AlgebraElement, HomSpec, MultiMatrixAlgebra
 from qbayes.channel import LinearMap, UcpVerdict
 from qbayes.errors import ShapeMismatch
 from qbayes.generators import random_complex
-from qbayes.linalg import DEFAULT_TOL, Tolerances, dagger, herm_fun, hermitian_floor
-from qbayes.state import State, evaluate, pullback
+from qbayes.linalg import DEFAULT_TOL, Tolerances, dagger, herm_fun, hermitian_split
+from qbayes.state import State, evaluate, pullback, support
 
 
 def matrix_unit(alg: MultiMatrixAlgebra, x: int, i: int, j: int) -> AlgebraElement:
@@ -81,6 +83,18 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
+def hermitian_floor(C: np.ndarray) -> tuple[float, float]:
+    """(low, radius): the least eigenvalue of the Hermitian part of C (at most
+    0) less the Hermiticity defect, and the largest |eigenvalue|, from one
+    dense decomposition of C. Both are NaN when C is not finite, so that a
+    PSD test against them fails."""
+    H, defect = hermitian_split(C)
+    if not math.isfinite(defect):
+        return np.nan, np.nan
+    w = np.linalg.eigvalsh(H)
+    return float(w.min(initial=0.0)) - defect, float(np.abs(w).max(initial=0.0))
+
+
 def dense_ucp(F: LinearMap, tol: Tolerances = DEFAULT_TOL) -> UcpVerdict:
     """The UCP verdict of F from one dense eigendecomposition of each Choi
     block, not kept on F: cp judges the least eigenvalue of each block less
@@ -126,3 +140,50 @@ def petz_map(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> Linea
             row.append(np.einsum("iajb,ap,qb,ki,jl->pkql", F.tensors[x][y].conj(), r, r, s, s))
         tensors.append(row)
     return LinearMap(F.target, F.source, tensors)
+
+
+def dense_battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL):
+    """(residuals, scale, choi_A) of the Bayes battery read from F's block
+    tensors by einsum, each pair's map E |-> L F*(A E B) R (L F(A E B) R for
+    (v)) built whole: by condition name, the residuals of (i) to (v) and of
+    the forced-row part of (vi) as the battery judges them against scale,
+    and (-low, radius) of the dense CP floor (vii)."""
+    xi = pullback(omega, F, tol)
+    sup_o, sup_x = support(omega, tol), support(xi, tol)
+    res = dict.fromkeys((
+        "right_map_star_preserving", "left_equals_right", "choi_hermitian",
+        "adjoint_sandwich_symmetry", "density_intertwining", "off_support_vanishing",
+    ), 0.0)
+    scale, low, radius, choi_A = 1.0, 0.0, 0.0, {}
+    for x, m in enumerate(F.target.block_dims):
+        for y, n in enumerate(F.source.block_dims):
+            T, rho, P_om = F.tensors[x][y], omega.weighted_density(x), sup_o.projection.blocks[x]
+            sig, P = xi.weighted_density(y), sup_x.projection.blocks[y]
+            shat, one = sup_x.calculus(y, np.reciprocal), np.eye(m)
+
+            def adj(A, B, L, R):   # the Choi matrix of E |-> L F*(A E B) R
+                G = np.einsum("ki,jl,ac,ckdl,db->iajb", A, B, L, T.conj(), R)
+                return G.reshape(m * n, m * n)
+
+            def fwd(A, B, L, R):   # [i, j] = L F(A E_ij B) R
+                return np.einsum("ki,jl,ac,kcld,db->ijab", A, B, L, T, R)
+
+            KL, KR = adj(rho, one, shat, P), adj(one, rho, P, shat)
+            choi_A[(x, y)] = KL
+            lhs5, rhs5 = fwd(sig @ P, P, one, rho), fwd(P, P @ sig, rho, one)
+            unit_norms = [np.linalg.norm(M, axis=(2, 3)).max() for M in (lhs5, rhs5, lhs5 - rhs5)]
+            scale = max(scale, np.abs(KL).max(), np.abs(KR).max(), *unit_norms[:2])
+            for name, value in (
+                ("right_map_star_preserving", np.abs(KR.conj().T - KR).max()),
+                ("left_equals_right", np.abs(KL - KR).max()),
+                ("choi_hermitian", np.linalg.norm(KL - KL.conj().T)),
+                ("adjoint_sandwich_symmetry",
+                 np.abs(adj(rho, one, P, sig) - adj(one, rho, sig, P)).max()),
+                ("density_intertwining", unit_norms[2]),
+                ("off_support_vanishing", np.abs(adj(rho, one - P_om, shat, P)).max()),
+            ):
+                res[name] = max(res[name], float(value))
+            floor, top = hermitian_floor(KR)
+            low, radius = min(low, floor), max(radius, top)
+    res["right_map_cp"] = (0.0 - low, radius)
+    return res, float(scale), choi_A

@@ -19,7 +19,6 @@ import io
 import numpy as np
 import pytest
 import qbayes.channel
-import qbayes.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,8 +42,8 @@ from qbayes.linalg import DEFAULT_TOL
 from qbayes.modular import corner_map
 
 from conftest import FIXTURES
-from derivations import recording
-from instances import product_instance, rankdef_product_instance
+from derivations import eigendecompositions, recording
+from instances import product_instance, rankdef_product_instance, with_small_directions
 from oracles import dense_ucp
 
 # the inclusion-ladder problems of `bench/workloads.py` at seed 1
@@ -153,38 +152,21 @@ def test_a_choi_given_factor_keeps_every_nonnegative_direction():
 def test_every_map_is_judged_by_the_one_certificate(fixture):
     # a parsed `choi` channel, a channel built bare from its tensors and a
     # composed map are each certified once, from their factor, and no Choi
-    # block is judged on its least eigenvalue
+    # block is judged on its least eigenvalue: only the reading of a factor
+    # decomposes a matrix of a Choi block's side
     targets = {
         "certificate": (qbayes.channel, "_certificate", lambda F, kraus, negative, blocks: id(F)),
-        "floor": (qbayes.linalg, "hermitian_floor", np.shape),
     }
     data = loads((FIXTURES / f"{fixture}.json").read_text())
-    with recording(targets) as seen:
+    with recording(targets) as seen, eigendecompositions() as sides:
         F = problem_from_json(data)["channel"]
         bare = Channel(F.source, F.target, F.tensors)
         composed = compose(identity_channel(F.target), F)
         for M in (F, bare, composed):
             assert is_ucp(M).ok
         assert seen["certificate"] == [id(F), id(bare), id(composed)]
-    assert seen["floor"] == []
-
-
-def _with_small_directions(F, frac, count):
-    """F read back from its Choi blocks, each given `count` null directions of
-    eigenvalue frac x the block's PSD threshold (rank cutoff at frac > 0)."""
-    blocks = []
-    for x, row in enumerate(F.tensors):
-        blocks.append([])
-        for T in row:
-            C = T.reshape(T.shape[0] * T.shape[1], -1)
-            w, V = np.linalg.eigh(C)
-            if frac < 0:
-                size = DEFAULT_TOL.psd(0.0, w[-1]).threshold
-            else:
-                size = DEFAULT_TOL.rank_cutoff(w[-1])
-            Z = V[:, :count]
-            blocks[x].append((C + frac * size * Z @ Z.conj().T).reshape(T.shape))
-    return from_choi(F.source, F.target, blocks)
+    side = F.choi_block(0, 0).shape[0]
+    assert {caller for caller, s in sides if s == side} == {"_choi_factor"}
 
 
 @pytest.mark.parametrize(
@@ -194,7 +176,7 @@ def test_the_inverse_of_a_choi_given_channel_is_certified_over_its_cut_direction
     # the inverse's Choi blocks carry the directions that F's kept operators
     # cut, scaled by sigma-hat and rho: its factor spans their images too
     h, omega = instance()
-    G = _with_small_directions(from_hom(h), frac, 4)
+    G = with_small_directions(from_hom(h), frac, 4)
     exists, inverse, _, _ = bayes_inverse(G, omega)
     assert exists
     dense, cert = dense_ucp(inverse), is_ucp(inverse)

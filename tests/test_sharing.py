@@ -305,9 +305,9 @@ def _fixture_problem(name: str) -> dict:
 
 
 def _right_map_cp_fails(monkeypatch):
-    # every Choi block of Ad_P o G^R reads as indefinite, so right_map_cp
-    # alone fails on an instance where the other six conditions pass
-    monkeypatch.setattr(qbayes.bayesinv, "hermitian_floor", lambda choi: (-1.0, 1.0))
+    # the compression of every Choi block of Ad_P o G^R reads as indefinite,
+    # so right_map_cp alone fails on an instance where the other six pass
+    monkeypatch.setattr(qbayes.bayesinv, "_compressed_eigvalsh", lambda Z, J: np.array([-1.0, 1.0]))
 
 
 @pytest.mark.parametrize(

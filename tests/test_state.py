@@ -11,9 +11,11 @@ from qbayes.generators import (
     random_kraus_channel,
     random_state,
 )
+from qbayes.jsonio import loads, problem_from_json
 from qbayes.modular import ac_condition_sampled
 from qbayes.state import State, evaluate, pullback, support
 
+from conftest import FIXTURES
 from instances import epr_instance
 from oracles import in_nullspace, matrix_unit, matrix_units
 
@@ -110,6 +112,25 @@ def test_support_random_rank_deficient():
     for x, rho in enumerate(omega.densities):
         np.testing.assert_allclose(rho @ P.blocks[x], rho, atol=1e-10)
         np.testing.assert_allclose(P.blocks[x] @ rho, rho, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "name", [p.stem for p in sorted(FIXTURES.glob("*.json"))] + ["random-rank-deficient"]
+)
+def test_support_projection_is_hermitian_bit_for_bit(name):
+    # each kept projection block equals its conjugate transpose exactly, so
+    # that its readers may hand (1 - P) - M to eigh, which reads one triangle
+    if name == "random-rank-deficient":
+        alg = MultiMatrixAlgebra((4, 3, 5))
+        states = [random_state(np.random.default_rng(s), alg, ranks=(2, 1, 3)) for s in range(5)]
+    else:
+        problem = problem_from_json(loads((FIXTURES / f"{name}.json").read_text()))
+        states = [problem["state"], pullback(problem["state"], problem["channel"])]
+    for omega in states:
+        sup = support(omega)
+        for x in sup.kept:
+            P = sup.projection.blocks[x]
+            assert np.array_equal(P, P.conj().T)
 
 
 def test_restricted_state_is_faithful():
