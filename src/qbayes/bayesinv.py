@@ -68,7 +68,6 @@ class BayesAnalysis:
     xi: State
     conditions: dict[str, Verdict]
     passed: bool
-    choi_A: dict[tuple[int, int], np.ndarray]
 
 
 def battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> BayesAnalysis:
@@ -79,9 +78,9 @@ def battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> BayesA
     numerical accident. The off-support condition is the conjunction of the
     forced-row vanishing with the corner intertwining test.
 
-    Run once per state, map and tolerance, like `corner_map`: the outcome is
-    kept on the state, and its arrays are read-only. A disagreement raises
-    before anything is kept.
+    Run once per state, map and tolerance, like `corner_map`: the outcome, its
+    verdicts, is kept on the state. A disagreement raises before anything is
+    kept.
     """
     if omega.algebra.block_dims != F.target.block_dims:
         raise ShapeMismatch("state does not live on the channel's target algebra")
@@ -91,40 +90,37 @@ def battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> BayesA
 
 def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
     """The BayesAnalysis fields after F and omega, read from F's signed factor
-    (`_factor`), r operators on a pair. Each tensor a condition or the Petz
-    check reads is the Choi matrix X* Y of a map E |-> sum_s U_s E W_s: one
-    rank-r product of the (r, m n) flattenings of X_s = conj(U_s^T) and
-    Y_s = W_s, the negative operators' Y_s negated. The CP floor (vii) reads
-    the Hermitian part Z J Z* of choi_R = X* Y, Z = [X*, Y*] and J half the
-    swap of Z's halves, from R J R*, Z = Q R, of side at most 2r: min(0, its
-    least eigenvalue) less choi_R's Hermiticity defect, and the radius its
-    largest |eigenvalue|."""
+    (`_signed_stack`), r operators on a pair. Each tensor a condition or the
+    Petz check reads is the Choi matrix X* Y of a map E |-> sum_s U_s E W_s:
+    one rank-r product (`_choi`) of the (r, m n) flattenings of
+    X_s = conj(U_s^T) and Y_s = W_s, the negative operators' Y_s negated. The
+    CP floor (vii) reads the Hermitian part Z J Z* of choi_R = X* Y,
+    Z = [X*, Y*] and J half the swap of Z's halves, from R J R*, Z = Q R, of
+    side at most 2r: min(0, its least eigenvalue) less choi_R's Hermiticity
+    defect, and the radius its largest |eigenvalue|. The Petz check is read
+    on every pair and judged when the battery passes."""
     xi = pullback(omega, F, tol)
     sup_o, sup_x = support(omega, tol), support(xi, tol)
     rho_ws = [omega.weighted_density(x) for x in range(F.target.n_blocks)]
     sig_ws = [xi.weighted_density(y) for y in range(F.source.n_blocks)]
     # sigma-hat from the support that P_xi projects on, so sigma-hat sigma = P_xi
     shat_ws = [sup_x.calculus(y, np.reciprocal) for y in range(F.source.n_blocks)]
-    kraus, negative = _factor(F, tol)
+    sq_rho = [sup_o.calculus(x, np.sqrt) for x in range(F.target.n_blocks)]
+    sq_shat = [sup_x.calculus(y, lambda w: np.sqrt(1.0 / w)) for y in range(F.source.n_blocks)]
 
     res = {name: 0.0 for name in BATTERY_CONDITIONS if name != "right_map_cp"}
     scale = 1.0
-    choi_A: dict[tuple[int, int], np.ndarray] = {}
-    signed: dict[tuple[int, int], tuple] = {}
+    petz, petz_size = 0.0, 1.0
     cp_lam_max = 0.0
     cp_min_eig = 0.0
 
     # Each (m n)^2 array of a pair is dropped once the last condition that
-    # reads it is scored; only the corner Choi block outlives the pair.
+    # reads it is scored.
     for x, y in product(range(F.target.n_blocks), range(F.source.n_blocks)):
         rho_w, P_om = rho_ws[x], sup_o.projection.blocks[x]
         sig_w, shat_w, P_xi = sig_ws[y], shat_ws[y], sup_x.projection.blocks[y]
         m, n = len(rho_w), len(sig_w)
-        # the pair's operators, the negative ones last, and their signs
-        neg = () if negative is None else negative[x][y]
-        K = np.concatenate([kraus[x][y], neg]) if len(neg) else kraus[x][y]
-        sign = np.repeat([1.0, -1.0], [len(K) - len(neg), len(neg)]) if len(neg) else None
-        signed[(x, y)] = K, sign
+        K, sign = _signed_stack(F, tol, x, y)
         # the stacks of the corner maps: K P_xi and rho K sigma-hat
         KP = K @ P_xi
         rKs = rho_w @ K @ shat_w
@@ -136,7 +132,7 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
         )
         del V6
         # the corner Choi matrices of GL(E_ij) P and P GR(E_ij)
-        A_mat = choi_A[(x, y)] = _choi(rKs, KP, sign)
+        A_mat = _choi(rKs, KP, sign)
         choi_R = _choi(KP, rKs, sign)
         scale = max(scale, float(np.abs(A_mat).max(initial=0.0)),
                     float(np.abs(choi_R).max(initial=0.0)))
@@ -154,6 +150,11 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
         )
         defect = frobenius(star)
         del star
+        # the support map Ad_{P_xi} o G^L against the Petz map
+        # Ad_sqrt(sigma-hat) o F* o Ad_sqrt(rho)
+        S = sq_rho[x] @ K @ sq_shat[y]
+        petz = max(petz, frobenius(A_mat - _choi(S, S, sign)))
+        petz_size = max(petz_size, frobenius(A_mat))
         # (iii) hermiticity of the corner Choi matrix
         res["choi_hermitian"] = max(
             res["choi_hermitian"], frobenius(A_mat - dagger(A_mat))
@@ -208,27 +209,23 @@ def _battery(F: LinearMap, omega: State, tol: Tolerances) -> tuple:
             f"battery verdicts disagree although provably equivalent ({detail})"
         )
     passed = all(flags)
+    if passed and not tol.close(petz, petz_size, 100):
+        raise InternalInconsistency(
+            "recovery formula does not match the corner inverse "
+            "although the battery passed"
+        )
+    return xi, verdicts, passed
 
-    if passed:
-        # the support map Ad_{P_xi} o G^L must be the Petz map
-        # Ad_sqrt(sigma-hat) o F* o Ad_sqrt(rho), compared pair by pair
-        sq_rho = [sup_o.calculus(x, np.sqrt) for x in range(F.target.n_blocks)]
-        sq_shat = [sup_x.calculus(y, lambda w: np.sqrt(1.0 / w)) for y in range(F.source.n_blocks)]
-        diff, size = 0.0, 1.0
-        for (x, y), A_mat in choi_A.items():
-            K, sign = signed[(x, y)]
-            S = sq_rho[x] @ K @ sq_shat[y]
-            diff = max(diff, frobenius(A_mat - _choi(S, S, sign)))
-            size = max(size, frobenius(A_mat))
-        if not tol.close(diff, size, 100):
-            raise InternalInconsistency(
-                "recovery formula does not match the corner inverse "
-                "although the battery passed"
-            )
 
-    # every later caller reads the kept arrays, so none may write to them
-    _read_only([choi_A.values()])
-    return xi, verdicts, passed, choi_A
+def _signed_stack(F: LinearMap, tol: Tolerances, x: int, y: int) -> tuple:
+    """(K, sign): the (r, m_x, n_y) stack of the operators of F's signed factor
+    (`_factor`) on the pair (x, y), the negative ones last, and their signs
+    (None: all +1), as `_choi` reads them."""
+    kraus, negative = _factor(F, tol)
+    neg = () if negative is None else negative[x][y]
+    if not len(neg):
+        return kraus[x][y], None
+    return np.concatenate([kraus[x][y], neg]), np.repeat([1.0, -1.0], [len(kraus[x][y]), len(neg)])
 
 
 def _choi(X: np.ndarray, Y: np.ndarray, sign) -> np.ndarray:
@@ -242,22 +239,26 @@ def _choi(X: np.ndarray, Y: np.ndarray, sign) -> np.ndarray:
 def left_right_bayes(
     F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[LinearMap, LinearMap]:
-    """The support-determined parts of the left and right Bayes maps.
+    """The support-determined parts of the left and right Bayes maps,
+    G^L = sigma-hat F*(rho .) and G^R = F*(. rho) sigma-hat.
 
-    Both always exist as linear maps; each is verified against its defining
-    pairing over all matrix-unit pairs at construction time.
+    Both always exist as linear maps. Each is one rank-r product (`_choi`) of
+    the stacks K and rho K sigma-hat of F's signed factor, as F* = sum_s K_s* . K_s,
+    and each is verified against its defining pairing with F's block tensors
+    over all matrix-unit pairs at construction time.
     """
     xi = pullback(omega, F, tol)
     shat_ws = [support(xi, tol).calculus(y, np.reciprocal) for y in range(F.source.n_blocks)]
     tensors_l = [[None] * F.target.n_blocks for _ in range(F.source.n_blocks)]
     tensors_r = [[None] * F.target.n_blocks for _ in range(F.source.n_blocks)]
-    F_adj = F.hs_adjoint()
     worst = 0.0
     for x, y in product(range(F.target.n_blocks), range(F.source.n_blocks)):
         T, rho_w, sig_w = F.tensors[x][y], omega.weighted_density(x), xi.weighted_density(y)
-        Ta = F_adj.tensors[y][x]
-        S = tensors_l[y][x] = _sandwich(Ta, A=rho_w, L=shat_ws[y])     # shat F*(rho E)
-        S_r = tensors_r[y][x] = _sandwich(Ta, B=rho_w, R=shat_ws[y])   # F*(E rho) shat
+        K, sign = _signed_stack(F, tol, x, y)
+        rKs = rho_w @ K @ shat_ws[y]
+        shape = (len(rho_w), len(sig_w)) * 2
+        S = tensors_l[y][x] = _choi(rKs, K, sign).reshape(shape)     # shat F*(rho E)
+        S_r = tensors_r[y][x] = _choi(K, rKs, sign).reshape(shape)   # F*(E rho) shat
         # omega(E_ij F(E_kl)) = xi(G^L(E_ij) E_kl), and mirrored for G^R,
         # omega(F(E_kl) E_ij) = xi(E_kl G^R(E_ij)): the same identity for the
         # transposed maps and densities
@@ -354,9 +355,11 @@ def existence(analysis: BayesAnalysis) -> ExistenceResult:
     the compressed mass sum_x tr_x(B* A-hat B) of the forced Choi rows B must
     stay below the xi co-support projection; when it does, a Schur-complement
     completion of those rows yields the inverse, whose Bayes pairing is then
-    re-verified. One pass over the source blocks decides and builds: the
-    forced rows are built there, and one eigendecomposition of each
-    co-support gap gives both the margin and the spread.
+    re-verified against F's tensors. One pass over the source blocks decides
+    and builds: the corner blocks A and the forced rows B are built there
+    from F's signed factor, the battery keeping neither, and one
+    eigendecomposition of each co-support gap gives both the margin and the
+    spread.
 
     A-hat is the pseudoinverse of the Hermitian part A_h of the corner Choi
     block A, read from the Kraus factor of F: with F_xy = sum_s K_s . K_s*,
@@ -392,19 +395,21 @@ def existence(analysis: BayesAnalysis) -> ExistenceResult:
 
 
 def _existence(analysis: BayesAnalysis) -> ExistenceResult:
-    """The result that `existence` keeps. Each Choi block C = A + B + B* + D is
-    built with exact zeros (`_exact_zeros`) before the inverse is verified,
-    so the verification, the certificate and every written copy read one
-    block; with the spread's left-out directions, each ABS_FLOOR / 2 of a
-    block, they stay within the certificate's ABS_FLOOR floor. The factor's
-    operators beyond the kept ones are those `_kept` leaves out, wherever F's
-    factor lists them."""
+    """The result that `existence` keeps. Per pair, the corner block A and the
+    forced rows B are the rank-r products (`_choi`) of rho K sigma-hat with
+    K P_xi and with K (1 - P_xi), K the pair's stack of F's signed factor
+    (`_signed_stack`), and the span of A's range is that of the same rho K
+    sigma-hat flattening. Each Choi block C = A + B + B* + D is built with
+    exact zeros (`_exact_zeros`) before the inverse is verified against F's
+    block tensors, so the verification, the certificate and every written
+    copy read one block; with the spread's left-out directions, each
+    ABS_FLOOR / 2 of a block, they stay within the certificate's ABS_FLOOR
+    floor. The factor's operators beyond the kept ones are those `_kept`
+    leaves out, wherever F's factor lists them, and its negative ones."""
     F, omega, xi, tol = analysis.F, analysis.omega, analysis.xi, analysis.tol
     sup_x = support(xi, tol)
-    F_adj = F.hs_adjoint()
-    kraus = kraus_factor(F, tol)
-    # the operators of F's signed factor beyond those kept (a Choi-given F's
-    # small and negative eigen-directions), whose images the inverse's factor spans
+    # raises NotCP where F's signed factor does not certify it CP
+    kraus_factor(F, tol)
     full, negative = _factor(F, tol)
     tgt_dims = F.target.block_dims
     w_x = np.array(tgt_dims, dtype=float)
@@ -427,22 +432,27 @@ def _existence(analysis: BayesAnalysis) -> ExistenceResult:
                 negatives[y][x] = np.zeros((0, n_y, m_x), dtype=complex)
             continue
         shat_w = sup_x.calculus(y, np.reciprocal)
-        Pxp = np.eye(n_y) - sup_x.projection.blocks[y]
+        P_xi = sup_x.projection.blocks[y]
+        Pxp = np.eye(n_y) - P_xi
         total = np.zeros((n_y, n_y), dtype=complex)
         # per target block, A + B + B*, X = B* A-hat B and the Schur factor;
         # every other (m n)^2 array of a pair is dropped after its last reader,
         # and sums are taken in place, in an order that keeps the inverse's bits
         pairs = []
         for x, m_x in enumerate(tgt_dims):
-            rho_w = omega.weighted_density(x)
-            A_mat = analysis.choi_A[(x, y)]
-            # forced rows GL(E_ij)(1 - P) off the xi support
-            B_mat = _sandwich(F_adj.tensors[y][x], A=rho_w, L=shat_w, R=Pxp).reshape(A_mat.shape)
+            K, sign = _signed_stack(F, tol, x, y)
+            rKs = omega.weighted_density(x) @ K @ shat_w
+            # the corner block GL(E_ij) P and the forced rows GL(E_ij)(1 - P)
+            # off the xi support
+            A_mat = _choi(rKs, K @ P_xi, sign)
+            B_mat = _choi(rKs, K @ Pxp, sign)
             A_h = (A_mat + dagger(A_mat)) / 2
-            # U[(a, i), s] = (sigma-hat K_s* rho)[i, a]
-            K = kraus[x][y]
-            U = (shat_w @ K.conj().swapaxes(1, 2) @ rho_w).transpose(2, 1, 0)
-            Q = np.linalg.qr(U.reshape(m_x * n_y, len(K)))[0]
+            # U[(a, i), s] = (sigma-hat K_s* rho)[i, a]; the operators that
+            # `kraus_factor` keeps lead the stack: all of F's, or those `_kept` keeps
+            U = dagger(rKs.reshape(len(K), m_x * n_y))
+            kept = np.zeros(len(K), dtype=bool)
+            kept[:len(full[x][y])] = True if negative is None else _kept(full[x][y], tol)
+            Q = np.linalg.qr(U[:, kept])[0]
             AQ = A_h @ Q
             QB = dagger(Q) @ B_mat
             # C^+ as `pseudoinverse` builds it, from eigenpairs kept for the factor
@@ -451,13 +461,11 @@ def _existence(analysis: BayesAnalysis) -> ExistenceResult:
             c_inv[keep] = 1.0 / c[keep]
             CQB = ((S * c_inv) @ dagger(S)) @ QB
             X = dagger(QB) @ CQB
-            extra = () if negative is None else np.concatenate(
-                [full[x][y][~_kept(full[x][y], tol)], negative[x][y]])
-            if len(extra):
-                # span Q and the images of the extra operators, and the
-                # eigenpairs of A's compression to it
-                Ue = (shat_w @ extra.conj().swapaxes(1, 2) @ rho_w).transpose(2, 1, 0)
-                Q = np.linalg.qr(np.hstack([Q, Ue.reshape(m_x * n_y, len(extra))]))[0]
+            if not kept.all():
+                # span Q and the images of the other operators (a Choi-given
+                # F's small and negative eigen-directions), and the eigenpairs
+                # of A's compression to it
+                Q = np.linalg.qr(np.hstack([Q, U[:, ~kept]]))[0]
                 QB = dagger(Q) @ B_mat
                 c, S = np.linalg.eigh(dagger(Q) @ A_h @ Q)
                 c_inv = np.zeros(len(c), dtype=complex)
@@ -471,7 +479,8 @@ def _existence(analysis: BayesAnalysis) -> ExistenceResult:
                     "forced off-support rows leave the corner range in block "
                     f"({x},{y}), defect {range_defect:.3e}"
                 )
-            C = A_mat + B_mat
+            C = A_mat
+            C += B_mat
             C += dagger(B_mat)
             pairs.append((C, X, _schur_factor(Q, QB, c, S, c_inv, tol)))
             del B_mat

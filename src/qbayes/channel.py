@@ -22,7 +22,9 @@ tensors. Every map has one signed factor, read through `_factor`: the one a
 channel carries (`Channel.kraus`, `Channel.negative`), or else the one read
 once per tolerance from its Choi blocks. `kraus_factor` gives a map's Kraus
 operators from it, and `is_ucp` judges a map once per tolerance by one rule:
-complete positivity certified from its factor against its Choi blocks.
+complete positivity certified from its factor against its Choi blocks. No
+map stores its adjoint: F* = sum_s K_s* . K_s, so `bayesinv` builds the Bayes
+maps and the extension as products of the factor's stacks.
 `LinearMap.from_block_fn`, which evaluates a callback on one matrix unit at
 a time, is the per-unit reference constructor that the tests compare
 against.
@@ -102,7 +104,8 @@ class LinearMap:
 
     No positivity or unitality is assumed; see `Channel` for validated UCP
     carriers. Instances are immutable by convention, and what is derived from
-    one (its adjoint, its Kraus operators) is kept on it through `memo`.
+    one (its factor, its Kraus operators, its UCP verdict) is kept on it
+    through `memo`.
     """
 
     __slots__ = ("source", "target", "tensors", "__dict__")
@@ -160,25 +163,6 @@ class LinearMap:
                 out += np.einsum("iajb,ij->ab", self.tensors[x][y], B.blocks[y])
             blocks.append(out)
         return AlgebraElement(self.target, tuple(blocks))
-
-    def hs_adjoint(self) -> "LinearMap":
-        """Adjoint for the Hilbert-Schmidt / trace pairing.
-
-        For a *-preserving map this is also the bilinear trace adjoint:
-        tr(X F(B)) = tr(F*(X) B) for all X and B. Built once and kept on the
-        map, its tensors read-only: each is written once, C-contiguous, by the
-        conjugation itself.
-        """
-        return memo(self, "hs_adjoint", self._hs_adjoint)
-
-    def _hs_adjoint(self) -> "LinearMap":
-        tensors = [
-            [np.conj(self.tensors[x][y].transpose(1, 0, 3, 2), order="C")
-             for x in range(self.target.n_blocks)]
-            for y in range(self.source.n_blocks)
-        ]
-        _read_only(tensors)
-        return LinearMap(self.target, self.source, tensors)
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
         if (

@@ -16,7 +16,13 @@ move. Tier-1 does not collect this file; run it as a script.
 - the noise family (`test_schwarz.noisy_product_instance`, seeds
   5000-5199) and the rotated family (`rotated_product_instance`, seeds
   0-199): each instance is written as a problem file from `hom_to_json`
-  and `state_to_json` and checked one analysis at a time (2800 calls).
+  and `state_to_json` and checked one analysis at a time (2800 calls);
+- the `choi` corpus: the 7 fixtures and the 33 seed-1 ladder and
+  multiblock files, each with its parsed channel written back through
+  `channel_to_json` twice, plainly and with up to 4 of each Choi block's
+  null eigen-directions (those at or below its rank cutoff) planted at 0.9
+  x that cutoff, each run as `check --analyses
+  bayes-battery,bayes-existence` and as `invert --mode bayes` (160 calls).
 
 For each call the record holds the exit code, the verdict booleans, and a
 SHA-256 of stderr, of stdout with its `timing` object cut out, of each
@@ -64,6 +70,8 @@ BENCH_FILES = [(w, s) for s in (1, 7) for w in ("inclusion-ladder", "multiblock"
 FAMILIES = {"noise": ("noisy_product_instance", range(5000, 5200)),
             "rotated": ("rotated_product_instance", range(200))}
 WRITTEN = "written.json"
+CHOI_ANALYSES = "bayes-battery,bayes-existence"
+PLANTED_NULLS = 4
 
 
 def sha(data) -> str:
@@ -122,6 +130,34 @@ def document(text: str) -> dict:
             data.pop("timing", None)
         entry["leaves"] = leaves(data)
     return entry
+
+
+def choi_rewrite(path: str, out: str, planted: bool) -> None:
+    """Write the problem at path to out with its channel in `choi` form, the
+    parsed channel's `channel_to_json`, and without its `analyses` list, which
+    may name hom-only analyses. Planted: each Choi block gets up to
+    PLANTED_NULLS of its eigen-directions at or below its rank cutoff, the
+    lowest first, at 0.9 x that cutoff."""
+    import numpy as np
+    from qbayes.jsonio import (canonical_dumps, channel_to_json, problem_from_json,
+                               tolerances_from_json)
+    from qbayes.linalg import Tolerances
+
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    tol = Tolerances(**tolerances_from_json(data))
+    channel = channel_to_json(problem_from_json(data, tol)["channel"])
+    if planted:
+        for row in channel["blocks"]:
+            for y, flat in enumerate(row):
+                d = math.isqrt(len(flat))
+                C = flat.reshape(d, d)
+                w, V = np.linalg.eigh(C)
+                cut = tol.rank_cutoff(float(w.max(initial=0.0)))
+                Z = V[:, w <= cut][:, :PLANTED_NULLS]
+                row[y] = (C + 0.9 * cut * Z @ Z.conj().T).reshape(-1)
+    data["channel"] = channel
+    data.pop("analyses", None)
+    Path(out).write_text(canonical_dumps(data), encoding="utf-8")
 
 
 def run_call(cli, call_id: str, argv: list, problem: str) -> dict:
@@ -187,6 +223,17 @@ def record(root: Path, out: Path) -> None:
             argvs += [["invert", path, "--mode", m, "--out", WRITTEN] for m in ("bayes", "disint")]
             for argv in argvs:
                 calls.append(run_call(cli, " ".join(argv[:1] + argv[2:]) + f" @ {path}", argv, path))
+        choi_sources = [f for f in files if f.startswith("fixtures/") or "-seed1/" in f]
+        for kind in ("plain", "planted"):
+            Path("choi", kind).mkdir(parents=True)
+            for source in choi_sources:
+                path = f"choi/{kind}/{source.replace('/', '-')}"
+                choi_rewrite(source, path, kind == "planted")
+                argvs = [["check", path, "--analyses", CHOI_ANALYSES],
+                         ["invert", path, "--mode", "bayes", "--out", WRITTEN]]
+                for argv in argvs:
+                    calls.append(run_call(cli, " ".join(argv[:1] + argv[2:]) + f" @ {path}",
+                                          argv, path))
         for family, (builder, seeds) in FAMILIES.items():
             Path(family).mkdir()
             for seed in seeds:
@@ -206,11 +253,17 @@ def record(root: Path, out: Path) -> None:
         shutil.rmtree(work, ignore_errors=True)
     out.write_text(json.dumps({"header": header, "calls": calls}, separators=(",", ":")),
                    encoding="utf-8")
-    alarms = Counter((c["id"].split(" @ ")[1].split("/")[0], c["id"].split(" @ ")[0])
-                     for c in calls if c["exit"] == 3)
+    alarms = Counter((group(c["id"]), c["id"].split(" @ ")[0]) for c in calls if c["exit"] == 3)
     print(f"{len(calls)} calls; exit codes {dict(Counter(str(c['exit']) for c in calls))}")
     for (where, analysis), n in sorted(alarms.items()):
         print(f"  exit 3: {where} {analysis} {n}")
+
+
+def group(call_id: str) -> str:
+    """The set a call's problem belongs to: its first directory, and for the
+    `choi` corpus its second too (plain or planted)."""
+    parts = call_id.split(" @ ")[1].split("/")
+    return "/".join(parts[:2] if parts[0] == "choi" else parts[:1])
 
 
 def pattern(path: str) -> str:

@@ -2,12 +2,16 @@
 
 Each one is small and independent of the library's kernels: the matrix
 units of an algebra, the standard-form image of an element under a hom,
-nullspace membership under a state, the support and Petz maps of a
-Bayes battery, the Hilbert-Schmidt pairing of two algebra elements, the imaginary power of a PSD matrix through the support
-functional calculus, a Haar-like random unitary, the dense UCP verdict
-that reads every Choi block's least eigenvalue, the reference for
-`is_ucp`'s certificate, and the dense Bayes battery that reads F's block
-tensors through einsum, the reference for the battery read from the factor.
+nullspace membership under a state, the dense Hilbert-Schmidt adjoint of a
+map, the support and Petz maps of a Bayes battery, the Hilbert-Schmidt
+pairing of two algebra elements, the imaginary power of a PSD matrix
+through the support functional calculus, a Haar-like random unitary, the
+dense UCP verdict that reads every Choi block's least eigenvalue, the
+reference for `is_ucp`'s certificate, the dense Bayes battery that reads
+F's block tensors through einsum, the reference for the battery read from
+the factor, and the dense Bayes maps, corner blocks, forced rows and
+extension read from the dense adjoint, the references for those
+`bayesinv` builds from the factor.
 """
 
 import math
@@ -19,7 +23,14 @@ from qbayes.algebra import AlgebraElement, HomSpec, MultiMatrixAlgebra
 from qbayes.channel import LinearMap, UcpVerdict
 from qbayes.errors import ShapeMismatch
 from qbayes.generators import random_complex
-from qbayes.linalg import DEFAULT_TOL, Tolerances, dagger, herm_fun, hermitian_split
+from qbayes.linalg import (
+    DEFAULT_TOL,
+    Tolerances,
+    dagger,
+    herm_fun,
+    hermitian_split,
+    partial_trace_left,
+)
 from qbayes.state import State, evaluate, pullback, support
 
 
@@ -115,11 +126,90 @@ def dense_ucp(F: LinearMap, tol: Tolerances = DEFAULT_TOL) -> UcpVerdict:
     return UcpVerdict(cp=cp, unital=unital, witness_block=blocks[k])
 
 
-def support_map(analysis) -> LinearMap:
-    """Ad_{P_xi} o G^L of a battery, read from its corner Choi blocks."""
-    F = analysis.F
+def hs_adjoint(F: LinearMap) -> LinearMap:
+    """The adjoint F* of F for the Hilbert-Schmidt pairing, from F's block
+    tensors: F*_yx(E_ab)_ij = conj(F_xy(E_ij)_ab), so tr(X* F(B)) =
+    tr(F*(X)* B) for all X and B, and tr(X F(B)) = tr(F*(X) B) for a
+    *-preserving F."""
     tensors = [
-        [analysis.choi_A[(x, y)].reshape(m, n, m, n) for x, m in enumerate(F.target.block_dims)]
+        [np.conj(F.tensors[x][y].transpose(1, 0, 3, 2)) for x in range(F.target.n_blocks)]
+        for y in range(F.source.n_blocks)
+    ]
+    return LinearMap(F.target, F.source, tensors)
+
+
+def dense_bayes_maps(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL):
+    """(GL, GR, choi_A, choi_B), read from the dense adjoint `hs_adjoint(F)` by
+    einsum: the left and right Bayes maps G^L = sigma-hat F*(rho .) and
+    G^R = F*(. rho) sigma-hat, with sigma-hat the pseudoinverse of the
+    pulled-back weighted density, and per pair (x, y) the Choi matrices of
+    the corner block G^L(E) P_xi and of the forced rows G^L(E)(1 - P_xi)."""
+    xi = pullback(omega, F, tol)
+    sup_x = support(xi, tol)
+    Fs = hs_adjoint(F)
+    GL = [[None] * F.target.n_blocks for _ in range(F.source.n_blocks)]
+    GR = [[None] * F.target.n_blocks for _ in range(F.source.n_blocks)]
+    choi_A, choi_B = {}, {}
+    for x, m in enumerate(F.target.block_dims):
+        rho = omega.weighted_density(x)
+        for y, n in enumerate(F.source.block_dims):
+            Ta, shat, P = Fs.tensors[y][x], sup_x.calculus(y, np.reciprocal), sup_x.projection.blocks[y]
+            # [p, a, q, b] = G(E_pq)_ab, and rho E_pq = sum_r rho[r, p] E_rq
+            GL[y][x] = np.einsum("rp,ac,rcqb->paqb", rho, shat, Ta)
+            GR[y][x] = np.einsum("qr,pcrd,db->pcqb", rho, Ta, shat)
+            choi_A[(x, y)] = np.einsum("paqd,db->paqb", GL[y][x], P).reshape(m * n, m * n)
+            choi_B[(x, y)] = np.einsum("paqd,db->paqb", GL[y][x], np.eye(n) - P).reshape(m * n, m * n)
+    return (LinearMap(F.target, F.source, GL), LinearMap(F.target, F.source, GR),
+            choi_A, choi_B)
+
+
+def dense_extension(F: LinearMap, omega: State, choi_A, choi_B, tol: Tolerances = DEFAULT_TOL):
+    """(trace_blocks, tensors): the compressed masses sum_x tr_x(B* A-hat B)
+    of the forced rows, Hermitian, per weighted source block, and the block
+    tensors of the uniform-split extension built from the per-pair Choi
+    blocks (`dense_bayes_maps`), each A-hat the pseudoinverse of the
+    Hermitian part of A as a dense (m n) x (m n) matrix, which inverts its
+    eigenvalues above the rank cutoff of its largest."""
+    xi = pullback(omega, F, tol)
+    P_xi = support(xi, tol).projection.blocks
+    tgt_dims = F.target.block_dims
+    w_x = np.array(tgt_dims, dtype=float)
+    w_x /= w_x.sum()
+    trace_blocks = {}
+    tensors = [[None] * F.target.n_blocks for _ in range(F.source.n_blocks)]
+    for y, n_y in enumerate(F.source.block_dims):
+        if xi.weights[y] <= 0.0:
+            for x, m_x in enumerate(tgt_dims):
+                tensors[y][x] = np.einsum("ij,ab->iajb", np.eye(m_x), np.eye(n_y)) * (w_x[x] / m_x)
+            continue
+        total = np.zeros((n_y, n_y), dtype=complex)
+        sandwich = {}
+        for x, m_x in enumerate(tgt_dims):
+            # the eigenvalues of A's Hermitian part above its rank cutoff, inverted
+            w, V = np.linalg.eigh((choi_A[(x, y)] + dagger(choi_A[(x, y)])) / 2)
+            keep = w > tol.rank_cutoff(float(w.max(initial=0.0)))
+            A_hat = (V[:, keep] / w[keep]) @ dagger(V[:, keep])
+            sandwich[x] = dagger(choi_B[(x, y)]) @ A_hat @ choi_B[(x, y)]
+            total += partial_trace_left(sandwich[x], m_x, n_y)
+        trace_blocks[y] = (total + dagger(total)) / 2
+        delta = np.eye(n_y) - P_xi[y] - trace_blocks[y]
+        dw, dV = np.linalg.eigh((delta + dagger(delta)) / 2)
+        delta_psd = (dV * np.clip(dw, 0.0, None)) @ dagger(dV)
+        for x, m_x in enumerate(tgt_dims):
+            D_mat = sandwich[x] + np.kron(np.diag(np.full(m_x, 1.0 / m_x) * w_x[x]), delta_psd)
+            B_mat = choi_B[(x, y)]
+            C = choi_A[(x, y)] + B_mat + dagger(B_mat) + D_mat
+            tensors[y][x] = C.reshape(m_x, n_y, m_x, n_y)
+    return trace_blocks, tensors
+
+
+def support_map(analysis) -> LinearMap:
+    """Ad_{P_xi} o G^L of a battery, read from the dense adjoint of its map
+    (`dense_bayes_maps`)."""
+    F = analysis.F
+    choi_A = dense_bayes_maps(F, analysis.omega, analysis.tol)[2]
+    tensors = [
+        [choi_A[(x, y)].reshape(m, n, m, n) for x, m in enumerate(F.target.block_dims)]
         for y, n in enumerate(F.source.block_dims)
     ]
     return LinearMap(F.target, F.source, tensors)
@@ -143,7 +233,7 @@ def petz_map(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL) -> Linea
 
 
 def dense_battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL):
-    """(residuals, scale, choi_A) of the Bayes battery read from F's block
+    """(residuals, scale) of the Bayes battery read from F's block
     tensors by einsum, each pair's map E |-> L F*(A E B) R (L F(A E B) R for
     (v)) built whole: by condition name, the residuals of (i) to (v) and of
     the forced-row part of (vi) as the battery judges them against scale,
@@ -154,7 +244,7 @@ def dense_battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL):
         "right_map_star_preserving", "left_equals_right", "choi_hermitian",
         "adjoint_sandwich_symmetry", "density_intertwining", "off_support_vanishing",
     ), 0.0)
-    scale, low, radius, choi_A = 1.0, 0.0, 0.0, {}
+    scale, low, radius = 1.0, 0.0, 0.0
     for x, m in enumerate(F.target.block_dims):
         for y, n in enumerate(F.source.block_dims):
             T, rho, P_om = F.tensors[x][y], omega.weighted_density(x), sup_o.projection.blocks[x]
@@ -169,7 +259,6 @@ def dense_battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL):
                 return np.einsum("ki,jl,ac,kcld,db->ijab", A, B, L, T, R)
 
             KL, KR = adj(rho, one, shat, P), adj(one, rho, P, shat)
-            choi_A[(x, y)] = KL
             lhs5, rhs5 = fwd(sig @ P, P, one, rho), fwd(P, P @ sig, rho, one)
             unit_norms = [np.linalg.norm(M, axis=(2, 3)).max() for M in (lhs5, rhs5, lhs5 - rhs5)]
             scale = max(scale, np.abs(KL).max(), np.abs(KR).max(), *unit_norms[:2])
@@ -186,4 +275,4 @@ def dense_battery(F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL):
             floor, top = hermitian_floor(KR)
             low, radius = min(low, floor), max(radius, top)
     res["right_map_cp"] = (0.0 - low, radius)
-    return res, float(scale), choi_A
+    return res, float(scale)

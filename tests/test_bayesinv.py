@@ -39,7 +39,6 @@ from qbayes.linalg import (
     dagger,
     frobenius,
     herm_fun,
-    partial_trace_left,
     partial_trace_right,
     pseudoinverse,
 )
@@ -54,7 +53,15 @@ from instances import (
     product_instance,
     rankdef_product_instance,
 )
-from oracles import matrix_units, petz_map, random_unitary, support_map
+from oracles import (
+    dense_bayes_maps,
+    dense_extension,
+    hs_adjoint,
+    matrix_units,
+    petz_map,
+    random_unitary,
+    support_map,
+)
 
 
 def pinned_counterexample():
@@ -174,15 +181,17 @@ def test_battery_choi_split():
     assert analysis.passed
     inverse = existence(analysis).inverse
     # the inverse's rows on the xi support are the forced rows A + B, the
-    # unsplit G^L (support + co-support parts), and their corner is A
+    # unsplit G^L (support + co-support parts), and their corner is A, the
+    # corner block of the dense reference
     GL, _ = left_right_bayes(F, omega)
+    choi_A = dense_bayes_maps(F, omega)[2]
     for pd in pair_operands(F, omega):
         m = pd.rho_w.shape[0]
         n = pd.sig_w.shape[0]
         rows = _sandwich(inverse.tensors[pd.y][pd.x], L=pd.P_xi)
         assert frobenius(rows - GL.tensors[pd.y][pd.x]) < 1e-12
         corner = _sandwich(rows, R=pd.P_xi).reshape(m * n, m * n)
-        assert frobenius(corner - analysis.choi_A[(pd.x, pd.y)]) < 1e-12
+        assert frobenius(corner - choi_A[(pd.x, pd.y)]) < 1e-12
 
 
 def test_two_cutoff_identity_inverts_itself():
@@ -360,7 +369,7 @@ def test_verify_bayes_rejects_corrupted_candidate():
     ok, inverse, _, _ = bayes_inverse(F, omega)
     assert ok
     # corrupt: naive normalized adjoint is not the inverse
-    Fs = F.hs_adjoint()
+    Fs = hs_adjoint(F)
     tensors = [[0.5 * Fs.tensors[0][0]]]
     candidate = LinearMap(F.target, F.source, tensors)
     report = verify_bayes(F, candidate, omega)
@@ -462,8 +471,8 @@ def test_seven_way_agreement_randomized_ensemble():
 
 @pytest.mark.parametrize("case", INSTANCE_CASES.values(), ids=INSTANCE_CASES.keys())
 def test_battery_contractions_match_einsum(case):
-    # the products of the battery, `left_right_bayes` and `verify_bayes`
-    # against the einsum strings they replace
+    # the contractions of the battery, `left_right_bayes` and `verify_bayes`
+    # against einsum strings
     F, omega = case()
     analysis = battery(F, omega)
     GL, GR = left_right_bayes(F, omega)
@@ -498,13 +507,6 @@ def test_battery_contractions_match_einsum(case):
         want["GR"] = np.einsum("ijkl,lu->ijku", want["rawR"], pd.shat_w)
         want["KR"] = np.einsum("uk,ijkl->ijul", pd.P_xi, want["GR"])
         KL = np.einsum("ijkl,lu->ijku", want["GL"], pd.P_xi)
-        BB = np.einsum("ijkl,lu->ijku", want["GL"], np.eye(n) - pd.P_xi)
-        got["choi_A"] = analysis.choi_A[(pd.x, pd.y)]
-        # the forced rows as `existence` builds them
-        forced = _sandwich(Ta, A=pd.rho_w, L=pd.shat_w, R=np.eye(n) - pd.P_xi)
-        got["choi_B"] = forced.reshape(m * n, m * n)
-        want["choi_A"] = KL.transpose(0, 2, 1, 3).reshape(m * n, m * n)
-        want["choi_B"] = BB.transpose(0, 2, 1, 3).reshape(m * n, m * n)
         sq_rho, sq_shat = pd.sq_rho, pd.sq_shat
         got["raw"] = _sandwich(Ta, A=sq_rho, B=sq_rho)
         got["petz"] = _sandwich(Ta, A=sq_rho, B=sq_rho, L=sq_shat, R=sq_shat)
@@ -552,75 +554,22 @@ def test_battery_contractions_match_einsum(case):
         assert abs(value - worst[name]) <= 1e-12, name
 
 
-def per_pair_reference(F, omega, tol=DEFAULT_TOL):
-    """The Choi blocks of the battery, with the pseudoinverse read afresh from
-    the support for every (x, y) pair."""
-    xi = pullback(omega, F, tol)
-    sup_x = support(xi, tol)
-    P_xi = sup_x.projection.blocks
-    choi_A, choi_B = {}, {}
-    for x, m in enumerate(F.target.block_dims):
-        rho_w = omega.weighted_density(x)
-        for y, n in enumerate(F.source.block_dims):
-            shat_w = sup_x.calculus(y, np.reciprocal)
-            T = F.tensors[x][y]
-            # the battery's kernels, so that the arrays are bit for bit the same;
-            # test_battery_contractions_match_einsum pins them to their einsums
-            Ta = np.conj(T.transpose(1, 0, 3, 2), order="C")
-            rawL = _sandwich(Ta, A=rho_w)
-            KL = _sandwich(rawL, L=shat_w, R=P_xi[y])    # GL(E_ij) P
-            BB = _sandwich(rawL, L=shat_w, R=np.eye(n) - P_xi[y])
-            choi_A[(x, y)] = KL.reshape(m * n, m * n)
-            choi_B[(x, y)] = BB.reshape(m * n, m * n)
-    return xi, P_xi, choi_A, choi_B
-
-
-def existence_reference(F, xi, P_xi, choi_A, choi_B, tol=DEFAULT_TOL):
-    """The uniform-split extension built from per-pair Choi blocks, each
-    pseudo-inverted as a dense (m n) x (m n) matrix."""
-    tgt_dims = F.target.block_dims
-    w_x = np.array(tgt_dims, dtype=float)
-    w_x /= w_x.sum()
-    tensors = [[None] * F.target.n_blocks for _ in range(F.source.n_blocks)]
-    for y, n_y in enumerate(F.source.block_dims):
-        if xi.weights[y] <= 0.0:
-            for x, m_x in enumerate(tgt_dims):
-                tensors[y][x] = np.einsum("ij,ab->iajb", np.eye(m_x), np.eye(n_y)) * (w_x[x] / m_x)
-            continue
-        total = np.zeros((n_y, n_y), dtype=complex)
-        sandwich = {}
-        for x, m_x in enumerate(tgt_dims):
-            A_mat = (choi_A[(x, y)] + dagger(choi_A[(x, y)])) / 2
-            sandwich[x] = dagger(choi_B[(x, y)]) @ pseudoinverse(A_mat, tol) @ choi_B[(x, y)]
-            total += partial_trace_left(sandwich[x], m_x, n_y)
-        delta = np.eye(n_y) - P_xi[y] - (total + dagger(total)) / 2
-        dw, dV = np.linalg.eigh((delta + dagger(delta)) / 2)
-        delta_psd = (dV * np.clip(dw, 0.0, None)) @ dagger(dV)
-        for x, m_x in enumerate(tgt_dims):
-            D_mat = sandwich[x] + np.kron(np.diag(np.full(m_x, 1.0 / m_x) * w_x[x]), delta_psd)
-            B_mat = choi_B[(x, y)]
-            C = choi_A[(x, y)] + B_mat + dagger(B_mat) + D_mat
-            tensors[y][x] = C.reshape(m_x, n_y, m_x, n_y)
-    return tensors
-
-
 @pytest.mark.parametrize("case", INSTANCE_CASES.values(), ids=INSTANCE_CASES.keys())
 def test_battery_and_existence_match_per_pair_reference(case):
     F, omega = case()
     analysis = battery(F, omega)
-    xi, P_xi, choi_A, choi_B = per_pair_reference(F, omega)
-    F_adj = F.hs_adjoint()
+    GL, _, choi_A, choi_B = dense_bayes_maps(F, omega)
+    # G^L is one product of the Kraus factor, the reference a dense
+    # contraction of the adjoint: they agree to rounding, and so do its
+    # corner block A and forced rows B, its (P, P) and (P, 1 - P) columns
+    got = left_right_bayes(F, omega)[0]
     for pd in pair_operands(F, omega):
         key, m, n = (pd.x, pd.y), len(pd.rho_w), len(pd.sig_w)
-        # the battery builds A as one product from the Kraus factor, the
-        # reference by dense contractions: they agree to rounding, at most
-        # 4.6e-16 entrywise on these cases, and 1e-14 leaves a factor 20
-        np.testing.assert_allclose(analysis.choi_A[key], choi_A[key], rtol=0.0, atol=1e-14)
-        # `existence` builds the forced rows in one contraction, bit for bit
-        # the reference's two
-        Ta = F_adj.tensors[pd.y][pd.x]
-        forced = _sandwich(Ta, A=pd.rho_w, L=pd.shat_w, R=np.eye(n) - pd.P_xi)
-        assert np.array_equal(forced.reshape(m * n, m * n), choi_B[key])
+        T = got.tensors[pd.y][pd.x]
+        np.testing.assert_allclose(T, GL.tensors[pd.y][pd.x], rtol=0.0, atol=1e-14)
+        for P, ref in ((pd.P_xi, choi_A), (np.eye(n) - pd.P_xi, choi_B)):
+            block = _sandwich(T, R=P).reshape(m * n, m * n)
+            np.testing.assert_allclose(block, ref[key], rtol=0.0, atol=1e-14)
     if not analysis.passed:
         return
     result = existence(analysis)
@@ -630,9 +579,10 @@ def test_battery_and_existence_match_per_pair_reference(case):
     # at most 3.4e-16 here and 2e-16 on the benchmark's gated calls, and
     # 3.5e-11 relative on a 1000 x 1000 block (10 -> 100); 1e-12 leaves three
     # orders over these (m n <= 21) cases and stays four below eps_eq
-    for row, row_ref in zip(
-        result.inverse.tensors, existence_reference(F, xi, P_xi, choi_A, choi_B)
-    ):
+    trace_blocks, tensors = dense_extension(F, omega, choi_A, choi_B)
+    for y, M in trace_blocks.items():
+        np.testing.assert_allclose(result.trace_blocks[y], M, rtol=0.0, atol=1e-12)
+    for row, row_ref in zip(result.inverse.tensors, tensors):
         for T, T_ref in zip(row, row_ref):
             np.testing.assert_allclose(T, T_ref, rtol=0.0, atol=1e-12)
 

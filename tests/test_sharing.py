@@ -30,11 +30,11 @@ import qbayes.disint
 import qbayes.modular
 from qbayes.algebra import HomSpec
 from qbayes.bayesinv import battery, bayes_inverse, existence
-from qbayes.channel import _sandwich, from_hom, identity_channel
+from qbayes.channel import from_hom, identity_channel
 from qbayes.cli import main
 from qbayes.disint import disintegrate, factorize
 from qbayes.errors import InternalInconsistency
-from qbayes.generators import inclusion_hom, product_state_for_hom, random_hom
+from qbayes.generators import product_state_for_hom, random_hom
 from qbayes.jsonio import (
     PROBLEM_SCHEMA,
     canonical_dumps,
@@ -43,10 +43,9 @@ from qbayes.jsonio import (
     problem_from_json,
     state_to_json,
 )
-from qbayes.linalg import DEFAULT_TOL, Tolerances
-from qbayes.state import support
+from qbayes.linalg import DEFAULT_TOL, Tolerances, Verdict
+from qbayes.state import State
 
-from compositionality import compositionality_check
 from conftest import FIXTURES, INSTANCE_CASES
 from derivations import BUILDERS, recording, repeats
 from instances import product_instance, rankdef_product_instance
@@ -185,7 +184,6 @@ def test_parsed_problem_dies_with_the_call(argv, monkeypatch, capsys, tmp_path):
     refs = []
     parse = qbayes.cli.problem_from_json
     build_corner = qbayes.modular._corner_map
-    build_battery = qbayes.bayesinv._battery
     build_extension = qbayes.bayesinv._existence
 
     def parse_and_watch(*args):
@@ -200,12 +198,6 @@ def test_parsed_problem_dies_with_the_call(argv, monkeypatch, capsys, tmp_path):
         refs.extend(weakref.ref(f) for f in fields[:3] if f is not None)
         return fields
 
-    def battery_and_watch(*args):
-        fields = build_battery(*args)
-        _, _, _, choi_A = fields
-        battery_refs.extend(weakref.ref(T) for T in choi_A.values())
-        return fields
-
     def extension_and_watch(*args):
         result = build_extension(*args)
         arrays = [*result.trace_blocks.values()]
@@ -216,7 +208,6 @@ def test_parsed_problem_dies_with_the_call(argv, monkeypatch, capsys, tmp_path):
     battery_refs = []
     monkeypatch.setattr(qbayes.cli, "problem_from_json", parse_and_watch)
     monkeypatch.setattr(qbayes.modular, "_corner_map", build_and_watch)
-    monkeypatch.setattr(qbayes.bayesinv, "_battery", battery_and_watch)
     monkeypatch.setattr(qbayes.bayesinv, "_existence", extension_and_watch)
     argv = [argv[0], str(FIXTURES / "multiblock_product.json")] + argv[1:]
     if argv[0] == "invert":
@@ -229,11 +220,9 @@ def test_parsed_problem_dies_with_the_call(argv, monkeypatch, capsys, tmp_path):
         # the pair is its own corner: one corner map, holding the problem's
         # channel and the pulled-back state
         assert len(refs) == (5 if argv[0] == "check" else 3)
-        # the problem's battery, which takesaki's corner battery reads, keeps
-        # a corner Choi block per each of 2 x 2 block pairs; its extension
-        # keeps a mass block per weighted source block and the inverse's 2 x 2
-        # tensors
-        assert len(battery_refs) == (10 if argv[0] == "check" else 0)
+        # the problem's battery keeps verdicts only; its extension keeps a mass
+        # block per weighted source block and the inverse's 2 x 2 tensors
+        assert len(battery_refs) == (6 if argv[0] == "check" else 0)
         refs += battery_refs
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
@@ -339,10 +328,6 @@ def test_disagreeing_battery_raises_on_every_call(monkeypatch):
             battery(problem["channel"], problem["state"])
 
 
-def _kept_arrays(analysis) -> list:
-    return list(analysis.choi_A.values())
-
-
 def test_battery_is_kept_per_map_and_tolerance():
     h, omega = rankdef_product_instance()
     maps = (from_hom(h), identity_channel(h.target))
@@ -352,16 +337,13 @@ def test_battery_is_kept_per_map_and_tolerance():
         kept = [battery(maps[k], omega, tol) for k, tol in cases + cases]
     assert len(seen["bayesinv._battery"]) == 4
     for (k, tol), first, again in zip(cases, kept, kept[4:]):
-        assert again.choi_A is first.choi_A and again.conditions is first.conditions
+        assert again.conditions is first.conditions
         # the same outcome as on fresh copies of the map and state, which share nothing
         h_fresh, omega_fresh = rankdef_product_instance()
         fresh_map = (from_hom(h_fresh), identity_channel(h_fresh.target))[k]
         unshared = battery(fresh_map, omega_fresh, tol)
         assert first.conditions == unshared.conditions
         assert first.passed == unshared.passed
-        assert first.choi_A.keys() == unshared.choi_A.keys()
-        pairs = zip(_kept_arrays(first), _kept_arrays(unshared), strict=True)
-        assert all(np.array_equal(a, b) for a, b in pairs)
 
 
 def test_results_are_keyed_by_the_map_itself():
@@ -381,9 +363,9 @@ def test_results_are_keyed_by_the_map_itself():
 @pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
 def test_no_kept_battery_holds_forced_rows(fixture, monkeypatch, capsys):
     # every battery of a full check, takesaki's corner batteries and the
-    # failing ones included, keeps only its corner Choi blocks, whose rows
-    # vanish off the xi support: the forced rows are built where `existence`
-    # reads them
+    # failing ones included, keeps its pulled-back state and its verdicts,
+    # and no array: `existence` builds its corner blocks and forced rows from
+    # the map's factor where it reads them
     kept = []
     build_battery = qbayes.bayesinv._battery
 
@@ -395,29 +377,9 @@ def test_no_kept_battery_holds_forced_rows(fixture, monkeypatch, capsys):
     assert main(["check", str(fixture)]) == 0
     capsys.readouterr()
     assert kept
-    for xi, _, _, choi_A in kept:
-        P_xi = support(xi).projection.blocks
-        for (x, y), A in choi_A.items():
-            n = len(P_xi[y])
-            m = len(A) // n
-            off = _sandwich(A.reshape(m, n, m, n), R=np.eye(n) - P_xi[y])
-            assert np.abs(off).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(A).max(initial=0.0))
-
-
-def test_kept_battery_is_read_only(capsys, tmp_path):
-    h, omega = rankdef_product_instance()
-    F = from_hom(h)
-    analysis = battery(F, omega)
-    assert analysis.passed
-    assert not any(T.flags.writeable for T in _kept_arrays(analysis))
-    # the readers of the kept arrays write to none of them
-    assert existence(analysis).exists
-    report = compositionality_check(F, from_hom(inclusion_hom(1, 2)), omega)
-    assert report.composite_ok and report.second_inverse_ok and report.uniqueness_ae_ok
-    out = str(tmp_path / "inverse.json")
-    argv = ["invert", str(FIXTURES / "rankdef_product.json"), "--mode", "bayes", "--out", out]
-    assert main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["analyses"]["invert"]["exists"] is True
+    for xi, conditions, passed in kept:
+        assert isinstance(xi, State) and isinstance(passed, bool)
+        assert all(isinstance(verdict, Verdict) for verdict in conditions.values())
 
 
 def test_extension_is_kept_at_the_battery_tolerance():
