@@ -560,7 +560,8 @@ def test_battery_and_existence_match_per_pair_reference(case):
     analysis = battery(F, omega)
     GL, _, choi_A, choi_B = dense_bayes_maps(F, omega)
     # G^L is one product of the Kraus factor, the reference a dense
-    # contraction of the adjoint: they agree to rounding, and so do its
+    # contraction of the adjoint: they agree to rounding (at most 5.0e-16
+    # entrywise on these cases, and 1e-14 leaves a factor 20), and so do its
     # corner block A and forced rows B, its (P, P) and (P, 1 - P) columns
     got = left_right_bayes(F, omega)[0]
     for pd in pair_operands(F, omega):
@@ -576,9 +577,8 @@ def test_battery_and_existence_match_per_pair_reference(case):
     assert result.exists
     # the extension reads A-hat as Q C^+ Q* from the Kraus factor, the
     # reference pseudo-inverts the dense Choi block: they agree to rounding,
-    # at most 3.4e-16 here and 2e-16 on the benchmark's gated calls, and
-    # 3.5e-11 relative on a 1000 x 1000 block (10 -> 100); 1e-12 leaves three
-    # orders over these (m n <= 21) cases and stays four below eps_eq
+    # at most 4.4e-16 here; 1e-12 leaves three orders over these (m n <= 21)
+    # cases and stays four below eps_eq
     trace_blocks, tensors = dense_extension(F, omega, choi_A, choi_B)
     for y, M in trace_blocks.items():
         np.testing.assert_allclose(result.trace_blocks[y], M, rtol=0.0, atol=1e-12)
