@@ -447,8 +447,9 @@ def _existence(analysis: BayesAnalysis) -> ExistenceResult:
             A_mat = _choi(rKs, K @ P_xi, sign)
             B_mat = _choi(rKs, K @ Pxp, sign)
             A_h = (A_mat + dagger(A_mat)) / 2
-            # U[(a, i), s] = (sigma-hat K_s* rho)[i, a]; the operators that
-            # `kraus_factor` keeps lead the stack: all of F's, or those `_kept` keeps
+            # U[(a, i), s] = (sigma-hat K_s* rho)[i, a]; `kraus_factor` keeps
+            # operators of the positive part only: all of them when F's factor
+            # subtracts nothing, else those `_kept` keeps
             U = dagger(rKs.reshape(len(K), m_x * n_y))
             kept = np.zeros(len(K), dtype=bool)
             kept[:len(full[x][y])] = True if negative is None else _kept(full[x][y], tol)
