@@ -20,7 +20,6 @@ from .bayesinv import (
     verify_bayes,
 )
 from .channel import (
-    Channel,
     LinearMap,
     ae_deterministic,
     ae_equal,

@@ -20,7 +20,6 @@ import numpy as np
 
 from .algebra import memo
 from .channel import (
-    Channel,
     LinearMap,
     UcpVerdict,
     _compressed_eigvalsh,
@@ -341,7 +340,7 @@ class ExistenceResult:
 
     inequality: Verdict
     trace_blocks: dict[int, np.ndarray]
-    inverse: Optional[Channel]
+    inverse: Optional[LinearMap]
     verification: Optional[VerifyBayesReport]
 
     exists = property(lambda self: self.inequality.ok)
@@ -381,7 +380,7 @@ def existence(analysis: BayesAnalysis) -> ExistenceResult:
     spans the images of the eigen-directions that F's kept operators cut and
     of its negative ones, and (S, c) are read on that span, while C^+ stays
     that of the kept operators; the c_k below -`Tolerances.negligible` give
-    the operators that the inverse subtracts (`Channel.negative`).
+    the operators that the inverse subtracts (`LinearMap.negative`).
 
     Run once per state, map and tolerance, like `battery`: the result is kept
     on the state, and its arrays are read-only.
@@ -404,7 +403,9 @@ def _existence(analysis: BayesAnalysis) -> ExistenceResult:
     block tensors, so the verification, the certificate and every written
     copy read one block; with the spread's left-out directions, each
     ABS_FLOOR / 2 of a block, they stay within the certificate's ABS_FLOOR
-    floor. The factor's operators beyond the kept ones are those `_kept`
+    floor. The inverse is a `LinearMap` that carries its signed factor, and
+    no constructor judges its Hermiticity: the certificate of its UCP verdict
+    bounds ||C - C*||_F. The factor's operators beyond the kept ones are those `_kept`
     leaves out, wherever F's factor lists them, and its negative ones."""
     F, omega, xi, tol = analysis.F, analysis.omega, analysis.xi, analysis.tol
     sup_x = support(xi, tol)
@@ -515,7 +516,7 @@ def _existence(analysis: BayesAnalysis) -> ExistenceResult:
     _read_only([trace_blocks.values()])
     if not inequality.ok:
         return ExistenceResult(inequality, trace_blocks, inverse=None, verification=None)
-    inverse = Channel(F.target, F.source, tensors, tol=tol, kraus=ops, negative=negatives)
+    inverse = LinearMap(F.target, F.source, tensors, kraus=ops, negative=negatives)
     _read_only(inverse.tensors)
     verification = verify_bayes(F, inverse, omega, tol)
     if not verification.ok:
@@ -542,7 +543,7 @@ def _schur_factor(Q, QB, c, S, c_inv, tol: Tolerances) -> tuple[np.ndarray, np.n
 
 def bayes_inverse(
     F: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL
-) -> tuple[bool, Optional[Channel], BayesAnalysis, Optional[ExistenceResult]]:
+) -> tuple[bool, Optional[LinearMap], BayesAnalysis, Optional[ExistenceResult]]:
     """Battery + existence in one call; the common entry point."""
     analysis = battery(F, omega, tol)
     if not analysis.passed:

@@ -18,13 +18,16 @@ sum_y F_xy(1_{n_y}) = 1_{m_x} for every x.
 Maps are built in Kraus form (`from_kraus`, which also backs `from_hom` and
 the identity), from Choi blocks (`from_choi`) or by placing tensors
 directly, and tests over matrix units are contractions of the stored
-tensors. Every map has one signed factor, read through `_factor`: the one a
-channel carries (`Channel.kraus`, `Channel.negative`), or else the one read
+tensors. Every map has one signed factor, read through `_factor`: the one it
+carries (`LinearMap.kraus`, `LinearMap.negative`), or else the one read
 once per tolerance from its Choi blocks. `kraus_factor` gives a map's Kraus
 operators from it, and `is_ucp` judges a map once per tolerance by one rule:
-complete positivity certified from its factor against its Choi blocks. No
-map stores its adjoint: F* = sum_s K_s* . K_s, so `bayesinv` builds the Bayes
-maps and the extension as products of the factor's stacks.
+complete positivity certified from its factor against its Choi blocks.
+Hermiticity is judged only where Choi blocks enter from outside the program,
+in `from_choi`: the certificate bounds ||C - C*||_F of every map it passes,
+since PSD blocks are Hermitian. No map stores its adjoint: F* = sum_s K_s* .
+K_s, so `bayesinv` builds the Bayes maps and the extension as products of
+the factor's stacks.
 `LinearMap.from_block_fn`, which evaluates a callback on one matrix unit at
 a time, is the per-unit reference constructor that the tests compare
 against.
@@ -102,15 +105,25 @@ def _sandwich(T: np.ndarray, A=None, B=None, L=None, R=None) -> np.ndarray:
 class LinearMap:
     """A linear map between multi-matrix algebras, stored blockwise.
 
-    No positivity or unitality is assumed; see `Channel` for validated UCP
-    carriers. Instances are immutable by convention, and what is derived from
-    one (its factor, its Kraus operators, its UCP verdict) is kept on it
-    through `memo`.
+    No Hermiticity, positivity or unitality is assumed, so that non-UCP maps
+    (adjoints, differences) can still be worked with: `is_ucp` judges a map,
+    and `from_choi` judges whether Choi blocks given from outside are
+    Hermitian.
+    `kraus` and `negative` are the map's signed factor, from which `is_ucp`
+    certifies it: read-only (r, m_x, n_y) stacks in the grid [x][y], each
+    Choi block being sum K K* - sum N N*, passed by a constructor that knows
+    one (else None). `negative`, None for a factor given without one, holds
+    the negative eigen-directions of a map read from Choi blocks
+    (`from_choi`), carried into the maps built from it. Instances are
+    immutable by convention, and what is derived from one (the factor of a
+    map that carries none, its Kraus operators, its UCP verdict) is kept on
+    it through `memo`.
     """
 
-    __slots__ = ("source", "target", "tensors", "__dict__")
-
-    def __init__(self, source: MultiMatrixAlgebra, target: MultiMatrixAlgebra, tensors):
+    def __init__(
+        self, source: MultiMatrixAlgebra, target: MultiMatrixAlgebra, tensors, *,
+        kraus=None, negative=None,
+    ):
         self.source = source
         self.target = target
         checked = []
@@ -126,6 +139,13 @@ class LinearMap:
                 row.append(T)
             checked.append(row)
         self.tensors = checked
+        kraus, negative = (
+            None if grid is None
+            else [[np.ascontiguousarray(K, dtype=complex) for K in row] for row in grid]
+            for grid in (kraus, negative)
+        )
+        _read_only(*(grid for grid in (kraus, negative) if grid is not None))
+        self.kraus, self.negative = kraus, negative
 
     # -- construction -----------------------------------------------------
 
@@ -183,14 +203,6 @@ class LinearMap:
         m_x = self.target.block_dims[x]
         return self.tensors[x][y].reshape(n_y * m_x, n_y * m_x)
 
-    def choi_hermiticity_defect(self) -> float:
-        """Largest ||C - C*||_F over the Choi blocks; NaN if any block holds a NaN."""
-        return float(np.max([
-            hermitian_split(self.choi_block(x, y))[1]
-            for x in range(self.target.n_blocks)
-            for y in range(self.source.n_blocks)
-        ]))
-
     def distance(self, other: "LinearMap") -> tuple[float, float]:
         """The largest Frobenius norm of a block tensor of self - other, and the
         scale it is judged against: the largest of self's, or 1 if larger.
@@ -218,50 +230,7 @@ def _exact_zeros(C: np.ndarray, tol: Tolerances) -> None:
     parts[np.abs(parts) <= tol.negligible(parts.size)] = 0.0
 
 
-class Channel(LinearMap):
-    """A blockwise linear map whose Choi blocks are Hermitian.
-
-    Hermitian Choi blocks are exactly the *-preserving maps; complete
-    positivity and unitality are checked separately by `is_ucp`, so that
-    non-UCP carriers (adjoints, differences) can still be worked with.
-    `kraus` and `negative` are the map's factor, from which `is_ucp`
-    certifies it: read-only (r, m_x, n_y) stacks in the grid [x][y], each
-    Choi block being sum K K* - sum N N*, passed by a constructor that knows
-    one (else None). `negative`, None for a factor given without one, holds
-    the negative eigen-directions of a channel read from Choi blocks
-    (`from_choi`), carried into the maps built from it.
-    """
-
-    def __init__(
-        self, source, target, tensors, *, tol: Tolerances = DEFAULT_TOL, kraus=None, negative=None
-    ):
-        super().__init__(source, target, tensors)
-        kraus, negative = (
-            None if grid is None
-            else [[np.ascontiguousarray(K, dtype=complex) for K in row] for row in grid]
-            for grid in (kraus, negative)
-        )
-        _read_only(*(grid for grid in (kraus, negative) if grid is not None))
-        self.kraus, self.negative = kraus, negative
-        defect = self.choi_hermiticity_defect()
-        scale = max(
-            (
-                frobenius(self.tensors[x][y])
-                for x in range(target.n_blocks)
-                for y in range(source.n_blocks)
-            ),
-            default=1.0,
-        )
-        hermitian = tol.close(defect, max(scale, 1.0))
-        # written so that a NaN or infinite entry fails
-        if not (hermitian.ok and hermitian.threshold < np.inf):
-            raise NotHermitian(
-                f"Choi blocks deviate from Hermitian by {defect:.3e} "
-                f"(threshold {hermitian.threshold:.3e})"
-            )
-
-
-def identity_channel(alg: MultiMatrixAlgebra) -> Channel:
+def identity_channel(alg: MultiMatrixAlgebra) -> LinearMap:
     """The identity channel: one identity Kraus operator per diagonal block."""
     kraus = [
         [[np.eye(d)] if x == y else [] for y in range(alg.n_blocks)]
@@ -270,7 +239,7 @@ def identity_channel(alg: MultiMatrixAlgebra) -> Channel:
     return from_kraus(alg, alg, kraus)
 
 
-def from_hom(h: HomSpec) -> Channel:
+def from_hom(h: HomSpec) -> LinearMap:
     """The channel of a standard-form unital *-homomorphism, built once per
     hom. Its Kraus operators are the slot isometries: copy r of source block
     j fills rows offset + r * n_j onwards of target block i, offset that of
@@ -278,7 +247,7 @@ def from_hom(h: HomSpec) -> Channel:
     return memo(h, "channel", lambda: _from_hom(h))
 
 
-def _from_hom(h: HomSpec) -> Channel:
+def _from_hom(h: HomSpec) -> LinearMap:
     kraus = [[[] for _ in h.source.block_dims] for _ in h.target.block_dims]
     for i, m_i in enumerate(h.target.block_dims):
         for j, offset, _ in h.sub_block_layout(i):
@@ -294,8 +263,8 @@ def from_kraus(
     source: MultiMatrixAlgebra,
     target: MultiMatrixAlgebra,
     kraus,
-) -> Channel:
-    """Channel from Kraus operators, F_xy(B) = sum_k K B K^*, given as a grid
+) -> LinearMap:
+    """The channel of Kraus operators, F_xy(B) = sum_k K B K^*, given as a grid
     kraus[x][y] of lists of (m_x x n_y) matrices."""
     tensors = []
     stacks = []
@@ -316,31 +285,48 @@ def from_kraus(
             row.append((A.T @ A.conj()).reshape(n_y, m_x, n_y, m_x))
         tensors.append(row)
         stacks.append(stack_row)
-    return Channel(source, target, tensors, kraus=stacks)
+    return LinearMap(source, target, tensors, kraus=stacks)
 
 
 def from_choi(
     source: MultiMatrixAlgebra, target: MultiMatrixAlgebra, tensors, tol: Tolerances = DEFAULT_TOL
-) -> Channel:
-    """The channel of the given block tensors, judged Hermitian at tol, with the
-    signed factor that `_choi_factor` reads at tol."""
-    F = Channel(source, target, tensors, tol=tol)
-    F.kraus, F.negative = _choi_factor(F, tol)
+) -> LinearMap:
+    """The map of the given block tensors, judged Hermitian at tol, with the
+    signed factor that `_choi_factor` reads at tol. Each Choi block is split
+    into its Hermitian part once, for both: the largest ||C - C*||_F over the
+    blocks must be close to 0 at the scale of their largest Frobenius norm (or
+    1), and a NaN or an infinite entry fails."""
+    F = LinearMap(source, target, tensors)
+    parts = [
+        [hermitian_split(F.choi_block(x, y)) for y in range(source.n_blocks)]
+        for x in range(target.n_blocks)
+    ]
+    defect = float(np.max([d for row in parts for _, d in row]))
+    scale = max(frobenius(T) for row in F.tensors for T in row)
+    hermitian = tol.close(defect, max(scale, 1.0))
+    # written so that a NaN or infinite entry fails
+    if not (hermitian.ok and hermitian.threshold < np.inf):
+        raise NotHermitian(
+            f"Choi blocks deviate from Hermitian by {defect:.3e} "
+            f"(threshold {hermitian.threshold:.3e})"
+        )
+    F.kraus, F.negative = _choi_factor(F, tol, parts)
     return F
 
 
-def _choi_factor(F: LinearMap, tol: Tolerances) -> tuple[list, list]:
+def _choi_factor(F: LinearMap, tol: Tolerances, parts=None) -> tuple[list, list]:
     """(K, N), the signed factor of F read from one eigendecomposition of the
     Hermitian part of each Choi block, as read-only (r, m_x, n_y) stacks in the
     grid [x][y]: K the eigen-directions above the lesser of the rank cutoff and
     `Tolerances.negligible`, in descending eigenvalue, N those below
     -negligible, so that the directions left out hold at most ABS_FLOOR / 2 of
-    a block in Frobenius norm. A block that is not finite gets empty stacks,
-    and its certificate reads NaN."""
+    a block in Frobenius norm. parts[x][y], when given, is the block's
+    `hermitian_split`, else it is made here. A block that is not finite gets
+    empty stacks, and its certificate reads NaN."""
     kraus, negative = ([[None] * F.source.n_blocks for _ in F.target.block_dims] for _ in range(2))
     for x, m_x in enumerate(F.target.block_dims):
         for y, n_y in enumerate(F.source.block_dims):
-            H, defect = hermitian_split(F.choi_block(x, y))
+            H, defect = hermitian_split(F.choi_block(x, y)) if parts is None else parts[x][y]
             w, V = np.zeros(0), np.zeros((len(H), 0), dtype=complex)
             if np.isfinite(defect):
                 w, V = np.linalg.eigh(H)
@@ -354,9 +340,9 @@ def _choi_factor(F: LinearMap, tol: Tolerances) -> tuple[list, list]:
 
 def _factor(F: LinearMap, tol: Tolerances) -> tuple[list, Optional[list]]:
     """(L, N), the one signed factor of F, each Choi block being sum L L* -
-    sum N N*: a channel's `kraus` and `negative`, or, for a map that carries
+    sum N N*: the map's `kraus` and `negative`, or, for a map that carries
     none, the one `_choi_factor` reads, once per tolerance and kept on F."""
-    if isinstance(F, Channel) and F.kraus is not None:
+    if F.kraus is not None:
         return F.kraus, F.negative
     return memo(F, ("factor", tol), lambda: _choi_factor(F, tol))
 
@@ -391,7 +377,7 @@ def _kept(K: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 
 def compose(F: LinearMap, G: LinearMap) -> LinearMap:
-    """F o G, G feeding into F; a Channel when both are channels."""
+    """F o G, G feeding into F, without a factor."""
     if G.target.block_dims != F.source.block_dims:
         raise ShapeMismatch("maps are not composable")
     tensors = []
@@ -408,8 +394,7 @@ def compose(F: LinearMap, G: LinearMap) -> LinearMap:
             out = out.reshape(n, n, m, m).transpose(0, 2, 1, 3)
             row.append(np.ascontiguousarray(out))
         tensors.append(row)
-    cls = Channel if isinstance(F, Channel) and isinstance(G, Channel) else LinearMap
-    return cls(G.source, F.target, tensors)
+    return LinearMap(G.source, F.target, tensors)
 
 
 @dataclass(frozen=True)

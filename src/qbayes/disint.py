@@ -22,7 +22,6 @@ import numpy as np
 from .algebra import HomSpec, MultiMatrixAlgebra, memo
 from .bayesinv import _ucp_and_transport, battery, bayes_inverse
 from .channel import (
-    Channel,
     LinearMap,
     UcpVerdict,
     _exact_zeros,
@@ -138,7 +137,7 @@ def _factorize(h: HomSpec, omega: State, tol: Tolerances) -> tuple:
 
 def build_disintegration(
     cert: FactorizationCertificate, tol: Tolerances = DEFAULT_TOL
-) -> Channel:
+) -> LinearMap:
     """Recovery channel from a valid certificate.
 
     Source sub-blocks with positive weight are recovered by the
@@ -195,7 +194,7 @@ def build_disintegration(
                 ).reshape(-1, n_j, size)
                 kraus[j][i] = ops
             _exact_zeros(tensors[j][i], tol)
-    return Channel(h.target, h.source, tensors, tol=tol, kraus=kraus)
+    return LinearMap(h.target, h.source, tensors, kraus=kraus)
 
 
 @dataclass(frozen=True)
@@ -316,12 +315,12 @@ def condexp_characterize(
 @dataclass(frozen=True)
 class DisintegrationResult:
     exists: bool
-    recovery: Optional[Channel]
+    recovery: Optional[LinearMap]
     certificate: FactorizationCertificate
     report: Optional[DisintegrationReport]
 
     @cached_property
-    def expectation(self) -> Optional[Channel]:
+    def expectation(self) -> Optional[LinearMap]:
         """from_hom(h) o recovery, composed when first read."""
         if self.recovery is None:
             return None

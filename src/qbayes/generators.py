@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import HomSpec, MultiMatrixAlgebra
-from .channel import Channel, from_kraus
+from .channel import LinearMap, from_kraus
 from .errors import ShapeMismatch
 from .linalg import dagger
 from .state import State, state_from_weighted
@@ -60,7 +60,7 @@ def random_kraus_channel(
     source: MultiMatrixAlgebra,
     target: MultiMatrixAlgebra,
     n_kraus: int = 2,
-) -> Channel:
+) -> LinearMap:
     """Haar-ish random UCP channel: Gaussian Kraus grid, renormalized to be
     unital by conjugating with the inverse square root of the unit image,
     which is singular unless n_kraus * sum_y n_y >= m_x for every x."""

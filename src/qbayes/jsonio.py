@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import HomSpec, MultiMatrixAlgebra
-from .channel import Channel, from_choi, from_hom, from_kraus, is_ucp
+from .channel import LinearMap, from_choi, from_hom, from_kraus, is_ucp
 from .errors import NotHermitian, ParseError, SchemaError
 from .linalg import DEFAULT_TOL, Tolerances
 from .state import State
@@ -168,7 +168,7 @@ def hom_from_json(data, field: str) -> HomSpec:
         raise SchemaError(f"{field}.mult: {exc}") from exc
 
 
-def channel_to_json(F: Channel) -> dict:
+def channel_to_json(F: LinearMap) -> dict:
     """The channel in Choi form."""
     return {
         "source": F.source.to_dict(),
@@ -183,7 +183,7 @@ def channel_to_json(F: Channel) -> dict:
 
 def channel_from_json(
     data, field: str, tol: Tolerances = DEFAULT_TOL
-) -> tuple[Channel, Optional[HomSpec]]:
+) -> tuple[LinearMap, Optional[HomSpec]]:
     """Parse a channel in hom, Choi, or Kraus form.
 
     Returns the channel together with the HomSpec when the input carried

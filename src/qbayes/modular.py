@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, memo
-from .channel import Channel, LinearMap, _factor, _sandwich, _unit_rows, is_ucp
+from .channel import LinearMap, _factor, _sandwich, _unit_rows, is_ucp
 from .errors import InternalInconsistency, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
@@ -74,7 +74,7 @@ class CornerMap:
 
     omega_support: SupportData
     xi_support: SupportData
-    channel: Channel
+    channel: LinearMap
     omega_restricted: State
     xi_restricted: State
 
@@ -115,9 +115,8 @@ def _corner_map(F: LinearMap, sup_o: SupportData, sup_x: SupportData, tol: Toler
             else [[dagger(W[x]) @ grid[x][y] @ V[y] for y in sup_x.kept] for x in sup_o.kept]
             for grid in _factor(F, tol)
         )
-        chan = Channel(
-            sup_x.corner_algebra, sup_o.corner_algebra, tensors, tol=tol,
-            kraus=kraus, negative=negative,
+        chan = LinearMap(
+            sup_x.corner_algebra, sup_o.corner_algebra, tensors, kraus=kraus, negative=negative
         )
         omega_r, xi_r = sup_o.restricted_state(), sup_x.restricted_state()
 

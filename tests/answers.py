@@ -22,7 +22,13 @@ move. Tier-1 does not collect this file; run it as a script.
   `channel_to_json` twice, plainly and with up to 4 of each Choi block's
   null eigen-directions (those at or below its rank cutoff) planted at 0.9
   x that cutoff, each run as `check --analyses
-  bayes-battery,bayes-existence` and as `invert --mode bayes` (160 calls).
+  bayes-battery,bayes-existence`, as `check --analyses ac` and as `invert
+  --mode bayes` (240 calls);
+- the re-inversion corpus: for each problem above (the 73 files and the two
+  families) that has a Bayesian inverse G, the problem (G, xi), xi the
+  pulled-back state, written through `channel_to_json` and `state_to_json`
+  with the problem's tolerances and run as `check --analyses
+  bayes-battery,bayes-existence,ac`, one call per file and per family seed.
 
 For each call the record holds the exit code, the verdict booleans, and a
 SHA-256 of stderr, of stdout with its `timing` object cut out, of each
@@ -71,6 +77,7 @@ FAMILIES = {"noise": ("noisy_product_instance", range(5000, 5200)),
             "rotated": ("rotated_product_instance", range(200))}
 WRITTEN = "written.json"
 CHOI_ANALYSES = "bayes-battery,bayes-existence"
+REINVERT_ANALYSES = "bayes-battery,bayes-existence,ac"
 PLANTED_NULLS = 4
 
 
@@ -160,6 +167,35 @@ def choi_rewrite(path: str, out: str, planted: bool) -> None:
     Path(out).write_text(canonical_dumps(data), encoding="utf-8")
 
 
+def reinversion(path: str, out: str) -> bool:
+    """Write to out the problem (G, xi) of the problem at path: G its
+    Bayesian inverse and xi its pulled-back state, in `choi` form through
+    `channel_to_json` and `state_to_json`, with the problem's tolerances.
+    False, and nothing written, when the problem has no inverse or its
+    inversion raises a qbayes error."""
+    from qbayes.bayesinv import bayes_inverse
+    from qbayes.errors import QBayesError
+    from qbayes.jsonio import (canonical_dumps, channel_to_json, problem_from_json,
+                               state_to_json, tolerances_from_json)
+    from qbayes.linalg import Tolerances
+
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    tol = Tolerances(**tolerances_from_json(data))
+    try:
+        problem = problem_from_json(data, tol)
+        ok, G, analysis, _ = bayes_inverse(problem["channel"], problem["state"], tol)
+    except QBayesError:
+        return False
+    if not ok:
+        return False
+    inverted = {"schema": data["schema"], "channel": channel_to_json(G),
+                "state": state_to_json(analysis.xi)}
+    if "tolerances" in data:
+        inverted["tolerances"] = data["tolerances"]
+    Path(out).write_text(canonical_dumps(inverted), encoding="utf-8")
+    return True
+
+
 def run_call(cli, call_id: str, argv: list, problem: str) -> dict:
     Path(WRITTEN).unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
@@ -230,10 +266,12 @@ def record(root: Path, out: Path) -> None:
                 path = f"choi/{kind}/{source.replace('/', '-')}"
                 choi_rewrite(source, path, kind == "planted")
                 argvs = [["check", path, "--analyses", CHOI_ANALYSES],
+                         ["check", path, "--analyses", "ac"],
                          ["invert", path, "--mode", "bayes", "--out", WRITTEN]]
                 for argv in argvs:
                     calls.append(run_call(cli, " ".join(argv[:1] + argv[2:]) + f" @ {path}",
                                           argv, path))
+        sources = [(f"files/{source.replace('/', '-')}", source) for source in files]
         for family, (builder, seeds) in FAMILIES.items():
             Path(family).mkdir()
             for seed in seeds:
@@ -245,9 +283,17 @@ def record(root: Path, out: Path) -> None:
                            "state": state}
                 path = f"{family}/{seed}.json"
                 Path(path).write_text(json.dumps(problem, sort_keys=True), encoding="utf-8")
+                sources.append((path, path))
                 for a in ANALYSES:
                     argv = ["check", path, "--analyses", a]
                     calls.append(run_call(cli, f"check --analyses {a} @ {path}", argv, path))
+        for name, source in sources:
+            path = f"reinvert/{name}"
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            if reinversion(source, path):
+                argv = ["check", path, "--analyses", REINVERT_ANALYSES]
+                calls.append(run_call(cli, f"check --analyses {REINVERT_ANALYSES} @ {path}",
+                                      argv, path))
     finally:
         os.chdir(cwd)
         shutil.rmtree(work, ignore_errors=True)
@@ -257,13 +303,17 @@ def record(root: Path, out: Path) -> None:
     print(f"{len(calls)} calls; exit codes {dict(Counter(str(c['exit']) for c in calls))}")
     for (where, analysis), n in sorted(alarms.items()):
         print(f"  exit 3: {where} {analysis} {n}")
+    for c in calls:
+        if c["exit"] == 3 and group(c["id"]).startswith("reinvert/"):
+            print(f"  exit 3: {c['id']}")
 
 
 def group(call_id: str) -> str:
     """The set a call's problem belongs to: its first directory, and for the
-    `choi` corpus its second too (plain or planted)."""
+    `choi` and re-inversion corpora its second too (plain or planted; files
+    or the family)."""
     parts = call_id.split(" @ ")[1].split("/")
-    return "/".join(parts[:2] if parts[0] == "choi" else parts[:1])
+    return "/".join(parts[:2] if parts[0] in ("choi", "reinvert") else parts[:1])
 
 
 def pattern(path: str) -> str:

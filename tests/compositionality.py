@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qbayes.bayesinv import BayesAnalysis, ExistenceResult, bayes_inverse, verify_bayes
-from qbayes.channel import Channel, ae_equal, compose, identity_channel
+from qbayes.channel import LinearMap, ae_equal, compose, identity_channel
 from qbayes.linalg import DEFAULT_TOL, Tolerances, dagger
 from qbayes.state import State, pullback, support
 
@@ -26,7 +26,7 @@ class CompositionalityReport:
     extensions_differ: bool
 
 
-def ramp_split_inverse(analysis: BayesAnalysis, result: ExistenceResult) -> Channel:
+def ramp_split_inverse(analysis: BayesAnalysis, result: ExistenceResult) -> LinearMap:
     """The inverse that `existence` built, with the leftover co-support mass of
     each source block spread over the free diagonal of target block x in the
     ratio 1 : 2 : ... : m_x instead of uniformly. Read from the kept
@@ -46,11 +46,11 @@ def ramp_split_inverse(analysis: BayesAnalysis, result: ExistenceResult) -> Chan
             ramp = np.arange(1, m_x + 1) / (m_x * (m_x + 1) / 2)
             shift = np.kron(np.diag((ramp - 1.0 / m_x) * w_x[x]), delta_psd)
             tensors[y][x] = tensors[y][x] + shift.reshape(m_x, n_y, m_x, n_y)
-    return Channel(F.target, F.source, tensors, tol=tol)
+    return LinearMap(F.target, F.source, tensors)
 
 
 def compositionality_check(
-    F: Channel, G: Channel, omega: State, tol: Tolerances = DEFAULT_TOL
+    F: LinearMap, G: LinearMap, omega: State, tol: Tolerances = DEFAULT_TOL
 ) -> CompositionalityReport:
     """The functoriality checks of the Bayesian inverses of F and of G, G's at
     the pullback of omega; both must exist."""

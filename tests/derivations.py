@@ -15,7 +15,10 @@ once per map and tolerance (`_choi_factor`, keyed by the shapes of the
 blocks it decomposes: a channel read from Choi blocks at parse, or a map
 built without a factor; `is_ucp` certifies every map from its factor), and
 the extension's compressions by `support_eigen` (through
-`hermitian_eigen`). `eigendecompositions()` records every numpy
+`hermitian_eigen`). The Hermitian parts of Choi blocks (`hermitian_split`,
+keyed by shape) are split once per block of a `choi` input at parse, and
+once per block where `_choi_factor` reads the factor of a map that carries
+none. `eigendecompositions()` records every numpy
 eigendecomposition with the function that made it. From a checkout:
 
     PYTHONPATH=src python tests/derivations.py fixtures/product.json [--analyses ac]
@@ -40,13 +43,14 @@ import qbayes.state
 
 BUILDERS = {
     "linalg.hermitian_eigen": (qbayes.linalg, "hermitian_eigen", lambda M, *tol: np.shape(M)),
+    "linalg.hermitian_split": (qbayes.linalg, "hermitian_split", np.shape),
     "channel._compressed_eigvalsh": (
         qbayes.channel, "_compressed_eigvalsh", lambda Z, J: min(np.shape(Z))
     ),
     "channel._choi_factor": (
         qbayes.channel,
         "_choi_factor",
-        lambda F, tol: [F.choi_block(x, y).shape
+        lambda F, tol, parts=None: [F.choi_block(x, y).shape
                         for x in range(F.target.n_blocks) for y in range(F.source.n_blocks)],
     ),
     "channel._ucp_verdict": (qbayes.channel, "_ucp_verdict", lambda F, tol: (id(F), tol)),

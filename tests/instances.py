@@ -6,7 +6,7 @@ small or negative eigen-directions."""
 import numpy as np
 
 from qbayes.algebra import HomSpec, MultiMatrixAlgebra
-from qbayes.channel import Channel, from_choi, from_kraus
+from qbayes.channel import LinearMap, from_choi, from_kraus
 from qbayes.generators import inclusion_hom
 from qbayes.linalg import DEFAULT_TOL
 from qbayes.state import State
@@ -50,7 +50,7 @@ def nonproduct_faithful_instance() -> tuple[HomSpec, State]:
     return h, omega
 
 
-def nonsubalgebra_deterministic_instance() -> tuple[Channel, State]:
+def nonsubalgebra_deterministic_instance() -> tuple[LinearMap, State]:
     """UCP map B -> diag(B, (B + B^T + tr(B) 1)/4) with a pure target state.
 
     The image is not a subalgebra, yet the map is deterministic almost

@@ -11,7 +11,6 @@ import numpy as np
 from qbayes.algebra import MultiMatrixAlgebra
 from qbayes.bayesinv import battery, existence, verify_bayes
 from qbayes.channel import (
-    Channel,
     LinearMap,
     compose,
     from_hom,
@@ -90,7 +89,7 @@ def single_block_ensemble(seed: int, count: int):
             d = int(rng.integers(2, 5))
             alg = MultiMatrixAlgebra((d,))
             U = random_unitary(rng, d)
-            F = Channel(
+            F = LinearMap(
                 alg, alg,
                 LinearMap.from_block_fn(
                     alg, alg, lambda x, y, E, U=U: U @ E @ dagger(U)
@@ -219,7 +218,7 @@ def test_criterion_05_petz_bayes_oracle():
             d = int(rng.integers(2, 5))
             alg = MultiMatrixAlgebra((d,))
             U = random_unitary(rng, d)
-            F = Channel(
+            F = LinearMap(
                 alg, alg,
                 LinearMap.from_block_fn(
                     alg, alg, lambda x, y, E, U=U: U @ E @ dagger(U)
@@ -234,7 +233,7 @@ def test_criterion_05_petz_bayes_oracle():
         analysis = battery(F, omega)
         if not analysis.passed:
             continue
-        petz = Channel(F.target, F.source, petz_map(F, omega).tensors)
+        petz = LinearMap(F.target, F.source, petz_map(F, omega).tensors)
         residual = verify_bayes(F, petz, omega).pairing.residual
         worst = max(worst, residual)
         checked += 1

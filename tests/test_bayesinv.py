@@ -15,7 +15,6 @@ from qbayes.bayesinv import (
     verify_bayes,
 )
 from qbayes.channel import (
-    Channel,
     LinearMap,
     _sandwich,
     compose,
@@ -246,7 +245,7 @@ def test_petz_formula_matches_on_faithful_instances():
         assert analysis.passed
         petz = petz_map(F, omega)
         assert Tolerances(eps_eq=1e-9).close(*support_map(analysis).distance(petz))
-        report = verify_bayes(F, Channel(F.target, F.source, petz.tensors), omega)
+        report = verify_bayes(F, LinearMap(F.target, F.source, petz.tensors), omega)
         assert report.pairing.residual < 1e-8
 
 
@@ -270,7 +269,7 @@ def test_unitary_conjugation_battery_and_inverse():
     rng = np.random.default_rng(3)
     alg = MultiMatrixAlgebra((3,))
     U = random_unitary(rng, 3)
-    F = Channel(
+    F = LinearMap(
         alg, alg,
         LinearMap.from_block_fn(alg, alg, lambda x, y, E: U @ E @ dagger(U)).tensors,
     )
@@ -419,7 +418,7 @@ def test_compositionality_two_extensions_differ_off_support():
     # only almost everywhere
     alg = MultiMatrixAlgebra((2,))
     sigma0 = np.diag([1.0, 0.0])
-    F = Channel(
+    F = LinearMap(
         alg, alg,
         LinearMap.from_block_fn(
             alg, alg, lambda x, y, E: np.trace(sigma0 @ E) * np.eye(2)

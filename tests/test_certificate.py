@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from qbayes.algebra import MultiMatrixAlgebra
 from qbayes.bayesinv import bayes_inverse
 from qbayes.channel import (
-    Channel,
+    LinearMap,
     compose,
     from_choi,
     from_hom,
@@ -56,7 +56,7 @@ LADDER = [
 ]
 
 
-def random_kraus_map(seed: int, source_dims, target_dims) -> Channel:
+def random_kraus_map(seed: int, source_dims, target_dims) -> LinearMap:
     """A CP map in Kraus form with 1 to 4 Gaussian operators in block (0, 0)
     and 0 to 4 in every other block pair; not unital."""
     rng = np.random.default_rng(seed)
@@ -68,8 +68,8 @@ def random_kraus_map(seed: int, source_dims, target_dims) -> Channel:
     return from_kraus(MultiMatrixAlgebra(tuple(source_dims)), MultiMatrixAlgebra(tuple(target_dims)), kraus)
 
 
-def with_factor(F, tensors, kraus, negative=None) -> Channel:
-    return Channel(F.source, F.target, tensors, kraus=kraus, negative=negative)
+def with_factor(F, tensors, kraus, negative=None) -> LinearMap:
+    return LinearMap(F.source, F.target, tensors, kraus=kraus, negative=negative)
 
 
 maps = st.tuples(
@@ -141,7 +141,7 @@ def test_a_choi_given_factor_keeps_every_nonnegative_direction():
     assert certified.ok and certified.residual < 1e-3 * small
     # a map given without a factor is certified from the factor read from its
     # Choi blocks, and the dense route reaches the same verdict
-    bare = Channel(G.source, G.target, G.tensors)
+    bare = LinearMap(G.source, G.target, G.tensors)
     assert bare.kraus is None
     dense, cert = dense_ucp(bare).cp, is_ucp(bare).cp
     assert dense.ok and cert.ok
@@ -160,7 +160,7 @@ def test_every_map_is_judged_by_the_one_certificate(fixture):
     data = loads((FIXTURES / f"{fixture}.json").read_text())
     with recording(targets) as seen, eigendecompositions() as sides:
         F = problem_from_json(data)["channel"]
-        bare = Channel(F.source, F.target, F.tensors)
+        bare = LinearMap(F.source, F.target, F.tensors)
         composed = compose(identity_channel(F.target), F)
         for M in (F, bare, composed):
             assert is_ucp(M).ok

@@ -9,12 +9,12 @@ from qbayes.algebra import (
     unit,
 )
 from qbayes.channel import (
-    Channel,
     LinearMap,
     _sandwich,
     ae_deterministic,
     ae_equal,
     compose,
+    from_choi,
     from_hom,
     from_kraus,
     identity_channel,
@@ -149,7 +149,7 @@ def test_channel_requires_hermitian_choi():
     T = np.zeros((2, 2, 2, 2), dtype=complex)
     T[0, 0, 1, 1] = 1.0  # not matched by its conjugate entry
     with pytest.raises(NotHermitian):
-        Channel(alg, alg, [[T]])
+        from_choi(alg, alg, [[T]])
 
 
 def test_hs_adjoint_pairing_and_involution():
@@ -216,7 +216,7 @@ def test_other_channels_derive_their_operators_once_per_tolerance():
     rng = np.random.default_rng(32)
     alg = MultiMatrixAlgebra((3,))
     G = random_kraus_channel(rng, alg, alg, 2)
-    F = Channel(alg, alg, G.tensors)  # the same map, built from its tensors
+    F = LinearMap(alg, alg, G.tensors)  # the same map, built from its tensors
     assert F.kraus is None
     target = {"_choi_factor": (qbayes.channel, "_choi_factor", lambda F, tol: tol)}
     with recording(target) as seen:
@@ -269,7 +269,7 @@ def test_is_ucp_transpose_witness():
         return E.T
 
     lm = LinearMap.from_block_fn(alg, alg, transpose_fn)
-    F = Channel(alg, alg, lm.tensors)  # Choi is the swap: Hermitian but not PSD
+    F = LinearMap(alg, alg, lm.tensors)  # Choi is the swap: Hermitian but not PSD
     verdict = is_ucp(F)
     assert not verdict
     assert not verdict.cp.ok
@@ -362,7 +362,7 @@ def test_ae_equal_off_support_perturbation():
         return E + 0.5 * np.trace(E) * np.diag([0.0, 1.0])
 
     lm = LinearMap.from_block_fn(alg, alg, perturbed)
-    G = Channel(alg, alg, lm.tensors)
+    G = LinearMap(alg, alg, lm.tensors)
     assert not DEFAULT_TOL.close(*G.distance(ident))
     assert ae_equal(ident, G, omega)
     faithful = State(alg, (1.0,), (np.eye(2) / 2,))
@@ -382,7 +382,7 @@ def test_ae_deterministic_homs_and_depolarizing():
         return 0.5 * E + 0.5 * np.trace(E) * np.eye(2) / 2
 
     lm = LinearMap.from_block_fn(alg, alg, depolarize)
-    D = Channel(alg, alg, lm.tensors)
+    D = LinearMap(alg, alg, lm.tensors)
     faithful = random_state(rng, alg)
     assert not ae_deterministic(D, faithful)
 
@@ -485,7 +485,7 @@ def test_non_finite_maps_fail_closed(bad):
     T = F.tensors[0][0].copy()
     T[0, 1, 1, 0] = bad
     with np.errstate(invalid="ignore"), pytest.raises(NotHermitian):
-        Channel(F.source, F.target, [[T]])
+        from_choi(F.source, F.target, [[T]])
     with np.errstate(invalid="ignore"):
         verdict = is_ucp(LinearMap(F.source, F.target, [[np.full_like(T, bad)]]))
     assert not verdict.ok and not verdict.cp.ok

@@ -1,6 +1,6 @@
 """Every map's factor is read through one accessor.
 
-A map's signed factor (L, N) is the channel's `kraus` and `negative` fields,
+A map's signed factor (L, N) is the map's `kraus` and `negative` fields,
 or the one read from its Choi blocks for a map that carries none, and
 `channel._factor` is the one way to reach it. So outside channel.py no code
 reads `kraus` or `negative` from a map, as an attribute or through
@@ -27,7 +27,7 @@ from conftest import FIXTURES
 FACTOR_NAMES = {"kraus", "negative"}
 
 ALLOWED = {
-    ("channel.py", "__init__"): "the Channel constructor stores the factor it is given",
+    ("channel.py", "__init__"): "the LinearMap constructor stores the factor it is given",
     ("channel.py", "from_choi"): "stores the factor read from the channel's Choi blocks",
     ("channel.py", "_factor"): "the one accessor",
 }

@@ -10,7 +10,7 @@ import pytest
 
 from qbayes.algebra import MultiMatrixAlgebra
 from qbayes.bayesinv import battery
-from qbayes.channel import Channel, LinearMap, ae_deterministic, from_hom, from_kraus
+from qbayes.channel import LinearMap, ae_deterministic, from_hom, from_kraus
 from qbayes.disint import bayes_disint_bridge, condexp_characterize, factorize, takesaki_battery
 from qbayes.errors import InternalInconsistency
 from qbayes.generators import (
@@ -92,7 +92,7 @@ def test_depolarizing_and_nonsubalgebra_match_pair_loop():
     lm = LinearMap.from_block_fn(
         alg, alg, lambda x, y, E: 0.5 * E + 0.5 * np.trace(E) * np.eye(2) / 2
     )
-    D = Channel(alg, alg, lm.tensors)
+    D = LinearMap(alg, alg, lm.tensors)
     pure = State(alg, (1.0,), (np.diag([1.0, 0.0]),))
     for omega in (pure, random_state(np.random.default_rng(11), alg)):
         assert not ae_deterministic(D, omega)
