@@ -15,16 +15,15 @@ import json
 
 import numpy as np
 
-import qbayes.linalg
 from qbayes.bayesinv import bayes_inverse, verify_bayes
 from qbayes.channel import LinearMap, from_choi, is_ucp
 from qbayes.cli import main
 from qbayes.jsonio import canonical_dumps, channel_to_json, loads, problem_from_json
 
 from conftest import FIXTURES
-from derivations import recording
+from derivations import BUILDERS, recording
 
-SPLITS = {"split": (qbayes.linalg, "hermitian_split", np.shape)}
+SPLITS = {"split": BUILDERS["linalg.hermitian_split"]}
 
 
 def _splits(argv) -> int:
